@@ -10,7 +10,7 @@ from .sensing import (SensingConfig, MeasurementLog, SensingOutcome,
                       reconstruct_from_outcome, two_stage_estimate,
                       two_stage_estimate_coeffs)
 from .bounds import false_alarm_bound, miss_bound, failure_bound, min_amplitude
-from .dictlearn import (Dictionary, TrainingSet, LearnConfig, depth_weights,
+from .dictlearn import (Dictionary, TrainingSet, LearnConfig,
                         tree_group_penalty, tree_prox, sparse_code,
                         update_dictionary, learn, learn_objective,
                         save_dictionary, load_dictionary)

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import TreeTopology, GroupSet, groups_of, make_tree
+from .tree import TreeTopology, groups_of, make_tree
 
 __all__ = [
     "Dictionary",
     "TrainingSet",
     "LearnConfig",
-    "depth_weights",
     "tree_group_penalty",
     "tree_prox",
     "sparse_code",
@@ -86,7 +85,6 @@ class LearnConfig:
     lam: float
     group_norm: str = "l2"
     outer_iters: int = 30
-    inner_iters: int = 5
     tol: float = 1e-6
 
     def __post_init__(self):
@@ -94,35 +92,31 @@ class LearnConfig:
             raise ValueError("lam must be positive")
         if self.group_norm not in ("l2", "linf"):
             raise ValueError("group_norm must be 'l2' or 'linf'")
-        if self.outer_iters < 1 or self.inner_iters < 1:
-            raise ValueError("iteration counts must be >= 1")
-
-
-def depth_weights(tree, rho):
-    """Depth-decaying group weights w_g = rho^depth(g), aligned with groups_of order."""
-    order = sorted(range(1, tree.p + 1), key=lambda i: (-tree.node_depth(i), i))
-    return np.array([rho ** tree.node_depth(i) for i in order])
+        if self.outer_iters < 1:
+            raise ValueError("outer_iters must be >= 1")
 
 
 def tree_group_penalty(a, groups, norm="l2"):
-    """Hierarchical penalty: sum over groups of weight * norm(a restricted to g)."""
+    """Hierarchical penalty: sum over groups of weight * norm(a restricted to g).
+
+    a is a length-p vector (returns a scalar) or a (p, q) matrix (returns the
+    q column penalties).  A group's energy (l2) or maximum (linf) combines its
+    node's with its child groups', one level at a time from the deepest.
+    """
+    if norm not in ("l2", "linf"):
+        raise ValueError("norm must be 'l2' or 'linf'")
+    w, tree = groups.node_weights(), groups.tree
     a = np.asarray(a, dtype=float)
-    ord_ = np.inf if norm == "linf" else 2
-    total = 0.0
-    for g, w in zip(groups.groups, groups.weights):
-        idx = np.fromiter((i - 1 for i in g), dtype=int)
-        total += w * np.linalg.norm(a[idx], ord=ord_)
-    return total
-
-
-def _check_deepest_first(groups):
-    """Each group's non-root members must be roots of earlier groups."""
-    seen = set()
-    for g, r in zip(groups.groups, groups.roots):
-        for i in g:
-            if i != r and i not in seen:
-                raise ValueError("group list is not ordered deepest-first")
-        seen.add(r)
+    cols = a.reshape(a.shape[0], -1)
+    agg = cols * cols if norm == "l2" else np.abs(cols)
+    combine = np.add if norm == "l2" else np.maximum
+    starts = tree.level_starts
+    for lvl in reversed(range(tree.depth - 1)):
+        lo, hi = starts[lvl], starts[lvl + 1]
+        kids = agg[hi:starts[lvl + 2]].reshape(hi - lo, tree.d, -1)
+        combine(agg[lo:hi], combine.reduce(kids, axis=1), out=agg[lo:hi])
+    out = w @ (np.sqrt(agg) if norm == "l2" else agg)
+    return out[0] if a.ndim == 1 else out
 
 
 def _project_l1_ball(v, radius):
@@ -142,76 +136,55 @@ def _project_l1_ball(v, radius):
 def tree_prox(v, groups, threshold, norm="l2"):
     """Exact prox of threshold * Omega at v for laminar (tree) groups.
 
-    Applies the single-group prox operators in deepest-to-root order: group
-    soft-thresholding for the l2 norm, residual after l1-ball projection for
-    the l-infinity norm.  Accepts a vector or a (p, q) matrix of columns.
+    Composes the single-group prox operators deepest group first (Jenatton
+    et al., JMLR 2011); accepts a vector or a (p, q) matrix of columns.  l2
+    runs a level at a time: a group's energy is its node's plus scale^2 *
+    each child group's, and an entry's final scale is the product of its
+    node's and its ancestors'.  linf projects one group at a time.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    _check_deepest_first(groups)
-    v = np.asarray(v, dtype=float)
-    single = v.ndim == 1
-    U = v[:, None].copy() if single else v.copy()
-    if threshold > 0:
-        for g, w in zip(groups.groups, groups.weights):
-            t = threshold * w
-            if t == 0:
-                continue
-            idx = np.fromiter((i - 1 for i in g), dtype=int)
-            block = U[idx, :]
-            if norm == "l2":
-                norms = np.linalg.norm(block, axis=0)
-                scale = np.where(norms > t, 1.0 - t / np.where(norms > 0, norms, 1.0), 0.0)
-                U[idx, :] = block * scale
-            elif norm == "linf":
-                for c in range(U.shape[1]):
-                    U[idx, c] = block[:, c] - _project_l1_ball(block[:, c], t)
-            else:
-                raise ValueError("norm must be 'l2' or 'linf'")
-    return U[:, 0] if single else U
+    if norm not in ("l2", "linf"):
+        raise ValueError("norm must be 'l2' or 'linf'")
+    t = threshold * groups.node_weights()
+    U = np.array(v, dtype=float)
+    cols = U.reshape(U.shape[0], -1)
+    if norm == "linf":
+        for g, r in zip(groups.groups, groups.roots):
+            idx = np.asarray(g) - 1
+            for c in range(cols.shape[1]):
+                cols[idx, c] -= _project_l1_ball(cols[idx, c], t[r - 1])
+        return U
 
-
-def _code_objective(X, C, A, groups, lam, norm, x_sq):
-    # 0.5||X - DA||^2 = 0.5||C - A||^2 + 0.5(||X||^2 - ||C||^2) for orthonormal D
-    resid = 0.5 * np.sum((C - A) ** 2, axis=0) + x_sq
-    pen = np.array([tree_group_penalty(A[:, i], groups, norm) for i in range(A.shape[1])])
-    return resid + lam * pen
+    tree, starts = groups.tree, groups.tree.level_starts
+    scale = np.empty_like(cols)
+    shrunk = np.empty_like(cols)   # group energy after the group's own step
+    for lvl in reversed(range(tree.depth)):
+        lo, hi = starts[lvl], starts[lvl + 1]
+        energy = cols[lo:hi] ** 2
+        if lvl + 1 < tree.depth:
+            energy += shrunk[hi:starts[lvl + 2]].reshape(hi - lo, tree.d, -1).sum(axis=1)
+        norms, tl = np.sqrt(energy), t[lo:hi, None]
+        s = np.where(norms > tl, 1.0 - tl / np.where(norms > 0, norms, 1.0), 0.0)
+        scale[lo:hi], shrunk[lo:hi] = s, s * s * energy
+    for lvl in range(1, tree.depth):   # multiply each parent's scale down
+        scale[starts[lvl]:starts[lvl + 1]] *= np.repeat(scale[starts[lvl - 1]:starts[lvl]], tree.d, axis=0)
+    cols *= scale
+    return U
 
 
 def sparse_code(training, dictionary, groups, cfg):
     """Code every training column against the dictionary.
 
-    Monotone accelerated proximal gradient with unit step (valid because the
-    orthonormal dictionary makes the smooth part 1-Lipschitz); under
-    orthonormality the iteration lands on the exact minimizer immediately,
-    and the per-column objective is nonincreasing across iterations.
+    With orthonormal D, 0.5 * ||x - D a||^2 equals 0.5 * ||D^T x - a||^2 plus
+    a constant, so the codes are exactly tree_prox(D^T X, lam): one prox.
     """
     X = training.data if isinstance(training, TrainingSet) else np.asarray(training, dtype=float)
     D = dictionary.atoms
     gram_err = np.max(np.abs(D.T @ D - np.eye(D.shape[1])))
     if gram_err > ORTHO_TOL:
         raise ValueError("sparse_code requires an orthonormal dictionary")
-    C = D.T @ X
-    x_sq = 0.5 * (np.sum(X**2, axis=0) - np.sum(C**2, axis=0))
-
-    A = np.zeros_like(C)
-    Z = A.copy()
-    obj = _code_objective(X, C, A, groups, cfg.lam, cfg.group_norm, x_sq)
-    t_mom = 1.0
-    for _ in range(cfg.inner_iters):
-        # gradient of the smooth part at Z is (Z - C); unit step lands at C
-        cand = tree_prox(C, groups, cfg.lam, cfg.group_norm)
-        cand_obj = _code_objective(X, C, cand, groups, cfg.lam, cfg.group_norm, x_sq)
-        better = cand_obj <= obj
-        A_new = np.where(better, cand, A)
-        obj_new = np.where(better, cand_obj, obj)
-        t_next = (1 + np.sqrt(1 + 4 * t_mom**2)) / 2
-        Z = A_new + (t_mom / t_next) * (cand - A_new) + ((t_mom - 1) / t_next) * (A_new - A)
-        rel = np.max(np.abs(obj_new - obj)) / max(np.max(np.abs(obj)), 1e-30)
-        A, obj, t_mom = A_new, obj_new, t_next
-        if rel < cfg.tol:
-            break
-    return A
+    return tree_prox(D.T @ X, groups, cfg.lam, cfg.group_norm)
 
 
 def update_dictionary(training, A):
@@ -232,8 +205,7 @@ def update_dictionary(training, A):
 def learn_objective(X, D, A, groups, lam, norm="l2"):
     """Value of the learning objective at (D, A)."""
     resid = 0.5 * np.sum((X - D @ A) ** 2)
-    pen = sum(tree_group_penalty(A[:, i], groups, norm) for i in range(A.shape[1]))
-    return resid + lam * pen
+    return resid + lam * float(np.sum(tree_group_penalty(A, groups, norm)))
 
 
 def _init_atoms(training, p, rng):
@@ -270,7 +242,6 @@ def learn(training, tree, cfg, rng, init=None, weights=None):
     D = _init_atoms(training, tree.p, rng) if init is None else np.asarray(init, dtype=float)
 
     history = []
-    A = np.zeros((tree.p, q))
     for _ in range(cfg.outer_iters):
         A = sparse_code(training, Dictionary(atoms=D, tree=tree), groups, cfg)
         obj = learn_objective(X, D, A, groups, cfg.lam, cfg.group_norm)
@@ -289,6 +260,7 @@ def learn(training, tree, cfg, rng, init=None, weights=None):
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"LASR"
+_HEADER = struct.Struct("<4sHIIII")
 _VERSION = 1
 
 
@@ -301,25 +273,31 @@ def save_dictionary(path, dictionary, mean=None):
     if mean.shape != (n,):
         raise ValueError("mean length must match atom dimension")
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<HIIII", _VERSION, n, p, tree.d, tree.depth))
+        f.write(_HEADER.pack(_MAGIC, _VERSION, n, p, tree.d, tree.depth))
         f.write(mean.astype("<f8").tobytes())
         f.write(np.asfortranarray(atoms).astype("<f8").tobytes(order="F"))
 
 
 def load_dictionary(path):
-    """Load (Dictionary, mean) from the binary container."""
+    """Load (Dictionary, mean) from the binary container.  A truncated file,
+    trailing bytes or an inconsistent header raise ValueError naming the path."""
     with open(path, "rb") as f:
-        magic = f.read(4)
+        raw = f.read()
+    try:
+        if len(raw) < _HEADER.size:
+            raise ValueError(f"truncated header: {len(raw)} bytes, need {_HEADER.size}")
+        magic, version, n, p, d, L = _HEADER.unpack_from(raw)
         if magic != _MAGIC:
             raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        version, n, p, d, L = struct.unpack("<HIIII", f.read(18))
         if version != _VERSION:
             raise ValueError(f"unsupported container version {version}")
-        mean = np.frombuffer(f.read(8 * n), dtype="<f8").copy()
-        raw = np.frombuffer(f.read(8 * n * p), dtype="<f8")
-        atoms = raw.reshape((n, p), order="F").copy()
-    tree = make_tree(d, L)
-    if tree.p != p:
-        raise ValueError("container p inconsistent with (d, L)")
-    return Dictionary(atoms=atoms, tree=tree), mean
+        if len(raw) != _HEADER.size + 8 * n * (1 + p):
+            raise ValueError(f"file size {len(raw)} bytes does not match n={n}, p={p}")
+        tree = make_tree(d, L)
+        if tree.p != p:
+            raise ValueError("container p inconsistent with (d, L)")
+        body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
+        atoms = body[n:].reshape((n, p), order="F").copy()
+        return Dictionary(atoms=atoms, tree=tree), body[:n].copy()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -165,8 +165,7 @@ def lambda_for_sparsity(training, dictionary, tree, target_k, base_cfg=None,
 
     def mean_support(lam):
         cfg = LearnConfig(lam=lam, group_norm=base_cfg.group_norm,
-                          outer_iters=1, inner_iters=base_cfg.inner_iters,
-                          tol=base_cfg.tol)
+                          outer_iters=1, tol=base_cfg.tol)
         A = sparse_code(training, dictionary, groups, cfg)
         return float(np.mean(np.sum(np.abs(A) > 1e-12, axis=0)))
 

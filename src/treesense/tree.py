@@ -57,13 +57,17 @@ class TreeTopology:
 
     def descendants(self, i):
         """All strict descendants of node i, in increasing index order."""
-        out = []
-        frontier = list(self.children(i))
-        while frontier:
-            j = frontier.pop()
-            out.append(j)
-            frontier.extend(self.children(j))
-        return sorted(out)
+        out, level = [], self.children(i)
+        while level:   # a node's descendants on one level are contiguous
+            out.extend(level)
+            level = range(self.d * (level[0] - 1) + 2, min(self.d * level[-1] + 1, self.p) + 1)
+        return out
+
+    @property
+    def level_starts(self):
+        """0-based offsets where levels 0..L-1 start, then p: level l is the
+        slice [starts[l], starts[l+1]), its children a reshape(-1, d) of l+1."""
+        return [(self.d**lvl - 1) // (self.d - 1) for lvl in range(self.depth + 1)]
 
     @property
     def n_internal(self):
@@ -80,7 +84,8 @@ def make_tree(d, L):
         raise ValueError(f"degree must be >= 2, got {d}")
     if L < 1:
         raise ValueError(f"depth must be >= 1, got {L}")
-    p = (d**L - 1) // (d - 1)
+    # p >= 2^L - 1, so deeper trees overflow for every d; checked before d**L
+    p = (d**L - 1) // (d - 1) if L < _MAX_NODES.bit_length() else _MAX_NODES + 1
     if p > _MAX_NODES:
         raise ValueError(f"tree with d={d}, L={L} overflows the index range")
     return TreeTopology(p=p, d=d, depth=L)
@@ -97,9 +102,25 @@ class GroupSet:
     roots: tuple          # defining node of each group, in group order
     groups: tuple         # tuple of int tuples, aligned with roots
     weights: np.ndarray   # nonnegative weight per group
+    tree: TreeTopology | None = None   # the tree the groups are defined on
 
     def __len__(self):
         return len(self.groups)
+
+    def node_weights(self):
+        """Group weights in heap (node) order; raises ValueError unless the set
+        carries its tree and lists its groups in groups_of's deepest-first order."""
+        if self.tree is None or tuple(self.roots) != _deepest_first(self.tree):
+            raise ValueError("group list is not ordered deepest-first on its tree")
+        w = np.empty(self.tree.p)
+        w[np.asarray(self.roots) - 1] = self.weights
+        return w
+
+
+def _deepest_first(tree):
+    """Node indices level by level from the deepest, by index within a level."""
+    s = tree.level_starts
+    return tuple(i for lvl in reversed(range(tree.depth)) for i in range(s[lvl] + 1, s[lvl + 1] + 1))
 
 
 def groups_of(tree, weights=None):
@@ -109,7 +130,7 @@ def groups_of(tree, weights=None):
     all-ones.
     """
     p = tree.p
-    order = sorted(range(1, p + 1), key=lambda i: (-tree.node_depth(i), i))
+    order = _deepest_first(tree)
     groups = tuple(tuple([i] + tree.descendants(i)) for i in order)
     if weights is None:
         w = np.ones(p)
@@ -119,7 +140,7 @@ def groups_of(tree, weights=None):
             raise ValueError(f"weights must have length {p}")
         if np.any(w < 0):
             raise ValueError("group weights must be nonnegative")
-    return GroupSet(roots=tuple(order), groups=groups, weights=w)
+    return GroupSet(roots=order, groups=groups, weights=w, tree=tree)
 
 
 @dataclass(frozen=True)

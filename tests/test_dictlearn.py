@@ -4,7 +4,7 @@ import pytest
 from treesense import (Dictionary, LearnConfig, TrainingSet, groups_of,
                        is_tree_sparse, learn, learn_objective, load_dictionary,
                        make_tree, random_tree_sparse, save_dictionary,
-                       sparse_code, update_dictionary)
+                       sparse_code, tree_prox, update_dictionary)
 
 
 def planted_instance(rng, n=64, p_tree=(2, 4), q=200, k=6, noise=0.01):
@@ -41,10 +41,10 @@ def test_sparse_code_lambda_extremes(rng):
     tr = TrainingSet.from_raw(X)
     C = Q.T @ tr.data
     # huge penalty kills everything
-    big = LearnConfig(lam=1e3 * np.max(np.abs(C)), inner_iters=3)
+    big = LearnConfig(lam=1e3 * np.max(np.abs(C)))
     assert np.all(sparse_code(tr, d, g, big) == 0)
     # tiny penalty approaches the unregularized projection
-    small = LearnConfig(lam=1e-10, inner_iters=3)
+    small = LearnConfig(lam=1e-10)
     assert np.allclose(sparse_code(tr, d, g, small), C, atol=1e-8)
 
 
@@ -55,9 +55,19 @@ def test_sparse_code_outputs_tree_sparse(rng):
     d = Dictionary(atoms=Q, tree=tree)
     g = groups_of(tree)
     tr = TrainingSet.from_raw(rng.standard_normal((n, q)))
-    A = sparse_code(tr, d, g, LearnConfig(lam=0.4, inner_iters=4))
+    A = sparse_code(tr, d, g, LearnConfig(lam=0.4))
     for i in range(q):
         assert is_tree_sparse(A[:, i], tree, tol=1e-9)
+
+
+@pytest.mark.parametrize("norm", ["l2", "linf"])
+def test_sparse_code_is_one_prox(norm, rng):
+    tree = make_tree(3, 3)
+    Q, _ = np.linalg.qr(rng.standard_normal((20, tree.p)))
+    tr = TrainingSet.from_raw(rng.standard_normal((20, 30)))
+    cfg = LearnConfig(lam=0.3, group_norm=norm)
+    A = sparse_code(tr, Dictionary(atoms=Q, tree=tree), groups_of(tree), cfg)
+    assert np.array_equal(A, tree_prox(Q.T @ tr.data, groups_of(tree), 0.3, norm))
 
 
 def test_sparse_code_rejects_non_orthonormal(rng):
@@ -162,3 +172,16 @@ def test_container_roundtrip_and_format(tmp_path, rng):
     path2.write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(ValueError):
         load_dictionary(path2)
+
+
+@pytest.mark.parametrize("cut", ["short_header", "short_body", "trailing_bytes"])
+def test_load_dictionary_rejects_malformed_size(cut, tmp_path, rng):
+    tree = make_tree(2, 2)
+    Q, _ = np.linalg.qr(rng.standard_normal((4, tree.p)))
+    path = tmp_path / "dict.lasr"
+    save_dictionary(path, Dictionary(atoms=Q, tree=tree))
+    raw = path.read_bytes()
+    path.write_bytes({"short_header": raw[:10], "short_body": raw[:-8],
+                      "trailing_bytes": raw + b"\0"}[cut])
+    with pytest.raises(ValueError, match="dict.lasr"):
+        load_dictionary(path)
