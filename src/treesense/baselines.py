@@ -45,10 +45,12 @@ def lasso_solve(A, y, lam, max_iters=500, tol=1e-10):
     """Accelerated proximal gradient (monotone, backtracking) for the Lasso.
 
     Minimizes 0.5||y - A alpha||^2 + lam*||alpha||_1.  y may be a vector or an
-    (m, q) matrix of independent right-hand sides sharing A.
+    (m, q) matrix of independent right-hand sides sharing A; lam is a scalar
+    or one positive weight per column.  Each column has its own step size
+    1/L (starting at L = 1, doubled until the backtracking test holds) and
+    its own stopping test, after which it is frozen, so a batched solve
+    equals its column-by-column solves.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
     A = np.asarray(A, dtype=float)
     single = np.ndim(y) == 1
     Y = np.asarray(y, dtype=float)
@@ -57,46 +59,59 @@ def lasso_solve(A, y, lam, max_iters=500, tol=1e-10):
     if Y.shape[0] != A.shape[0]:
         raise ValueError("measurement count does not match ensemble rows")
     p, q = A.shape[1], Y.shape[1]
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim == 0:
+        lam = np.full(q, lam)
+    elif lam.shape != (q,):
+        raise ValueError(f"lam must be a scalar or have one entry per column ({q})")
+    if not np.all(lam > 0):
+        raise ValueError("lam must be positive")
 
-    def f(W):
-        return 0.5 * np.sum((Y - A @ W) ** 2, axis=0)
-
-    def obj(W):
-        return f(W) + lam * np.sum(np.abs(W), axis=0)
-
+    out = np.zeros((p, q))
+    cols = np.arange(q)   # columns still iterating; the arrays below hold only these
     X = np.zeros((p, q))
     X_prev = X.copy()
     Z = X.copy()
-    best_obj = obj(X)
-    L = 1.0
+    best_obj = 0.5 * (Y**2).sum(axis=0)   # objective at X = 0
+    L = np.ones(q)
     t_mom = 1.0
     for _ in range(max_iters):
-        G = A.T @ (A @ Z - Y)
-        fz = f(Z)
+        R = A @ Z - Y
+        G = A.T @ R
+        fz = 0.5 * (R**2).sum(axis=0)
         while True:
             W = Z - G / L
             W = np.sign(W) * np.maximum(np.abs(W) - lam / L, 0.0)
             diff = W - Z
-            quad = fz + np.sum(G * diff, axis=0) + 0.5 * L * np.sum(diff**2, axis=0)
-            if np.all(f(W) <= quad + 1e-12 * np.abs(quad)):
+            quad = fz + (G * diff).sum(axis=0) + 0.5 * L * (diff**2).sum(axis=0)
+            fw = 0.5 * ((Y - A @ W) ** 2).sum(axis=0)
+            ok = fw <= quad + 1e-12 * np.abs(quad)
+            if ok.all():
                 break
-            L *= 2.0
-            if L > 1e18:
+            L = np.where(ok, L, 2.0 * L)
+            if np.any(L > 1e18):
                 raise RuntimeError("lasso step size underflow: problem badly scaled")
         # monotone variant: the kept iterate never increases the objective,
         # but momentum keeps tracking the accelerated point
-        cand_obj = obj(W)
+        cand_obj = fw + lam * np.abs(W).sum(axis=0)
         better = cand_obj <= best_obj
         X_new = np.where(better, W, X)
         obj_new = np.where(better, cand_obj, best_obj)
         t_next = (1 + np.sqrt(1 + 4 * t_mom**2)) / 2
         Z = X_new + (t_mom / t_next) * (W - X_new) \
             + ((t_mom - 1) / t_next) * (X_new - X_prev)
-        step = np.max(np.abs(W - X_prev))
+        step = np.abs(W - X_prev).max(axis=0)
         X_prev, X, best_obj, t_mom = X, X_new, obj_new, t_next
-        if step < tol * (1.0 + np.max(np.abs(X))):
-            break
-    return X[:, 0] if single else X
+        done = step < tol * (1.0 + np.abs(X).max(axis=0))
+        if done.any():
+            out[:, cols[done]] = X[:, done]
+            run = ~done
+            cols, X, X_prev, Z, Y = cols[run], X[:, run], X_prev[:, run], Z[:, run], Y[:, run]
+            best_obj, lam, L = best_obj[run], lam[run], L[run]
+            if not len(cols):
+                break
+    out[:, cols] = X
+    return out[:, 0] if single else out
 
 
 def lasso_reconstruct(ensemble, y, lam, dictionary=None, max_iters=500, tol=1e-10):

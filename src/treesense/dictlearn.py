@@ -180,11 +180,18 @@ def sparse_code(training, dictionary, groups, cfg):
     a constant, so the codes are exactly tree_prox(D^T X, lam): one prox.
     """
     X = training.data if isinstance(training, TrainingSet) else np.asarray(training, dtype=float)
+    D = _orthonormal_atoms(dictionary)
+    return tree_prox(D.T @ X, groups, cfg.lam, cfg.group_norm)
+
+
+def _orthonormal_atoms(dictionary):
+    """The dictionary's atoms, after checking D^T D = I (sparse coding by one
+    prox is exact only then)."""
     D = dictionary.atoms
     gram_err = np.max(np.abs(D.T @ D - np.eye(D.shape[1])))
     if gram_err > ORTHO_TOL:
         raise ValueError("sparse_code requires an orthonormal dictionary")
-    return tree_prox(D.T @ X, groups, cfg.lam, cfg.group_norm)
+    return D
 
 
 def update_dictionary(training, A):

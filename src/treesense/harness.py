@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .baselines import gaussian_ensemble, lasso_reconstruct, model_cosamp, pca_fit, pca_reconstruct
+from .baselines import gaussian_ensemble, lasso_solve, model_cosamp, pca_fit, pca_reconstruct
 from .bounds import failure_bound, min_amplitude
-from .dictlearn import Dictionary, TrainingSet, LearnConfig, groups_of, sparse_code
+from .dictlearn import (Dictionary, TrainingSet, LearnConfig, _orthonormal_atoms,
+                        groups_of, tree_prox)
 from .sensing import (SensingConfig, adaptive_sense, adaptive_sense_coeffs,
                       allocate_beta, reconstruct_from_outcome)
 from .tree import make_tree, random_tree_sparse
@@ -61,24 +62,33 @@ def snr_db(x, x_hat):
 # PGM (P5) ingestion
 # ---------------------------------------------------------------------------
 
-def _read_pgm_tokens(f, count):
+def _read_pgm_header(f):
+    """Width, height and maxval of a P5 header, read after the magic."""
     tokens = []
-    while len(tokens) < count:
+    while len(tokens) < 3:
         line = f.readline()
         if not line:
             raise ValueError("truncated PGM header")
-        line = line.split(b"#", 1)[0]
-        tokens.extend(line.split())
-    return tokens
+        tokens.extend(line.split(b"#", 1)[0].split())
+    try:
+        return tuple(int(t) for t in tokens[:3])
+    except ValueError:
+        raise ValueError(f"non-integer PGM header field in {b' '.join(tokens[:3])!r}") from None
 
 
 def read_pgm(path):
-    """Binary (P5) grayscale PGM, 8- or 16-bit, mapped to [0, 1]."""
+    """Binary (P5) grayscale PGM, 8- or 16-bit, mapped to [0, 1].  A malformed
+    file raises ValueError naming the path."""
     with open(path, "rb") as f:
         magic = f.read(2)
         if magic != b"P5":
             raise ValueError(f"{path}: not a binary PGM (magic {magic!r})")
-        width, height, maxval = (int(t) for t in _read_pgm_tokens(f, 3))
+        try:
+            width, height, maxval = _read_pgm_header(f)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if width <= 0 or height <= 0:
+            raise ValueError(f"{path}: invalid PGM size {width}x{height}")
         if maxval <= 0 or maxval >= 65536:
             raise ValueError(f"{path}: invalid maxval {maxval}")
         dtype = ">u2" if maxval > 255 else "u1"
@@ -156,17 +166,16 @@ def synthetic_corpus(q, side, tree, k, rng, amp=1.0, depth_decay=0.6, base_level
 def lambda_for_sparsity(training, dictionary, tree, target_k, base_cfg=None,
                         lam_lo=1e-6, lam_hi=None, iters=40):
     """Bisection over the penalty weight so coded columns average ~target_k
-    nonzeros (sparsity is set through lam, not an explicit k)."""
-    base_cfg = base_cfg or LearnConfig(lam=1.0)
+    nonzeros (sparsity is set through lam, not an explicit k).  The codes at
+    lam are sparse_code's, tree_prox(D^T X, lam), with D^T X formed once."""
+    norm = (base_cfg or LearnConfig(lam=1.0)).group_norm
     groups = groups_of(tree)
-    C = dictionary.atoms.T @ training.data
+    C = _orthonormal_atoms(dictionary).T @ training.data
     if lam_hi is None:
         lam_hi = 2.0 * float(np.max(np.abs(C))) + 1e-12
 
     def mean_support(lam):
-        cfg = LearnConfig(lam=lam, group_norm=base_cfg.group_norm,
-                          outer_iters=1, tol=base_cfg.tol)
-        A = sparse_code(training, dictionary, groups, cfg)
+        A = tree_prox(C, groups, lam, norm)
         return float(np.mean(np.sum(np.abs(A) > 1e-12, axis=0)))
 
     lo, hi = lam_lo, lam_hi
@@ -355,25 +364,24 @@ def verify_theorem(cfg):
 # compare mode
 # ---------------------------------------------------------------------------
 
-def _pick_lasso_lambda(phi_matrix, dictionary, noise_std, rng, k):
+def _pick_lasso_lambda(phi_matrix, A, dictionary, noise_std, rng, k):
     """Small grid over penalty weights, scored by oracle SNR on one held-out
-    synthetic tree-sparse signal."""
+    synthetic tree-sparse signal; A = phi_matrix @ D, and the grid is solved
+    as one batched Lasso call with one weight per column."""
     tree = dictionary.tree
     probe = random_tree_sparse(tree, k, 0.5, 1.0, rng)
     x = dictionary.atoms @ probe.values
     y = phi_matrix @ x
     if noise_std > 0:
         y = y + noise_std * rng.standard_normal(len(y))
-    A = phi_matrix @ dictionary.atoms
-    base = float(np.max(np.abs(A.T @ y)))
+    lams = np.array([0.001, 0.01, 0.05, 0.2]) * float(np.max(np.abs(A.T @ y)))
+    alphas = lasso_solve(A, np.repeat(y[:, None], len(lams), axis=1), lams,
+                         max_iters=200)
     best_lam, best_snr = None, -np.inf
-    for frac in (0.001, 0.01, 0.05, 0.2):
-        lam = frac * base
-        _, x_hat = lasso_reconstruct(phi_matrix, y, lam, dictionary,
-                                     max_iters=200)
-        s = snr_db(x, x_hat)
+    for lam, alpha in zip(lams, alphas.T):
+        s = snr_db(x, dictionary.atoms @ alpha)
         if s > best_snr:
-            best_lam, best_snr = lam, s
+            best_lam, best_snr = float(lam), s
     return best_lam
 
 
@@ -412,9 +420,10 @@ def compare_methods(cfg, training=None, dictionary=None, dict_mean=None,
 
     measurements = cfg.measurements or (tree.p // 4, tree.p // 2, tree.p)
     rows = []
+    pca_models = {}   # per m; the fit does not depend on the budget
     for R in cfg.budgets:
         beta = allocate_beta(R, tree.d, k)
-        pca_models = {}
+        rand_arms = {}   # (ensemble, Phi D, lambda) per m; seeds omit the signal
         for sig_idx in range(n_test):
             x = test_matrix[:, sig_idx]
             tag = f"{note};signal={sig_idx}"
@@ -454,12 +463,14 @@ def compare_methods(cfg, training=None, dictionary=None, dict_mean=None,
                                         snr=snr_db(x, x_hat), energy=R, note=tag)
                         rows.extend(_run_trials(one_pca, cfg.trials, cfg.workers))
 
-                # random-projection arms (shared ensemble per (R, m, signal))
-                ens = gaussian_ensemble(m, n, R, seed=cfg.seed + 7919 * m + int(R))
-                lam_rng = np.random.default_rng([cfg.seed, 3, int(R), m])
-                lam = _pick_lasso_lambda(ens.matrix, dictionary, cfg.noise_std,
-                                         lam_rng, k)
-                A_cs = ens.matrix @ dictionary.atoms
+                # random-projection arms (shared ensemble per (R, m))
+                if m not in rand_arms:
+                    ens = gaussian_ensemble(m, n, R, seed=cfg.seed + 7919 * m + int(R))
+                    A_cs = ens.matrix @ dictionary.atoms
+                    lam_rng = np.random.default_rng([cfg.seed, 3, int(R), m])
+                    rand_arms[m] = (ens, A_cs, _pick_lasso_lambda(
+                        ens.matrix, A_cs, dictionary, cfg.noise_std, lam_rng, k))
+                ens, A_cs, lam = rand_arms[m]
 
                 def one_rand(trial, m=m, ens=ens, lam=lam, A_cs=A_cs, x=x,
                              tag=tag, R=R):
@@ -470,9 +481,8 @@ def compare_methods(cfg, training=None, dictionary=None, dict_mean=None,
                         y = y + cfg.noise_std * rng.standard_normal(m)
                     # the column mean is known to every reconstructor
                     y_c = y - ens.matrix @ dict_mean
-                    _, x_lasso = lasso_reconstruct(ens.matrix, y_c, lam,
-                                                   dictionary, max_iters=200)
-                    x_lasso = x_lasso + dict_mean
+                    a_lasso = lasso_solve(A_cs, y_c, lam, max_iters=200)
+                    x_lasso = dictionary.atoms @ a_lasso + dict_mean
                     a_cos = model_cosamp(A_cs, y_c, k, tree, iters=15)
                     x_cos = dict_mean + dictionary.atoms @ a_cos
                     return (_row("lasso", R, "", m, trial,

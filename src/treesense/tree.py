@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "TreeTopology",
@@ -230,74 +231,88 @@ def is_tree_sparse(v, tree, tol=0.0):
 
 
 def _knapsack_tables(v, tree, k):
-    """Bottom-up DP: best captured energy per (node, subtree-size) budget.
+    """Bottom-up DP, one level at a time: best captured energy per (node,
+    subtree-size) budget.
 
-    Returns (E, prefix) where E[i] is indexed by b = 1..cap and holds the max
-    energy of a connected subtree rooted at node i using exactly b nodes, and
-    prefix[i] holds the per-child knapsack prefix tables for backtracking.
+    Returns (E, prefix), lists indexed by level.  E[lvl][r, b] is the max
+    energy of a connected subtree rooted at the level's r-th node using
+    exactly b nodes (b = 1..cap; column 0 is -inf).  prefix[lvl][j][r, t] is
+    the best energy using t nodes among that node's first j children, kept
+    for backtracking.  All nodes of a level have tables of the same length,
+    so merging child j into its parents is one max-plus product over the
+    whole level.
     """
-    NEG = -np.inf
     w = v * v
-    E = {}
-    prefix = {}
-    for i in range(tree.p, 0, -1):
-        cs = tree.children(i)
-        g = np.zeros(1)  # g[t]: best energy using t nodes among processed children
+    starts, d = tree.level_starts, tree.d
+    E, prefix = [None] * tree.depth, [None] * tree.depth
+    for lvl in reversed(range(tree.depth)):
+        lo, hi = starts[lvl], starts[lvl + 1]
+        g = np.zeros((hi - lo, 1))   # g[r, t]: best energy using t nodes among merged children
         tables = [g]
-        for c in cs:
-            Ec = E[c]
-            # F[b]: allocate exactly b nodes to child c's subtree (b=0 -> skip it)
-            F = np.concatenate(([0.0], Ec[1:]))
-            cap = min(k - 1, len(g) - 1 + len(F) - 1)
-            g_new = np.full(cap + 1, NEG)
-            for t in range(cap + 1):
-                lo = max(0, t - (len(F) - 1))
-                hi = min(t, len(g) - 1)
-                g_new[t] = np.max(g[lo:hi + 1] + F[t - hi:t - lo + 1][::-1])
-            g = g_new
-            tables.append(g)
-        cap = min(k, len(g))
-        Ei = np.full(cap + 1, NEG)
-        Ei[1:cap + 1] = w[i - 1] + g[:cap]
-        E[i] = Ei
-        prefix[i] = (cs, tables)
+        if lvl + 1 < tree.depth:
+            # F[r, j, s]: allocate exactly s nodes to child j (s=0 -> skip it)
+            F = E[lvl + 1].reshape(hi - lo, d, -1).copy()
+            F[:, :, 0] = 0.0
+            lf = F.shape[2]
+            for j in range(d):
+                lg = g.shape[1]   # <= cap + 1, since cap + 1 = min(k, lg + lf - 1)
+                cap = min(k - 1, lg + lf - 2)
+                # gpad[r, lf-1+t] = g[r, t], -inf outside; the view's [r, s, t]
+                # is gpad[r, lf-1-s+t] = g[r, t-s], in bounds for s < lf, t <= cap
+                gpad = np.full((hi - lo, cap + lf), -np.inf)
+                gpad[:, lf - 1:lf - 1 + lg] = g
+                shifted = as_strided(gpad[:, lf - 1:], shape=(hi - lo, lf, cap + 1),
+                                     strides=(gpad.strides[0], -gpad.strides[1], gpad.strides[1]))
+                g = (shifted + F[:, j, :, None]).max(axis=1)
+                tables.append(g)
+        cap = min(k, g.shape[1])
+        Ei = np.full((hi - lo, cap + 1), -np.inf)
+        Ei[:, 1:] = w[lo:hi, None] + g[:, :cap]
+        E[lvl], prefix[lvl] = Ei, tables
     return E, prefix
 
 
-def _backtrack(E, prefix, node, budget, out):
-    """Recover the subtree achieving E[node][budget]."""
-    out.append(node)
-    rem = budget - 1
-    cs, tables = prefix[node]
-    for j in range(len(cs), 0, -1):
-        c = cs[j - 1]
-        Ec = E[c]
-        F = np.concatenate(([0.0], Ec[1:]))
-        g_prev, g_cur = tables[j - 1], tables[j]
-        target = g_cur[rem]
-        # find the child allocation consistent with the combined table
-        for s in range(min(rem, len(F) - 1) + 1):
-            t = rem - s
-            if t < len(g_prev) and np.isclose(g_prev[t] + F[s], target, rtol=0, atol=1e-9 * (1 + abs(target))):
-                if s >= 1:
-                    _backtrack(E, prefix, c, s, out)
-                rem = t
+def _backtrack(E, prefix, tree, budget):
+    """Nodes of the subtree achieving E[0][0, budget], visiting only those.
+
+    Each node's budget is split over its children from the last: child j
+    gets the smallest s with |prefix_{j-1}[rem - s] + E_child[s] - target|
+    <= 1e-9 * (1 + |target|), where target = prefix_j[rem].
+    """
+    starts, d = tree.level_starts, tree.d
+    chosen, stack = [], [(1, 0, budget)]
+    while stack:
+        node, lvl, rem = stack.pop()
+        chosen.append(node)
+        rem -= 1
+        r = node - 1 - starts[lvl]
+        for j in range(d, 0, -1):
+            if rem == 0:   # every remaining child gets 0 nodes
                 break
-        else:  # pragma: no cover - defensive
-            raise AssertionError("DP backtracking failed")
+            g_prev = prefix[lvl][j - 1][r].tolist()
+            F = E[lvl + 1][d * r + j - 1].tolist()
+            F[0] = 0.0   # allocating 0 nodes skips the child
+            target = float(prefix[lvl][j][r, rem])
+            tol = 1e-9 * (1 + abs(target))
+            for s in range(max(0, rem - len(g_prev) + 1), min(rem, len(F) - 1) + 1):
+                if abs(g_prev[rem - s] + F[s] - target) <= tol:
+                    break
+            else:  # pragma: no cover - defensive
+                raise AssertionError("DP backtracking failed")
+            if s >= 1:
+                stack.append((node * d - d + 1 + j, lvl + 1, s))
+            rem -= s
+    return chosen
 
 
 def _prune_zero_fringe(values, tree, support):
     """Drop support nodes whose value is zero and whose retained descendants
-    are all zero (rooted-connected closure of the nonzeros)."""
+    are all zero (rooted-connected closure of the nonzeros).  Children have
+    larger indices than their parents, so one pass from the largest suffices."""
     keep = set(support)
-    changed = True
-    while changed:
-        changed = False
-        for i in sorted(keep, reverse=True):
-            if values[i - 1] == 0 and not any(c in keep for c in tree.children(i)):
-                keep.remove(i)
-                changed = True
+    for i in sorted(keep, reverse=True):
+        if values[i - 1] == 0 and not any(c in keep for c in tree.children(i)):
+            keep.remove(i)
     return keep
 
 
@@ -305,7 +320,8 @@ def tree_project(v, tree, k, mode="exact"):
     """Project v onto the set of vectors with rooted-connected support <= k.
 
     mode="exact" maximizes captured energy sum(v[i]^2) over all rooted
-    connected supports of size <= k via bottom-up dynamic programming;
+    connected supports of size <= k by a bottom-up dynamic program run one
+    tree level at a time;
     mode="greedy" repeatedly adds the boundary node of largest amplitude.
     """
     v = np.asarray(v, dtype=float)
@@ -316,13 +332,12 @@ def tree_project(v, tree, k, mode="exact"):
 
     if mode == "exact":
         E, prefix = _knapsack_tables(v, tree, k)
-        root_table = E[1]
-        budgets = np.arange(len(root_table))
-        best_energy = np.max(root_table[1:])
+        root_table = E[0][0, 1:]
+        best_energy = np.max(root_table)
         # prefer the smallest budget attaining the max (avoids zero padding)
-        b_star = int(budgets[1:][np.isclose(root_table[1:], best_energy, rtol=0, atol=1e-12 * (1 + abs(best_energy)))][0])
-        chosen = []
-        _backtrack(E, prefix, 1, b_star, chosen)
+        tol = 1e-12 * (1 + abs(best_energy))
+        b_star = 1 + int(np.flatnonzero(np.abs(root_table - best_energy) <= tol)[0])
+        chosen = _backtrack(E, prefix, tree, b_star)
     elif mode == "greedy":
         chosen = [1]
         in_sup = {1}
@@ -338,6 +353,6 @@ def tree_project(v, tree, k, mode="exact"):
 
     keep = _prune_zero_fringe(v, tree, chosen)
     out = np.zeros(tree.p)
-    for i in keep:
-        out[i - 1] = v[i - 1]
+    idx = np.fromiter(keep, dtype=int, count=len(keep)) - 1
+    out[idx] = v[idx]
     return TreeSparseVector(values=out, support=frozenset(keep))

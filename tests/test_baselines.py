@@ -120,3 +120,52 @@ def test_pca_components_maximize_captured_variance(rng):
     for _ in range(100):
         Q, _ = np.linalg.qr(rng.standard_normal((12, r)))
         assert captured >= np.sum((Q.T @ tr.data) ** 2) - 1e-9
+
+
+def test_lasso_per_column_lambda_matches_column_calls_unconverged(rng):
+    A = rng.standard_normal((12, 9))
+    Y = rng.standard_normal((12, 4))
+    lams = np.array([0.02, 0.1, 0.5, 2.0]) * np.max(np.abs(A.T @ Y))
+    batch = lasso_solve(A, Y, lams, max_iters=20, tol=0.0)
+    for c in range(4):
+        single = lasso_solve(A, Y[:, c], lams[c], max_iters=20, tol=0.0)
+        assert np.max(np.abs(batch[:, c] - single)) <= 1e-12
+
+
+def _stop_iteration(A, y, lam, max_iters, tol):
+    """Fewest iterations after which a single-column solve returns its final
+    answer (a stopped column no longer changes)."""
+    final = lasso_solve(A, y, lam, max_iters=max_iters, tol=tol)
+    lo, hi = 0, max_iters
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if np.array_equal(lasso_solve(A, y, lam, max_iters=mid, tol=tol), final):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_lasso_columns_stop_independently(rng):
+    A = rng.standard_normal((15, 8))
+    Y = rng.standard_normal((15, 4))
+    Y[:, 3] = 0.0   # x = 0 is optimal from the start
+    lams = np.array([0.3, 0.1, 0.6, 0.3]) * np.max(np.abs(A.T @ Y))
+    # a loose tol stops the columns while the monotone and backtracking tests
+    # are still far from rounding level, where batching could flip them
+    max_iters, tol = 300, 1e-6
+    stops = [_stop_iteration(A, Y[:, c], lams[c], max_iters, tol) for c in range(4)]
+    assert len(set(stops)) == 4 and max(stops) < max_iters
+    batch = lasso_solve(A, Y, lams, max_iters=max_iters, tol=tol)
+    for c in range(4):
+        single = lasso_solve(A, Y[:, c], lams[c], max_iters=max_iters, tol=tol)
+        assert np.max(np.abs(batch[:, c] - single)) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2, 0.3]],
+                                 [0.1, 0.0, 0.3], [0.1, -0.2, 0.3], [0.1, np.nan, 0.3]])
+def test_lasso_rejects_bad_lambda_vector(rng, lam):
+    A = rng.standard_normal((6, 5))
+    Y = rng.standard_normal((6, 3))
+    with pytest.raises(ValueError):
+        lasso_solve(A, Y, lam)

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,20 @@ def test_pgm_rejects_malformed(tmp_path):
         read_pgm(p)
     p.write_bytes(b"P5\n4 4\n255\n" + bytes(3))  # truncated
     with pytest.raises(ValueError):
+        read_pgm(p)
+
+
+@pytest.mark.parametrize("content,reason", [
+    (b"P5\n4 4\n", "truncated PGM header"),
+    (b"P5\n4 x4\n255\n" + bytes(16), "non-integer"),
+    (b"P5\n4 4\n25.5\n" + bytes(16), "non-integer"),
+    (b"P5\n0 4\n255\n" + bytes(16), "invalid PGM size 0x4"),
+    (b"P5\n4 0\n255\n" + bytes(16), "invalid PGM size 4x0"),
+])
+def test_pgm_header_errors_name_the_path(tmp_path, content, reason):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(content)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: .*{reason}"):
         read_pgm(p)
 
 

@@ -120,6 +120,10 @@ def test_tree_project_examples():
     full = tree_project(v, t, t.p)
     assert full.support == {1, 2, 3}
     assert np.array_equal(full.values, v)
+    # energy 2 is reached by {1, 3} at budget 2 and by {1, 2, 4} at budget 3:
+    # the smallest budget wins
+    tie = np.array([1.0, 0, 1, 1, 0, 0, 0])
+    assert tree_project(tie, t, 3).support == {1, 3}
 
 
 @pytest.mark.parametrize("d,L", [(2, 3), (2, 4), (3, 3)])
@@ -146,3 +150,100 @@ def test_tree_project_greedy_never_beats_exact(rng):
             e_gr = sum(v[i - 1] ** 2 for i in gr.support)
             assert e_ex >= e_gr - 1e-12
             assert is_tree_sparse(gr.values, t)
+
+
+# ---------------------------------------------------------------------------
+# Per-node reference DP: one knapsack merge per node and budget, backtracking
+# with np.isclose.  The level-synchronous tree_project must return the same
+# support and values, ties included.
+# ---------------------------------------------------------------------------
+
+def _reference_tables(v, tree, k):
+    w = v * v
+    E, prefix = {}, {}
+    for i in range(tree.p, 0, -1):
+        cs = tree.children(i)
+        g = np.zeros(1)
+        tables = [g]
+        for c in cs:
+            F = np.concatenate(([0.0], E[c][1:]))
+            cap = min(k - 1, len(g) - 1 + len(F) - 1)
+            g_new = np.full(cap + 1, -np.inf)
+            for t in range(cap + 1):
+                lo = max(0, t - (len(F) - 1))
+                hi = min(t, len(g) - 1)
+                g_new[t] = np.max(g[lo:hi + 1] + F[t - hi:t - lo + 1][::-1])
+            g = g_new
+            tables.append(g)
+        cap = min(k, len(g))
+        Ei = np.full(cap + 1, -np.inf)
+        Ei[1:cap + 1] = w[i - 1] + g[:cap]
+        E[i], prefix[i] = Ei, (cs, tables)
+    return E, prefix
+
+
+def _reference_backtrack(E, prefix, node, budget, out):
+    out.append(node)
+    rem = budget - 1
+    cs, tables = prefix[node]
+    for j in range(len(cs), 0, -1):
+        F = np.concatenate(([0.0], E[cs[j - 1]][1:]))
+        g_prev, target = tables[j - 1], tables[j][rem]
+        for s in range(min(rem, len(F) - 1) + 1):
+            t = rem - s
+            if t < len(g_prev) and np.isclose(g_prev[t] + F[s], target, rtol=0,
+                                              atol=1e-9 * (1 + abs(target))):
+                if s >= 1:
+                    _reference_backtrack(E, prefix, cs[j - 1], s, out)
+                rem = t
+                break
+        else:
+            raise AssertionError("reference backtracking failed")
+
+
+def reference_project(v, tree, k):
+    """(support, values) of the per-node exact projection."""
+    E, prefix = _reference_tables(v, tree, k)
+    root = E[1][1:]
+    best = np.max(root)
+    b_star = 1 + int(np.flatnonzero(np.isclose(root, best, rtol=0,
+                                               atol=1e-12 * (1 + abs(best))))[0])
+    chosen = []
+    _reference_backtrack(E, prefix, 1, b_star, chosen)
+    keep = set(chosen)
+    changed = True
+    while changed:
+        changed = False
+        for i in sorted(keep, reverse=True):
+            if v[i - 1] == 0 and not any(c in keep for c in tree.children(i)):
+                keep.remove(i)
+                changed = True
+    values = np.zeros(tree.p)
+    for i in keep:
+        values[i - 1] = v[i - 1]
+    return frozenset(keep), values
+
+
+# d in {2, 3, 4, 6}, every depth until p passes about 1000
+PROJECTION_TREES = ([(2, L) for L in range(1, 11)] + [(3, L) for L in range(1, 8)]
+                    + [(4, L) for L in range(1, 7)] + [(6, L) for L in range(1, 6)])
+
+
+@pytest.mark.parametrize("d,L", PROJECTION_TREES)
+def test_level_projection_matches_per_node_dp(d, L):
+    rng = np.random.default_rng([3, d, L])
+    t = make_tree(d, L)
+    if t.p <= 40:
+        ks = range(1, t.p + 1)
+    else:
+        ks = sorted({1, d + 1, t.p // 10, t.p // 4, t.p // 2, t.p,
+                     *rng.integers(1, t.p + 1, 2).tolist()})
+    dense = 2.0 * rng.standard_normal(t.p)
+    sparse = np.where(rng.random(t.p) < 0.6, 0.0, dense)  # like model_cosamp's b
+    ties = np.round(dense, 1)
+    for v in (dense, sparse, ties):
+        for k in ks:
+            got = tree_project(v, t, k, mode="exact")
+            support, values = reference_project(v, t, k)
+            assert got.support == support, (k, sorted(got.support ^ support))
+            assert np.array_equal(got.values, values)
