@@ -27,15 +27,17 @@ def _add_common(p):
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int)
     p.add_argument("--out")
-    p.add_argument("--workers", type=int)
 
 
 def _build_cfg(args, mode, overrides=()):
     cfg = ExperimentConfig(mode=mode)
     if args.config:
-        apply_config(cfg, parse_config_file(args.config))
+        try:
+            apply_config(cfg, parse_config_file(args.config))
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
     kv = {}
-    for key in ("seed", "trials", "out", "workers", *overrides):
+    for key in ("seed", "trials", "out", *overrides):
         val = getattr(args, key, None)
         if val is not None:
             kv[key] = str(val)

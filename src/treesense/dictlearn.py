@@ -246,11 +246,12 @@ def learn(training, tree, cfg, rng, init=None, weights=None):
     if q < 1:
         raise ValueError("empty training set")
     groups = groups_of(tree, weights)
-    D = _init_atoms(training, tree.p, rng) if init is None else np.asarray(init, dtype=float)
+    D = _init_atoms(training, tree.p, rng) if init is None else Dictionary(init, tree).atoms
 
+    # D stays orthonormal (QR, then Procrustes), so sparse_code is one prox
     history = []
     for _ in range(cfg.outer_iters):
-        A = sparse_code(training, Dictionary(atoms=D, tree=tree), groups, cfg)
+        A = tree_prox(D.T @ X, groups, cfg.lam, cfg.group_norm)
         obj = learn_objective(X, D, A, groups, cfg.lam, cfg.group_norm)
         history.append(obj)
         if len(history) >= 2:

@@ -7,8 +7,8 @@ import csv
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,41 +62,50 @@ def snr_db(x, x_hat):
 # PGM (P5) ingestion
 # ---------------------------------------------------------------------------
 
-def _read_pgm_header(f):
-    """Width, height and maxval of a P5 header, read after the magic."""
-    tokens = []
-    while len(tokens) < 3:
-        line = f.readline()
-        if not line:
-            raise ValueError("truncated PGM header")
-        tokens.extend(line.split(b"#", 1)[0].split())
-    try:
-        return tuple(int(t) for t in tokens[:3])
-    except ValueError:
-        raise ValueError(f"non-integer PGM header field in {b' '.join(tokens[:3])!r}") from None
+# One header field and the separator before it.  A '#' comment must run to
+# the end of its line, so that a failed match cannot back into it.
+_PGM_FIELD = re.compile(rb"(?:\s|#[^\r\n]*(?:[\r\n]|\Z))+([^\s#]+)")
+
+
+def _parse_pgm_header(raw):
+    """Width, height, maxval and raster offset of a P5 file: after the magic,
+    three whitespace-separated decimal fields, then exactly one whitespace byte."""
+    values, pos = [], 2
+    for _ in range(3):
+        m = _PGM_FIELD.match(raw, pos)
+        if m is None:
+            raise ValueError("truncated PGM header (or fields not separated)")
+        if not m.group(1).isdigit():
+            raise ValueError(f"non-integer PGM header field {m.group(1)[:16]!r}")
+        values.append(int(m.group(1)))
+        pos = m.end()
+    if not raw[pos:pos + 1].isspace():
+        raise ValueError("PGM header does not end in a whitespace byte")
+    return (*values, pos + 1)
 
 
 def read_pgm(path):
-    """Binary (P5) grayscale PGM, 8- or 16-bit, mapped to [0, 1].  A malformed
-    file raises ValueError naming the path."""
+    """Binary (P5) grayscale PGM, 8- or 16-bit, mapped to [0, 1].  The raster
+    must run exactly to the end of the file; a malformed file raises ValueError
+    naming the path."""
     with open(path, "rb") as f:
-        magic = f.read(2)
-        if magic != b"P5":
-            raise ValueError(f"{path}: not a binary PGM (magic {magic!r})")
-        try:
-            width, height, maxval = _read_pgm_header(f)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        if width <= 0 or height <= 0:
-            raise ValueError(f"{path}: invalid PGM size {width}x{height}")
-        if maxval <= 0 or maxval >= 65536:
-            raise ValueError(f"{path}: invalid maxval {maxval}")
-        dtype = ">u2" if maxval > 255 else "u1"
-        count = width * height
-        raw = np.frombuffer(f.read(count * np.dtype(dtype).itemsize), dtype=dtype)
-        if raw.size != count:
-            raise ValueError(f"{path}: truncated pixel data")
-    return raw.reshape(height, width).astype(float) / maxval
+        raw = f.read()
+    if raw[:2] != b"P5":
+        raise ValueError(f"{path}: not a binary PGM (magic {raw[:2]!r})")
+    try:
+        width, height, maxval, start = _parse_pgm_header(raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if width <= 0 or height <= 0:
+        raise ValueError(f"{path}: invalid PGM size {width}x{height}")
+    if maxval <= 0 or maxval >= 65536:
+        raise ValueError(f"{path}: invalid maxval {maxval}")
+    dtype = np.dtype(">u2" if maxval > 255 else "u1")
+    size, found = width * height * dtype.itemsize, len(raw) - start
+    if found != size:
+        raise ValueError(f"{path}: {found} bytes of pixel data, expected {size}")
+    pixels = np.frombuffer(raw, dtype=dtype, offset=start)
+    return pixels.reshape(height, width).astype(float) / maxval
 
 
 def write_pgm(path, img, maxval=255):
@@ -206,7 +215,6 @@ class ExperimentConfig:
     noise_std: float = 1.0
     trials: int = 100
     seed: int = 0
-    workers: int = 1
     out: str = "results.csv"
     corpus: str | None = None
     dict_path: str | None = None
@@ -216,12 +224,11 @@ class ExperimentConfig:
     split: float = 0.5
     test_signals: int = 2
     in_sample: bool = True
-    extra: dict = field(default_factory=dict)
 
 
 _LIST_FIELDS = {"k", "budgets", "taus", "measurements"}
-_INT_FIELDS = {"d", "L", "trials", "seed", "workers", "target_side",
-               "target_sparsity", "test_signals"}
+_INT_FIELDS = {"d", "L", "trials", "seed", "target_side", "target_sparsity",
+               "test_signals"}
 _FLOAT_FIELDS = {"c1", "a", "noise_std", "lam", "split"}
 
 
@@ -241,21 +248,25 @@ def parse_config_file(path):
 
 
 def apply_config(cfg, kv):
-    """Apply string key=value overrides onto an ExperimentConfig."""
+    """Apply string key=value overrides onto an ExperimentConfig.  An unknown
+    key, or a value that does not parse, raises ValueError naming the key."""
+    known = {f.name for f in fields(cfg)}
     for key, val in kv.items():
-        if key in _LIST_FIELDS:
-            setattr(cfg, key, tuple(float(x) if "." in x or "e" in x.lower() else int(x)
-                                    for x in val.split(",") if x.strip()))
-        elif key in _INT_FIELDS:
-            setattr(cfg, key, int(val))
-        elif key in _FLOAT_FIELDS:
-            setattr(cfg, key, float(val))
-        elif key == "in_sample":
-            cfg.in_sample = val.lower() in ("1", "true", "yes")
-        elif hasattr(cfg, key):
-            setattr(cfg, key, val)
-        else:
-            cfg.extra[key] = val
+        if key not in known:
+            raise ValueError(f"unknown config key {key!r}")
+        try:
+            if key in _LIST_FIELDS:
+                val = tuple(float(x) if "." in x or "e" in x.lower() else int(x)
+                            for x in val.split(",") if x.strip())
+            elif key in _INT_FIELDS:
+                val = int(val)
+            elif key in _FLOAT_FIELDS:
+                val = float(val)
+            elif key == "in_sample":
+                val = val.lower() in ("1", "true", "yes")
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
+        setattr(cfg, key, val)
     return cfg
 
 
@@ -292,21 +303,12 @@ def write_manifest(path, cfg, summaries=()):
     with open(path, "w") as f:
         f.write(f"treesense version {__version__}\n")
         for key in ("mode", "d", "L", "k", "c1", "a", "budgets", "taus",
-                    "measurements", "noise_std", "trials", "seed", "workers",
+                    "measurements", "noise_std", "trials", "seed",
                     "corpus", "dict_path", "target_side", "lam", "split",
                     "in_sample"):
             f.write(f"{key} = {getattr(cfg, key)}\n")
         for line in summaries:
             f.write(line + "\n")
-
-
-def _run_trials(fn, n_trials, workers):
-    """Map fn over trial indices; results ordered by trial index regardless
-    of worker count, so output is deterministic."""
-    if workers <= 1:
-        return [fn(t) for t in range(n_trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_trials)))
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +339,17 @@ def verify_theorem(cfg):
             logger.warning("cell (k=%d, R=%g) skipped: tau >= beta*alpha_min", k, R)
             continue
 
-        def one(trial, k=k, R=R, beta=beta, alpha=alpha, tau=tau, cell=cell):
+        sense_cfg = SensingConfig(beta=beta, tau=tau, noise_std=cfg.noise_std, budget=R)
+        cell_rows = []
+        for trial in range(cfg.trials):
             rng = np.random.default_rng([cfg.seed, cell, trial])
             vec = random_tree_sparse(tree, k, alpha, alpha, rng,
                                      max_depth=cfg.L - 1)
-            sense_cfg = SensingConfig(beta=beta, tau=tau,
-                                      noise_std=cfg.noise_std, budget=R)
             out = adaptive_sense_coeffs(vec.values, tree, sense_cfg, rng)
             ok = int(out.support_estimate == vec.support)
-            return _row("adaptive", R, tau, out.log.m, trial,
-                        support_exact=ok, energy=out.log.energy_spent,
-                        note=f"k={k}")
-
-        cell_rows = _run_trials(one, cfg.trials, cfg.workers)
+            cell_rows.append(_row("adaptive", R, tau, out.log.m, trial,
+                                  support_exact=ok, energy=out.log.energy_spent,
+                                  note=f"k={k}"))
         rows.extend(cell_rows)
         fails = sum(1 for r in cell_rows if r["support_exact"] == 0)
         mean_m = np.mean([r["m"] for r in cell_rows])
@@ -423,6 +423,7 @@ def compare_methods(cfg, training=None, dictionary=None, dict_mean=None,
     pca_models = {}   # per m; the fit does not depend on the budget
     for R in cfg.budgets:
         beta = allocate_beta(R, tree.d, k)
+        beta_w = math.sqrt(R / (3 * k + 1))   # wavelet arm: nominal m = 3k+1
         rand_arms = {}   # (ensemble, Phi D, lambda) per m; seeds omit the signal
         for sig_idx in range(n_test):
             x = test_matrix[:, sig_idx]
@@ -430,18 +431,17 @@ def compare_methods(cfg, training=None, dictionary=None, dict_mean=None,
 
             # adaptive dictionary sensing at each threshold
             for tau in cfg.taus:
-                def one(trial, tau=tau, x=x, tag=tag, R=R, beta=beta):
+                sense_cfg = SensingConfig(beta=beta, tau=tau,
+                                          noise_std=cfg.noise_std, budget=R)
+                for trial in range(cfg.trials):
                     rng = np.random.default_rng([cfg.seed, 1, int(R), sig_idx,
                                                  int(tau * 1e9), trial])
-                    sense_cfg = SensingConfig(beta=beta, tau=tau,
-                                              noise_std=cfg.noise_std, budget=R)
                     out = adaptive_sense(x - dict_mean, dictionary, sense_cfg, rng)
                     x_hat = reconstruct_from_outcome(out, dictionary, beta,
                                                      mean_offset=dict_mean)
-                    return _row("adaptive", R, tau, out.log.m, trial,
-                                snr=snr_db(x, x_hat),
-                                energy=out.log.energy_spent, note=tag)
-                rows.extend(_run_trials(one, cfg.trials, cfg.workers))
+                    rows.append(_row("adaptive", R, tau, out.log.m, trial,
+                                     snr=snr_db(x, x_hat),
+                                     energy=out.log.energy_spent, note=tag))
 
             for m in measurements:
                 m = int(m)
@@ -454,14 +454,13 @@ def compare_methods(cfg, training=None, dictionary=None, dict_mean=None,
                             pca_models[m] = None
                     model = pca_models[m]
                     if model is not None:
-                        def one_pca(trial, m=m, model=model, x=x, tag=tag, R=R):
+                        for trial in range(cfg.trials):
                             rng = np.random.default_rng([cfg.seed, 2, int(R),
                                                          sig_idx, m, trial])
                             x_hat = pca_reconstruct(model, x, R, rng,
                                                     noise_std=cfg.noise_std)
-                            return _row("pca", R, "", m, trial,
-                                        snr=snr_db(x, x_hat), energy=R, note=tag)
-                        rows.extend(_run_trials(one_pca, cfg.trials, cfg.workers))
+                            rows.append(_row("pca", R, "", m, trial,
+                                             snr=snr_db(x, x_hat), energy=R, note=tag))
 
                 # random-projection arms (shared ensemble per (R, m))
                 if m not in rand_arms:
@@ -471,9 +470,7 @@ def compare_methods(cfg, training=None, dictionary=None, dict_mean=None,
                     rand_arms[m] = (ens, A_cs, _pick_lasso_lambda(
                         ens.matrix, A_cs, dictionary, cfg.noise_std, lam_rng, k))
                 ens, A_cs, lam = rand_arms[m]
-
-                def one_rand(trial, m=m, ens=ens, lam=lam, A_cs=A_cs, x=x,
-                             tag=tag, R=R):
+                for trial in range(cfg.trials):
                     rng = np.random.default_rng([cfg.seed, 4, int(R), sig_idx,
                                                  m, trial])
                     y = ens.matrix @ x
@@ -485,31 +482,24 @@ def compare_methods(cfg, training=None, dictionary=None, dict_mean=None,
                     x_lasso = dictionary.atoms @ a_lasso + dict_mean
                     a_cos = model_cosamp(A_cs, y_c, k, tree, iters=15)
                     x_cos = dict_mean + dictionary.atoms @ a_cos
-                    return (_row("lasso", R, "", m, trial,
-                                 snr=snr_db(x, x_lasso), energy=R, note=tag),
-                            _row("model-cosamp", R, "", m, trial,
-                                 snr=snr_db(x, x_cos), energy=R, note=tag))
-                for pair in _run_trials(one_rand, cfg.trials, cfg.workers):
-                    rows.extend(pair)
+                    rows.append(_row("lasso", R, "", m, trial,
+                                     snr=snr_db(x, x_lasso), energy=R, note=tag))
+                    rows.append(_row("model-cosamp", R, "", m, trial,
+                                     snr=snr_db(x, x_cos), energy=R, note=tag))
 
             # direct wavelet sensing (image signals only)
             if is_image:
                 img = x.reshape((side, side), order="F")
                 for tau_w in (0.0, 0.5):
-                    def one_wav(trial, tau_w=tau_w, img=img, x=x, tag=tag, R=R):
-                        rng = np.random.default_rng([cfg.seed, 5, int(R),
-                                                     sig_idx, int(tau_w * 1e9),
-                                                     trial])
-                        m_nominal = 3 * k + 1
-                        beta_w = math.sqrt(R / m_nominal)
-                        sense_cfg = SensingConfig(beta=beta_w, tau=tau_w,
-                                                  noise_std=cfg.noise_std,
-                                                  budget=R)
+                    sense_cfg = SensingConfig(beta=beta_w, tau=tau_w,
+                                              noise_std=cfg.noise_std, budget=R)
+                    for trial in range(cfg.trials):
+                        rng = np.random.default_rng([cfg.seed, 5, int(R), sig_idx,
+                                                     int(tau_w * 1e9), trial])
                         out = wavelet_sense(img, sense_cfg, rng)
                         rec = wavelet_reconstruct(out, side, beta_w)
                         x_hat = rec.flatten(order="F")
-                        return _row("wavelet", R, tau_w, out.log.m, trial,
-                                    snr=snr_db(x, x_hat),
-                                    energy=out.log.energy_spent, note=tag)
-                    rows.extend(_run_trials(one_wav, cfg.trials, cfg.workers))
+                        rows.append(_row("wavelet", R, tau_w, out.log.m, trial,
+                                         snr=snr_db(x, x_hat),
+                                         energy=out.log.energy_spent, note=tag))
     return rows

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,24 @@ def test_config_file_drives_verify(tmp_path):
     assert main(["verify-theorem", "--config", str(cfg)]) == 0
     with open(out) as f:
         assert len(list(csv.DictReader(f))) == 15
+
+
+@pytest.mark.parametrize("line,reason", [
+    ("workers = 2", "unknown config key 'workers'"),
+    ("k = 3,x", "config key 'k': invalid literal"),
+])
+def test_config_file_errors_name_the_file(tmp_path, line, reason):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"d=2\nL=4\n{line}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}: {re.escape(reason)}"):
+        main(["verify-theorem", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+
+
+def test_workers_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-theorem", "--workers", "2", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
 def test_learn_sense_compare_roundtrip(tmp_path, corpus_dir, capsys):

@@ -140,6 +140,13 @@ def test_learn_one_iteration_descends(rng):
     assert hist[-1] <= obj_init
 
 
+def test_learn_rejects_non_orthonormal_init(rng):
+    tree, Q, A_star, X = planted_instance(rng, q=20)
+    init = 1.01 * np.linalg.qr(rng.standard_normal((64, tree.p)))[0]
+    with pytest.raises(ValueError, match="not orthonormal"):
+        learn(TrainingSet.from_raw(X), tree, LearnConfig(lam=0.1), rng, init=init)
+
+
 def test_learn_rejects_p_larger_than_n(rng):
     tree = make_tree(2, 4)  # p = 15
     tr = TrainingSet.from_raw(rng.standard_normal((8, 20)))

@@ -56,12 +56,23 @@ def test_pgm_rejects_malformed(tmp_path):
     (b"P5\n4 4\n25.5\n" + bytes(16), "non-integer"),
     (b"P5\n0 4\n255\n" + bytes(16), "invalid PGM size 0x4"),
     (b"P5\n4 0\n255\n" + bytes(16), "invalid PGM size 4x0"),
+    (b"P54 4 255\n" + bytes(16), "fields not separated"),
+    # the raster must run exactly to the end of the file
+    (b"P5\n2 2\n255 junk\n" + bytes(4), "9 bytes of pixel data, expected 4"),
+    (b"P5\n2 2\n255\n" + bytes(5), "5 bytes of pixel data, expected 4"),
+    (b"P5\n2 2\n65535\n" + bytes(7), "7 bytes of pixel data, expected 8"),
 ])
 def test_pgm_header_errors_name_the_path(tmp_path, content, reason):
     p = tmp_path / "bad.pgm"
     p.write_bytes(content)
     with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: .*{reason}"):
         read_pgm(p)
+
+
+def test_pgm_header_may_end_in_one_space(tmp_path):
+    p = tmp_path / "space.pgm"
+    p.write_bytes(b"P5 2 2 255 " + bytes([10, 32, 35, 255]))  # pixels look like header bytes
+    assert read_pgm(p).tolist() == [[10 / 255, 32 / 255], [35 / 255, 1.0]]
 
 
 def test_box_downscale_is_block_mean(rng):
@@ -100,6 +111,20 @@ def test_config_file_parsing(tmp_path):
     assert cfg.noise_std == 0.5
 
 
+@pytest.mark.parametrize("line,reason", [
+    ("workers = 2", "unknown config key 'workers'"),
+    ("trails = 10", "unknown config key 'trails'"),
+    ("trials = ten", "config key 'trials': invalid literal"),
+    ("k = 3,x", "config key 'k': invalid literal"),
+    ("noise_std = loud", "config key 'noise_std': could not convert"),
+])
+def test_config_errors_name_the_key(tmp_path, line, reason):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"d = 3\n{line}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}"):
+        apply_config(ExperimentConfig(), parse_config_file(cfg_file))
+
+
 def test_verify_theorem_noiseless_cells():
     cfg = ExperimentConfig(d=2, L=5, k=(3, 5), noise_std=0.0, trials=50, seed=1)
     rows, summaries = verify_theorem(cfg)
@@ -116,7 +141,7 @@ def test_csv_schema_and_determinism(tmp_path):
                            out=str(tmp_path / "r1.csv"))
     rows, _ = verify_theorem(cfg)
     write_csv(cfg.out, rows)
-    cfg2 = ExperimentConfig(d=2, L=4, k=(3,), trials=30, seed=5, workers=4,
+    cfg2 = ExperimentConfig(d=2, L=4, k=(3,), trials=30, seed=5,
                             out=str(tmp_path / "r2.csv"))
     rows2, _ = verify_theorem(cfg2)
     write_csv(cfg2.out, rows2)

@@ -1,0 +1,116 @@
+"""Property tests (hypothesis): traversal invariants of adaptive_sense_coeffs
+over random trees, supports, beta, tau and budgets, plus round trips through
+tree_project and the Haar transform."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from treesense import (SensingConfig, adaptive_sense_coeffs, haar2, ihaar2,
+                       make_tree, random_tree_sparse, tree_project)
+
+# (d, L) with p <= 121, so one example stays in the millisecond range
+TREES = ([(2, L) for L in range(1, 7)] + [(3, L) for L in range(1, 5)]
+         + [(4, L) for L in range(1, 4)])
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def sessions(draw):
+    """A tree, a random tree-sparse signal on it and one session's config."""
+    tree = make_tree(*draw(st.sampled_from(TREES)))
+    k = draw(st.integers(1, tree.p))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vec = random_tree_sparse(tree, k, 0.5, 2.0, rng)
+    cfg = SensingConfig(beta=draw(st.floats(0.1, 3.0)),
+                        tau=draw(st.floats(0.0, 3.0)),
+                        noise_std=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                        budget=draw(st.none() | st.floats(0.01, 100.0)),
+                        traversal=draw(st.sampled_from(["queue", "stack"])))
+    return tree, vec, cfg, rng
+
+
+@SETTINGS
+@given(sessions())
+def test_energy_is_m_beta_squared_within_budget(session):
+    tree, vec, cfg, rng = session
+    out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)
+    cost = cfg.beta**2
+    assert abs(out.log.energy_spent - out.log.m * cost) <= 1e-12 * max(1.0, out.log.m * cost)
+    if cfg.budget is not None:
+        assert out.log.energy_spent <= cfg.budget * (1 + 1e-12)
+
+
+@SETTINGS
+@given(sessions())
+def test_truncated_iff_budget_binds_with_nodes_queued(session):
+    tree, vec, cfg, rng = session
+    out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)
+    measured = set(out.log.measured_nodes())
+    # the queue holds the root until it is measured, then every unmeasured
+    # child of a significant node
+    queued = ({1} | {c for j in out.support_estimate for c in tree.children(j)}) - measured
+    binds = (cfg.budget is not None
+             and out.log.energy_spent + cfg.beta**2 > cfg.budget * (1 + 1e-12))
+    assert out.truncated == (binds and bool(queued))
+    if not out.truncated:
+        assert not queued
+
+
+@SETTINGS
+@given(sessions())
+def test_measured_set_is_rooted_connected(session):
+    tree, vec, cfg, rng = session
+    out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)
+    nodes = out.log.measured_nodes()
+    assert len(set(nodes)) == len(nodes)
+    assert not nodes or nodes[0] == 1
+    assert out.support_estimate <= set(nodes)
+    for j in nodes[1:]:
+        assert tree.parent(j) in out.support_estimate
+
+
+@SETTINGS
+@given(st.sampled_from([t for t in TREES if t[1] >= 2]), st.integers(0, 2**32 - 1),
+       st.data())
+def test_noiseless_unbounded_count_is_dk_plus_1(shape, seed, data):
+    tree = make_tree(*shape)
+    k = data.draw(st.integers(1, tree.n_internal))   # support off the leaf level
+    beta = data.draw(st.floats(0.1, 3.0))
+    # a threshold in (0, beta * amp_min) passes every support node and no zero
+    tau = data.draw(st.floats(0.0, 0.5 * beta, exclude_min=True, exclude_max=True))
+    rng = np.random.default_rng(seed)
+    vec = random_tree_sparse(tree, k, 0.5, 2.0, rng, max_depth=tree.depth - 1)
+    cfg = SensingConfig(beta=beta, tau=tau, noise_std=0.0, budget=None)
+    out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)
+    assert out.log.m == tree.d * k + 1
+    assert out.support_estimate == vec.support
+    assert not out.truncated
+
+
+# entries are exact zeros or at least 0.1 in magnitude, so no nonzero hides
+# below the projection's relative energy tolerance
+ENTRIES = st.one_of(st.just(0.0), st.floats(0.1, 10.0), st.floats(-10.0, -0.1),
+                    st.sampled_from([0.5, -0.5, 1.0]))
+
+
+@SETTINGS
+@given(st.sampled_from(TREES), st.data())
+def test_tree_project_is_idempotent(shape, data):
+    tree = make_tree(*shape)
+    v = np.array(data.draw(st.lists(ENTRIES, min_size=tree.p, max_size=tree.p)))
+    k = data.draw(st.integers(1, tree.p))
+    w = tree_project(v, tree, k)
+    again = tree_project(w.values, tree, k)
+    assert np.array_equal(again.values, w.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 4, 8, 16, 32]), st.data())
+def test_haar_round_trip(side, data):
+    vals = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=side * side,
+                              max_size=side * side))
+    img = np.array(vals).reshape(side, side)
+    back = ihaar2(haar2(img))
+    assert np.allclose(back, img, rtol=0.0, atol=1e-9 * (1.0 + np.max(np.abs(img))))
