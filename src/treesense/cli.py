@@ -207,7 +207,11 @@ def main(argv=None):
     p.set_defaults(func=cmd_compare)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:   # bad config, malformed input file, ...
+        print(f"treesense: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

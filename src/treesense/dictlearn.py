@@ -105,7 +105,7 @@ def tree_group_penalty(a, groups, norm="l2"):
     """
     if norm not in ("l2", "linf"):
         raise ValueError("norm must be 'l2' or 'linf'")
-    w, tree = groups.node_weights(), groups.tree
+    w, tree = groups.weights, groups.tree
     a = np.asarray(a, dtype=float)
     cols = a.reshape(a.shape[0], -1)
     agg = cols * cols if norm == "l2" else np.abs(cols)
@@ -119,44 +119,53 @@ def tree_group_penalty(a, groups, norm="l2"):
     return out[0] if a.ndim == 1 else out
 
 
-def _project_l1_ball(v, radius):
-    """Euclidean projection of v onto the l1 ball of the given radius."""
-    if radius <= 0:
-        return np.zeros_like(v)
-    a = np.abs(v)
-    if a.sum() <= radius:
-        return v.copy()
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, len(u) + 1) > css - radius)[0][-1]
-    theta = (css[rho] - radius) / (rho + 1)
-    return np.sign(v) * np.maximum(a - theta, 0.0)
+def _l1_projection(V, radius):
+    """Euclidean projection of each V[r, c, :] onto the l1 ball of radius
+    radius[r, c] (zero where the radius is <= 0), by one batched sort."""
+    a = np.abs(V)
+    u = np.sort(a)[..., ::-1]
+    css = np.cumsum(u, axis=-1)
+    hit = u * np.arange(1, u.shape[-1] + 1) > css - radius[..., None]
+    rho = u.shape[-1] - 1 - np.argmax(hit[..., ::-1], axis=-1)   # the last hit
+    theta = (np.take_along_axis(css, rho[..., None], -1)[..., 0] - radius) / (rho + 1)
+    proj = np.where((a.sum(axis=-1) <= radius)[..., None], V,
+                    np.sign(V) * np.maximum(a - theta[..., None], 0.0))
+    return np.where((radius <= 0)[..., None], 0.0, proj)
 
 
 def tree_prox(v, groups, threshold, norm="l2"):
     """Exact prox of threshold * Omega at v for laminar (tree) groups.
 
     Composes the single-group prox operators deepest group first (Jenatton
-    et al., JMLR 2011); accepts a vector or a (p, q) matrix of columns.  l2
-    runs a level at a time: a group's energy is its node's plus scale^2 *
-    each child group's, and an entry's final scale is the product of its
-    node's and its ancestors'.  linf projects one group at a time.
+    et al., JMLR 2011); accepts a vector or a (p, q) matrix of columns.  Both
+    norms run a level at a time, since the groups of one level are disjoint.
+    l2: a group's energy is its node's plus scale^2 * each child group's, and
+    an entry's final scale is the product of its node's and its ancestors'.
+    linf: each group loses its projection onto the l1 ball of radius
+    threshold * weight, with a level's groups gathered as one array.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     if norm not in ("l2", "linf"):
         raise ValueError("norm must be 'l2' or 'linf'")
-    t = threshold * groups.node_weights()
+    t = threshold * groups.weights
     U = np.array(v, dtype=float)
     cols = U.reshape(U.shape[0], -1)
+    q, tree, starts = cols.shape[1], groups.tree, groups.tree.level_starts
     if norm == "linf":
-        for g, r in zip(groups.groups, groups.roots):
-            idx = np.asarray(g) - 1
-            for c in range(cols.shape[1]):
-                cols[idx, c] -= _project_l1_ball(cols[idx, c], t[r - 1])
+        for lvl in reversed(range(tree.depth)):
+            lo, hi = starts[lvl], starts[lvl + 1]
+            spans = list(zip(starts[lvl:-1], starts[lvl + 1:]))   # this level and every deeper one
+            # G[r, c] is group r's column c, contiguous, so its sum and sort see
+            # the same values in the same order as they would for one group
+            G = np.concatenate([cols[s:e].reshape(hi - lo, -1, q) for s, e in spans],
+                               axis=1).transpose(0, 2, 1).copy()
+            out = (G - _l1_projection(G, t[lo:hi, None])).transpose(0, 2, 1)
+            ends = np.cumsum([e - s for s, e in spans]) // (hi - lo)
+            for (s, e), block in zip(spans, np.split(out, ends[:-1], axis=1)):
+                cols[s:e] = block.reshape(-1, q)
         return U
 
-    tree, starts = groups.tree, groups.tree.level_starts
     scale = np.empty_like(cols)
     shrunk = np.empty_like(cols)   # group energy after the group's own step
     for lvl in reversed(range(tree.depth)):
@@ -237,7 +246,9 @@ def learn(training, tree, cfg, rng, init=None, weights=None):
     """Alternating minimization for the tree-structured orthonormal dictionary.
 
     Returns (Dictionary, A, history) where history holds the objective after
-    each alternation; the sequence is nonincreasing.
+    each alternation; the sequence is nonincreasing.  weights are the group
+    weights in heap order, as for groups_of (earlier versions read them in
+    deepest-first group order), or None for all-ones.
     """
     X = training.data
     n, q = X.shape

@@ -470,14 +470,15 @@ def compare_methods(cfg, training=None, dictionary=None, dict_mean=None,
                     rand_arms[m] = (ens, A_cs, _pick_lasso_lambda(
                         ens.matrix, A_cs, dictionary, cfg.noise_std, lam_rng, k))
                 ens, A_cs, lam = rand_arms[m]
+                # the column mean is known to every reconstructor
+                phi_x, phi_mean = ens.matrix @ x, ens.matrix @ dict_mean
                 for trial in range(cfg.trials):
                     rng = np.random.default_rng([cfg.seed, 4, int(R), sig_idx,
                                                  m, trial])
-                    y = ens.matrix @ x
+                    y = phi_x
                     if cfg.noise_std > 0:
                         y = y + cfg.noise_std * rng.standard_normal(m)
-                    # the column mean is known to every reconstructor
-                    y_c = y - ens.matrix @ dict_mean
+                    y_c = y - phi_mean
                     a_lasso = lasso_solve(A_cs, y_c, lam, max_iters=200)
                     x_lasso = dictionary.atoms @ a_lasso + dict_mean
                     a_cos = model_cosamp(A_cs, y_c, k, tree, iters=15)

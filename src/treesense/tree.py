@@ -56,14 +56,6 @@ class TreeTopology:
             depth += 1
         return depth
 
-    def descendants(self, i):
-        """All strict descendants of node i, in increasing index order."""
-        out, level = [], self.children(i)
-        while level:   # a node's descendants on one level are contiguous
-            out.extend(level)
-            level = range(self.d * (level[0] - 1) + 2, min(self.d * level[-1] + 1, self.p) + 1)
-        return out
-
     @property
     def level_starts(self):
         """0-based offsets where levels 0..L-1 start, then p: level l is the
@@ -94,54 +86,33 @@ def make_tree(d, L):
 
 @dataclass(frozen=True)
 class GroupSet:
-    """Hierarchical groups g_i = {i} union descendants(i), deepest-first.
+    """Hierarchical groups g_i = {i} union descendants(i), one per node.
 
-    The ordering (decreasing node depth, ties by index) makes sequential
-    per-group proximal steps exact for this laminar family.
+    weights[i-1] is the nonnegative weight of g_i (heap order).  The groups
+    are read off the tree: at level l, g_i is node i plus one contiguous
+    block of each deeper level, and the groups of one level are disjoint.
     """
 
-    roots: tuple          # defining node of each group, in group order
-    groups: tuple         # tuple of int tuples, aligned with roots
-    weights: np.ndarray   # nonnegative weight per group
-    tree: TreeTopology | None = None   # the tree the groups are defined on
+    tree: TreeTopology
+    weights: np.ndarray
 
-    def __len__(self):
-        return len(self.groups)
-
-    def node_weights(self):
-        """Group weights in heap (node) order; raises ValueError unless the set
-        carries its tree and lists its groups in groups_of's deepest-first order."""
-        if self.tree is None or tuple(self.roots) != _deepest_first(self.tree):
-            raise ValueError("group list is not ordered deepest-first on its tree")
-        w = np.empty(self.tree.p)
-        w[np.asarray(self.roots) - 1] = self.weights
-        return w
-
-
-def _deepest_first(tree):
-    """Node indices level by level from the deepest, by index within a level."""
-    s = tree.level_starts
-    return tuple(i for lvl in reversed(range(tree.depth)) for i in range(s[lvl] + 1, s[lvl + 1] + 1))
+    def __post_init__(self):
+        w = np.array(self.weights, dtype=float)
+        if w.shape != (self.tree.p,):
+            raise ValueError(f"weights must have length {self.tree.p}")
+        if np.any(w < 0):
+            raise ValueError("group weights must be nonnegative")
+        object.__setattr__(self, "weights", w)
 
 
 def groups_of(tree, weights=None):
     """Group set of the hierarchical penalty: one group per node.
 
-    weights may be a length-p array (aligned with group order) or None for
-    all-ones.
+    weights is a length-p array in heap order (weights[i-1] weights g_i), or
+    None for all-ones.  Earlier versions read it in deepest-first group
+    order, so a length-p array given for that order must be reordered.
     """
-    p = tree.p
-    order = _deepest_first(tree)
-    groups = tuple(tuple([i] + tree.descendants(i)) for i in order)
-    if weights is None:
-        w = np.ones(p)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (p,):
-            raise ValueError(f"weights must have length {p}")
-        if np.any(w < 0):
-            raise ValueError("group weights must be nonnegative")
-    return GroupSet(roots=order, groups=groups, weights=w, tree=tree)
+    return GroupSet(tree, np.ones(tree.p) if weights is None else weights)
 
 
 @dataclass(frozen=True)
@@ -197,19 +168,19 @@ def random_tree_sparse(tree, k, amp_min, amp_max, rng, max_depth=None):
     if amp_min <= 0 or amp_max < amp_min:
         raise ValueError("need 0 < amp_min <= amp_max")
 
-    support = [1]
-    in_support = {1}
-    boundary = [c for c in tree.children(1)
-                if max_depth is None or tree.node_depth(c) < max_depth]
+    # nodes at depth < max_depth are exactly 1..(d^max_depth - 1)/(d - 1), and
+    # a node's children are contiguous, so each node adds one capped range
+    d, last = tree.d, tree.p
+    if max_depth is not None:
+        last = min(last, (d ** max(max_depth, 0) - 1) // (d - 1))
+    support, boundary = [1], list(range(2, min(d + 1, last) + 1))
     while len(support) < k:
         if not boundary:
             raise ValueError("cannot grow a connected support of size "
                              f"{k} under the depth restriction")
         j = boundary.pop(rng.integers(len(boundary)))
         support.append(j)
-        in_support.add(j)
-        boundary.extend(c for c in tree.children(j)
-                        if max_depth is None or tree.node_depth(c) < max_depth)
+        boundary.extend(range(d * (j - 1) + 2, min(d * j + 1, last) + 1))
 
     values = np.zeros(tree.p)
     mags = rng.uniform(amp_min, amp_max, size=k)

@@ -1,8 +1,9 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's own algorithms: subtree enumeration
-is exhaustive recursion, the lasso oracle is exact coordinate descent, and
-the prox oracle (in test_prox) is a convex solver.
+is exhaustive recursion, the lasso oracle is exact coordinate descent, the
+group list is built by walking parents, and the prox oracle (in test_prox)
+is a convex solver.
 """
 
 import numpy as np
@@ -29,6 +30,25 @@ def best_subtree_energy(tree, v, k):
     """Max captured energy over all rooted connected supports of size <= k."""
     return max(sum(v[i - 1] ** 2 for i in s)
                for s in enumerate_rooted_subtrees(tree, k))
+
+
+def group_list(groups):
+    """(g_i, weight of g_i) for every node i of a GroupSet, deepest first and
+    by index within a depth.  g_i = {i} and its descendants, in increasing
+    order, found by walking each node's parents (j > 1 has parent
+    (j - 2) // d + 1)."""
+    p, d = groups.tree.p, groups.tree.d
+    members = {i: [] for i in range(1, p + 1)}
+    depth = {}
+    for j in range(1, p + 1):
+        i, depth[j] = j, 0
+        members[i].append(j)
+        while i > 1:
+            i = (i - 2) // d + 1
+            members[i].append(j)
+            depth[j] += 1
+    order = sorted(members, key=lambda i: (-depth[i], i))
+    return [(tuple(members[i]), groups.weights[i - 1]) for i in order]
 
 
 def cd_lasso(A, y, lam, sweeps=20000, tol=1e-12):

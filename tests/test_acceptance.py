@@ -14,7 +14,7 @@ from treesense import (Dictionary, ExperimentConfig, LearnConfig,
                        two_stage_estimate_coeffs, verify_theorem, write_csv)
 from treesense.harness import compare_methods
 
-from conftest import enumerate_rooted_subtrees
+from conftest import enumerate_rooted_subtrees, group_list
 
 
 def _check(num, desc, ok, detail=""):
@@ -210,7 +210,7 @@ def test_criterion_5_prox_oracle_equivalence():
         # high-accuracy fallback when the default solver is imprecise
         u = cp.Variable(len(v))
         pen = 0
-        for grp, w in zip(groups.groups, groups.weights):
+        for grp, w in group_list(groups):
             idx = [i - 1 for i in grp]
             pen = pen + w * cp.norm(u[idx], 2 if norm == "l2" else "inf")
         prob = cp.Problem(cp.Minimize(0.5 * cp.sum_squares(u - v)

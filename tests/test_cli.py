@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from treesense import load_dictionary, make_tree, synthetic_corpus, write_pgm
+from treesense import (Dictionary, load_dictionary, make_tree, save_dictionary,
+                       synthetic_corpus, write_pgm)
 from treesense.cli import main
 
 
@@ -63,11 +64,33 @@ def test_config_file_drives_verify(tmp_path):
     ("workers = 2", "unknown config key 'workers'"),
     ("k = 3,x", "config key 'k': invalid literal"),
 ])
-def test_config_file_errors_name_the_file(tmp_path, line, reason):
+def test_config_file_errors_name_the_file(tmp_path, capsys, line, reason):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"d=2\nL=4\n{line}\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}: {re.escape(reason)}"):
-        main(["verify-theorem", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    rc = main(["verify-theorem", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert re.match(f"treesense: error: {re.escape(str(cfg))}: {re.escape(reason)}",
+                    capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("kind", ["truncated-lasr", "malformed-pgm"])
+def test_malformed_input_files_exit_2_naming_the_file(tmp_path, capsys, kind):
+    dict_path, img = tmp_path / "d.lasr", tmp_path / "img.pgm"
+    if kind == "truncated-lasr":
+        dict_path.write_bytes(b"LASR\x01\x00")
+        argv = ["compare", "--dict-path", str(dict_path), "--corpus", str(tmp_path),
+                "--target-side", "2", "--budgets", "4", "--out", str(tmp_path / "c.csv")]
+        bad = dict_path
+    else:
+        Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 3)))
+        save_dictionary(dict_path, Dictionary(atoms=Q, tree=make_tree(2, 2)))
+        img.write_bytes(b"P5\n2 2\n255\n\x00\x01\x02")   # 3 of 4 pixels
+        argv = ["sense", "--dict-path", str(dict_path), "--image", str(img),
+                "--out", str(tmp_path / "s.csv")]
+        bad = img
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"treesense: error: {bad}: ") and err.count("\n") == 1
 
 
 def test_workers_flag_is_gone(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treesense import (make_tree, groups_of, random_tree_sparse,
+from treesense import (GroupSet, make_tree, groups_of, random_tree_sparse,
                        is_tree_sparse, tree_project)
 from conftest import enumerate_rooted_subtrees, best_subtree_energy
 
@@ -41,25 +41,13 @@ def test_make_tree_rejects_bad_args():
         make_tree(2, 80)  # index overflow
 
 
-def test_groups_order_and_contents():
+def test_group_set_rejects_bad_weights():
     t = make_tree(2, 2)
-    g = groups_of(t)
-    assert g.groups == ((2,), (3,), (1, 2, 3))
-    t3 = make_tree(2, 3)
-    g3 = groups_of(t3)
-    assert g3.groups[-1] == tuple(range(1, 8))
-    assert len(g3) == 7
-    assert np.all(g3.weights == 1.0)
-
-
-def test_groups_laminar():
-    t = make_tree(3, 3)
-    g = groups_of(t)
-    sets = [set(grp) for grp in g.groups]
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            inter = sets[i] & sets[j]
-            assert inter in (set(), sets[i], sets[j])
+    for w in ([1.0, 1.0], np.ones(4)):
+        with pytest.raises(ValueError, match="length 3"):
+            GroupSet(t, w)
+    with pytest.raises(ValueError, match="nonnegative"):
+        GroupSet(t, [1.0, -0.5, 1.0])
 
 
 def test_groups_reject_negative_weight():
@@ -98,6 +86,17 @@ def test_random_tree_sparse_rejects_bad_k(rng):
     t = make_tree(2, 3)
     with pytest.raises(ValueError):
         random_tree_sparse(t, 8, 1, 1, rng)
+
+
+def test_random_tree_sparse_depth_restriction(rng):
+    # levels of 1, 3, 9 and 27 nodes: depth < max_depth holds n nodes
+    t = make_tree(3, 4)
+    for max_depth, n in ((0, 1), (1, 1), (2, 4), (3, 13), (9, 40)):
+        vec = random_tree_sparse(t, n, 1, 1, rng, max_depth=max_depth)
+        assert vec.support == set(range(1, n + 1))
+        if n < t.p:
+            with pytest.raises(ValueError, match="depth restriction"):
+                random_tree_sparse(t, n + 1, 1, 1, rng, max_depth=max_depth)
 
 
 def test_is_tree_sparse_cases():
