@@ -38,7 +38,7 @@ logger = logging.getLogger(__name__)
 ORTHO_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dictionary:
     """n x p matrix of orthonormal atoms, atom i attached to tree node i."""
 

@@ -17,9 +17,9 @@ from .baselines import gaussian_ensemble, lasso_solve, model_cosamp, pca_fit, pc
 from .bounds import failure_bound, min_amplitude
 from .dictlearn import (Dictionary, TrainingSet, LearnConfig, _orthonormal_atoms,
                         groups_of, tree_prox)
-from .sensing import (SensingConfig, adaptive_sense, adaptive_sense_coeffs,
+from .sensing import (SensingConfig, adaptive_sense, adaptive_sense_batch,
                       allocate_beta, reconstruct_from_outcome)
-from .tree import make_tree, random_tree_sparse
+from .tree import make_tree, random_tree_sparse, random_tree_sparse_batch
 from .wavelet import wavelet_reconstruct, wavelet_sense
 
 __all__ = [
@@ -162,11 +162,10 @@ def synthetic_corpus(q, side, tree, k, rng, amp=1.0, depth_decay=0.6, base_level
     planted = Dictionary(atoms=Q, tree=tree)
     X = np.empty((n, q))
     A = np.zeros((tree.p, q))
+    depth = np.searchsorted(tree.level_starts, np.arange(tree.p), side="right") - 1
+    decay = np.array([depth_decay**lvl for lvl in range(tree.depth)])[depth]
     for i in range(q):
-        vec = random_tree_sparse(tree, k, 0.5 * amp, amp, rng)
-        a = vec.values.copy()
-        for node in vec.support:
-            a[node - 1] *= depth_decay ** tree.node_depth(node)
+        a = random_tree_sparse(tree, k, 0.5 * amp, amp, rng).values * decay
         A[:, i] = a
         X[:, i] = base_level + Q @ a
     return X, planted, A
@@ -315,15 +314,66 @@ def write_manifest(path, cfg, summaries=()):
 # verify-theorem mode
 # ---------------------------------------------------------------------------
 
+# Trials per sensing batch in verify-theorem: a batch's arrays grow with its
+# trial count, so blocks of this size keep a cell's working memory bounded.
+_VERIFY_BLOCK = 256
+
+
+def _support_errors(batch, nodes, p):
+    """Per trial: false alarms |S_hat - S| and misses |S - S_hat|, where S_hat
+    is the batch's significant nodes and S = nodes[t].  A support node that
+    was never measured is a miss."""
+    trials, k = nodes.shape
+    stride = p + 1
+    truth = np.sort((np.arange(trials)[:, None] * stride + nodes).ravel())
+    t_sig = batch.trial[batch.significant]
+    found = t_sig * stride + batch.node[batch.significant]
+    hit = truth[np.minimum(np.searchsorted(truth, found), len(truth) - 1)] == found
+    return (np.bincount(t_sig[~hit], minlength=trials),
+            k - np.bincount(t_sig[hit], minlength=trials))
+
+
+def _verify_cell(tree, k, R, beta, alpha, tau, cfg, cell):
+    """Rows and summary line of one (k, R) cell.  Its trials are drawn from
+    one generator, in batches of up to _VERIFY_BLOCK trials."""
+    rng = np.random.default_rng([cfg.seed, cell])
+    sense_cfg = SensingConfig(beta=beta, tau=tau, noise_std=cfg.noise_std, budget=R)
+    per_trial = []
+    for start in range(0, cfg.trials, _VERIFY_BLOCK):
+        nodes, values = random_tree_sparse_batch(
+            tree, k, alpha, alpha, rng, min(_VERIFY_BLOCK, cfg.trials - start),
+            max_depth=cfg.L - 1)
+        batch = adaptive_sense_batch(nodes, values, tree, sense_cfg, rng)
+        per_trial.append((batch.m, batch.energy_spent, batch.truncated,
+                          *_support_errors(batch, nodes, tree.p)))
+    m, energy, truncated, false_alarms, misses = map(np.concatenate, zip(*per_trial))
+    exact = (false_alarms == 0) & (misses == 0)
+    rows = [_row("adaptive", R, tau, mt, trial, support_exact=int(ok), energy=e,
+                 note=f"k={k}")
+            for trial, (mt, ok, e) in enumerate(zip(m.tolist(), exact.tolist(),
+                                                    energy.tolist()))]
+    bound = failure_bound(beta, tau, alpha, k, cfg.d)
+    summary = (f"cell k={k} R={R:g}: "
+               f"failure_rate={int(cfg.trials - exact.sum()) / cfg.trials:.6g} "
+               f"bound={bound:.6g} mean_m={np.mean(m):.6g} predicted_m={cfg.d * k + 1} "
+               f"truncated_rate={np.mean(truncated):.6g} "
+               f"false_alarms={np.mean(false_alarms):.6g} misses={np.mean(misses):.6g}")
+    return rows, summary
+
+
 def verify_theorem(cfg):
     """Monte Carlo check of the support-recovery guarantee.
 
     For each (k, R) cell, signals are drawn at the amplitude threshold and
-    acquired with the threshold traversal; emits one row per trial plus a
-    per-cell summary (empirical failure rate vs the union bound, mean m vs
-    dk+1).  Supports are kept off the leaf level so every support node has d
-    children to test.
+    acquired with the threshold traversal, the trials of a cell in batches
+    drawn from one generator; emits one row per trial plus a per-cell
+    summary (empirical failure rate vs the union bound, mean m vs dk+1, the
+    truncated share, and mean false alarms |S_hat - S| and misses
+    |S - S_hat| per trial).  Supports are kept off the leaf level so every
+    support node has d children to test.
     """
+    if cfg.trials < 1:
+        raise ValueError(f"trials must be at least 1, got {cfg.trials}")
     tree = make_tree(cfg.d, cfg.L)
     rows, summaries = [], []
     if cfg.budgets:
@@ -339,24 +389,9 @@ def verify_theorem(cfg):
             logger.warning("cell (k=%d, R=%g) skipped: tau >= beta*alpha_min", k, R)
             continue
 
-        sense_cfg = SensingConfig(beta=beta, tau=tau, noise_std=cfg.noise_std, budget=R)
-        cell_rows = []
-        for trial in range(cfg.trials):
-            rng = np.random.default_rng([cfg.seed, cell, trial])
-            vec = random_tree_sparse(tree, k, alpha, alpha, rng,
-                                     max_depth=cfg.L - 1)
-            out = adaptive_sense_coeffs(vec.values, tree, sense_cfg, rng)
-            ok = int(out.support_estimate == vec.support)
-            cell_rows.append(_row("adaptive", R, tau, out.log.m, trial,
-                                  support_exact=ok, energy=out.log.energy_spent,
-                                  note=f"k={k}"))
+        cell_rows, summary = _verify_cell(tree, k, R, beta, alpha, tau, cfg, cell)
         rows.extend(cell_rows)
-        fails = sum(1 for r in cell_rows if r["support_exact"] == 0)
-        mean_m = np.mean([r["m"] for r in cell_rows])
-        bound = failure_bound(beta, tau, alpha, k, cfg.d)
-        summaries.append(
-            f"cell k={k} R={R:g}: failure_rate={fails / cfg.trials:.6g} "
-            f"bound={bound:.6g} mean_m={mean_m:.6g} predicted_m={cfg.d * k + 1}")
+        summaries.append(summary)
     return rows, summaries
 
 

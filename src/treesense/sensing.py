@@ -3,25 +3,28 @@
 Measurements project the signal onto scaled dictionary atoms, starting at the
 root of the coefficient tree and descending into a node's children only when
 the measured value passes a significance threshold.
+
+One engine runs the traversal over a coefficient array laid out in BFS order,
+for any number of independent sessions at once: each tree level is one step
+of a fixed number of array operations, whatever the number of sessions.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "SensingConfig",
-    "Measurement",
     "MeasurementLog",
     "SensingOutcome",
+    "SessionBatch",
     "allocate_beta",
     "adaptive_sense",
     "adaptive_sense_coeffs",
+    "adaptive_sense_batch",
     "reconstruct_from_outcome",
     "two_stage_estimate",
     "two_stage_estimate_coeffs",
@@ -41,7 +44,6 @@ class SensingConfig:
     tau: float
     noise_std: float = 1.0
     budget: float | None = None
-    traversal: str = "queue"
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -50,31 +52,23 @@ class SensingConfig:
             raise ValueError("tau must be nonnegative")
         if self.noise_std < 0:
             raise ValueError("noise_std must be nonnegative")
-        if self.budget is not None and self.budget <= 0:
+        if self.budget is not None and not self.budget > 0:
             raise ValueError("budget must be positive or None")
-        if self.traversal not in ("stack", "queue"):
-            raise ValueError("traversal must be 'stack' or 'queue'")
-
-
-class Measurement(NamedTuple):
-    node: int
-    y: float
-    significant: bool
 
 
 @dataclass
 class MeasurementLog:
-    """Ordered record of one session's measurements."""
+    """One session's measurements in the order taken: the node measured, the
+    observation y and whether it passed the threshold, one array entry each."""
 
-    entries: list = field(default_factory=list)
+    node: np.ndarray
+    y: np.ndarray
+    significant: np.ndarray
     energy_spent: float = 0.0
 
     @property
     def m(self):
-        return len(self.entries)
-
-    def measured_nodes(self):
-        return [e.node for e in self.entries]
+        return len(self.node)
 
 
 @dataclass
@@ -92,6 +86,34 @@ class SensingOutcome:
     coeff_estimates: np.ndarray | None = None
 
 
+@dataclass
+class SessionBatch:
+    """Measurements of T independent sessions.
+
+    trial, node, y and significant hold one entry per measurement, tree
+    level by tree level and, within a level, by trial and then by node, so
+    the entries of one trial are in the order that session took them.  m,
+    energy_spent and truncated hold one entry per trial.
+    """
+
+    trial: np.ndarray
+    node: np.ndarray
+    y: np.ndarray
+    significant: np.ndarray
+    m: np.ndarray
+    energy_spent: np.ndarray
+    truncated: np.ndarray
+
+    def session(self, t):
+        """The outcome of trial t alone."""
+        mine = self.trial == t
+        node, sig = self.node[mine], self.significant[mine]
+        log = MeasurementLog(node=node, y=self.y[mine], significant=sig,
+                             energy_spent=float(self.energy_spent[t]))
+        return SensingOutcome(support_estimate=frozenset(node[sig].tolist()), log=log,
+                              truncated=bool(self.truncated[t]))
+
+
 def allocate_beta(budget_R, d, k):
     """Per-measurement scale that spends budget_R over (d+1)k measurements."""
     if budget_R <= 0 or d <= 0 or k <= 0:
@@ -99,37 +121,70 @@ def allocate_beta(budget_R, d, k):
     return math.sqrt(budget_R / ((d + 1) * k))
 
 
-def _threshold_traversal(project, children_of, roots, cfg, rng):
-    """Shared traversal engine.
+def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
+    """The threshold traversal of `trials` sessions, one tree level per step.
 
-    project(j) returns the noiseless projection of the signal onto atom j;
-    children_of(j) lists the indices to enqueue when j tests significant.
+    Positions 0..n-1 are in BFS order: the children of position i are
+    d*i + shift .. d*i + shift + d - 1, when those lie after i and below n.
+    Every session starts from the positions `roots`; coeff(t, i) returns the
+    noiseless coefficients at positions i of trials t.  The frontier is a
+    flat list of (trial, position) pairs sorted by trial, then position,
+    which within a trial is the order a FIFO queue would measure them in.
+    Noise is one block per level, drawn in frontier order, so a single
+    session draws exactly the values of one scalar draw per measurement.
+    Returns a SessionBatch whose nodes are positions.
     """
-    sched = deque(roots)
-    pop = sched.pop if cfg.traversal == "stack" else sched.popleft
-    log = MeasurementLog()
+    # The energy meter starts at 0 and adds cost once per measurement, and a
+    # session stops before the meter would pass the budget.  accumulate adds
+    # in the same sequence, so its sums are the meter's, bit for bit.
     cost = cfg.beta**2
-    truncated = False
-    support = set()
-    seen = set(roots)
-    while sched:
-        if cfg.budget is not None and log.energy_spent + cost > cfg.budget * (1 + 1e-12):
-            truncated = True
-            break
-        j = pop()
-        y = cfg.beta * project(j)
+    limit = n
+    if cfg.budget is not None:
+        # the rounding of the sums is far below the 1e-6 margin
+        spent = np.cumsum(np.full(int(min(n, cfg.budget / cost * (1 + 1e-6) + 2)), cost))
+        limit = int(np.count_nonzero(spent <= cfg.budget * (1 + 1e-12)))
+    roots = np.asarray(roots)
+    t = np.repeat(np.arange(trials), len(roots))
+    i = np.tile(roots, trials)
+    m = np.zeros(trials, dtype=np.int64)
+    truncated = np.zeros(trials, dtype=bool)
+    levels = []
+    while True:
+        counts = np.bincount(t, minlength=trials)
+        rank = m[t] + np.arange(len(t)) - (np.cumsum(counts) - counts)[t]
+        keep = rank < limit
+        truncated[t[~keep]] = True
+        t, i = t[keep], i[keep]
+        y = cfg.beta * coeff(t, i)
         if cfg.noise_std > 0:
-            y += cfg.noise_std * rng.standard_normal()
-        significant = abs(y) >= cfg.tau
-        log.entries.append(Measurement(node=j, y=float(y), significant=significant))
-        log.energy_spent += cost
-        if significant:
-            support.add(j)
-            for c in children_of(j):
-                if c not in seen:
-                    seen.add(c)
-                    sched.append(c)
-    return SensingOutcome(support_estimate=frozenset(support), log=log, truncated=truncated)
+            y += cfg.noise_std * rng.standard_normal(len(t))
+        sig = np.abs(y) >= cfg.tau
+        levels.append((t, i, y, sig))
+        m += np.bincount(t, minlength=trials)
+        first = d * i + shift
+        grow = sig & (first > i) & (first + d <= n)
+        t = np.repeat(t[grow], d)
+        i = (first[grow, None] + np.arange(d)).ravel()
+        if not len(t):
+            break
+    trial, node, y, sig = map(np.concatenate, zip(*levels))
+    meter = np.cumsum(np.r_[0.0, np.full(m.max(initial=0), cost)])
+    return SessionBatch(trial=trial, node=node, y=y, significant=sig, m=m,
+                        energy_spent=meter[m], truncated=truncated)
+
+
+def _sense_heap(c, tree, cfg, rng):
+    """One session over the heap-ordered tree with coefficient vector c."""
+    batch = _traverse(lambda t, i: c[i], tree.p, tree.d, 1, [0], 1, cfg, rng)
+    batch.node += 1
+    return batch.session(0)
+
+
+def _coeffs(alpha, tree):
+    a = np.asarray(alpha, dtype=float)
+    if a.shape != (tree.p,):
+        raise ValueError(f"expected length-{tree.p} coefficient vector")
+    return a
 
 
 def adaptive_sense(signal, dictionary, cfg, rng):
@@ -143,28 +198,39 @@ def adaptive_sense(signal, dictionary, cfg, rng):
     atoms = dictionary.atoms
     if atoms.shape[0] != x.shape[0]:
         raise ValueError("signal dimension does not match dictionary atoms")
-    tree = dictionary.tree
-    return _threshold_traversal(
-        project=lambda j: float(atoms[:, j - 1] @ x),
-        children_of=tree.children,
-        roots=[1],
-        cfg=cfg,
-        rng=rng,
-    )
+    return _sense_heap(atoms.T @ x, dictionary.tree, cfg, rng)
 
 
 def adaptive_sense_coeffs(alpha, tree, cfg, rng):
     """Same traversal, sensing a coefficient vector directly (identity dictionary)."""
-    a = np.asarray(alpha, dtype=float)
-    if a.shape != (tree.p,):
-        raise ValueError(f"expected length-{tree.p} coefficient vector")
-    return _threshold_traversal(
-        project=lambda j: float(a[j - 1]),
-        children_of=tree.children,
-        roots=[1],
-        cfg=cfg,
-        rng=rng,
-    )
+    return _sense_heap(_coeffs(alpha, tree), tree, cfg, rng)
+
+
+def adaptive_sense_batch(nodes, values, tree, cfg, rng):
+    """Sense T coefficient vectors at once, each in its own session.
+
+    nodes and values are (T, k): vector t is values[t] at the distinct node
+    ids nodes[t] and zero elsewhere.  Returns a SessionBatch with node ids.
+    With T = 1 the session equals adaptive_sense_coeffs on the dense vector,
+    draw for draw.
+    """
+    nodes = np.asarray(nodes)
+    values = np.asarray(values, dtype=float)
+    if nodes.ndim != 2 or nodes.shape != values.shape:
+        raise ValueError("nodes and values must be (T, k) arrays of one shape")
+    trials, p = len(nodes), tree.p
+    order = np.argsort(nodes, axis=1)
+    keys = (np.take_along_axis(nodes, order, axis=1) - 1 + p * np.arange(trials)[:, None]).ravel()
+    vals = np.take_along_axis(values, order, axis=1).ravel()
+
+    def coeff(t, i):
+        q = t * p + i
+        at = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+        return np.where(keys[at] == q, vals[at], 0.0)
+
+    batch = _traverse(coeff, p, tree.d, 1, [0], trials, cfg, rng)
+    batch.node += 1
+    return batch
 
 
 def reconstruct_from_outcome(outcome, dictionary, beta, mean_offset=None):
@@ -175,16 +241,13 @@ def reconstruct_from_outcome(outcome, dictionary, beta, mean_offset=None):
     """
     if beta == 0:
         raise ValueError("beta must be nonzero")
-    n = dictionary.atoms.shape[0]
-    x_hat = np.zeros(n) if mean_offset is None else np.array(mean_offset, dtype=float)
-    for e in outcome.log.entries:
-        if e.node in outcome.support_estimate:
-            x_hat += (e.y / beta) * dictionary.atoms[:, e.node - 1]
-    return x_hat
+    log = outcome.log
+    x_hat = dictionary.atoms[:, log.node[log.significant] - 1] @ (log.y[log.significant] / beta)
+    return x_hat if mean_offset is None else np.asarray(mean_offset, dtype=float) + x_hat
 
 
-def _two_stage(project, tree, total_budget, k, split, tau, alpha_min,
-               threshold_fraction, noise_std, traversal, rng):
+def _two_stage(c, tree, total_budget, k, split, tau, alpha_min,
+               threshold_fraction, noise_std, rng):
     if not 0 < split < 1:
         raise ValueError("split must be in (0,1)")
     if total_budget <= 0:
@@ -195,18 +258,18 @@ def _two_stage(project, tree, total_budget, k, split, tau, alpha_min,
             raise ValueError("provide tau or alpha_min for the stage-1 threshold")
         tau = threshold_fraction * beta1 * alpha_min
     cfg = SensingConfig(beta=beta1, tau=tau, noise_std=noise_std,
-                        budget=split * total_budget, traversal=traversal)
-    outcome = _threshold_traversal(project, tree.children, [1], cfg, rng)
+                        budget=split * total_budget)
+    outcome = _sense_heap(c, tree, cfg, rng)
 
     coeffs = np.zeros(tree.p)
-    s_hat = sorted(outcome.support_estimate)
-    if s_hat:
+    s_hat = np.array(sorted(outcome.support_estimate), dtype=np.int64) - 1
+    if len(s_hat):
         beta2 = math.sqrt((1 - split) * total_budget / len(s_hat))
-        for j in s_hat:
-            y2 = beta2 * project(j)
-            if noise_std > 0:
-                y2 += noise_std * rng.standard_normal()
-            coeffs[j - 1] = y2 / beta2
+        y2 = beta2 * c[s_hat]
+        if noise_std > 0:
+            y2 += noise_std * rng.standard_normal(len(s_hat))
+        coeffs[s_hat] = y2 / beta2
+        for _ in s_hat:   # the meter adds one measurement at a time
             outcome.log.energy_spent += beta2**2
     outcome.coeff_estimates = coeffs
     return outcome
@@ -214,7 +277,7 @@ def _two_stage(project, tree, total_budget, k, split, tau, alpha_min,
 
 def two_stage_estimate(signal, dictionary, total_budget, k, rng, split=0.5,
                        tau=None, alpha_min=None, threshold_fraction=0.5,
-                       noise_std=1.0, traversal="queue"):
+                       noise_std=1.0):
     """Support recovery followed by re-measurement of the recovered support.
 
     Stage 1 runs the threshold traversal on a split*total_budget allowance;
@@ -223,16 +286,13 @@ def two_stage_estimate(signal, dictionary, total_budget, k, rng, split=0.5,
     An empty stage-1 support yields the all-zero estimate.
     """
     x = np.asarray(signal, dtype=float)
-    atoms = dictionary.atoms
-    return _two_stage(lambda j: float(atoms[:, j - 1] @ x), dictionary.tree,
-                      total_budget, k, split, tau, alpha_min,
-                      threshold_fraction, noise_std, traversal, rng)
+    return _two_stage(dictionary.atoms.T @ x, dictionary.tree, total_budget, k,
+                      split, tau, alpha_min, threshold_fraction, noise_std, rng)
 
 
 def two_stage_estimate_coeffs(alpha, tree, total_budget, k, rng, split=0.5,
                               tau=None, alpha_min=None, threshold_fraction=0.5,
-                              noise_std=1.0, traversal="queue"):
+                              noise_std=1.0):
     """Coefficient-domain variant of two_stage_estimate."""
-    a = np.asarray(alpha, dtype=float)
-    return _two_stage(lambda j: float(a[j - 1]), tree, total_budget, k, split,
-                      tau, alpha_min, threshold_fraction, noise_std, traversal, rng)
+    return _two_stage(_coeffs(alpha, tree), tree, total_budget, k, split, tau,
+                      alpha_min, threshold_fraction, noise_std, rng)

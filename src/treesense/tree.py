@@ -19,6 +19,7 @@ __all__ = [
     "make_tree",
     "groups_of",
     "random_tree_sparse",
+    "random_tree_sparse_batch",
     "is_tree_sparse",
     "tree_project",
 ]
@@ -48,14 +49,6 @@ class TreeTopology:
         hi = min(self.d * i + 1, self.p)
         return tuple(range(lo, hi + 1))
 
-    def node_depth(self, i):
-        """Depth of node i, root at depth 0."""
-        depth = 0
-        while i > 1:
-            i = (i - 2) // self.d + 1
-            depth += 1
-        return depth
-
     @property
     def level_starts(self):
         """0-based offsets where levels 0..L-1 start, then p: level l is the
@@ -84,7 +77,7 @@ def make_tree(d, L):
     return TreeTopology(p=p, d=d, depth=L)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupSet:
     """Hierarchical groups g_i = {i} union descendants(i), one per node.
 
@@ -144,20 +137,13 @@ class TreeSparseVector:
             return np.inf
         return min(abs(self.values[i - 1]) for i in self.support)
 
-    @classmethod
-    def from_values(cls, values, tree, tol=0.0):
-        v = np.asarray(values, dtype=float)
-        if v.shape != (tree.p,):
-            raise ValueError(f"expected length-{tree.p} vector")
-        if not is_tree_sparse(v, tree, tol=tol):
-            raise ValueError("nonzero pattern is not rooted-connected")
-        return cls(values=v, support=frozenset(int(i) + 1 for i in np.flatnonzero(np.abs(v) > tol)))
 
+def random_tree_sparse_batch(tree, k, amp_min, amp_max, rng, trials, max_depth=None):
+    """Draw `trials` random k-tree-sparse vectors at once, in sparse form.
 
-def random_tree_sparse(tree, k, amp_min, amp_max, rng, max_depth=None):
-    """Draw a random k-tree-sparse vector.
-
-    The support is grown from the root by repeatedly adding a uniformly
+    Returns (nodes, values), both (trials, k): row t holds the support of
+    vector t in the order it was grown, root first, and the values there.
+    Each support is grown from the root by repeatedly adding a uniformly
     chosen boundary node; magnitudes are uniform on [amp_min, amp_max] with
     random signs.  max_depth restricts growth to nodes at depth < max_depth
     (useful to keep the support off the leaf level, where nodes have no
@@ -168,26 +154,46 @@ def random_tree_sparse(tree, k, amp_min, amp_max, rng, max_depth=None):
     if amp_min <= 0 or amp_max < amp_min:
         raise ValueError("need 0 < amp_min <= amp_max")
 
-    # nodes at depth < max_depth are exactly 1..(d^max_depth - 1)/(d - 1), and
-    # a node's children are contiguous, so each node adds one capped range
+    # nodes at depth < max_depth are exactly 1..(d^max_depth - 1)/(d - 1):
+    # whole levels, so node j has all d children there (j <= inner) or none
     d, last = tree.d, tree.p
     if max_depth is not None:
         last = min(last, (d ** max(max_depth, 0) - 1) // (d - 1))
-    support, boundary = [1], list(range(2, min(d + 1, last) + 1))
-    while len(support) < k:
-        if not boundary:
-            raise ValueError("cannot grow a connected support of size "
-                             f"{k} under the depth restriction")
-        j = boundary.pop(rng.integers(len(boundary)))
-        support.append(j)
-        boundary.extend(range(d * (j - 1) + 2, min(d * j + 1, last) + 1))
+    if k > max(last, 1):
+        raise ValueError("cannot grow a connected support of size "
+                         f"{k} under the depth restriction")
+    inner = (last - 1) // d
+    rows, kids = np.arange(trials), np.arange(d)
+    nodes = np.ones((trials, k), dtype=np.int64)
+    # boundary[t, :lens[t]] is row t's boundary list: each step pops one entry
+    # (the later ones shift left) and appends the new node's children
+    width = d + (k - 1) * (d - 1)
+    boundary = np.zeros((trials, width + 1), dtype=np.int64)
+    boundary[:, :d] = np.arange(2, d + 2)
+    lens = np.full(trials, d * (inner >= 1))
+    cols = np.arange(width)
+    for step in range(1, k):
+        pick = rng.integers(0, lens)
+        j = boundary[rows, pick]
+        nodes[:, step] = j
+        boundary[:, :-1] = np.where(cols >= pick[:, None], boundary[:, 1:], boundary[:, :-1])
+        lens -= 1
+        r = rows[j <= inner]
+        boundary[r[:, None], lens[r, None] + kids] = d * j[r, None] - d + 2 + kids
+        lens[r] += d
 
+    mags = rng.uniform(amp_min, amp_max, size=(trials, k))
+    signs = rng.choice([-1.0, 1.0], size=(trials, k))
+    return nodes, signs * mags
+
+
+def random_tree_sparse(tree, k, amp_min, amp_max, rng, max_depth=None):
+    """Draw a random k-tree-sparse vector: random_tree_sparse_batch with
+    one trial, as a dense TreeSparseVector."""
+    nodes, vals = random_tree_sparse_batch(tree, k, amp_min, amp_max, rng, 1, max_depth)
     values = np.zeros(tree.p)
-    mags = rng.uniform(amp_min, amp_max, size=k)
-    signs = rng.choice([-1.0, 1.0], size=k)
-    for idx, node in enumerate(support):
-        values[node - 1] = signs[idx] * mags[idx]
-    return TreeSparseVector(values=values, support=frozenset(support))
+    values[nodes[0] - 1] = vals[0]
+    return TreeSparseVector(values=values, support=frozenset(nodes[0].tolist()))
 
 
 def is_tree_sparse(v, tree, tol=0.0):
@@ -311,13 +317,11 @@ def tree_project(v, tree, k, mode="exact"):
         chosen = _backtrack(E, prefix, tree, b_star)
     elif mode == "greedy":
         chosen = [1]
-        in_sup = {1}
         boundary = list(tree.children(1))
         while len(chosen) < k and boundary:
             j = max(boundary, key=lambda i: (abs(v[i - 1]), -i))
             boundary.remove(j)
             chosen.append(j)
-            in_sup.add(j)
             boundary.extend(tree.children(j))
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -1,21 +1,20 @@
 """Orthonormal 2-d Haar transform and direct wavelet sensing.
 
 The detail coefficients form three quadtrees (one per orientation subband,
-degree 4); direct sensing runs the same threshold traversal as the
-dictionary-based procedure over those trees, with the scaling coefficient
-and the coarsest details always measured.
+degree 4); direct sensing lays them out as one BFS-ordered array and runs
+the same traversal engine as the dictionary-based procedure over it, with
+the scaling coefficient and the coarsest details always measured.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .sensing import SensingConfig, _threshold_traversal
+from .sensing import _traverse
 
 __all__ = [
     "haar2",
     "ihaar2",
-    "quadtree_children",
     "wavelet_sense",
     "wavelet_reconstruct",
 ]
@@ -71,38 +70,24 @@ def ihaar2(coeffs):
     return out
 
 
-def _flat(band, s, i, j, side):
-    # band 0 = scaling, 1 = horizontal, 2 = vertical, 3 = diagonal detail
-    if band == 0:
-        return 0
-    if band == 1:
-        r, c = i, s + j
-    elif band == 2:
-        r, c = s + i, j
-    else:
-        r, c = s + i, s + j
-    return r * side + c
-
-
-def quadtree_children(side):
-    """children map (flat coefficient index -> tuple of flat child indices)
-    for the three detail quadtrees of a side x side Haar decomposition."""
-    _check_side(side)
-    children = {0: ()}
-    for band in (1, 2, 3):
-        s = 1
-        while s <= side // 2:
-            for i in range(s):
-                for j in range(s):
-                    node = _flat(band, s, i, j, side)
-                    if 2 * s <= side // 2:
-                        kids = tuple(_flat(band, 2 * s, 2 * i + di, 2 * j + dj, side)
-                                     for di in (0, 1) for dj in (0, 1))
-                    else:
-                        kids = ()
-                    children[node] = kids
-            s *= 2
-    return children
+def _sensing_order(side):
+    """Flat row-major index into the side x side Haar array of each position
+    of the sensing layout: the scaling coefficient, then the details level
+    by level, band-major (horizontal, vertical, diagonal) and in Morton order
+    within a band.  The detail at (2i + di, 2j + dj) of a band is then child
+    2*di + dj of the one at (i, j), and the children of position i >= 1 are
+    positions 4i .. 4i + 3."""
+    order = [np.zeros(1, dtype=np.int64)]
+    s = 1
+    while s < side:
+        q = np.arange(s * s)
+        i, j = np.zeros_like(q), np.zeros_like(q)
+        for b in range(s.bit_length() - 1):
+            i |= ((q >> (2 * b + 1)) & 1) << b
+            j |= ((q >> (2 * b)) & 1) << b
+        order += [i * side + s + j, (s + i) * side + j, (s + i) * side + s + j]
+        s *= 2
+    return np.concatenate(order)
 
 
 def wavelet_sense(image, cfg, rng):
@@ -117,26 +102,19 @@ def wavelet_sense(image, cfg, rng):
     if image.shape != (side, side):
         raise ValueError("image must be square")
     _check_side(side)
-    coeffs = haar2(image)
-    flat = coeffs.ravel()
-    children = quadtree_children(side)
-    roots = [0] if side == 1 else [0, _flat(1, 1, 0, 0, side),
-                                   _flat(2, 1, 0, 0, side), _flat(3, 1, 0, 0, side)]
-    return _threshold_traversal(
-        project=lambda node: float(flat[node]),
-        children_of=lambda node: children[node],
-        roots=roots,
-        cfg=cfg,
-        rng=rng,
-    )
+    order = _sensing_order(side)
+    c = haar2(image).ravel()[order]
+    batch = _traverse(lambda t, i: c[i], side * side, 4, 0, np.arange(min(4, side * side)),
+                      1, cfg, rng)
+    batch.node = order[batch.node]
+    return batch.session(0)
 
 
 def wavelet_reconstruct(outcome, side, beta):
     """Inverse transform of the significant measured coefficients / beta."""
     if beta == 0:
         raise ValueError("beta must be nonzero")
-    coeffs = np.zeros((side, side))
-    for e in outcome.log.entries:
-        if e.node in outcome.support_estimate:
-            coeffs[divmod(e.node, side)] = e.y / beta
-    return ihaar2(coeffs)
+    log = outcome.log
+    coeffs = np.zeros(side * side)
+    coeffs[log.node[log.significant]] = log.y[log.significant] / beta
+    return ihaar2(coeffs.reshape(side, side))

@@ -47,8 +47,9 @@ def test_criterion_1_measurement_count_law():
 
 def test_criterion_2_failure_probability_bound():
     d, L = 2, 10  # p = 1023
-    tree = make_tree(d, L)
     trials = 10_000
+    rows, _ = verify_theorem(ExperimentConfig(d=d, L=L, k=(7, 15, 31), trials=trials,
+                                              seed=2))
     all_ok = True
     details = []
     for k in (7, 15, 31):
@@ -57,15 +58,9 @@ def test_criterion_2_failure_probability_bound():
         alpha = min_amplitude(c1=1.0, a=0.5, d=d, k=k, beta=beta)
         tau = 0.5 * beta * alpha
         bound = failure_bound(beta, tau, alpha, k, d)
-        fails = 0
-        for trial in range(trials):
-            rng = np.random.default_rng([2, k, trial])
-            vec = random_tree_sparse(tree, k, alpha, alpha, rng,
-                                     max_depth=L - 1)
-            cfg = SensingConfig(beta=beta, tau=tau, noise_std=1.0)
-            out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)
-            fails += out.support_estimate != vec.support
-        rate = fails / trials
+        cell = [r for r in rows if r["note"] == f"k={k}"]
+        assert len(cell) == trials
+        rate = sum(r["support_exact"] == 0 for r in cell) / trials
         se = math.sqrt(bound * (1 - bound) / trials)
         ok = rate <= bound + 3 * se and rate <= 1.0 / k
         all_ok &= ok

@@ -136,6 +136,35 @@ def test_verify_theorem_noiseless_cells():
     assert len(summaries) == 2
 
 
+def test_verify_theorem_rejects_no_trials():
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        verify_theorem(ExperimentConfig(d=2, L=4, k=(3,), trials=0))
+
+
+def _summary_fields(line):
+    return {key: float(val) for key, val in re.findall(r"(\w+)=([-\d.e+]+)", line)}
+
+
+def test_verify_theorem_traversal_statistics():
+    # noiseless: no truncation, false alarm or miss in any cell
+    cfg = ExperimentConfig(d=2, L=5, k=(3, 5), noise_std=0.0, trials=50, seed=1)
+    for line in verify_theorem(cfg)[1]:
+        stats = _summary_fields(line)
+        assert stats["truncated_rate"] == stats["false_alarms"] == stats["misses"] == 0
+    # heavy noise: sessions run into the budget R = (d+1)k.  A cut session
+    # spent all of it; a session whose queue ran empty at its last affordable
+    # measurement also has m = (d+1)k but was not cut, and is rare
+    cfg = ExperimentConfig(d=2, L=6, k=(3, 7), noise_std=50.0, trials=200, seed=4)
+    rows, summaries = verify_theorem(cfg)
+    for k, line in zip(cfg.k, summaries):
+        stats = _summary_fields(line)
+        cell = [r for r in rows if r["note"] == f"k={k}"]
+        at_budget = sum(r["m"] == 3 * k for r in cell) / len(cell)
+        assert at_budget > 0.5
+        assert at_budget - 0.01 <= stats["truncated_rate"] <= at_budget
+        assert stats["false_alarms"] > 0
+
+
 def test_csv_schema_and_determinism(tmp_path):
     cfg = ExperimentConfig(d=2, L=4, k=(3,), trials=30, seed=5,
                            out=str(tmp_path / "r1.csv"))

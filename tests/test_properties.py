@@ -1,13 +1,18 @@
 """Property tests (hypothesis): traversal invariants of adaptive_sense_coeffs
-over random trees, supports, beta, tau and budgets, plus round trips through
-tree_project and the Haar transform."""
+over random trees, supports, beta, tau and budgets; the array traversal
+engine against the scalar reference, session by session, on d-ary trees and
+the Haar quadtrees; plus round trips through tree_project and the Haar
+transform."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesense import (SensingConfig, adaptive_sense_coeffs, haar2, ihaar2,
-                       make_tree, random_tree_sparse, tree_project)
+from treesense import (SensingConfig, adaptive_sense_batch, adaptive_sense_coeffs,
+                       haar2, ihaar2, make_tree, random_tree_sparse,
+                       random_tree_sparse_batch, tree_project, wavelet_sense)
+
+from conftest import reference_quadtree, reference_traversal
 
 # (d, L) with p <= 121, so one example stays in the millisecond range
 TREES = ([(2, L) for L in range(1, 7)] + [(3, L) for L in range(1, 5)]
@@ -17,18 +22,102 @@ SETTINGS = settings(max_examples=150, deadline=None)
 
 
 @st.composite
+def configs(draw):
+    return SensingConfig(beta=draw(st.floats(0.1, 3.0)),
+                         tau=draw(st.floats(0.0, 3.0)),
+                         noise_std=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                         budget=draw(st.none() | st.floats(0.01, 100.0)))
+
+
+@st.composite
 def sessions(draw):
     """A tree, a random tree-sparse signal on it and one session's config."""
     tree = make_tree(*draw(st.sampled_from(TREES)))
     k = draw(st.integers(1, tree.p))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vec = random_tree_sparse(tree, k, 0.5, 2.0, rng)
-    cfg = SensingConfig(beta=draw(st.floats(0.1, 3.0)),
-                        tau=draw(st.floats(0.0, 3.0)),
-                        noise_std=draw(st.sampled_from([0.0, 0.5, 1.0])),
-                        budget=draw(st.none() | st.floats(0.01, 100.0)),
-                        traversal=draw(st.sampled_from(["queue", "stack"])))
-    return tree, vec, cfg, rng
+    return tree, vec, draw(configs()), rng
+
+
+def assert_matches_reference(out, ref):
+    """Every field of a session equals the scalar reference's, bit for bit."""
+    nodes, ys, sigs, energy, truncated = ref
+    assert out.log.node.tolist() == nodes
+    assert np.array_equal(out.log.y.view(np.int64), np.array(ys, dtype=float).view(np.int64))
+    assert out.log.significant.tolist() == sigs
+    assert out.log.m == len(nodes)
+    assert out.log.energy_spent == energy
+    assert out.truncated == truncated
+    assert out.support_estimate == {j for j, sig in zip(nodes, sigs) if sig}
+
+
+@SETTINGS
+@given(sessions(), st.integers(0, 2**32 - 1))
+def test_engine_equals_scalar_reference(session, seed):
+    tree, vec, cfg, _ = session
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)
+    ref = reference_traversal(lambda j: float(vec.values[j - 1]), tree.children, [1],
+                              cfg, ref_rng)
+    assert_matches_reference(out, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@SETTINGS
+@given(st.sampled_from([1, 2, 4, 8, 16]), st.integers(0, 2**32 - 1), configs())
+def test_wavelet_engine_equals_scalar_reference(side, seed, cfg):
+    img = np.random.default_rng([seed, 1]).standard_normal((side, side))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = wavelet_sense(img, cfg, rng)
+    flat = haar2(img).ravel()
+    roots, children = reference_quadtree(side)
+    ref = reference_traversal(lambda j: float(flat[j]), children.__getitem__, roots,
+                              cfg, ref_rng)
+    assert_matches_reference(out, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class _Recorder:
+    """Generator stand-in that keeps every noise block it hands out."""
+
+    def __init__(self, rng):
+        self.rng, self.blocks = rng, []
+
+    def standard_normal(self, n):
+        self.blocks.append(self.rng.standard_normal(n))
+        return self.blocks[-1]
+
+
+class _Replay:
+    """Generator stand-in that hands out given values, one per call."""
+
+    def __init__(self, values):
+        self.values = iter(values.tolist())
+
+    def standard_normal(self):
+        return next(self.values)
+
+
+@SETTINGS
+@given(st.sampled_from(TREES), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       configs(), st.data())
+def test_batch_trials_equal_scalar_reference(shape, trials, seed, cfg, data):
+    tree = make_tree(*shape)
+    k = data.draw(st.integers(1, tree.p))
+    nodes, values = random_tree_sparse_batch(tree, k, 0.5, 2.0,
+                                             np.random.default_rng(seed), trials)
+    rec = _Recorder(np.random.default_rng([seed, 1]))
+    batch = adaptive_sense_batch(nodes, values, tree, cfg, rec)
+    noise = np.concatenate(rec.blocks) if rec.blocks else np.zeros(len(batch.trial))
+    assert len(noise) == len(batch.trial)
+    for t in range(trials):
+        dense = np.zeros(tree.p)
+        dense[nodes[t] - 1] = values[t]
+        ref = reference_traversal(lambda j: float(dense[j - 1]), tree.children, [1],
+                                  cfg, _Replay(noise[batch.trial == t]))
+        out = batch.session(t)
+        assert_matches_reference(out, ref)
+        assert out.log.m == batch.m[t]
 
 
 @SETTINGS
@@ -47,7 +136,7 @@ def test_energy_is_m_beta_squared_within_budget(session):
 def test_truncated_iff_budget_binds_with_nodes_queued(session):
     tree, vec, cfg, rng = session
     out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)
-    measured = set(out.log.measured_nodes())
+    measured = set(out.log.node.tolist())
     # the queue holds the root until it is measured, then every unmeasured
     # child of a significant node
     queued = ({1} | {c for j in out.support_estimate for c in tree.children(j)}) - measured
@@ -63,7 +152,7 @@ def test_truncated_iff_budget_binds_with_nodes_queued(session):
 def test_measured_set_is_rooted_connected(session):
     tree, vec, cfg, rng = session
     out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)
-    nodes = out.log.measured_nodes()
+    nodes = out.log.node.tolist()
     assert len(set(nodes)) == len(nodes)
     assert not nodes or nodes[0] == 1
     assert out.support_estimate <= set(nodes)

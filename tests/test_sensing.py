@@ -42,7 +42,7 @@ def test_measured_set_is_support_plus_boundary(rng):
     vec = random_tree_sparse(t, k, 1.0, 1.0, rng, max_depth=t.depth - 1)
     cfg = SensingConfig(beta=1.0, tau=0.5, noise_std=0.0)
     out = adaptive_sense_coeffs(vec.values, t, cfg, rng)
-    measured = set(out.log.measured_nodes())
+    measured = set(out.log.node.tolist())
     boundary = measured - vec.support
     assert len(boundary) == (t.d - 1) * k + 1
     assert boundary.isdisjoint(vec.support)
@@ -83,29 +83,16 @@ def test_energy_accounting(rng):
     assert out.log.energy_spent <= 100.0
 
 
-def test_stack_and_queue_agree_noiseless(rng):
-    t = make_tree(2, 5)
-    for _ in range(20):
-        vec = random_tree_sparse(t, 5, 0.8, 2.0, rng)
-        outs = []
-        for trav in ("stack", "queue"):
-            cfg = SensingConfig(beta=1.0, tau=0.3, noise_std=0.0, traversal=trav)
-            outs.append(adaptive_sense_coeffs(vec.values, t, cfg, rng))
-        assert outs[0].support_estimate == outs[1].support_estimate
-        assert outs[0].log.m == outs[1].log.m
-        assert set(outs[0].log.measured_nodes()) == set(outs[1].log.measured_nodes())
-
-
 def test_significance_flag_matches_threshold(rng):
     t = make_tree(2, 4)
     vec = random_tree_sparse(t, 4, 1, 2, rng)
     cfg = SensingConfig(beta=1.0, tau=0.9, noise_std=1.0)
     out = adaptive_sense_coeffs(vec.values, t, cfg, rng)
-    nodes = out.log.measured_nodes()
+    nodes = out.log.node.tolist()
     assert len(nodes) == len(set(nodes))
-    for e in out.log.entries:
-        assert e.significant == (abs(e.y) >= 0.9)
-        assert (e.node in out.support_estimate) == e.significant
+    for node, y, significant in zip(nodes, out.log.y, out.log.significant):
+        assert significant == (abs(y) >= 0.9)
+        assert (node in out.support_estimate) == significant
 
 
 def test_reconstruction_noiseless_projection(rng):
@@ -128,7 +115,7 @@ def test_reconstruction_single_atom():
     rng = np.random.default_rng(0)
     cfg = SensingConfig(beta=3.0, tau=0.1, noise_std=0.0)
     out = adaptive_sense(np.array([2.0]), d, cfg, rng)
-    assert out.log.entries[0].y == pytest.approx(6.0)
+    assert out.log.y[0] == pytest.approx(6.0)
     assert reconstruct_from_outcome(out, d, beta=3.0)[0] == pytest.approx(2.0)
 
 
@@ -180,4 +167,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SensingConfig(beta=1.0, tau=-0.1)
     with pytest.raises(ValueError):
-        SensingConfig(beta=1.0, tau=0.1, traversal="random")
+        SensingConfig(beta=1.0, tau=0.1, noise_std=-1.0)
+    for budget in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            SensingConfig(beta=1.0, tau=0.1, budget=budget)

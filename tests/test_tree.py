@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from treesense import (GroupSet, make_tree, groups_of, random_tree_sparse,
+from treesense import (Dictionary, GroupSet, make_tree, groups_of,
+                       random_tree_sparse, random_tree_sparse_batch,
                        is_tree_sparse, tree_project)
-from conftest import enumerate_rooted_subtrees, best_subtree_energy
+from conftest import (enumerate_rooted_subtrees, best_subtree_energy,
+                      reference_random_tree_sparse)
 
 
 def test_make_tree_binary_three_levels():
@@ -80,6 +82,44 @@ def test_random_tree_sparse_reaches_every_subtree(rng):
         seen.add(frozenset(random_tree_sparse(t, 3, 1, 1, rng).support))
     expected = {s for s in enumerate_rooted_subtrees(t, 3) if len(s) == 3}
     assert seen == expected
+
+
+@pytest.mark.parametrize("d,L,k,max_depth", [(2, 5, 7, None), (2, 10, 31, 9), (3, 4, 12, 3),
+                                             (4, 3, 21, None), (2, 4, 15, None), (3, 5, 1, 2)])
+def test_random_tree_sparse_equals_scalar_reference(d, L, k, max_depth):
+    # the batched grower at one trial draws exactly what the scalar grower drew
+    t = make_tree(d, L)
+    for seed in range(40):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        vec = random_tree_sparse(t, k, 0.5, 2.0, rng, max_depth=max_depth)
+        values, support = reference_random_tree_sparse(t, k, 0.5, 2.0, ref_rng, max_depth)
+        assert np.array_equal(vec.values.view(np.int64), values.view(np.int64))
+        assert vec.support == support
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("d,L,k,max_depth", [(2, 10, 31, 9), (3, 4, 13, 3), (4, 3, 5, None)])
+def test_random_tree_sparse_batch_rows_are_rooted_subtrees(d, L, k, max_depth, rng):
+    t = make_tree(d, L)
+    nodes, values = random_tree_sparse_batch(t, k, 0.5, 2.0, rng, 300, max_depth=max_depth)
+    assert nodes.shape == values.shape == (300, k)
+    assert np.all((np.abs(values) >= 0.5) & (np.abs(values) <= 2.0))
+    cap = t.p if max_depth is None else (d**max_depth - 1) // (d - 1)
+    assert nodes.min() >= 1 and nodes.max() <= cap
+    for row in nodes.tolist():
+        assert row[0] == 1 and len(set(row)) == k
+        # grown in order: each node's parent was added before it
+        assert all((j - 2) // d + 1 in row[:i] for i, j in enumerate(row) if i)
+
+
+def test_group_set_and_dictionary_compare_by_identity():
+    t = make_tree(2, 3)
+    g = groups_of(t)
+    D = Dictionary(atoms=np.eye(t.p), tree=t)
+    for obj, twin in ((g, groups_of(t)), (D, Dictionary(atoms=np.eye(t.p), tree=t))):
+        assert obj == obj and obj != twin
+        assert hash(obj) == hash(obj)
+        assert len({obj, twin}) == 2
 
 
 def test_random_tree_sparse_rejects_bad_k(rng):

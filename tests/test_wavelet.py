@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from treesense import (SensingConfig, haar2, ihaar2, quadtree_children,
-                       wavelet_reconstruct, wavelet_sense)
+from treesense import (SensingConfig, haar2, ihaar2, wavelet_reconstruct,
+                       wavelet_sense)
+
+from conftest import reference_quadtree, reference_traversal
 
 
 @pytest.mark.parametrize("side", [1, 2, 4, 8, 32])
@@ -20,18 +22,18 @@ def test_haar_rejects_bad_shapes():
         haar2(np.zeros((4, 8)))
 
 
-def test_quadtree_structure():
-    side = 8
-    children = quadtree_children(side)
-    # 3 subbands * (1 + 4 + 16) detail nodes + scaling node
-    assert len(children) == 3 * (1 + 4 + 16) + 1
-    assert children[0] == ()
-    # every non-coarsest, non-finest detail node has exactly 4 children
-    n_with_kids = sum(1 for k, v in children.items() if len(v) == 4)
-    assert n_with_kids == 3 * (1 + 4)
-    # children land in the same subband one level finer
-    kids = children[1]  # coarsest horizontal detail at (0, 1)
-    assert len(kids) == 4
+@pytest.mark.parametrize("side", [1, 2, 4, 16, 64])
+def test_sensing_order_is_quadtree_bfs(side, rng):
+    # measuring everything visits each coefficient once, in the BFS order of
+    # the three quadtrees below the scaling coefficient
+    img = rng.standard_normal((side, side))
+    cfg = SensingConfig(beta=1.0, tau=0.0, noise_std=0.0)
+    out = wavelet_sense(img, cfg, rng)
+    roots, children = reference_quadtree(side)
+    assert len(children) == side * side
+    assert sum(len(v) == 4 for v in children.values()) == max(side * side // 4 - 1, 0)
+    nodes = reference_traversal(lambda j: 1.0, children.__getitem__, roots, cfg, rng)[0]
+    assert out.log.node.tolist() == nodes
 
 
 def test_constant_image_only_coarse_significant(rng):
