@@ -3,6 +3,7 @@ model-based CoSaMP with tree projection, and PCA."""
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,12 +14,13 @@ __all__ = [
     "RandomProjectionEnsemble",
     "gaussian_ensemble",
     "lasso_solve",
-    "lasso_reconstruct",
     "model_cosamp",
     "PcaModel",
     "pca_fit",
     "pca_reconstruct",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -42,88 +44,90 @@ def gaussian_ensemble(m, n, budget, seed):
 
 
 def lasso_solve(A, y, lam, max_iters=500, tol=1e-10):
-    """Accelerated proximal gradient (monotone, backtracking) for the Lasso.
+    """Monotone FISTA (MFISTA, Beck & Teboulle 2009) with backtracking, for a
+    stack of independent Lasso problems.
 
-    Minimizes 0.5||y - A alpha||^2 + lam*||alpha||_1.  y may be a vector or an
-    (m, q) matrix of independent right-hand sides sharing A; lam is a scalar
-    or one positive weight per column.  Each column has its own step size
-    1/L (starting at L = 1, doubled until the backtracking test holds) and
-    its own stopping test, after which it is frozen, so a batched solve
-    equals its column-by-column solves.
+    Minimizes 0.5||y - A alpha||^2 + lam*||alpha||_1.  A is one (m, p)
+    matrix, with y a vector or an (m, q) matrix of right-hand sides sharing
+    it, or a stack (B, m, p) with y of shape (B, m, q).  lam is a scalar, one
+    positive weight per column (q,) or, for a stack, one per (stack, column)
+    pair (B, q).  The result is (p,), (p, q) or (B, p, q) to match y.
+
+    Each (stack, column) pair has its own step size 1/L (starting at L = 1,
+    doubled until the backtracking test holds) and its own stopping test,
+    after which it is frozen and takes no part in the backtracking, so a
+    stacked solve equals its one-problem solves up to rounding.
     """
     A = np.asarray(A, dtype=float)
-    single = np.ndim(y) == 1
     Y = np.asarray(y, dtype=float)
-    if single:
-        Y = Y[:, None]
-    if Y.shape[0] != A.shape[0]:
-        raise ValueError("measurement count does not match ensemble rows")
-    p, q = A.shape[1], Y.shape[1]
+    shapes = f"A {A.shape} and y {Y.shape}"
+    stacked, single = A.ndim == 3, Y.ndim == 1
+    if A.ndim == 2 and Y.ndim in (1, 2):
+        A, Y = A[None], Y.reshape(1, len(Y), -1)
+    if A.ndim != 3 or Y.ndim != 3 or Y.shape[:2] != A.shape[:2]:
+        raise ValueError(f"{shapes} do not match: need A (m, p) with y (m,) or "
+                         f"(m, q), or A (B, m, p) with y (B, m, q)")
+    B, m, p = A.shape
+    q = Y.shape[2]
     lam = np.asarray(lam, dtype=float)
-    if lam.ndim == 0:
-        lam = np.full(q, lam)
-    elif lam.shape != (q,):
-        raise ValueError(f"lam must be a scalar or have one entry per column ({q})")
+    lam_shapes = [(), (q,)] + [(B, q)] * stacked
+    if lam.shape not in lam_shapes:
+        raise ValueError(f"lam must have a shape in {lam_shapes}, got {lam.shape}")
     if not np.all(lam > 0):
         raise ValueError("lam must be positive")
+    lam = np.broadcast_to(lam, (B, q))
 
-    out = np.zeros((p, q))
-    cols = np.arange(q)   # columns still iterating; the arrays below hold only these
-    X = np.zeros((p, q))
-    X_prev = X.copy()
+    out = np.zeros((B, p, q))
+    cols = np.arange(q)   # columns live in some stack; the arrays below hold only these
+    live = np.ones((B, q), dtype=bool)
+    X = np.zeros((B, p, q))
     Z = X.copy()
-    best_obj = 0.5 * (Y**2).sum(axis=0)   # objective at X = 0
-    L = np.ones(q)
+    best_obj = 0.5 * (Y**2).sum(axis=1)   # objective at X = 0
+    L = np.ones((B, q))
     t_mom = 1.0
     for _ in range(max_iters):
         R = A @ Z - Y
-        G = A.T @ R
-        fz = 0.5 * (R**2).sum(axis=0)
+        G = A.transpose(0, 2, 1) @ R
+        fz = 0.5 * (R**2).sum(axis=1)
         while True:
-            W = Z - G / L
-            W = np.sign(W) * np.maximum(np.abs(W) - lam / L, 0.0)
+            W = Z - G / L[:, None]
+            W = np.sign(W) * np.maximum(np.abs(W) - (lam / L)[:, None], 0.0)
             diff = W - Z
-            quad = fz + (G * diff).sum(axis=0) + 0.5 * L * (diff**2).sum(axis=0)
-            fw = 0.5 * ((Y - A @ W) ** 2).sum(axis=0)
-            ok = fw <= quad + 1e-12 * np.abs(quad)
+            quad = fz + (G * diff).sum(axis=1) + 0.5 * L * (diff**2).sum(axis=1)
+            fw = 0.5 * ((Y - A @ W) ** 2).sum(axis=1)
+            ok = (fw <= quad + 1e-12 * np.abs(quad)) | ~live
             if ok.all():
                 break
             L = np.where(ok, L, 2.0 * L)
             if np.any(L > 1e18):
                 raise RuntimeError("lasso step size underflow: problem badly scaled")
-        # monotone variant: the kept iterate never increases the objective,
-        # but momentum keeps tracking the accelerated point
-        cand_obj = fw + lam * np.abs(W).sum(axis=0)
-        better = cand_obj <= best_obj
-        X_new = np.where(better, W, X)
-        obj_new = np.where(better, cand_obj, best_obj)
+        # monotone: the kept iterate X never increases the objective, while
+        # the momentum point Z tracks the accelerated step W; a frozen pair
+        # keeps X and restarts Z from it
+        cand_obj = fw + lam * np.abs(W).sum(axis=1)
+        better = (cand_obj <= best_obj) & live
+        X_new = np.where(better[:, None], W, X)
+        best_obj = np.where(better, cand_obj, best_obj)
         t_next = (1 + np.sqrt(1 + 4 * t_mom**2)) / 2
-        Z = X_new + (t_mom / t_next) * (W - X_new) \
-            + ((t_mom - 1) / t_next) * (X_new - X_prev)
-        step = np.abs(W - X_prev).max(axis=0)
-        X_prev, X, best_obj, t_mom = X, X_new, obj_new, t_next
-        done = step < tol * (1.0 + np.abs(X).max(axis=0))
-        if done.any():
-            out[:, cols[done]] = X[:, done]
-            run = ~done
-            cols, X, X_prev, Z, Y = cols[run], X[:, run], X_prev[:, run], Z[:, run], Y[:, run]
-            best_obj, lam, L = best_obj[run], lam[run], L[run]
-            if not len(cols):
-                break
-    out[:, cols] = X
-    return out[:, 0] if single else out
-
-
-def lasso_reconstruct(ensemble, y, lam, dictionary=None, max_iters=500, tol=1e-10):
-    """Lasso coefficients plus signal reconstruction x_hat = D alpha_hat.
-
-    dictionary=None senses coefficients directly (identity synthesis).
-    """
-    Phi = ensemble.matrix if isinstance(ensemble, RandomProjectionEnsemble) else np.asarray(ensemble)
-    A = Phi if dictionary is None else Phi @ dictionary.atoms
-    alpha = lasso_solve(A, y, lam, max_iters=max_iters, tol=tol)
-    x_hat = alpha if dictionary is None else dictionary.atoms @ alpha
-    return alpha, x_hat
+        Z = X_new + (t_mom / t_next) * (W - X_new) + ((t_mom - 1) / t_next) * (X_new - X)
+        if not live.all():
+            Z = np.where(live[:, None], Z, X_new)
+        step = np.abs(W - X).max(axis=1)
+        X, t_mom = X_new, t_next
+        live &= step >= tol * (1.0 + np.abs(X).max(axis=1))
+        run = live.any(axis=0)
+        if not run.all():
+            out[:, :, cols[~run]] = X[:, :, ~run]
+            cols, live, X, Z, Y = cols[run], live[:, run], X[:, :, run], Z[:, :, run], Y[:, :, run]
+            best_obj, lam, L = best_obj[:, run], lam[:, run], L[:, run]
+        if not len(cols):
+            break
+    out[:, :, cols] = X
+    logger.info("lasso_solve: %d of %d columns stopped at max_iters=%d",
+                live.sum(), B * q, max_iters)
+    if stacked:
+        return out
+    return out[0, :, 0] if single else out[0]
 
 
 def model_cosamp(A, y, k, tree, iters=20, tol=1e-6, projection_mode=None):
@@ -172,12 +176,14 @@ class PcaModel:
     mean: np.ndarray
 
 
-def pca_fit(training, r):
-    """Top-r principal directions of the centered training matrix."""
+def pca_fit(training, r, svd=None):
+    """Top-r principal directions of the centered training matrix.  svd may
+    pass (U, s) of np.linalg.svd(training.data, full_matrices=False), so that
+    fits at several r slice one decomposition."""
     X = training.data
     if r < 0 or r > min(X.shape):
         raise ValueError("r must be in 0..min(n, q)")
-    U, s, _ = np.linalg.svd(X, full_matrices=False)
+    U, s = svd if svd is not None else np.linalg.svd(X, full_matrices=False)[:2]
     if r > 0 and s[r - 1] <= 1e-12 * max(s[0], 1e-300):
         raise ValueError("r exceeds the numerical rank of the training data")
     return PcaModel(components=U[:, :r].copy(), mean=training.mean.copy())

@@ -2,12 +2,15 @@
 
 Subcommands: tree-info, verify-theorem, learn, sense, compare.  Each accepts
 --config <path> (key=value lines) plus flag overrides; results go to a CSV
-with a companion .manifest.txt recording configuration and seed.
+with a companion .manifest.txt recording configuration and seed.  The
+global --log-level (default warning) sets which library log messages reach
+stderr; the CSV does not depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 
 import numpy as np
@@ -153,6 +156,9 @@ def cmd_compare(args):
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="treesense")
     parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("--log-level", dest="log_level", default="warning",
+                        choices=("debug", "info", "warning", "error"),
+                        help="level of the library's log messages on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tree-info", help="print tree index arithmetic facts")
@@ -207,6 +213,8 @@ def main(argv=None):
     p.set_defaults(func=cmd_compare)
 
     args = parser.parse_args(argv)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("treesense").setLevel(args.log_level.upper())
     try:
         return args.func(args)
     except ValueError as exc:   # bad config, malformed input file, ...

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import operator
 import os
 import re
 from dataclasses import dataclass, fields
@@ -269,14 +270,6 @@ def apply_config(cfg, kv):
     return cfg
 
 
-def _fmt(v):
-    if v is None or v == "":
-        return ""
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
-
-
 def _row(method, R, tau, m, trial, snr=None, support_exact=None,
          energy=None, note=""):
     exact = ""
@@ -291,11 +284,20 @@ def _row(method, R, tau, m, trial, snr=None, support_exact=None,
 
 
 def write_csv(path, rows):
+    """One line per row dict (keyed by CSV_FIELDS, as _row builds them).  The
+    columns that hold floats, R, tau, snr_db and energy_spent, are written
+    with 12 significant digits; the csv module writes None and "" as an empty
+    field and every other value with str()."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(CSV_FIELDS)
-        for r in rows:
-            writer.writerow([_fmt(r.get(c)) for c in CSV_FIELDS])
+        writer.writerows(
+            (method, f"{R:.12g}" if isinstance(R, float) else R,
+             f"{tau:.12g}" if isinstance(tau, float) else tau, m, trial,
+             f"{snr:.12g}" if isinstance(snr, float) else snr, exact, support_exact,
+             f"{energy:.12g}" if isinstance(energy, float) else energy, wall_time, note)
+            for (method, R, tau, m, trial, snr, exact, support_exact, energy,
+                 wall_time, note) in map(operator.itemgetter(*CSV_FIELDS), rows))
 
 
 def write_manifest(path, cfg, summaries=()):
@@ -399,25 +401,49 @@ def verify_theorem(cfg):
 # compare mode
 # ---------------------------------------------------------------------------
 
-def _pick_lasso_lambda(phi_matrix, A, dictionary, noise_std, rng, k):
-    """Small grid over penalty weights, scored by oracle SNR on one held-out
-    synthetic tree-sparse signal; A = phi_matrix @ D, and the grid is solved
-    as one batched Lasso call with one weight per column."""
-    tree = dictionary.tree
-    probe = random_tree_sparse(tree, k, 0.5, 1.0, rng)
-    x = dictionary.atoms @ probe.values
-    y = phi_matrix @ x
-    if noise_std > 0:
-        y = y + noise_std * rng.standard_normal(len(y))
-    lams = np.array([0.001, 0.01, 0.05, 0.2]) * float(np.max(np.abs(A.T @ y)))
-    alphas = lasso_solve(A, np.repeat(y[:, None], len(lams), axis=1), lams,
+def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, m, k):
+    """Phi D stack (B, m, p), centred measurements (B, columns, m) and Lasso
+    coefficients (B, p, columns) of every budget at measurement count m, one
+    column per (signal, trial), signal-major.  Each budget's ensemble, lambda
+    probe and trial noise keep their own seeds, and only one ensemble is held
+    at a time.  All Lasso problems at m are solved in two stacked calls: the
+    lambda grids, then the columns."""
+    atoms, B, n_test = dictionary.atoms, len(cfg.budgets), test_matrix.shape[1]
+    grid = np.array([0.001, 0.01, 0.05, 0.2])
+    A = np.empty((B, m, atoms.shape[1]))
+    Y = np.empty((B, n_test, cfg.trials, m))
+    probes, Y_grid, lam_grid = [], np.empty((B, m, len(grid))), np.empty((B, len(grid)))
+    for b, R in enumerate(cfg.budgets):
+        phi = gaussian_ensemble(m, atoms.shape[0], R, seed=cfg.seed + 7919 * m + int(R)).matrix
+        A[b] = phi @ atoms
+        # lambda probe: one held-out synthetic tree-sparse signal
+        rng = np.random.default_rng([cfg.seed, 3, int(R), m])
+        x = atoms @ random_tree_sparse(dictionary.tree, k, 0.5, 1.0, rng).values
+        y = phi @ x
+        if cfg.noise_std > 0:
+            y = y + cfg.noise_std * rng.standard_normal(m)
+        probes.append(x)
+        Y_grid[b] = y[:, None]
+        lam_grid[b] = grid * float(np.max(np.abs(A[b].T @ y)))
+        # the column mean is known to every reconstructor
+        phi_mean = phi @ dict_mean
+        for sig_idx in range(n_test):
+            phi_x = phi @ test_matrix[:, sig_idx]
+            for trial in range(cfg.trials):
+                rng = np.random.default_rng([cfg.seed, 4, int(R), sig_idx, m, trial])
+                y = phi_x
+                if cfg.noise_std > 0:
+                    y = y + cfg.noise_std * rng.standard_normal(m)
+                Y[b, sig_idx, trial] = y - phi_mean
+    # per budget, the grid weight whose probe reconstruction has the best SNR
+    alphas = lasso_solve(A, Y_grid, lam_grid, max_iters=200)
+    lams = [lam[np.argmax([snr_db(x, atoms @ a) for a in alpha.T])]
+            for x, lam, alpha in zip(probes, lam_grid, alphas)]
+    Y = Y.reshape(B, n_test * cfg.trials, m)
+    alphas = lasso_solve(A, np.ascontiguousarray(Y.transpose(0, 2, 1)),
+                         np.repeat(np.array(lams)[:, None], Y.shape[1], axis=1),
                          max_iters=200)
-    best_lam, best_snr = None, -np.inf
-    for lam, alpha in zip(lams, alphas.T):
-        s = snr_db(x, dictionary.atoms @ alpha)
-        if s > best_snr:
-            best_lam, best_snr = float(lam), s
-    return best_lam
+    return A, Y, alphas
 
 
 def compare_methods(cfg, training=None, dictionary=None, dict_mean=None,
@@ -446,6 +472,8 @@ def compare_methods(cfg, training=None, dictionary=None, dict_mean=None,
     k = cfg.target_sparsity or max(2, tree.p // 4)
     note = "in-sample" if cfg.in_sample else "held-out"
 
+    if not cfg.budgets:
+        return []
     if test_matrix is None:
         test_matrix = training.data[:, :cfg.test_signals] + training.mean[:, None]
     n_test = test_matrix.shape[1]
@@ -453,13 +481,26 @@ def compare_methods(cfg, training=None, dictionary=None, dict_mean=None,
     side = int(round(math.sqrt(n)))
     is_image = side * side == n and side >= 2 and not (side & (side - 1))
 
-    measurements = cfg.measurements or (tree.p // 4, tree.p // 2, tree.p)
+    measurements = [int(m) for m in
+                    cfg.measurements or (tree.p // 4, tree.p // 2, tree.p)]
+    distinct = list(dict.fromkeys(measurements))
+    # per m; neither the PCA fit nor the arms' seeds depend on the signal
+    pca_models = {}
+    pca_ranks = [m for m in distinct if m <= min(training.n, training.q)]
+    if pca_ranks:
+        svd = np.linalg.svd(training.data, full_matrices=False)[:2]
+        for m in pca_ranks:
+            try:
+                pca_models[m] = pca_fit(training, m, svd)
+            except ValueError:
+                pca_models[m] = None
+    rand_arms = {m: _random_projection_arms(cfg, dictionary, dict_mean,
+                                            test_matrix, m, k)
+                 for m in distinct}
     rows = []
-    pca_models = {}   # per m; the fit does not depend on the budget
-    for R in cfg.budgets:
+    for b, R in enumerate(cfg.budgets):
         beta = allocate_beta(R, tree.d, k)
         beta_w = math.sqrt(R / (3 * k + 1))   # wavelet arm: nominal m = 3k+1
-        rand_arms = {}   # (ensemble, Phi D, lambda) per m; seeds omit the signal
         for sig_idx in range(n_test):
             x = test_matrix[:, sig_idx]
             tag = f"{note};signal={sig_idx}"
@@ -479,44 +520,23 @@ def compare_methods(cfg, training=None, dictionary=None, dict_mean=None,
                                      energy=out.log.energy_spent, note=tag))
 
             for m in measurements:
-                m = int(m)
                 # PCA at matched measurement count
-                if m <= min(training.n, training.q):
-                    if m not in pca_models:
-                        try:
-                            pca_models[m] = pca_fit(training, m)
-                        except ValueError:
-                            pca_models[m] = None
-                    model = pca_models[m]
-                    if model is not None:
-                        for trial in range(cfg.trials):
-                            rng = np.random.default_rng([cfg.seed, 2, int(R),
-                                                         sig_idx, m, trial])
-                            x_hat = pca_reconstruct(model, x, R, rng,
-                                                    noise_std=cfg.noise_std)
-                            rows.append(_row("pca", R, "", m, trial,
-                                             snr=snr_db(x, x_hat), energy=R, note=tag))
+                model = pca_models.get(m)
+                if model is not None:
+                    for trial in range(cfg.trials):
+                        rng = np.random.default_rng([cfg.seed, 2, int(R),
+                                                     sig_idx, m, trial])
+                        x_hat = pca_reconstruct(model, x, R, rng,
+                                                noise_std=cfg.noise_std)
+                        rows.append(_row("pca", R, "", m, trial,
+                                         snr=snr_db(x, x_hat), energy=R, note=tag))
 
                 # random-projection arms (shared ensemble per (R, m))
-                if m not in rand_arms:
-                    ens = gaussian_ensemble(m, n, R, seed=cfg.seed + 7919 * m + int(R))
-                    A_cs = ens.matrix @ dictionary.atoms
-                    lam_rng = np.random.default_rng([cfg.seed, 3, int(R), m])
-                    rand_arms[m] = (ens, A_cs, _pick_lasso_lambda(
-                        ens.matrix, A_cs, dictionary, cfg.noise_std, lam_rng, k))
-                ens, A_cs, lam = rand_arms[m]
-                # the column mean is known to every reconstructor
-                phi_x, phi_mean = ens.matrix @ x, ens.matrix @ dict_mean
+                A, Y, alphas = rand_arms[m]
                 for trial in range(cfg.trials):
-                    rng = np.random.default_rng([cfg.seed, 4, int(R), sig_idx,
-                                                 m, trial])
-                    y = phi_x
-                    if cfg.noise_std > 0:
-                        y = y + cfg.noise_std * rng.standard_normal(m)
-                    y_c = y - phi_mean
-                    a_lasso = lasso_solve(A_cs, y_c, lam, max_iters=200)
-                    x_lasso = dictionary.atoms @ a_lasso + dict_mean
-                    a_cos = model_cosamp(A_cs, y_c, k, tree, iters=15)
+                    col = sig_idx * cfg.trials + trial
+                    x_lasso = dictionary.atoms @ alphas[b, :, col] + dict_mean
+                    a_cos = model_cosamp(A[b], Y[b, col], k, tree, iters=15)
                     x_cos = dict_mean + dictionary.atoms @ a_cos
                     rows.append(_row("lasso", R, "", m, trial,
                                      snr=snr_db(x, x_lasso), energy=R, note=tag))

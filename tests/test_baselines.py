@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from treesense import (TrainingSet, gaussian_ensemble, is_tree_sparse,
-                       lasso_reconstruct, lasso_solve, make_tree, model_cosamp,
-                       pca_fit, pca_reconstruct, random_tree_sparse)
+                       lasso_solve, make_tree, model_cosamp, pca_fit,
+                       pca_reconstruct, random_tree_sparse)
 from conftest import cd_lasso
 
 
@@ -26,8 +26,8 @@ def test_lasso_overdetermined_noiseless(rng):
     ens = gaussian_ensemble(20, t.p, budget=20.0, seed=1)
     alpha = random_tree_sparse(t, 3, 0.5, 1.5, rng).values
     y = ens.matrix @ alpha
-    a_hat, x_hat = lasso_reconstruct(ens, y, 1e-9, max_iters=3000, tol=1e-15)
-    assert np.max(np.abs(x_hat - alpha)) < 1e-6
+    a_hat = lasso_solve(ens.matrix, y, 1e-9, max_iters=3000, tol=1e-15)
+    assert np.max(np.abs(a_hat - alpha)) < 1e-6
 
 
 def test_lasso_matches_coordinate_descent(rng):
@@ -169,3 +169,67 @@ def test_lasso_rejects_bad_lambda_vector(rng, lam):
     Y = rng.standard_normal((6, 3))
     with pytest.raises(ValueError):
         lasso_solve(A, Y, lam)
+
+
+def _lasso_objective(A, y, lam, x):
+    return 0.5 * np.sum((y - A @ x) ** 2) + lam * np.sum(np.abs(x))
+
+
+def test_lasso_momentum_converges_within_200_iterations(rng):
+    # MFISTA builds its momentum from the last two kept iterates; building it
+    # from the iterate two steps back left gaps of 0.1-0.3 here
+    for _ in range(4):
+        A = rng.standard_normal((40, 80))
+        y = rng.standard_normal(40)
+        lam = 0.1 * np.max(np.abs(A.T @ y))
+        mine = lasso_solve(A, y, lam, max_iters=200, tol=0.0)
+        gap = _lasso_objective(A, y, lam, mine) - _lasso_objective(A, y, lam, cd_lasso(A, y, lam))
+        assert gap <= 1e-4
+
+
+def test_lasso_stack_matches_one_problem_solves(rng):
+    B, q = 2, 4
+    A = rng.standard_normal((B, 15, 8))
+    Y = rng.standard_normal((B, 15, q))
+    Y[0, :, 2] = 0.0    # frozen at once in stack 0 while stack 1 iterates
+    Y[:, :, 3] = 0.0    # stops in every stack, so the column is dropped
+    lams = np.array([[0.3, 0.1, 0.6, 0.3], [0.1, 0.6, 0.3, 0.2]])
+    lams = lams * np.max(np.abs(A.transpose(0, 2, 1) @ Y), axis=(1, 2))[:, None]
+    max_iters, tol = 300, 1e-6
+    stops = np.array([[_stop_iteration(A[b], Y[b, :, c], lams[b, c], max_iters, tol)
+                       for c in range(q)] for b in range(B)])
+    assert stops.max() < max_iters
+    assert all(len(set(row)) >= 3 for row in stops)       # within a stack
+    assert np.all(stops[0, :3] != stops[1, :3])           # across stacks
+    stacked = lasso_solve(A, Y, lams, max_iters=max_iters, tol=tol)
+    assert stacked.shape == (B, 8, q)
+    for b in range(B):
+        assert np.max(np.abs(stacked[b] - lasso_solve(A[b], Y[b], lams[b], max_iters=max_iters,
+                                                       tol=tol))) <= 1e-12
+        for c in range(q):
+            single = lasso_solve(A[b], Y[b, :, c], lams[b, c], max_iters=max_iters, tol=tol)
+            assert np.max(np.abs(stacked[b, :, c] - single)) <= 1e-12
+
+
+@pytest.mark.parametrize("a_shape,y_shape,lam", [
+    ((2, 6, 5), (6, 3), 0.1),            # stacked A, one-problem y
+    ((2, 6, 5), (3, 6, 3), 0.1),         # stack counts differ
+    ((2, 6, 5), (2, 7, 3), 0.1),         # measurement counts differ
+    ((6, 5), (2, 6, 3), 0.1),            # one-problem A, stacked y
+    ((1, 2, 6, 5), (1, 2, 6, 3), 0.1),   # no such stack
+    ((2, 6, 5), (2, 6, 3), np.full((3, 3), 0.1)),
+    ((2, 6, 5), (2, 6, 3), np.full((2, 2), 0.1)),
+    ((2, 6, 5), (2, 6, 3), np.full((2, 3, 1), 0.1)),
+])
+def test_lasso_rejects_mismatched_stack_shapes(rng, a_shape, y_shape, lam):
+    with pytest.raises(ValueError):
+        lasso_solve(rng.standard_normal(a_shape), rng.standard_normal(y_shape), lam)
+
+
+def test_pca_fit_slices_a_shared_svd(rng):
+    tr = TrainingSet.from_raw(rng.standard_normal((12, 25)))
+    svd = np.linalg.svd(tr.data, full_matrices=False)[:2]
+    for r in (0, 3, 12):
+        shared, own = pca_fit(tr, r, svd), pca_fit(tr, r)
+        assert np.array_equal(shared.components, own.components)
+        assert np.array_equal(shared.mean, own.mean)

@@ -1,4 +1,5 @@
 import csv
+import logging
 import re
 
 import numpy as np
@@ -132,6 +133,37 @@ def test_learn_sense_compare_roundtrip(tmp_path, corpus_dir, capsys):
         rows = list(csv.DictReader(f))
     assert {r["method"] for r in rows} == {"adaptive", "pca", "lasso",
                                            "model-cosamp", "wavelet"}
+
+
+def test_log_level_info_reports_lasso_caps(tmp_path, corpus_dir, caplog):
+    root, _ = corpus_dir
+    Q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((64, 31)))
+    dict_path = tmp_path / "d.lasr"
+    save_dictionary(dict_path, Dictionary(atoms=Q, tree=make_tree(2, 5)))
+    argv = ["compare", "--dict-path", str(dict_path), "--corpus", str(root),
+            "--target-side", "8", "--budgets", "64,16", "--taus", "0",
+            "--measurements", "6,12,6", "--trials", "2", "--test-signals", "1",
+            "--target-sparsity", "6", "--seed", "4"]
+
+    def lasso_messages():
+        return [r.getMessage() for r in caplog.records
+                if r.name == "treesense.baselines" and r.levelno == logging.INFO]
+
+    try:
+        assert main([*argv, "--out", str(tmp_path / "warn.csv")]) == 0
+        assert lasso_messages() == []
+        assert main(["--log-level", "info", *argv, "--out", str(tmp_path / "info.csv")]) == 0
+    finally:
+        logging.getLogger("treesense").setLevel(logging.NOTSET)
+    # per distinct m, one call for the lambda grids (2 budgets x 4 weights)
+    # and one for the columns (2 budgets x 2 trials)
+    messages = lasso_messages()
+    assert len(messages) == 4
+    for msg, total in zip(messages, (8, 4, 8, 4)):
+        stopped = re.fullmatch(rf"lasso_solve: (\d+) of {total} columns stopped "
+                               r"at max_iters=200", msg)
+        assert stopped and int(stopped.group(1)) <= total
+    assert (tmp_path / "info.csv").read_bytes() == (tmp_path / "warn.csv").read_bytes()
 
 
 def test_learn_requires_corpus(capsys):

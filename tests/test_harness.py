@@ -9,7 +9,7 @@ from treesense import (CSV_FIELDS, Dictionary, ExperimentConfig, TrainingSet,
                        box_downscale, compare_methods, lambda_for_sparsity,
                        load_corpus, make_tree, read_pgm, snr_db,
                        synthetic_corpus, verify_theorem, write_csv, write_pgm)
-from treesense.harness import apply_config, parse_config_file
+from treesense.harness import _row, apply_config, parse_config_file
 
 
 def test_snr_values():
@@ -182,6 +182,22 @@ def test_csv_schema_and_determinism(tmp_path):
     for row in parsed:
         assert float(row["energy_spent"]) <= float(row["R"]) * (1 + 1e-9)
         assert row["support_exact"] in ("0", "1")
+
+
+def test_write_csv_field_formatting(tmp_path):
+    rows = [
+        _row("adaptive", 256.0, 0.5, 7, 0, snr=math.inf, energy=1 / 3, note="k=3"),
+        _row("lasso", 32, "", 63, 1, snr=-4.25, energy=np.float64(32.0), note="a,b"),
+        _row("adaptive", np.float64(8.0), 0, 3, 2, snr=np.float64(1 / 7), support_exact=1),
+        _row("pca", 1e-20, "", 12, 3, snr=2.0 / 3.0, energy=123456789012345.0),
+    ]
+    write_csv(tmp_path / "f.csv", rows)
+    assert (tmp_path / "f.csv").read_text() == (
+        "method,R,tau,m,trial,snr_db,exact,support_exact,energy_spent,wall_time,note\n"
+        "adaptive,256,0.5,7,0,,1,,0.333333333333,,k=3\n"
+        'lasso,32,,63,1,-4.25,0,,32,,"a,b"\n'
+        "adaptive,8,0,3,2,0.142857142857,0,1,,,\n"
+        "pca,1e-20,,12,3,0.666666666667,0,,1.23456789012e+14,,\n")
 
 
 def test_synthetic_corpus_shapes(rng):
