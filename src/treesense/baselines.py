@@ -56,7 +56,8 @@ def lasso_solve(A, y, lam, max_iters=500, tol=1e-10):
     Each (stack, column) pair has its own step size 1/L (starting at L = 1,
     doubled until the backtracking test holds) and its own stopping test,
     after which it is frozen and takes no part in the backtracking, so a
-    stacked solve equals its one-problem solves up to rounding.
+    stacked solve equals its one-problem solves up to rounding.  Zero rows
+    appended to A and y change neither the objective nor the gradient.
     """
     A = np.asarray(A, dtype=float)
     Y = np.asarray(y, dtype=float)
@@ -77,24 +78,28 @@ def lasso_solve(A, y, lam, max_iters=500, tol=1e-10):
         raise ValueError("lam must be positive")
     lam = np.broadcast_to(lam, (B, q))
 
-    out = np.zeros((B, p, q))
+    # iterates are held column-contiguous, (B, q, p), and residuals (B, q, m),
+    # so every per-column reduction runs over the last axis
+    At = A.transpose(0, 2, 1)
+    Y = Y.transpose(0, 2, 1)
+    out = np.zeros((B, q, p))
     cols = np.arange(q)   # columns live in some stack; the arrays below hold only these
     live = np.ones((B, q), dtype=bool)
-    X = np.zeros((B, p, q))
+    X = np.zeros((B, q, p))
     Z = X.copy()
-    best_obj = 0.5 * (Y**2).sum(axis=1)   # objective at X = 0
+    best_obj = 0.5 * (Y**2).sum(axis=2)   # objective at X = 0
     L = np.ones((B, q))
     t_mom = 1.0
     for _ in range(max_iters):
-        R = A @ Z - Y
-        G = A.transpose(0, 2, 1) @ R
-        fz = 0.5 * (R**2).sum(axis=1)
+        R = Z @ At - Y
+        G = R @ A
+        fz = 0.5 * (R**2).sum(axis=2)
         while True:
-            W = Z - G / L[:, None]
-            W = np.sign(W) * np.maximum(np.abs(W) - (lam / L)[:, None], 0.0)
+            W = Z - G / L[..., None]
+            W = np.sign(W) * np.maximum(np.abs(W) - (lam / L)[..., None], 0.0)
             diff = W - Z
-            quad = fz + (G * diff).sum(axis=1) + 0.5 * L * (diff**2).sum(axis=1)
-            fw = 0.5 * ((Y - A @ W) ** 2).sum(axis=1)
+            quad = fz + (G * diff).sum(axis=2) + 0.5 * L * (diff**2).sum(axis=2)
+            fw = 0.5 * ((Y - W @ At) ** 2).sum(axis=2)
             ok = (fw <= quad + 1e-12 * np.abs(quad)) | ~live
             if ok.all():
                 break
@@ -104,33 +109,34 @@ def lasso_solve(A, y, lam, max_iters=500, tol=1e-10):
         # monotone: the kept iterate X never increases the objective, while
         # the momentum point Z tracks the accelerated step W; a frozen pair
         # keeps X and restarts Z from it
-        cand_obj = fw + lam * np.abs(W).sum(axis=1)
+        cand_obj = fw + lam * np.abs(W).sum(axis=2)
         better = (cand_obj <= best_obj) & live
-        X_new = np.where(better[:, None], W, X)
+        X_new = np.where(better[..., None], W, X)
         best_obj = np.where(better, cand_obj, best_obj)
         t_next = (1 + np.sqrt(1 + 4 * t_mom**2)) / 2
         Z = X_new + (t_mom / t_next) * (W - X_new) + ((t_mom - 1) / t_next) * (X_new - X)
         if not live.all():
-            Z = np.where(live[:, None], Z, X_new)
-        step = np.abs(W - X).max(axis=1)
+            Z = np.where(live[..., None], Z, X_new)
+        step = np.abs(W - X).max(axis=2)
         X, t_mom = X_new, t_next
-        live &= step >= tol * (1.0 + np.abs(X).max(axis=1))
+        live &= step >= tol * (1.0 + np.abs(X).max(axis=2))
         run = live.any(axis=0)
         if not run.all():
-            out[:, :, cols[~run]] = X[:, :, ~run]
-            cols, live, X, Z, Y = cols[run], live[:, run], X[:, :, run], Z[:, :, run], Y[:, :, run]
+            out[:, cols[~run]] = X[:, ~run]
+            cols, live, X, Z, Y = cols[run], live[:, run], X[:, run], Z[:, run], Y[:, run]
             best_obj, lam, L = best_obj[:, run], lam[:, run], L[:, run]
         if not len(cols):
             break
-    out[:, :, cols] = X
+    out[:, cols] = X
     logger.info("lasso_solve: %d of %d columns stopped at max_iters=%d",
                 live.sum(), B * q, max_iters)
+    out = out.transpose(0, 2, 1)
     if stacked:
         return out
     return out[0, :, 0] if single else out[0]
 
 
-def model_cosamp(A, y, k, tree, iters=20, tol=1e-6, projection_mode=None):
+def model_cosamp(A, y, k, tree, iters=20, tol=1e-6):
     """CoSaMP with the best-k-term steps replaced by tree projection.
 
     Both the proxy-support enlargement (size 2k) and the final pruning
@@ -142,8 +148,6 @@ def model_cosamp(A, y, k, tree, iters=20, tol=1e-6, projection_mode=None):
     p = A.shape[1]
     if k > p:
         raise ValueError("k must be <= p")
-    if projection_mode is None:
-        projection_mode = "exact" if p <= 1023 else "greedy"
 
     x = np.zeros(p)
     r = y.copy()
@@ -153,13 +157,13 @@ def model_cosamp(A, y, k, tree, iters=20, tol=1e-6, projection_mode=None):
     prev = np.inf
     for _ in range(iters):
         proxy = A.T @ r
-        enlarged = tree_project(proxy, tree, min(2 * k, p), mode=projection_mode)
+        enlarged = tree_project(proxy, tree, min(2 * k, p))
         omega = sorted(enlarged.support | {i + 1 for i in np.flatnonzero(x)})
         cols = [i - 1 for i in omega]
         b_sub, *_ = np.linalg.lstsq(A[:, cols], y, rcond=None)
         b = np.zeros(p)
         b[cols] = b_sub
-        x = tree_project(b, tree, k, mode=projection_mode).values
+        x = tree_project(b, tree, k).values
         r = y - A @ x
         rnorm = np.linalg.norm(r)
         if rnorm < tol * ynorm or rnorm >= prev * (1 - 1e-9):

@@ -401,49 +401,55 @@ def verify_theorem(cfg):
 # compare mode
 # ---------------------------------------------------------------------------
 
-def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, m, k):
-    """Phi D stack (B, m, p), centred measurements (B, columns, m) and Lasso
-    coefficients (B, p, columns) of every budget at measurement count m, one
-    column per (signal, trial), signal-major.  Each budget's ensemble, lambda
-    probe and trial noise keep their own seeds, and only one ensemble is held
-    at a time.  All Lasso problems at m are solved in two stacked calls: the
-    lambda grids, then the columns."""
+def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, measurements, k):
+    """Per distinct measurement count m: the Phi D stack (B, m, p), centred
+    measurements (B, columns, m) and Lasso coefficients (B, p, columns) of
+    every budget, one column per (signal, trial), signal-major.  Each
+    (budget, m) ensemble, lambda probe and trial noise keep their own seeds,
+    and only one ensemble is held at a time.  Every m's rows are zero-padded
+    to the largest m, which changes neither a Lasso objective nor its
+    gradient, so the whole sweep is solved in two stacked calls: the lambda
+    grids, then the columns."""
     atoms, B, n_test = dictionary.atoms, len(cfg.budgets), test_matrix.shape[1]
     grid = np.array([0.001, 0.01, 0.05, 0.2])
-    A = np.empty((B, m, atoms.shape[1]))
-    Y = np.empty((B, n_test, cfg.trials, m))
-    probes, Y_grid, lam_grid = [], np.empty((B, m, len(grid))), np.empty((B, len(grid)))
-    for b, R in enumerate(cfg.budgets):
-        phi = gaussian_ensemble(m, atoms.shape[0], R, seed=cfg.seed + 7919 * m + int(R)).matrix
-        A[b] = phi @ atoms
-        # lambda probe: one held-out synthetic tree-sparse signal
-        rng = np.random.default_rng([cfg.seed, 3, int(R), m])
-        x = atoms @ random_tree_sparse(dictionary.tree, k, 0.5, 1.0, rng).values
-        y = phi @ x
-        if cfg.noise_std > 0:
-            y = y + cfg.noise_std * rng.standard_normal(m)
-        probes.append(x)
-        Y_grid[b] = y[:, None]
-        lam_grid[b] = grid * float(np.max(np.abs(A[b].T @ y)))
-        # the column mean is known to every reconstructor
-        phi_mean = phi @ dict_mean
-        for sig_idx in range(n_test):
-            phi_x = phi @ test_matrix[:, sig_idx]
-            for trial in range(cfg.trials):
-                rng = np.random.default_rng([cfg.seed, 4, int(R), sig_idx, m, trial])
-                y = phi_x
-                if cfg.noise_std > 0:
-                    y = y + cfg.noise_std * rng.standard_normal(m)
-                Y[b, sig_idx, trial] = y - phi_mean
-    # per budget, the grid weight whose probe reconstruction has the best SNR
-    alphas = lasso_solve(A, Y_grid, lam_grid, max_iters=200)
+    stacks, M, p = (len(measurements), B), max(measurements), atoms.shape[1]
+    n_cols = n_test * cfg.trials
+    A = np.zeros(stacks + (M, p))
+    Y = np.zeros(stacks + (n_cols, M))
+    probes, Y_grid = [], np.zeros(stacks + (M, len(grid)))
+    lam_grid = np.empty(stacks + (len(grid),))
+    for i, m in enumerate(measurements):
+        for b, R in enumerate(cfg.budgets):
+            phi = gaussian_ensemble(m, atoms.shape[0], R, seed=cfg.seed + 7919 * m + int(R)).matrix
+            A[i, b, :m] = phi @ atoms
+            # lambda probe: one held-out synthetic tree-sparse signal
+            rng = np.random.default_rng([cfg.seed, 3, int(R), m])
+            x = atoms @ random_tree_sparse(dictionary.tree, k, 0.5, 1.0, rng).values
+            y = phi @ x
+            if cfg.noise_std > 0:
+                y = y + cfg.noise_std * rng.standard_normal(m)
+            probes.append(x)
+            Y_grid[i, b, :m] = y[:, None]
+            lam_grid[i, b] = grid * float(np.max(np.abs(A[i, b, :m].T @ y)))
+            # the column mean is known to every reconstructor
+            phi_mean = phi @ dict_mean
+            for sig_idx in range(n_test):
+                phi_x = phi @ test_matrix[:, sig_idx]
+                for trial in range(cfg.trials):
+                    rng = np.random.default_rng([cfg.seed, 4, int(R), sig_idx, m, trial])
+                    y = phi_x
+                    if cfg.noise_std > 0:
+                        y = y + cfg.noise_std * rng.standard_normal(m)
+                    Y[i, b, sig_idx * cfg.trials + trial, :m] = y - phi_mean
+    # per (m, budget), the grid weight whose probe reconstruction has the best SNR
+    A_flat, lam_grid = A.reshape(-1, M, p), lam_grid.reshape(-1, len(grid))
+    alphas = lasso_solve(A_flat, Y_grid.reshape(-1, M, len(grid)), lam_grid, max_iters=200)
     lams = [lam[np.argmax([snr_db(x, atoms @ a) for a in alpha.T])]
             for x, lam, alpha in zip(probes, lam_grid, alphas)]
-    Y = Y.reshape(B, n_test * cfg.trials, m)
-    alphas = lasso_solve(A, np.ascontiguousarray(Y.transpose(0, 2, 1)),
-                         np.repeat(np.array(lams)[:, None], Y.shape[1], axis=1),
-                         max_iters=200)
-    return A, Y, alphas
+    alphas = lasso_solve(A_flat, Y.reshape(-1, n_cols, M).transpose(0, 2, 1),
+                         np.repeat(np.array(lams)[:, None], n_cols, axis=1),
+                         max_iters=200).reshape(stacks + (p, n_cols))
+    return {m: (A[i, :, :m], Y[i, :, :, :m], alphas[i]) for i, m in enumerate(measurements)}
 
 
 def compare_methods(cfg, training=None, dictionary=None, dict_mean=None,
@@ -494,9 +500,8 @@ def compare_methods(cfg, training=None, dictionary=None, dict_mean=None,
                 pca_models[m] = pca_fit(training, m, svd)
             except ValueError:
                 pca_models[m] = None
-    rand_arms = {m: _random_projection_arms(cfg, dictionary, dict_mean,
-                                            test_matrix, m, k)
-                 for m in distinct}
+    rand_arms = _random_projection_arms(cfg, dictionary, dict_mean, test_matrix,
+                                        distinct, k)
     rows = []
     for b, R in enumerate(cfg.budgets):
         beta = allocate_beta(R, tree.d, k)

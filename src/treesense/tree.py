@@ -293,13 +293,11 @@ def _prune_zero_fringe(values, tree, support):
     return keep
 
 
-def tree_project(v, tree, k, mode="exact"):
+def tree_project(v, tree, k):
     """Project v onto the set of vectors with rooted-connected support <= k.
 
-    mode="exact" maximizes captured energy sum(v[i]^2) over all rooted
-    connected supports of size <= k by a bottom-up dynamic program run one
-    tree level at a time;
-    mode="greedy" repeatedly adds the boundary node of largest amplitude.
+    Maximizes captured energy sum(v[i]^2) over all rooted connected supports
+    of size <= k by a bottom-up dynamic program run one tree level at a time.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (tree.p,):
@@ -307,25 +305,13 @@ def tree_project(v, tree, k, mode="exact"):
     if not 1 <= k <= tree.p:
         raise ValueError(f"k must be in 1..{tree.p}, got {k}")
 
-    if mode == "exact":
-        E, prefix = _knapsack_tables(v, tree, k)
-        root_table = E[0][0, 1:]
-        best_energy = np.max(root_table)
-        # prefer the smallest budget attaining the max (avoids zero padding)
-        tol = 1e-12 * (1 + abs(best_energy))
-        b_star = 1 + int(np.flatnonzero(np.abs(root_table - best_energy) <= tol)[0])
-        chosen = _backtrack(E, prefix, tree, b_star)
-    elif mode == "greedy":
-        chosen = [1]
-        boundary = list(tree.children(1))
-        while len(chosen) < k and boundary:
-            j = max(boundary, key=lambda i: (abs(v[i - 1]), -i))
-            boundary.remove(j)
-            chosen.append(j)
-            boundary.extend(tree.children(j))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
+    E, prefix = _knapsack_tables(v, tree, k)
+    root_table = E[0][0, 1:]
+    best_energy = np.max(root_table)
+    # prefer the smallest budget attaining the max (avoids zero padding)
+    tol = 1e-12 * (1 + abs(best_energy))
+    b_star = 1 + int(np.flatnonzero(np.abs(root_table - best_energy) <= tol)[0])
+    chosen = _backtrack(E, prefix, tree, b_star)
     keep = _prune_zero_fringe(v, tree, chosen)
     out = np.zeros(tree.p)
     idx = np.fromiter(keep, dtype=int, count=len(keep)) - 1

@@ -260,7 +260,7 @@ def test_criterion_7_exact_projection_matches_enumeration():
         for _ in range(50):
             v = rng.standard_normal(tree.p) * rng.uniform(0.5, 2.0)
             for k in range(1, tree.p + 1):
-                got = tree_project(v, tree, k, mode="exact")
+                got = tree_project(v, tree, k)
                 best = max(
                     sum(v[i - 1] ** 2 for i in s)
                     for s in enumerate_rooted_subtrees(tree, k))

@@ -233,3 +233,24 @@ def test_pca_fit_slices_a_shared_svd(rng):
         shared, own = pca_fit(tr, r, svd), pca_fit(tr, r)
         assert np.array_equal(shared.components, own.components)
         assert np.array_equal(shared.mean, own.mean)
+
+
+def test_lasso_zero_padded_rows_match_unpadded_solves(rng):
+    # compare pads every measurement count to the largest: zero rows change
+    # neither the objective nor the gradient
+    ms, p, q = (6, 11, 15), 8, 3
+    A = np.zeros((len(ms), max(ms), p))
+    Y = np.zeros((len(ms), max(ms), q))
+    for b, m in enumerate(ms):
+        A[b, :m] = rng.standard_normal((m, p))
+        Y[b, :m] = rng.standard_normal((m, q))
+    lams = np.array([[0.3, 0.1, 0.6], [0.1, 0.6, 0.3], [0.2, 0.3, 0.1]])
+    lams = lams * np.max(np.abs(A.transpose(0, 2, 1) @ Y), axis=(1, 2))[:, None]
+    max_iters, tol = 300, 1e-6
+    stops = [_stop_iteration(A[b, :m], Y[b, :m, c], lams[b, c], max_iters, tol)
+             for b, m in enumerate(ms) for c in range(q)]
+    assert max(stops) < max_iters
+    padded = lasso_solve(A, Y, lams, max_iters=max_iters, tol=tol)
+    for b, m in enumerate(ms):
+        own = lasso_solve(A[b, :m], Y[b, :m], lams[b], max_iters=max_iters, tol=tol)
+        assert np.max(np.abs(padded[b] - own)) <= 1e-12

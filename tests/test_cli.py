@@ -155,11 +155,11 @@ def test_log_level_info_reports_lasso_caps(tmp_path, corpus_dir, caplog):
         assert main(["--log-level", "info", *argv, "--out", str(tmp_path / "info.csv")]) == 0
     finally:
         logging.getLogger("treesense").setLevel(logging.NOTSET)
-    # per distinct m, one call for the lambda grids (2 budgets x 4 weights)
-    # and one for the columns (2 budgets x 2 trials)
+    # one call for the lambda grids (2 distinct m x 2 budgets x 4 weights)
+    # and one for the columns (2 distinct m x 2 budgets x 2 trials)
     messages = lasso_messages()
-    assert len(messages) == 4
-    for msg, total in zip(messages, (8, 4, 8, 4)):
+    assert len(messages) == 2
+    for msg, total in zip(messages, (16, 8)):
         stopped = re.fullmatch(rf"lasso_solve: (\d+) of {total} columns stopped "
                                r"at max_iters=200", msg)
         assert stopped and int(stopped.group(1)) <= total

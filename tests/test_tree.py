@@ -153,7 +153,7 @@ def test_is_tree_sparse_cases():
 def test_tree_project_examples():
     t = make_tree(2, 3)
     v = np.array([5.0, 1, 3, 0, 0, 0, 0])
-    out = tree_project(v, t, 2, mode="exact")
+    out = tree_project(v, t, 2)
     assert out.support == {1, 3}
     assert tree_project(v, t, 1).support == {1}
     full = tree_project(v, t, t.p)
@@ -171,24 +171,11 @@ def test_tree_project_exact_matches_enumeration(d, L, rng):
     for _ in range(10):
         v = rng.standard_normal(t.p)
         for k in range(1, t.p + 1):
-            out = tree_project(v, t, k, mode="exact")
+            out = tree_project(v, t, k)
             got = sum(v[i - 1] ** 2 for i in out.support)
             assert got == pytest.approx(best_subtree_energy(t, v, k), abs=1e-9)
             assert len(out.support) <= k
             assert is_tree_sparse(out.values, t)
-
-
-def test_tree_project_greedy_never_beats_exact(rng):
-    t = make_tree(2, 5)
-    for _ in range(20):
-        v = rng.standard_normal(t.p)
-        for k in (1, 3, 7, 15):
-            ex = tree_project(v, t, k, mode="exact")
-            gr = tree_project(v, t, k, mode="greedy")
-            e_ex = sum(v[i - 1] ** 2 for i in ex.support)
-            e_gr = sum(v[i - 1] ** 2 for i in gr.support)
-            assert e_ex >= e_gr - 1e-12
-            assert is_tree_sparse(gr.values, t)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +269,7 @@ def test_level_projection_matches_per_node_dp(d, L):
     ties = np.round(dense, 1)
     for v in (dense, sparse, ties):
         for k in ks:
-            got = tree_project(v, t, k, mode="exact")
+            got = tree_project(v, t, k)
             support, values = reference_project(v, t, k)
             assert got.support == support, (k, sorted(got.support ^ support))
             assert np.array_equal(got.values, values)
