@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .tree import (TreeTopology, GroupSet, TreeSparseVector, make_tree,
                    groups_of, random_tree_sparse, random_tree_sparse_batch,
-                   is_tree_sparse, tree_project)
+                   is_tree_sparse, tree_project, tree_project_batch)
 from .sensing import (SensingConfig, MeasurementLog, SensingOutcome,
                       SessionBatch, allocate_beta, adaptive_sense,
                       adaptive_sense_coeffs, adaptive_sense_batch,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import tree_project
+from .tree import tree_project_batch
 
 __all__ = [
     "RandomProjectionEnsemble",
@@ -43,6 +43,28 @@ def gaussian_ensemble(m, n, budget, seed):
     return RandomProjectionEnsemble(matrix=G, budget=float(budget), seed=seed)
 
 
+def _as_stack(A, y):
+    """(A, Y, stacked, single): A as a (B, m, p) stack and y as (B, m, q),
+    from one (m, p) matrix with y (m,) or (m, q), or from a stack."""
+    A = np.asarray(A, dtype=float)
+    Y = np.asarray(y, dtype=float)
+    shapes = f"A {A.shape} and y {Y.shape}"
+    stacked, single = A.ndim == 3, Y.ndim == 1
+    if A.ndim == 2 and Y.ndim in (1, 2):
+        A, Y = A[None], Y.reshape(1, len(Y), -1)
+    if A.ndim != 3 or Y.ndim != 3 or Y.shape[:2] != A.shape[:2]:
+        raise ValueError(f"{shapes} do not match: need A (m, p) with y (m,) or "
+                         f"(m, q), or A (B, m, p) with y (B, m, q)")
+    return A, Y, stacked, single
+
+
+def _from_stack(out, stacked, single):
+    """A (B, p, q) result in the shape of the input y."""
+    if stacked:
+        return out
+    return out[0, :, 0] if single else out[0]
+
+
 def lasso_solve(A, y, lam, max_iters=500, tol=1e-10):
     """Monotone FISTA (MFISTA, Beck & Teboulle 2009) with backtracking, for a
     stack of independent Lasso problems.
@@ -59,15 +81,7 @@ def lasso_solve(A, y, lam, max_iters=500, tol=1e-10):
     stacked solve equals its one-problem solves up to rounding.  Zero rows
     appended to A and y change neither the objective nor the gradient.
     """
-    A = np.asarray(A, dtype=float)
-    Y = np.asarray(y, dtype=float)
-    shapes = f"A {A.shape} and y {Y.shape}"
-    stacked, single = A.ndim == 3, Y.ndim == 1
-    if A.ndim == 2 and Y.ndim in (1, 2):
-        A, Y = A[None], Y.reshape(1, len(Y), -1)
-    if A.ndim != 3 or Y.ndim != 3 or Y.shape[:2] != A.shape[:2]:
-        raise ValueError(f"{shapes} do not match: need A (m, p) with y (m,) or "
-                         f"(m, q), or A (B, m, p) with y (B, m, q)")
+    A, Y, stacked, single = _as_stack(A, y)
     B, m, p = A.shape
     q = Y.shape[2]
     lam = np.asarray(lam, dtype=float)
@@ -130,46 +144,70 @@ def lasso_solve(A, y, lam, max_iters=500, tol=1e-10):
     out[:, cols] = X
     logger.info("lasso_solve: %d of %d columns stopped at max_iters=%d",
                 live.sum(), B * q, max_iters)
-    out = out.transpose(0, 2, 1)
-    if stacked:
-        return out
-    return out[0, :, 0] if single else out[0]
+    return _from_stack(out.transpose(0, 2, 1), stacked, single)
 
 
 def model_cosamp(A, y, k, tree, iters=20, tol=1e-6):
-    """CoSaMP with the best-k-term steps replaced by tree projection.
+    """CoSaMP with the best-k-term steps replaced by tree projection, for a
+    stack of independent problems.
 
     Both the proxy-support enlargement (size 2k) and the final pruning
-    (size k) project onto rooted-connected supports, so the returned vector
-    is always tree-sparse.
+    (size k) project onto rooted-connected supports, so every returned
+    vector is tree-sparse.  A and y follow lasso_solve: one (m, p) matrix
+    with y (m,) or (m, q), or a stack (B, m, p) with y (B, m, q); the result
+    is (p,), (p, q) or (B, p, q) to match y.
+
+    Each (stack, column) problem stops on its own, once its residual norm
+    falls below tol * ||y|| or stalls, or after iters rounds (at once if
+    y = 0); a stopped problem is frozen and left out of later projections,
+    and one INFO log line counts the problems per stop reason.  The
+    projections of one round run as one batch over the running problems.  A problem's products and least-squares solves use only its
+    rows up to the last one where A or y is nonzero, so a zero-padded stack
+    returns what its unpadded problems would, bit for bit.
     """
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float)
-    p = A.shape[1]
+    A, Y, stacked, single = _as_stack(A, y)
+    B, M, p = A.shape
+    q = Y.shape[2]
     if k > p:
         raise ValueError("k must be <= p")
 
-    x = np.zeros(p)
-    r = y.copy()
-    ynorm = np.linalg.norm(y)
-    if ynorm == 0:
-        return x
-    prev = np.inf
+    used = (A != 0).any(axis=2)[:, :, None] | (Y != 0)
+    rows = np.where(used.any(axis=1), M - used[:, ::-1].argmax(axis=1), 0)
+    probs = [(b, c) for b in range(B) for c in range(q)]
+    As = [A[b, :rows[b, c]] for b, c in probs]
+    ys = [np.ascontiguousarray(Y[b, :rows[b, c], c]) for b, c in probs]
+    ynorm = np.array([np.linalg.norm(v) for v in ys])
+    x = np.zeros((len(probs), p))
+    r = [v.copy() for v in ys]
+    prev = np.full(len(probs), np.inf)
+    # stop reason per problem: 0 still running (at the end: hit iters),
+    # 1 residual below tol * ||y||, 2 stalled residual, 3 y = 0
+    reason = np.where(ynorm == 0, 3, 0)
+    live = np.flatnonzero(ynorm > 0)
     for _ in range(iters):
-        proxy = A.T @ r
-        enlarged = tree_project(proxy, tree, min(2 * k, p))
-        omega = sorted(enlarged.support | {i + 1 for i in np.flatnonzero(x)})
-        cols = [i - 1 for i in omega]
-        b_sub, *_ = np.linalg.lstsq(A[:, cols], y, rcond=None)
-        b = np.zeros(p)
-        b[cols] = b_sub
-        x = tree_project(b, tree, k).values
-        r = y - A @ x
-        rnorm = np.linalg.norm(r)
-        if rnorm < tol * ynorm or rnorm >= prev * (1 - 1e-9):
+        if not len(live):
             break
-        prev = rnorm
-    return x
+        proxy = np.array([As[i].T @ r[i] for i in live])
+        enlarged = tree_project_batch(proxy, tree, min(2 * k, p))[1]
+        b = np.zeros((len(live), p))
+        for row, i in enumerate(live):
+            cols = np.flatnonzero(enlarged[row] | (x[i] != 0))
+            b[row, cols] = np.linalg.lstsq(As[i][:, cols], ys[i], rcond=None)[0]
+        x[live] = tree_project_batch(b, tree, k)[0]
+        for i in live:
+            r[i] = ys[i] - As[i] @ x[i]
+            rnorm = np.linalg.norm(r[i])
+            if rnorm < tol * ynorm[i]:
+                reason[i] = 1
+            elif rnorm >= prev[i] * (1 - 1e-9):
+                reason[i] = 2
+            prev[i] = rnorm
+        live = live[reason[live] == 0]
+    counts = np.bincount(reason, minlength=4)
+    logger.info("model_cosamp: of %d problems, %d met tol, %d stalled, %d stopped "
+                "at iters=%d, %d had y = 0", len(probs), counts[1], counts[2],
+                counts[0], iters, counts[3])
+    return _from_stack(x.reshape(B, q, p).transpose(0, 2, 1), stacked, single)
 
 
 @dataclass(frozen=True)

@@ -403,13 +403,15 @@ def verify_theorem(cfg):
 
 def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, measurements, k):
     """Per distinct measurement count m: the Phi D stack (B, m, p), centred
-    measurements (B, columns, m) and Lasso coefficients (B, p, columns) of
-    every budget, one column per (signal, trial), signal-major.  Each
-    (budget, m) ensemble, lambda probe and trial noise keep their own seeds,
-    and only one ensemble is held at a time.  Every m's rows are zero-padded
-    to the largest m, which changes neither a Lasso objective nor its
-    gradient, so the whole sweep is solved in two stacked calls: the lambda
-    grids, then the columns."""
+    measurements (B, columns, m), Lasso coefficients (B, p, columns) and
+    model-CoSaMP coefficients (B, p, columns) of every budget, one column
+    per (signal, trial), signal-major.  Each (budget, m) ensemble, lambda
+    probe and trial noise keep their own seeds, and only one ensemble is
+    held at a time.  Every m's rows are zero-padded to the largest m, which
+    changes neither a Lasso objective nor its gradient, and model_cosamp
+    drops the padding itself, so the whole sweep is solved in three stacked
+    calls: the lambda grids, the Lasso columns and the model-CoSaMP
+    columns."""
     atoms, B, n_test = dictionary.atoms, len(cfg.budgets), test_matrix.shape[1]
     grid = np.array([0.001, 0.01, 0.05, 0.2])
     stacks, M, p = (len(measurements), B), max(measurements), atoms.shape[1]
@@ -446,10 +448,13 @@ def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, measurement
     alphas = lasso_solve(A_flat, Y_grid.reshape(-1, M, len(grid)), lam_grid, max_iters=200)
     lams = [lam[np.argmax([snr_db(x, atoms @ a) for a in alpha.T])]
             for x, lam, alpha in zip(probes, lam_grid, alphas)]
-    alphas = lasso_solve(A_flat, Y.reshape(-1, n_cols, M).transpose(0, 2, 1),
-                         np.repeat(np.array(lams)[:, None], n_cols, axis=1),
+    Y_flat = Y.reshape(-1, n_cols, M).transpose(0, 2, 1)
+    alphas = lasso_solve(A_flat, Y_flat, np.repeat(np.array(lams)[:, None], n_cols, axis=1),
                          max_iters=200).reshape(stacks + (p, n_cols))
-    return {m: (A[i, :, :m], Y[i, :, :, :m], alphas[i]) for i, m in enumerate(measurements)}
+    cosamp = model_cosamp(A_flat, Y_flat, k, dictionary.tree,
+                          iters=15).reshape(stacks + (p, n_cols))
+    return {m: (A[i, :, :m], Y[i, :, :, :m], alphas[i], cosamp[i])
+            for i, m in enumerate(measurements)}
 
 
 def compare_methods(cfg, training=None, dictionary=None, dict_mean=None,
@@ -537,12 +542,11 @@ def compare_methods(cfg, training=None, dictionary=None, dict_mean=None,
                                          snr=snr_db(x, x_hat), energy=R, note=tag))
 
                 # random-projection arms (shared ensemble per (R, m))
-                A, Y, alphas = rand_arms[m]
+                alphas, cosamp = rand_arms[m][2:]
                 for trial in range(cfg.trials):
                     col = sig_idx * cfg.trials + trial
                     x_lasso = dictionary.atoms @ alphas[b, :, col] + dict_mean
-                    a_cos = model_cosamp(A[b], Y[b, col], k, tree, iters=15)
-                    x_cos = dict_mean + dictionary.atoms @ a_cos
+                    x_cos = dict_mean + dictionary.atoms @ cosamp[b, :, col]
                     rows.append(_row("lasso", R, "", m, trial,
                                      snr=snr_db(x, x_lasso), energy=R, note=tag))
                     rows.append(_row("model-cosamp", R, "", m, trial,

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "TreeTopology",
@@ -22,6 +21,7 @@ __all__ = [
     "random_tree_sparse_batch",
     "is_tree_sparse",
     "tree_project",
+    "tree_project_batch",
 ]
 
 _MAX_NODES = 2**62
@@ -207,69 +207,78 @@ def is_tree_sparse(v, tree, tol=0.0):
     return True
 
 
-def _knapsack_tables(v, tree, k):
+def _knapsack_tables(V, tree, k):
     """Bottom-up DP, one level at a time: best captured energy per (node,
-    subtree-size) budget.
+    subtree-size) budget, for every row of V at once.
 
-    Returns (E, prefix), lists indexed by level.  E[lvl][r, b] is the max
-    energy of a connected subtree rooted at the level's r-th node using
-    exactly b nodes (b = 1..cap; column 0 is -inf).  prefix[lvl][j][r, t] is
-    the best energy using t nodes among that node's first j children, kept
-    for backtracking.  All nodes of a level have tables of the same length,
-    so merging child j into its parents is one max-plus product over the
-    whole level.
+    Returns (E, prefix), lists indexed by level.  A level's nodes of all
+    rows share one leading axis, row-major: index i * n + r is row i's r-th
+    node of a level of n nodes, so the children of index R are the next
+    level's d*R .. d*R + d - 1.  E[lvl][R, b] is the max energy of a
+    connected subtree rooted at R using exactly b nodes (b = 1..cap; column
+    0 is -inf).  prefix[lvl][j][R, t] is the best energy using t nodes among
+    R's first j children, kept for backtracking.  All nodes of a level have
+    tables of the same length, so merging child j into its parents is one
+    max-plus product over the whole level and every row.
     """
-    w = v * v
+    w = V * V
     starts, d = tree.level_starts, tree.d
     E, prefix = [None] * tree.depth, [None] * tree.depth
     for lvl in reversed(range(tree.depth)):
         lo, hi = starts[lvl], starts[lvl + 1]
-        g = np.zeros((hi - lo, 1))   # g[r, t]: best energy using t nodes among merged children
+        n = len(V) * (hi - lo)
+        g = np.zeros((n, 1))   # g[R, t]: best energy using t nodes among merged children
         tables = [g]
         if lvl + 1 < tree.depth:
-            # F[r, j, s]: allocate exactly s nodes to child j (s=0 -> skip it)
-            F = E[lvl + 1].reshape(hi - lo, d, -1).copy()
+            # F[R, j, s]: allocate exactly s nodes to child j (s=0 -> skip it)
+            F = E[lvl + 1].reshape(n, d, -1).copy()
             F[:, :, 0] = 0.0
             lf = F.shape[2]
             for j in range(d):
                 lg = g.shape[1]   # <= cap + 1, since cap + 1 = min(k, lg + lf - 1)
                 cap = min(k - 1, lg + lf - 2)
-                # gpad[r, lf-1+t] = g[r, t], -inf outside; the view's [r, s, t]
-                # is gpad[r, lf-1-s+t] = g[r, t-s], in bounds for s < lf, t <= cap
-                gpad = np.full((hi - lo, cap + lf), -np.inf)
+                # gpad[R, lf-1+t] = g[R, t], -inf outside; the view's [R, s, t]
+                # is gpad[R, lf-1-s+t] = g[R, t-s], in bounds for s < lf, t <= cap
+                # (an ndarray on gpad's buffer: at these sizes as_strided's
+                # per-call overhead is about as large as the product itself)
+                gpad = np.full((n, cap + lf), -np.inf)
                 gpad[:, lf - 1:lf - 1 + lg] = g
-                shifted = as_strided(gpad[:, lf - 1:], shape=(hi - lo, lf, cap + 1),
-                                     strides=(gpad.strides[0], -gpad.strides[1], gpad.strides[1]))
+                s_row, s_col = gpad.strides
+                shifted = np.ndarray((n, lf, cap + 1), float, gpad, (lf - 1) * s_col,
+                                     (s_row, -s_col, s_col))
                 g = (shifted + F[:, j, :, None]).max(axis=1)
                 tables.append(g)
         cap = min(k, g.shape[1])
-        Ei = np.full((hi - lo, cap + 1), -np.inf)
-        Ei[:, 1:] = w[lo:hi, None] + g[:, :cap]
+        Ei = np.full((n, cap + 1), -np.inf)
+        Ei[:, 1:] = w[:, lo:hi].reshape(n, 1) + g[:, :cap]
         E[lvl], prefix[lvl] = Ei, tables
     return E, prefix
 
 
-def _backtrack(E, prefix, tree, budget):
-    """Nodes of the subtree achieving E[0][0, budget], visiting only those.
+def _backtrack(E, prefix, tree, row, budget):
+    """Nodes of row's subtree achieving E[0][row, budget], visiting only
+    those.
 
     Each node's budget is split over its children from the last: child j
     gets the smallest s with |prefix_{j-1}[rem - s] + E_child[s] - target|
     <= 1e-9 * (1 + |target|), where target = prefix_j[rem].
     """
-    starts, d = tree.level_starts, tree.d
-    chosen, stack = [], [(1, 0, budget)]
+    d = tree.d
+    chosen, stack = [], [(1, 0, row, budget)]
     while stack:
-        node, lvl, rem = stack.pop()
+        node, lvl, R, rem = stack.pop()
         chosen.append(node)
         rem -= 1
-        r = node - 1 - starts[lvl]
+        if rem == 0:   # a leaf of the chosen subtree
+            continue
+        g = prefix[lvl][d][R].tolist()
         for j in range(d, 0, -1):
             if rem == 0:   # every remaining child gets 0 nodes
                 break
-            g_prev = prefix[lvl][j - 1][r].tolist()
-            F = E[lvl + 1][d * r + j - 1].tolist()
+            g_prev = prefix[lvl][j - 1][R].tolist()
+            F = E[lvl + 1][d * R + j - 1].tolist()
             F[0] = 0.0   # allocating 0 nodes skips the child
-            target = float(prefix[lvl][j][r, rem])
+            target = g[rem]
             tol = 1e-9 * (1 + abs(target))
             for s in range(max(0, rem - len(g_prev) + 1), min(rem, len(F) - 1) + 1):
                 if abs(g_prev[rem - s] + F[s] - target) <= tol:
@@ -277,43 +286,56 @@ def _backtrack(E, prefix, tree, budget):
             else:  # pragma: no cover - defensive
                 raise AssertionError("DP backtracking failed")
             if s >= 1:
-                stack.append((node * d - d + 1 + j, lvl + 1, s))
+                stack.append((node * d - d + 1 + j, lvl + 1, d * R + j - 1, s))
             rem -= s
+            g = g_prev
     return chosen
 
 
-def _prune_zero_fringe(values, tree, support):
-    """Drop support nodes whose value is zero and whose retained descendants
-    are all zero (rooted-connected closure of the nonzeros).  Children have
-    larger indices than their parents, so one pass from the largest suffices."""
-    keep = set(support)
-    for i in sorted(keep, reverse=True):
-        if values[i - 1] == 0 and not any(c in keep for c in tree.children(i)):
-            keep.remove(i)
-    return keep
+def tree_project_batch(V, tree, k):
+    """Project every row of V, shape (B, p), onto the vectors with
+    rooted-connected support <= k.
 
-
-def tree_project(v, tree, k):
-    """Project v onto the set of vectors with rooted-connected support <= k.
-
-    Maximizes captured energy sum(v[i]^2) over all rooted connected supports
-    of size <= k by a bottom-up dynamic program run one tree level at a time.
+    Returns (values, support), both (B, p); support is a bool mask and
+    values is V on it, 0 elsewhere.  Each row maximizes its captured energy
+    sum(v[i]^2) by a bottom-up dynamic program run one tree level at a time,
+    over all rows at once; a row's result does not depend on the others.
+    Of the budgets attaining the max, the smallest is backtracked, and
+    zero-valued nodes with no retained descendant are then dropped.
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (tree.p,):
-        raise ValueError(f"expected length-{tree.p} vector")
+    V = np.asarray(V, dtype=float)
+    if V.ndim != 2 or V.shape[1] != tree.p:
+        raise ValueError(f"expected V of shape (B, {tree.p}), got {V.shape}")
     if not 1 <= k <= tree.p:
         raise ValueError(f"k must be in 1..{tree.p}, got {k}")
 
-    E, prefix = _knapsack_tables(v, tree, k)
-    root_table = E[0][0, 1:]
-    best_energy = np.max(root_table)
+    E, prefix = _knapsack_tables(V, tree, k)
+    root = E[0][:, 1:]
+    best = root.max(axis=1, keepdims=True)   # >= root, and >= 0
     # prefer the smallest budget attaining the max (avoids zero padding)
-    tol = 1e-12 * (1 + abs(best_energy))
-    b_star = 1 + int(np.flatnonzero(np.abs(root_table - best_energy) <= tol)[0])
-    chosen = _backtrack(E, prefix, tree, b_star)
-    keep = _prune_zero_fringe(v, tree, chosen)
-    out = np.zeros(tree.p)
-    idx = np.fromiter(keep, dtype=int, count=len(keep)) - 1
-    out[idx] = v[idx]
-    return TreeSparseVector(values=out, support=frozenset(keep))
+    b_star = 1 + np.argmax(best - root <= 1e-12 * (1 + best), axis=1)
+    support = np.zeros(V.shape, dtype=bool)
+    for row, budget in enumerate(b_star.tolist()):
+        support[row, np.array(_backtrack(E, prefix, tree, row, budget)) - 1] = True
+    # rooted-connected closure of the nonzeros, if a zero was chosen: bottom
+    # up, a node stays if its value is nonzero or one of its children stayed
+    if (support & (V == 0)).any():
+        starts, d = tree.level_starts, tree.d
+        for lvl in reversed(range(tree.depth)):
+            lo, hi = starts[lvl], starts[lvl + 1]
+            keep = V[:, lo:hi] != 0
+            if lvl + 1 < tree.depth:
+                keep |= support[:, hi:starts[lvl + 2]].reshape(len(V), hi - lo, d).any(axis=2)
+            support[:, lo:hi] &= keep
+    return np.where(support, V, 0.0), support
+
+
+def tree_project(v, tree, k):
+    """Project v onto the set of vectors with rooted-connected support <= k:
+    tree_project_batch with one row, as a TreeSparseVector."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (tree.p,):
+        raise ValueError(f"expected length-{tree.p} vector")
+    values, support = tree_project_batch(v[None], tree, k)
+    return TreeSparseVector(values=values[0],
+                            support=frozenset((np.flatnonzero(support[0]) + 1).tolist()))

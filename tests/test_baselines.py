@@ -1,9 +1,12 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
-from treesense import (TrainingSet, gaussian_ensemble, is_tree_sparse,
+from treesense import (TrainingSet, baselines, gaussian_ensemble, is_tree_sparse,
                        lasso_solve, make_tree, model_cosamp, pca_fit,
-                       pca_reconstruct, random_tree_sparse)
+                       pca_reconstruct, random_tree_sparse, tree_project_batch)
 from conftest import cd_lasso
 
 
@@ -75,6 +78,53 @@ def test_cosamp_k_equals_p_is_least_squares(rng):
     y = A @ alpha
     x_hat = model_cosamp(A, y, t.p, t, iters=5)
     assert np.max(np.abs(x_hat - alpha)) < 1e-8
+
+
+def test_cosamp_stack_matches_unpadded_calls(monkeypatch, caplog):
+    # three measurement counts zero-padded to the largest, with noiseless,
+    # noisy and y = 0 columns: problems stop on the tolerance, on a stalled
+    # residual, at iters and at once, in different rounds, and each must
+    # equal its own unpadded 2-D call bit for bit
+    rng = np.random.default_rng(9)
+    t = make_tree(2, 5)
+    ms, q, k = (10, 18, 31), 3, 6
+    A = np.zeros((len(ms), max(ms), t.p))
+    Y = np.zeros((len(ms), max(ms), q))
+    for b, m in enumerate(ms):
+        A[b, :m] = gaussian_ensemble(m, t.p, budget=float(t.p), seed=b).matrix
+        for c in range(q):
+            Y[b, :m, c] = A[b, :m] @ random_tree_sparse(t, k, 0.5, 1.5, rng).values
+        Y[b, :m, 1] += 0.05 * rng.standard_normal(m)
+    Y[1, :, 2] = 0
+    sizes = []
+
+    def recording_project(V, tree, k):
+        sizes.append(len(V))
+        return tree_project_batch(V, tree, k)
+
+    monkeypatch.setattr(baselines, "tree_project_batch", recording_project)
+    with caplog.at_level(logging.INFO, logger="treesense.baselines"):
+        out = model_cosamp(A, Y, k, t, iters=3)
+    assert out.shape == (len(ms), t.p, q)
+    # one batch per projection step, over the running problems only
+    assert sizes[0] == 8 and sizes[::2] == sizes[1::2] and len(set(sizes)) == 3
+    assert sorted(sizes, reverse=True) == sizes
+    counts = re.fullmatch(r"model_cosamp: of 9 problems, (\d+) met tol, (\d+) stalled, "
+                          r"(\d+) stopped at iters=3, 1 had y = 0", caplog.messages[-1])
+    assert counts and all(int(n) >= 1 for n in counts.groups())
+    assert not out[1, :, 2].any()
+    for b, m in enumerate(ms):
+        for c in range(q):
+            own = model_cosamp(A[b, :m], Y[b, :m, c], k, t, iters=3)
+            assert out[b, :, c].tobytes() == own.tobytes(), (b, c)
+
+
+def test_cosamp_rejects_mismatched_stacks():
+    t = make_tree(2, 3)
+    with pytest.raises(ValueError, match=re.escape("A (2, 5, 7) and y (3, 5, 1)")):
+        model_cosamp(np.ones((2, 5, 7)), np.ones((3, 5, 1)), 2, t)
+    with pytest.raises(ValueError, match=re.escape("A (5, 7) and y (4,)")):
+        model_cosamp(np.ones((5, 7)), np.ones(4), 2, t)
 
 
 def test_pca_exact_in_span(rng):

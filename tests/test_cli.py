@@ -145,24 +145,31 @@ def test_log_level_info_reports_lasso_caps(tmp_path, corpus_dir, caplog):
             "--measurements", "6,12,6", "--trials", "2", "--test-signals", "1",
             "--target-sparsity", "6", "--seed", "4"]
 
-    def lasso_messages():
+    def solver_messages(prefix):
         return [r.getMessage() for r in caplog.records
-                if r.name == "treesense.baselines" and r.levelno == logging.INFO]
+                if r.name == "treesense.baselines" and r.levelno == logging.INFO
+                and r.getMessage().startswith(prefix)]
 
     try:
         assert main([*argv, "--out", str(tmp_path / "warn.csv")]) == 0
-        assert lasso_messages() == []
+        assert solver_messages("") == []
         assert main(["--log-level", "info", *argv, "--out", str(tmp_path / "info.csv")]) == 0
     finally:
         logging.getLogger("treesense").setLevel(logging.NOTSET)
     # one call for the lambda grids (2 distinct m x 2 budgets x 4 weights)
     # and one for the columns (2 distinct m x 2 budgets x 2 trials)
-    messages = lasso_messages()
+    messages = solver_messages("lasso_solve:")
     assert len(messages) == 2
     for msg, total in zip(messages, (16, 8)):
         stopped = re.fullmatch(rf"lasso_solve: (\d+) of {total} columns stopped "
                                r"at max_iters=200", msg)
         assert stopped and int(stopped.group(1)) <= total
+    # one model-CoSaMP call for the same 8 problems, each with one stop reason
+    messages = solver_messages("model_cosamp:")
+    assert len(messages) == 1
+    counts = re.fullmatch(r"model_cosamp: of 8 problems, (\d+) met tol, (\d+) stalled, "
+                          r"(\d+) stopped at iters=15, (\d+) had y = 0", messages[0])
+    assert counts and sum(map(int, counts.groups())) == 8
     assert (tmp_path / "info.csv").read_bytes() == (tmp_path / "warn.csv").read_bytes()
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from treesense import (CSV_FIELDS, Dictionary, ExperimentConfig, TrainingSet,
                        box_downscale, compare_methods, harness, lambda_for_sparsity,
-                       lasso_solve, load_corpus, make_tree, read_pgm, snr_db,
+                       lasso_solve, load_corpus, make_tree, model_cosamp, read_pgm, snr_db,
                        synthetic_corpus, verify_theorem, write_csv, write_pgm)
 from treesense.harness import _random_projection_arms, _row, apply_config, parse_config_file
 
@@ -263,12 +263,16 @@ def test_random_projection_arms_match_per_m_lasso_solves(rng, monkeypatch):
     assert len(calls) == 2
     lams = calls[1].reshape(2, 2, -1)
     for i, m in enumerate((8, 20)):
-        A, Y, alphas = arms[m]
+        A, Y, alphas, cosamp = arms[m]
         assert A.shape == (2, m, tree.p) and Y.shape == (2, 4, m)
-        assert alphas.shape == (2, tree.p, 4)
+        assert alphas.shape == cosamp.shape == (2, tree.p, 4)
         for b in range(2):
             own = lasso_solve(A[b], Y[b].T, lams[i, b], max_iters=200)
             assert np.max(np.abs(alphas[b] - own)) <= 1e-6
+            # model-CoSaMP drops the padding itself: bit for bit
+            for col in range(4):
+                own = model_cosamp(A[b], Y[b, col], 8, tree, iters=15)
+                assert cosamp[b, :, col].tobytes() == own.tobytes()
 
 
 def test_compare_methods_requires_dictionary():

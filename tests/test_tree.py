@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from treesense import (Dictionary, GroupSet, make_tree, groups_of,
                        random_tree_sparse, random_tree_sparse_batch,
-                       is_tree_sparse, tree_project)
+                       is_tree_sparse, tree_project, tree_project_batch)
 from conftest import (enumerate_rooted_subtrees, best_subtree_energy,
                       reference_random_tree_sparse)
 
@@ -273,3 +275,32 @@ def test_level_projection_matches_per_node_dp(d, L):
             support, values = reference_project(v, t, k)
             assert got.support == support, (k, sorted(got.support ^ support))
             assert np.array_equal(got.values, values)
+
+
+@pytest.mark.parametrize("d,L", PROJECTION_TREES)
+def test_batched_projection_rows_match_per_node_dp(d, L):
+    # one stacked call over dense, sparse, tied and all-zero rows; each row
+    # must be its own per-node projection, values bit for bit
+    rng = np.random.default_rng([4, d, L])
+    t = make_tree(d, L)
+    dense = 2.0 * rng.standard_normal(t.p)
+    V = np.stack([dense, np.where(rng.random(t.p) < 0.6, 0.0, dense),
+                  np.round(dense, 1), np.zeros(t.p)])
+    ks = {1, d + 1, t.p // 4, int(rng.integers(1, t.p + 1))}
+    for k in sorted(k for k in ks if 1 <= k <= t.p):
+        values, support = tree_project_batch(V, t, k)
+        assert values.shape == support.shape == V.shape and support.dtype == bool
+        for v, got_values, got_support in zip(V, values, support):
+            ref_support, ref_values = reference_project(v, t, k)
+            assert set((np.flatnonzero(got_support) + 1).tolist()) == ref_support, k
+            assert got_values.tobytes() == ref_values.tobytes()
+        assert not support[3].any()
+
+
+def test_tree_project_batch_rejects_bad_shapes():
+    t = make_tree(2, 3)
+    for bad in (np.zeros(t.p), np.zeros((2, t.p + 1)), np.zeros((1, 2, t.p))):
+        with pytest.raises(ValueError, match=rf"shape \(B, 7\), got {re.escape(str(bad.shape))}"):
+            tree_project_batch(bad, t, 2)
+    with pytest.raises(ValueError, match="k must be"):
+        tree_project_batch(np.zeros((2, t.p)), t, 0)
