@@ -1,10 +1,11 @@
 """Command-line harness.
 
-Subcommands: tree-info, verify-theorem, learn, sense, compare.  Each accepts
---config <path> (key=value lines) plus flag overrides; results go to a CSV
-with a companion .manifest.txt recording configuration and seed.  The
-global --log-level (default warning) sets which library log messages reach
-stderr; the CSV does not depend on it.
+Subcommands: tree-info, verify-theorem, learn, sense, compare.  Every option
+of the last four is an ExperimentConfig field.  A run reads --config <path>
+(key=value lines) and then the flags given, each named after its field with
+- for _.  Results go to a CSV with a companion .manifest.txt listing every
+field.  The global --log-level (default warning) sets which library log
+messages reach stderr; the CSV does not depend on it.
 """
 
 from __future__ import annotations
@@ -25,26 +26,29 @@ from .sensing import SensingConfig, adaptive_sense, allocate_beta, reconstruct_f
 from .tree import make_tree
 
 
-def _add_common(p):
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--out")
+# The ExperimentConfig fields each subcommand takes as flags.  Every
+# subcommand also takes --config and the COMMON_FLAGS.
+COMMON_FLAGS = ("seed", "trials", "out")
+FLAGS = {
+    "verify-theorem": ("d", "L", "k", "c1", "a", "budgets", "noise_std"),
+    "learn": ("d", "L", "corpus", "target_side", "lam", "target_sparsity", "dict_path"),
+    "sense": ("dict_path", "budgets", "taus", "noise_std", "target_sparsity"),
+    "compare": ("dict_path", "corpus", "target_side", "budgets", "taus", "measurements",
+                "noise_std", "target_sparsity", "test_signals"),
+}
 
 
-def _build_cfg(args, mode, overrides=()):
-    cfg = ExperimentConfig(mode=mode)
+def _build_cfg(args):
+    """The config file's settings, then the flags given, on the defaults."""
+    cfg = ExperimentConfig(mode=args.command)
     if args.config:
         try:
             apply_config(cfg, parse_config_file(args.config))
         except ValueError as exc:
             raise ValueError(f"{args.config}: {exc}") from None
-    kv = {}
-    for key in ("seed", "trials", "out", *overrides):
-        val = getattr(args, key, None)
-        if val is not None:
-            kv[key] = str(val)
-    apply_config(cfg, kv)
+    flags = (*COMMON_FLAGS, *FLAGS[args.command])
+    apply_config(cfg, {key: getattr(args, key) for key in flags
+                       if getattr(args, key) is not None})
     return cfg
 
 
@@ -60,8 +64,7 @@ def cmd_tree_info(args):
 
 
 def cmd_verify_theorem(args):
-    cfg = _build_cfg(args, "verify-theorem", ("d", "L", "k", "c1", "a",
-                                              "budgets", "noise_std"))
+    cfg = _build_cfg(args)
     rows, summaries = verify_theorem(cfg)
     write_csv(cfg.out, rows)
     write_manifest(cfg.out + ".manifest.txt", cfg, summaries)
@@ -72,8 +75,7 @@ def cmd_verify_theorem(args):
 
 
 def cmd_learn(args):
-    cfg = _build_cfg(args, "learn", ("d", "L", "corpus", "target_side", "lam",
-                                     "target_sparsity", "dict_path"))
+    cfg = _build_cfg(args)
     if not cfg.corpus:
         print("learn: --corpus is required", file=sys.stderr)
         return 2
@@ -103,8 +105,7 @@ def cmd_learn(args):
 
 
 def cmd_sense(args):
-    cfg = _build_cfg(args, "sense", ("dict_path", "budgets", "taus",
-                                     "noise_std", "target_sparsity"))
+    cfg = _build_cfg(args)
     if not cfg.dict_path or not args.image:
         print("sense: --dict-path and --image are required", file=sys.stderr)
         return 2
@@ -139,10 +140,7 @@ def cmd_sense(args):
 
 
 def cmd_compare(args):
-    cfg = _build_cfg(args, "compare", ("dict_path", "corpus", "target_side",
-                                       "budgets", "taus", "measurements",
-                                       "noise_std", "target_sparsity",
-                                       "test_signals"))
+    cfg = _build_cfg(args)
     if not cfg.budgets:
         n = cfg.target_side**2
         cfg.budgets = (float(n), n / 8, n / 32)
@@ -153,7 +151,7 @@ def cmd_compare(args):
     return 0
 
 
-def main(argv=None):
+def _parser():
     parser = argparse.ArgumentParser(prog="treesense")
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--log-level", dest="log_level", default="warning",
@@ -166,53 +164,23 @@ def main(argv=None):
     p.add_argument("--L", type=int, default=7)
     p.set_defaults(func=cmd_tree_info)
 
-    p = sub.add_parser("verify-theorem",
-                       help="Monte Carlo support-recovery verification")
-    _add_common(p)
-    for flag in ("--d", "--L"):
-        p.add_argument(flag, type=int, dest=flag.lstrip("-"))
-    p.add_argument("--k")
-    p.add_argument("--c1", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--budgets")
-    p.add_argument("--noise-std", type=float, dest="noise_std")
-    p.set_defaults(func=cmd_verify_theorem)
+    for command, func, text in (
+            ("verify-theorem", cmd_verify_theorem, "Monte Carlo support-recovery verification"),
+            ("learn", cmd_learn, "learn a tree-structured orthonormal dictionary"),
+            ("sense", cmd_sense, "acquire one image with a learned dictionary"),
+            ("compare", cmd_compare, "energy-fair SNR-vs-measurements sweep")):
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="key=value config file")
+        for name in (*COMMON_FLAGS, *FLAGS[command]):
+            p.add_argument("--" + name.replace("_", "-"), dest=name)
+        if command == "sense":
+            p.add_argument("--image")
+        p.set_defaults(func=func)
+    return parser
 
-    p = sub.add_parser("learn", help="learn a tree-structured orthonormal dictionary")
-    _add_common(p)
-    p.add_argument("--d", type=int, dest="d")
-    p.add_argument("--L", type=int, dest="L")
-    p.add_argument("--corpus")
-    p.add_argument("--target-side", type=int, dest="target_side")
-    p.add_argument("--lam", type=float)
-    p.add_argument("--target-sparsity", type=int, dest="target_sparsity")
-    p.add_argument("--dict-path", dest="dict_path")
-    p.set_defaults(func=cmd_learn)
 
-    p = sub.add_parser("sense", help="acquire one image with a learned dictionary")
-    _add_common(p)
-    p.add_argument("--dict-path", dest="dict_path")
-    p.add_argument("--image")
-    p.add_argument("--budgets")
-    p.add_argument("--taus")
-    p.add_argument("--noise-std", type=float, dest="noise_std")
-    p.add_argument("--target-sparsity", type=int, dest="target_sparsity")
-    p.set_defaults(func=cmd_sense)
-
-    p = sub.add_parser("compare", help="energy-fair SNR-vs-measurements sweep")
-    _add_common(p)
-    p.add_argument("--dict-path", dest="dict_path")
-    p.add_argument("--corpus")
-    p.add_argument("--target-side", type=int, dest="target_side")
-    p.add_argument("--budgets")
-    p.add_argument("--taus")
-    p.add_argument("--measurements")
-    p.add_argument("--noise-std", type=float, dest="noise_std")
-    p.add_argument("--target-sparsity", type=int, dest="target_sparsity")
-    p.add_argument("--test-signals", type=int, dest="test_signals")
-    p.set_defaults(func=cmd_compare)
-
-    args = parser.parse_args(argv)
+def main(argv=None):
+    args = _parser().parse_args(argv)
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     logging.getLogger("treesense").setLevel(args.log_level.upper())
     try:

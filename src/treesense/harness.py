@@ -203,6 +203,9 @@ def lambda_for_sparsity(training, dictionary, tree, target_k, base_cfg=None,
 
 @dataclass
 class ExperimentConfig:
+    """Every option of every mode.  A config-file key or CLI flag is a field
+    name; its value is parsed by the field's annotated type."""
+
     mode: str = "verify-theorem"
     d: int = 2
     L: int = 6
@@ -221,15 +224,19 @@ class ExperimentConfig:
     target_side: int = 128
     lam: float | None = None
     target_sparsity: int | None = None
-    split: float = 0.5
     test_signals: int = 2
     in_sample: bool = True
 
 
-_LIST_FIELDS = {"k", "budgets", "taus", "measurements"}
-_INT_FIELDS = {"d", "L", "trials", "seed", "target_side", "target_sparsity",
-               "test_signals"}
-_FLOAT_FIELDS = {"c1", "a", "noise_std", "lam", "split"}
+def _parse_list(val):
+    return tuple(float(x) if "." in x or "e" in x.lower() else int(x)
+                 for x in val.split(",") if x.strip())
+
+
+_PARSE_TYPE = {"tuple": _parse_list, "int": int, "float": float, "str": str,
+               "bool": lambda v: v.lower() in ("1", "true", "yes")}
+# each field's parser, read off its annotation string: "float | None" -> float
+_PARSERS = {f.name: _PARSE_TYPE[f.type.split(" |")[0]] for f in fields(ExperimentConfig)}
 
 
 def parse_config_file(path):
@@ -250,23 +257,13 @@ def parse_config_file(path):
 def apply_config(cfg, kv):
     """Apply string key=value overrides onto an ExperimentConfig.  An unknown
     key, or a value that does not parse, raises ValueError naming the key."""
-    known = {f.name for f in fields(cfg)}
     for key, val in kv.items():
-        if key not in known:
+        if key not in _PARSERS:
             raise ValueError(f"unknown config key {key!r}")
         try:
-            if key in _LIST_FIELDS:
-                val = tuple(float(x) if "." in x or "e" in x.lower() else int(x)
-                            for x in val.split(",") if x.strip())
-            elif key in _INT_FIELDS:
-                val = int(val)
-            elif key in _FLOAT_FIELDS:
-                val = float(val)
-            elif key == "in_sample":
-                val = val.lower() in ("1", "true", "yes")
+            setattr(cfg, key, _PARSERS[key](val))
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
-        setattr(cfg, key, val)
     return cfg
 
 
@@ -303,11 +300,8 @@ def write_csv(path, rows):
 def write_manifest(path, cfg, summaries=()):
     with open(path, "w") as f:
         f.write(f"treesense version {__version__}\n")
-        for key in ("mode", "d", "L", "k", "c1", "a", "budgets", "taus",
-                    "measurements", "noise_std", "trials", "seed",
-                    "corpus", "dict_path", "target_side", "lam", "split",
-                    "in_sample"):
-            f.write(f"{key} = {getattr(cfg, key)}\n")
+        for field in fields(cfg):
+            f.write(f"{field.name} = {getattr(cfg, field.name)}\n")
         for line in summaries:
             f.write(line + "\n")
 
@@ -457,12 +451,12 @@ def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, measurement
             for i, m in enumerate(measurements)}
 
 
-def compare_methods(cfg, training=None, dictionary=None, dict_mean=None,
-                    test_matrix=None):
+def compare_methods(cfg, training=None, dictionary=None, dict_mean=None):
     """Energy-fair SNR-vs-measurements sweep across all methods.
 
     training/dictionary may be passed directly (tests, synthetic runs) or
-    loaded from cfg.corpus / cfg.dict_path by the CLI.  Returns CSV rows.
+    loaded from cfg.corpus / cfg.dict_path by the CLI.  The test signals are
+    the first cfg.test_signals training columns.  Returns CSV rows.
     """
     from .dictlearn import load_dictionary
 
@@ -485,8 +479,7 @@ def compare_methods(cfg, training=None, dictionary=None, dict_mean=None,
 
     if not cfg.budgets:
         return []
-    if test_matrix is None:
-        test_matrix = training.data[:, :cfg.test_signals] + training.mean[:, None]
+    test_matrix = training.data[:, :cfg.test_signals] + training.mean[:, None]
     n_test = test_matrix.shape[1]
 
     side = int(round(math.sqrt(n)))

@@ -1,13 +1,14 @@
 import csv
 import logging
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from treesense import (Dictionary, load_dictionary, make_tree, save_dictionary,
-                       synthetic_corpus, write_pgm)
-from treesense.cli import main
+from treesense import (Dictionary, ExperimentConfig, load_dictionary, make_tree,
+                       save_dictionary, synthetic_corpus, write_pgm)
+from treesense.cli import COMMON_FLAGS, FLAGS, _build_cfg, _parser, main
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +93,50 @@ def test_malformed_input_files_exit_2_naming_the_file(tmp_path, capsys, kind):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"treesense: error: {bad}: ") and err.count("\n") == 1
+
+
+# one value per flag, each unlike the field's default
+FLAG_VALUES = {"seed": "7", "trials": "5", "out": "x.csv", "d": "3", "L": "5",
+               "k": "3,7", "c1": "1.5", "a": "0.25", "budgets": "64,16.5",
+               "noise_std": "0.5", "corpus": "imgs", "target_side": "16",
+               "lam": "0.05", "target_sparsity": "6", "dict_path": "d.lasr",
+               "taus": "0,0.5", "measurements": "6,12", "test_signals": "3"}
+
+
+def test_flags_are_config_fields():
+    names = {f.name for f in fields(ExperimentConfig)}
+    for command, flags in FLAGS.items():
+        assert set(COMMON_FLAGS + flags) <= names, command
+
+
+@pytest.mark.parametrize("command,name", [(command, name) for command, flags in FLAGS.items()
+                                          for name in COMMON_FLAGS + flags])
+def test_flag_equals_config_line(tmp_path, command, name):
+    value = FLAG_VALUES[name]
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{name} = {value}\n")
+    parser = _parser()
+    by_flag = _build_cfg(parser.parse_args([command, "--" + name.replace("_", "-"), value]))
+    by_file = _build_cfg(parser.parse_args([command, "--config", str(cfg_file)]))
+    assert by_flag == by_file
+    assert getattr(by_flag, name) != getattr(ExperimentConfig(), name)
+
+
+def test_flags_override_the_config_file(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("trials = 5\nseed = 3\n")
+    cfg = _build_cfg(_parser().parse_args(["verify-theorem", "--config", str(cfg_file),
+                                           "--trials", "9"]))
+    assert (cfg.mode, cfg.trials, cfg.seed) == ("verify-theorem", 9, 3)
+
+
+def test_bad_flag_value_fails_like_a_bad_config_value(tmp_path, capsys):
+    rc = main(["verify-theorem", "--trials", "ten", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("treesense: error: config key 'trials': invalid literal")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_workers_flag_is_gone(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from treesense import (CSV_FIELDS, Dictionary, ExperimentConfig, TrainingSet,
                        box_downscale, compare_methods, harness, lambda_for_sparsity,
                        lasso_solve, load_corpus, make_tree, model_cosamp, read_pgm, snr_db,
-                       synthetic_corpus, verify_theorem, write_csv, write_pgm)
+                       synthetic_corpus, verify_theorem, write_csv, write_manifest, write_pgm)
 from treesense.harness import _random_projection_arms, _row, apply_config, parse_config_file
 
 
@@ -114,6 +115,7 @@ def test_config_file_parsing(tmp_path):
 @pytest.mark.parametrize("line,reason", [
     ("workers = 2", "unknown config key 'workers'"),
     ("trails = 10", "unknown config key 'trails'"),
+    ("split = 0.5", "unknown config key 'split'"),
     ("trials = ten", "config key 'trials': invalid literal"),
     ("k = 3,x", "config key 'k': invalid literal"),
     ("noise_std = loud", "config key 'noise_std': could not convert"),
@@ -123,6 +125,21 @@ def test_config_errors_name_the_key(tmp_path, line, reason):
     cfg_file.write_text(f"d = 3\n{line}\n")
     with pytest.raises(ValueError, match=f"^{re.escape(reason)}"):
         apply_config(ExperimentConfig(), parse_config_file(cfg_file))
+
+
+def test_config_values_take_the_field_types():
+    cfg = apply_config(ExperimentConfig(), {"budgets": "64,16.5", "lam": "0.05",
+                                            "corpus": "imgs", "in_sample": "no"})
+    assert cfg.budgets == (64, 16.5) and cfg.lam == 0.05 and cfg.corpus == "imgs"
+    assert cfg.in_sample is False
+
+
+def test_manifest_lists_every_field(tmp_path):
+    cfg = ExperimentConfig(k=(3, 7), lam=0.05)
+    write_manifest(tmp_path / "m.txt", cfg, ["cell summary"])
+    lines = (tmp_path / "m.txt").read_text().splitlines()
+    assert lines[0].startswith("treesense version ") and lines[-1] == "cell summary"
+    assert lines[1:-1] == [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(cfg)]
 
 
 def test_verify_theorem_noiseless_cells():
@@ -230,8 +247,7 @@ def test_compare_methods_schema_and_energy(rng):
                            measurements=(8, 16), trials=2, seed=3,
                            test_signals=1, target_sparsity=8)
     rows = compare_methods(cfg, training=tr, dictionary=planted,
-                           dict_mean=np.full(256, 0.5),
-                           test_matrix=tr.data[:, :1] + tr.mean[:, None])
+                           dict_mean=np.full(256, 0.5))
     methods = {r["method"] for r in rows}
     assert methods == {"adaptive", "pca", "lasso", "model-cosamp", "wavelet"}
     for r in rows:
