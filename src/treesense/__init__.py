@@ -16,8 +16,7 @@ from .dictlearn import (Dictionary, TrainingSet, LearnConfig,
                         tree_group_penalty, tree_prox, sparse_code,
                         update_dictionary, learn, learn_objective,
                         save_dictionary, load_dictionary)
-from .baselines import (RandomProjectionEnsemble, gaussian_ensemble,
-                        lasso_solve, model_cosamp,
+from .baselines import (gaussian_ensemble, lasso_solve, model_cosamp,
                         PcaModel, pca_fit, pca_reconstruct)
 from .wavelet import haar2, ihaar2, wavelet_sense, wavelet_reconstruct
 from .harness import (snr_db, read_pgm, write_pgm, box_downscale, load_corpus,

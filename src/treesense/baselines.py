@@ -11,7 +11,6 @@ import numpy as np
 from .tree import tree_project_batch
 
 __all__ = [
-    "RandomProjectionEnsemble",
     "gaussian_ensemble",
     "lasso_solve",
     "model_cosamp",
@@ -23,24 +22,15 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class RandomProjectionEnsemble:
-    """m x n Gaussian test matrix with rows scaled so the total energy is budget."""
-
-    matrix: np.ndarray
-    budget: float
-    seed: int
-
-
 def gaussian_ensemble(m, n, budget, seed):
-    """Draw m iid Gaussian rows and rescale each to norm sqrt(budget/m)."""
+    """(m, n) Gaussian test matrix of total energy budget: m iid Gaussian rows,
+    each rescaled to norm sqrt(budget/m)."""
     if m < 1 or budget <= 0:
         raise ValueError("need m >= 1 and budget > 0")
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((m, n))
     row_norms = np.linalg.norm(G, axis=1, keepdims=True)
-    G = G * (np.sqrt(budget / m) / row_norms)
-    return RandomProjectionEnsemble(matrix=G, budget=float(budget), seed=seed)
+    return G * (np.sqrt(budget / m) / row_norms)
 
 
 def _as_stack(A, y):

@@ -416,7 +416,7 @@ def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, measurement
     lam_grid = np.empty(stacks + (len(grid),))
     for i, m in enumerate(measurements):
         for b, R in enumerate(cfg.budgets):
-            phi = gaussian_ensemble(m, atoms.shape[0], R, seed=cfg.seed + 7919 * m + int(R)).matrix
+            phi = gaussian_ensemble(m, atoms.shape[0], R, seed=cfg.seed + 7919 * m + int(R))
             A[i, b, :m] = phi @ atoms
             # lambda probe: one held-out synthetic tree-sparse signal
             rng = np.random.default_rng([cfg.seed, 3, int(R), m])

@@ -198,13 +198,9 @@ def random_tree_sparse(tree, k, amp_min, amp_max, rng, max_depth=None):
 
 def is_tree_sparse(v, tree, tol=0.0):
     """True iff the entries with |v[i]| > tol form a rooted connected set."""
-    v = np.asarray(v, dtype=float)
-    nz = np.flatnonzero(np.abs(v) > tol) + 1
-    present = set(int(i) for i in nz)
-    for i in present:
-        if i != 1 and (i - 2) // tree.d + 1 not in present:
-            return False
-    return True
+    present = np.abs(np.asarray(v, dtype=float)) > tol
+    nodes = np.flatnonzero(present[1:]) + 2     # the non-root entries, 1-based
+    return bool(present[(nodes - 2) // tree.d].all())   # each one's parent
 
 
 def _knapsack_tables(V, tree, k):

@@ -2,9 +2,9 @@
 
 These deliberately avoid the library's own algorithms: subtree enumeration
 is exhaustive recursion, the lasso oracle is exact coordinate descent, the
-group list is built by walking parents, the traversal and support-grower
-references are the scalar loops the library's array engines replaced, and
-the prox oracle (in test_prox) is a convex solver.
+group list is built by walking parents, the traversal, support-grower and
+tree-sparsity references are the scalar loops the library's array engines
+replaced, and the prox oracle (in test_prox) is a convex solver.
 
 Hypothesis runs with random examples by default; HYPOTHESIS_PROFILE=ci
 selects a derandomized profile without deadlines.
@@ -60,6 +60,13 @@ def group_list(groups):
             depth[j] += 1
     order = sorted(members, key=lambda i: (-depth[i], i))
     return [(tuple(members[i]), groups.weights[i - 1]) for i in order]
+
+
+def reference_is_tree_sparse(v, tree, tol=0.0):
+    """True iff every entry with |v[i]| > tol other than the root has its
+    parent among those entries: a set loop over the nonzero nodes."""
+    present = set(int(i) for i in np.flatnonzero(np.abs(v) > tol) + 1)
+    return all(i == 1 or (i - 2) // tree.d + 1 in present for i in present)
 
 
 def cd_lasso(A, y, lam, sweeps=20000, tol=1e-12):

@@ -111,7 +111,7 @@ def _adaptive_success_rate(alpha, tree, k, R, trials, tag):
 
 def _lasso_success_rate(alpha, tree, k, R, m, trials, tag):
     p = tree.p
-    ens = gaussian_ensemble(m, p, budget=R, seed=4000 + tag)
+    phi = gaussian_ensemble(m, p, budget=R, seed=4000 + tag)
     rng = np.random.default_rng([4, 99, tag])
     A_mat = np.zeros((p, trials))
     supports = []
@@ -120,11 +120,11 @@ def _lasso_success_rate(alpha, tree, k, R, m, trials, tag):
                                  max_depth=tree.depth - 1)
         A_mat[:, t] = vec.values
         supports.append(vec.support)
-    Y = ens.matrix @ A_mat + rng.standard_normal((m, trials))
+    Y = phi @ A_mat + rng.standard_normal((m, trials))
     base = math.sqrt(2 * math.log(p))  # columns have unit norm at R = p
     best = 0.0
     for lam in (0.25 * base, 0.5 * base, base):
-        X = lasso_solve(ens.matrix, Y, lam, max_iters=150, tol=1e-7)
+        X = lasso_solve(phi, Y, lam, max_iters=150, tol=1e-7)
         hits = 0
         for t in range(trials):
             top = np.argsort(-np.abs(X[:, t]))[:k]

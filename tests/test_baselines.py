@@ -11,10 +11,10 @@ from conftest import cd_lasso
 
 
 def test_ensemble_row_norms():
-    ens = gaussian_ensemble(10, 50, budget=200.0, seed=3)
-    norms = np.linalg.norm(ens.matrix, axis=1)
+    phi = gaussian_ensemble(10, 50, budget=200.0, seed=3)
+    norms = np.linalg.norm(phi, axis=1)
     assert np.allclose(norms, np.sqrt(200.0 / 10), rtol=1e-12)
-    assert np.sum(ens.matrix**2) == pytest.approx(200.0)
+    assert np.sum(phi**2) == pytest.approx(200.0)
 
 
 def test_lasso_zero_when_penalty_dominates(rng):
@@ -26,10 +26,10 @@ def test_lasso_zero_when_penalty_dominates(rng):
 
 def test_lasso_overdetermined_noiseless(rng):
     t = make_tree(2, 3)
-    ens = gaussian_ensemble(20, t.p, budget=20.0, seed=1)
+    phi = gaussian_ensemble(20, t.p, budget=20.0, seed=1)
     alpha = random_tree_sparse(t, 3, 0.5, 1.5, rng).values
-    y = ens.matrix @ alpha
-    a_hat = lasso_solve(ens.matrix, y, 1e-9, max_iters=3000, tol=1e-15)
+    y = phi @ alpha
+    a_hat = lasso_solve(phi, y, 1e-9, max_iters=3000, tol=1e-15)
     assert np.max(np.abs(a_hat - alpha)) < 1e-6
 
 
@@ -54,12 +54,12 @@ def test_cosamp_planted_recovery(rng):
     t = make_tree(2, 6)  # p = 63
     successes = 0
     for trial in range(10):
-        ens = gaussian_ensemble(48, t.p, budget=float(t.p), seed=100 + trial)
+        phi = gaussian_ensemble(48, t.p, budget=float(t.p), seed=100 + trial)
         vec = random_tree_sparse(t, 8, 0.5, 1.5, rng)
-        y = ens.matrix @ vec.values
-        x_hat = model_cosamp(ens.matrix, y, 8, t, iters=20)
+        y = phi @ vec.values
+        x_hat = model_cosamp(phi, y, 8, t, iters=20)
         assert is_tree_sparse(x_hat, t)
-        if np.linalg.norm(y - ens.matrix @ x_hat) < 1e-6:
+        if np.linalg.norm(y - phi @ x_hat) < 1e-6:
             successes += 1
             assert np.allclose(x_hat, vec.values, atol=1e-6)
     assert successes >= 8  # m >= 4k and well-conditioned: near-certain recovery
@@ -67,8 +67,8 @@ def test_cosamp_planted_recovery(rng):
 
 def test_cosamp_zero_measurements(rng):
     t = make_tree(2, 4)
-    ens = gaussian_ensemble(10, t.p, budget=10.0, seed=0)
-    assert np.all(model_cosamp(ens.matrix, np.zeros(10), 3, t) == 0)
+    phi = gaussian_ensemble(10, t.p, budget=10.0, seed=0)
+    assert np.all(model_cosamp(phi, np.zeros(10), 3, t) == 0)
 
 
 def test_cosamp_k_equals_p_is_least_squares(rng):
@@ -91,7 +91,7 @@ def test_cosamp_stack_matches_unpadded_calls(monkeypatch, caplog):
     A = np.zeros((len(ms), max(ms), t.p))
     Y = np.zeros((len(ms), max(ms), q))
     for b, m in enumerate(ms):
-        A[b, :m] = gaussian_ensemble(m, t.p, budget=float(t.p), seed=b).matrix
+        A[b, :m] = gaussian_ensemble(m, t.p, budget=float(t.p), seed=b)
         for c in range(q):
             Y[b, :m, c] = A[b, :m] @ random_tree_sparse(t, k, 0.5, 1.5, rng).values
         Y[b, :m, 1] += 0.05 * rng.standard_normal(m)

@@ -1,18 +1,18 @@
 """Property tests (hypothesis): traversal invariants of adaptive_sense_coeffs
 over random trees, supports, beta, tau and budgets; the array traversal
 engine against the scalar reference, session by session, on d-ary trees and
-the Haar quadtrees; plus round trips through tree_project and the Haar
-transform."""
+the Haar quadtrees; is_tree_sparse against its set-loop reference; plus
+round trips through tree_project and the Haar transform."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treesense import (SensingConfig, adaptive_sense_batch, adaptive_sense_coeffs,
-                       haar2, ihaar2, make_tree, random_tree_sparse,
+                       haar2, ihaar2, is_tree_sparse, make_tree, random_tree_sparse,
                        random_tree_sparse_batch, tree_project, wavelet_sense)
 
-from conftest import reference_quadtree, reference_traversal
+from conftest import reference_is_tree_sparse, reference_quadtree, reference_traversal
 
 # (d, L) with p <= 121, so one example stays in the millisecond range
 TREES = ([(2, L) for L in range(1, 7)] + [(3, L) for L in range(1, 5)]
@@ -203,3 +203,17 @@ def test_haar_round_trip(side, data):
     img = np.array(vals).reshape(side, side)
     back = ihaar2(haar2(img))
     assert np.allclose(back, img, rtol=0.0, atol=1e-9 * (1.0 + np.max(np.abs(img))))
+
+
+@SETTINGS
+@given(st.sampled_from(TREES), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+def test_is_tree_sparse_equals_set_loop(shape, seed, tol):
+    # a tree-sparse vector with amplitudes in [0.01, 1], so tol cuts some of
+    # its entries, and up to two entries set anywhere
+    tree = make_tree(*shape)
+    rng = np.random.default_rng(seed)
+    v = random_tree_sparse(tree, int(rng.integers(1, tree.p + 1)), 0.01, 1.0, rng).values
+    flips = rng.integers(0, tree.p, size=rng.integers(0, 3))
+    v[flips] = rng.uniform(-1.0, 1.0, size=len(flips))
+    assert is_tree_sparse(v, tree, tol) == reference_is_tree_sparse(v, tree, tol)
