@@ -20,9 +20,8 @@ from . import __version__
 from .dictlearn import LearnConfig, TrainingSet, learn, load_dictionary, save_dictionary
 from .harness import (ExperimentConfig, apply_config, compare_methods,
                       lambda_for_sparsity, load_corpus, parse_config_file,
-                      read_pgm, snr_db, verify_theorem, write_csv,
-                      write_manifest, _row)
-from .sensing import SensingConfig, adaptive_sense, allocate_beta, reconstruct_from_outcome
+                      read_pgm, sense_signal, verify_theorem, write_csv,
+                      write_manifest)
 from .tree import make_tree
 
 
@@ -110,29 +109,15 @@ def cmd_sense(args):
         print("sense: --dict-path and --image are required", file=sys.stderr)
         return 2
     dictionary, mean = load_dictionary(cfg.dict_path)
-    img = read_pgm(args.image)
-    x = img.flatten(order="F")
+    x = read_pgm(args.image).flatten(order="F")
     if x.shape[0] != dictionary.atoms.shape[0]:
         print("sense: image size does not match dictionary dimension",
               file=sys.stderr)
         return 2
-    tree = dictionary.tree
-    k = cfg.target_sparsity or max(2, tree.p // 4)
-    rows = []
-    for R in (cfg.budgets or (float(x.shape[0]),)):
-        beta = allocate_beta(R, tree.d, k)
-        for tau in cfg.taus:
-            for trial in range(cfg.trials):
-                rng = np.random.default_rng([cfg.seed, int(R), int(tau * 1e9), trial])
-                sense_cfg = SensingConfig(beta=beta, tau=tau,
-                                          noise_std=cfg.noise_std, budget=R)
-                out = adaptive_sense(x - mean, dictionary, sense_cfg, rng)
-                x_hat = reconstruct_from_outcome(out, dictionary, beta,
-                                                 mean_offset=mean)
-                rows.append(_row("adaptive", R, tau, out.log.m, trial,
-                                 snr=snr_db(x, x_hat),
-                                 energy=out.log.energy_spent,
-                                 note=args.image))
+    if not cfg.budgets:
+        cfg.budgets = (float(x.shape[0]),)
+    k = cfg.target_sparsity or max(2, dictionary.tree.p // 4)
+    rows = sense_signal(cfg, dictionary, mean, x, k, note=args.image)
     write_csv(cfg.out, rows)
     write_manifest(cfg.out + ".manifest.txt", cfg)
     print(f"wrote {len(rows)} rows to {cfg.out}")

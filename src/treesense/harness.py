@@ -34,6 +34,7 @@ __all__ = [
     "synthetic_corpus",
     "lambda_for_sparsity",
     "verify_theorem",
+    "sense_signal",
     "compare_methods",
     "write_csv",
     "write_manifest",
@@ -392,20 +393,42 @@ def verify_theorem(cfg):
 
 
 # ---------------------------------------------------------------------------
-# compare mode
+# sense and compare modes
 # ---------------------------------------------------------------------------
+
+# Every generator of a sense or compare run is seeded by the run's seed, the
+# arm's number and the cell's position in the sweep (budget index b, signal,
+# tau index, trial; m is an exact integer key), so no two cells share a draw.
+
+def sense_signal(cfg, dictionary, dict_mean, x, k, sig_idx=0, note=""):
+    """Rows of the adaptive dictionary sessions of one signal x: one per
+    budget, tau and trial of cfg, in that order.  Each session draws from
+    its own generator, keyed [cfg.seed, 1, b, sig_idx, tau index, trial]."""
+    rows = []
+    for b, R in enumerate(cfg.budgets):
+        beta = allocate_beta(R, dictionary.tree.d, k)
+        for tau_idx, tau in enumerate(cfg.taus):
+            sense_cfg = SensingConfig(beta=beta, tau=tau, noise_std=cfg.noise_std, budget=R)
+            for trial in range(cfg.trials):
+                rng = np.random.default_rng([cfg.seed, 1, b, sig_idx, tau_idx, trial])
+                out = adaptive_sense(x - dict_mean, dictionary, sense_cfg, rng)
+                x_hat = reconstruct_from_outcome(out, dictionary, beta, mean_offset=dict_mean)
+                rows.append(_row("adaptive", R, tau, out.log.m, trial, snr=snr_db(x, x_hat),
+                                 energy=out.log.energy_spent, note=note))
+    return rows
+
 
 def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, measurements, k):
     """Per distinct measurement count m: the Phi D stack (B, m, p), centred
     measurements (B, columns, m), Lasso coefficients (B, p, columns) and
     model-CoSaMP coefficients (B, p, columns) of every budget, one column
     per (signal, trial), signal-major.  Each (budget, m) ensemble, lambda
-    probe and trial noise keep their own seeds, and only one ensemble is
-    held at a time.  Every m's rows are zero-padded to the largest m, which
-    changes neither a Lasso objective nor its gradient, and model_cosamp
-    drops the padding itself, so the whole sweep is solved in three stacked
-    calls: the lambda grids, the Lasso columns and the model-CoSaMP
-    columns."""
+    probe and trial noise draw from their own generators, and only one
+    ensemble is held at a time.  Every m's rows are zero-padded to the
+    largest m, which changes neither a Lasso objective nor its gradient,
+    and model_cosamp drops the padding itself, so the whole sweep is solved
+    in three stacked calls: the lambda grids, the Lasso columns and the
+    model-CoSaMP columns."""
     atoms, B, n_test = dictionary.atoms, len(cfg.budgets), test_matrix.shape[1]
     grid = np.array([0.001, 0.01, 0.05, 0.2])
     stacks, M, p = (len(measurements), B), max(measurements), atoms.shape[1]
@@ -416,10 +439,10 @@ def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, measurement
     lam_grid = np.empty(stacks + (len(grid),))
     for i, m in enumerate(measurements):
         for b, R in enumerate(cfg.budgets):
-            phi = gaussian_ensemble(m, atoms.shape[0], R, seed=cfg.seed + 7919 * m + int(R))
+            phi = gaussian_ensemble(m, atoms.shape[0], R, seed=[cfg.seed, 6, b, m])
             A[i, b, :m] = phi @ atoms
             # lambda probe: one held-out synthetic tree-sparse signal
-            rng = np.random.default_rng([cfg.seed, 3, int(R), m])
+            rng = np.random.default_rng([cfg.seed, 3, b, m])
             x = atoms @ random_tree_sparse(dictionary.tree, k, 0.5, 1.0, rng).values
             y = phi @ x
             if cfg.noise_std > 0:
@@ -432,7 +455,7 @@ def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, measurement
             for sig_idx in range(n_test):
                 phi_x = phi @ test_matrix[:, sig_idx]
                 for trial in range(cfg.trials):
-                    rng = np.random.default_rng([cfg.seed, 4, int(R), sig_idx, m, trial])
+                    rng = np.random.default_rng([cfg.seed, 4, b, sig_idx, m, trial])
                     y = phi_x
                     if cfg.noise_std > 0:
                         y = y + cfg.noise_std * rng.standard_normal(m)
@@ -500,35 +523,24 @@ def compare_methods(cfg, training=None, dictionary=None, dict_mean=None):
                 pca_models[m] = None
     rand_arms = _random_projection_arms(cfg, dictionary, dict_mean, test_matrix,
                                         distinct, k)
+    # adaptive dictionary sensing at each threshold, per signal budget-major
+    adaptive = [sense_signal(cfg, dictionary, dict_mean, test_matrix[:, sig_idx], k,
+                             sig_idx, f"{note};signal={sig_idx}") for sig_idx in range(n_test)]
+    per_budget = len(cfg.taus) * cfg.trials
     rows = []
     for b, R in enumerate(cfg.budgets):
-        beta = allocate_beta(R, tree.d, k)
         beta_w = math.sqrt(R / (3 * k + 1))   # wavelet arm: nominal m = 3k+1
         for sig_idx in range(n_test):
             x = test_matrix[:, sig_idx]
             tag = f"{note};signal={sig_idx}"
-
-            # adaptive dictionary sensing at each threshold
-            for tau in cfg.taus:
-                sense_cfg = SensingConfig(beta=beta, tau=tau,
-                                          noise_std=cfg.noise_std, budget=R)
-                for trial in range(cfg.trials):
-                    rng = np.random.default_rng([cfg.seed, 1, int(R), sig_idx,
-                                                 int(tau * 1e9), trial])
-                    out = adaptive_sense(x - dict_mean, dictionary, sense_cfg, rng)
-                    x_hat = reconstruct_from_outcome(out, dictionary, beta,
-                                                     mean_offset=dict_mean)
-                    rows.append(_row("adaptive", R, tau, out.log.m, trial,
-                                     snr=snr_db(x, x_hat),
-                                     energy=out.log.energy_spent, note=tag))
+            rows.extend(adaptive[sig_idx][b * per_budget:(b + 1) * per_budget])
 
             for m in measurements:
                 # PCA at matched measurement count
                 model = pca_models.get(m)
                 if model is not None:
                     for trial in range(cfg.trials):
-                        rng = np.random.default_rng([cfg.seed, 2, int(R),
-                                                     sig_idx, m, trial])
+                        rng = np.random.default_rng([cfg.seed, 2, b, sig_idx, m, trial])
                         x_hat = pca_reconstruct(model, x, R, rng,
                                                 noise_std=cfg.noise_std)
                         rows.append(_row("pca", R, "", m, trial,
@@ -548,12 +560,11 @@ def compare_methods(cfg, training=None, dictionary=None, dict_mean=None):
             # direct wavelet sensing (image signals only)
             if is_image:
                 img = x.reshape((side, side), order="F")
-                for tau_w in (0.0, 0.5):
+                for tau_idx, tau_w in enumerate((0.0, 0.5)):
                     sense_cfg = SensingConfig(beta=beta_w, tau=tau_w,
                                               noise_std=cfg.noise_std, budget=R)
                     for trial in range(cfg.trials):
-                        rng = np.random.default_rng([cfg.seed, 5, int(R), sig_idx,
-                                                     int(tau_w * 1e9), trial])
+                        rng = np.random.default_rng([cfg.seed, 5, b, sig_idx, tau_idx, trial])
                         out = wavelet_sense(img, sense_cfg, rng)
                         rec = wavelet_reconstruct(out, side, beta_w)
                         x_hat = rec.flatten(order="F")

@@ -255,6 +255,29 @@ def test_compare_methods_schema_and_energy(rng):
             assert r["energy_spent"] <= r["R"] * (1 + 1e-9)
 
 
+def test_compare_generators_never_share_a_draw(rng, monkeypatch):
+    # budgets 32.25 and 32.75 have the same integer part; seeds built from
+    # int(R) gave both budgets' cells the same noise and ensemble
+    tree = make_tree(2, 4)
+    X, planted, _ = synthetic_corpus(20, 8, tree, 4, rng)
+    tr = TrainingSet.from_raw(X)
+    cfg = ExperimentConfig(mode="compare", budgets=(32.25, 32.75), taus=(0.0, 0.5),
+                           measurements=(4, 8), trials=2, seed=5, test_signals=2,
+                           target_sparsity=4)
+    first_draws, default_rng = [], np.random.default_rng
+
+    def recording_rng(seed=None):
+        first_draws.append(tuple(default_rng(seed).random(2)))
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    rows = compare_methods(cfg, training=tr, dictionary=planted)
+    # one generator per row (model-CoSaMP reuses the Lasso's measurements),
+    # plus a lambda probe and an ensemble per (budget, m)
+    assert len(first_draws) == sum(r["method"] != "model-cosamp" for r in rows) + 2 * 4
+    assert len(set(first_draws)) == len(first_draws)
+
+
 def test_random_projection_arms_match_per_m_lasso_solves(rng, monkeypatch):
     # every m is zero-padded to the largest and solved in one stacked call;
     # each m's coefficients must equal its own unpadded solve.  At the
