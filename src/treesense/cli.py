@@ -27,13 +27,14 @@ from .tree import make_tree
 
 # The ExperimentConfig fields each subcommand takes as flags.  Every
 # subcommand also takes --config and the COMMON_FLAGS.
-COMMON_FLAGS = ("seed", "trials", "out")
+COMMON_FLAGS = ("seed",)
 FLAGS = {
-    "verify-theorem": ("d", "L", "k", "c1", "a", "budgets", "noise_std"),
+    "verify-theorem": ("trials", "out", "d", "L", "k", "c1", "a", "budgets", "noise_std"),
     "learn": ("d", "L", "corpus", "target_side", "lam", "target_sparsity", "dict_path"),
-    "sense": ("dict_path", "budgets", "taus", "noise_std", "target_sparsity"),
-    "compare": ("dict_path", "corpus", "target_side", "budgets", "taus", "measurements",
-                "noise_std", "target_sparsity", "test_signals"),
+    "sense": ("trials", "out", "dict_path", "budgets", "taus", "noise_std",
+              "target_sparsity"),
+    "compare": ("trials", "out", "dict_path", "corpus", "target_side", "budgets", "taus",
+                "measurements", "noise_std", "target_sparsity", "test_signals"),
 }
 
 
@@ -93,7 +94,7 @@ def cmd_learn(args):
         print(f"lambda search -> {lam:.6g} (target sparsity {target})")
     learn_cfg = LearnConfig(lam=lam)
     dictionary, A, history = learn(training, tree, learn_cfg, rng)
-    out = cfg.dict_path or (cfg.out if cfg.out.endswith(".lasr") else "dictionary.lasr")
+    out = cfg.dict_path or "dictionary.lasr"
     save_dictionary(out, dictionary, training.mean)
     mean_k = float(np.mean(np.sum(np.abs(A) > 1e-12, axis=0)))
     print(f"learned {tree.p} atoms in {len(history)} alternations; "

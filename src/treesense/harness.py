@@ -205,7 +205,8 @@ def lambda_for_sparsity(training, dictionary, tree, target_k, base_cfg=None,
 @dataclass
 class ExperimentConfig:
     """Every option of every mode.  A config-file key or CLI flag is a field
-    name; its value is parsed by the field's annotated type."""
+    name other than mode, which the CLI sets to the subcommand; its value is
+    parsed by the field's annotated type."""
 
     mode: str = "verify-theorem"
     d: int = 2
@@ -234,10 +235,18 @@ def _parse_list(val):
                  for x in val.split(",") if x.strip())
 
 
+def _parse_bool(val):
+    word = val.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected 1/true/yes or 0/false/no, got {val!r}")
+    return word in ("1", "true", "yes")
+
+
 _PARSE_TYPE = {"tuple": _parse_list, "int": int, "float": float, "str": str,
-               "bool": lambda v: v.lower() in ("1", "true", "yes")}
+               "bool": _parse_bool}
 # each field's parser, read off its annotation string: "float | None" -> float
-_PARSERS = {f.name: _PARSE_TYPE[f.type.split(" |")[0]] for f in fields(ExperimentConfig)}
+_PARSERS = {f.name: _PARSE_TYPE[f.type.split(" |")[0]] for f in fields(ExperimentConfig)
+            if f.name != "mode"}
 
 
 def parse_config_file(path):

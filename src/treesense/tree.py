@@ -207,24 +207,24 @@ def _knapsack_tables(V, tree, k):
     """Bottom-up DP, one level at a time: best captured energy per (node,
     subtree-size) budget, for every row of V at once.
 
-    Returns (E, prefix), lists indexed by level.  A level's nodes of all
-    rows share one leading axis, row-major: index i * n + r is row i's r-th
-    node of a level of n nodes, so the children of index R are the next
-    level's d*R .. d*R + d - 1.  E[lvl][R, b] is the max energy of a
-    connected subtree rooted at R using exactly b nodes (b = 1..cap; column
-    0 is -inf).  prefix[lvl][j][R, t] is the best energy using t nodes among
-    R's first j children, kept for backtracking.  All nodes of a level have
+    Returns (E, split), lists indexed by level.  A level's nodes of all rows
+    share one leading axis, row-major: index i * n + r is row i's r-th node
+    of a level of n nodes, so the children of index R are the next level's
+    d*R .. d*R + d - 1.  E[lvl][R, b] is the max energy of a connected
+    subtree rooted at R using exactly b nodes (b = 1..cap; column 0 is
+    -inf).  split[lvl][j][R, t] is the number of nodes child j gets when R's
+    first j + 1 children share t nodes: the smallest s whose energy is
+    within 1e-9 * (1 + best) of the best.  All nodes of a level have
     tables of the same length, so merging child j into its parents is one
     max-plus product over the whole level and every row.
     """
     w = V * V
     starts, d = tree.level_starts, tree.d
-    E, prefix = [None] * tree.depth, [None] * tree.depth
+    E, split = [None] * tree.depth, [[] for _ in range(tree.depth)]
     for lvl in reversed(range(tree.depth)):
         lo, hi = starts[lvl], starts[lvl + 1]
         n = len(V) * (hi - lo)
         g = np.zeros((n, 1))   # g[R, t]: best energy using t nodes among merged children
-        tables = [g]
         if lvl + 1 < tree.depth:
             # F[R, j, s]: allocate exactly s nodes to child j (s=0 -> skip it)
             F = E[lvl + 1].reshape(n, d, -1).copy()
@@ -242,50 +242,16 @@ def _knapsack_tables(V, tree, k):
                 s_row, s_col = gpad.strides
                 shifted = np.ndarray((n, lf, cap + 1), float, gpad, (lf - 1) * s_col,
                                      (s_row, -s_col, s_col))
-                g = (shifted + F[:, j, :, None]).max(axis=1)
-                tables.append(g)
+                both = shifted + F[:, j, :, None]
+                g = both.max(axis=1)
+                # g is finite and >= 0; the -inf sums give +inf gaps, never chosen
+                gap = np.subtract(g[:, None], both, out=both)
+                split[lvl].append(np.argmax(gap <= 1e-9 * (1 + g[:, None]), axis=1))
         cap = min(k, g.shape[1])
         Ei = np.full((n, cap + 1), -np.inf)
         Ei[:, 1:] = w[:, lo:hi].reshape(n, 1) + g[:, :cap]
-        E[lvl], prefix[lvl] = Ei, tables
-    return E, prefix
-
-
-def _backtrack(E, prefix, tree, row, budget):
-    """Nodes of row's subtree achieving E[0][row, budget], visiting only
-    those.
-
-    Each node's budget is split over its children from the last: child j
-    gets the smallest s with |prefix_{j-1}[rem - s] + E_child[s] - target|
-    <= 1e-9 * (1 + |target|), where target = prefix_j[rem].
-    """
-    d = tree.d
-    chosen, stack = [], [(1, 0, row, budget)]
-    while stack:
-        node, lvl, R, rem = stack.pop()
-        chosen.append(node)
-        rem -= 1
-        if rem == 0:   # a leaf of the chosen subtree
-            continue
-        g = prefix[lvl][d][R].tolist()
-        for j in range(d, 0, -1):
-            if rem == 0:   # every remaining child gets 0 nodes
-                break
-            g_prev = prefix[lvl][j - 1][R].tolist()
-            F = E[lvl + 1][d * R + j - 1].tolist()
-            F[0] = 0.0   # allocating 0 nodes skips the child
-            target = g[rem]
-            tol = 1e-9 * (1 + abs(target))
-            for s in range(max(0, rem - len(g_prev) + 1), min(rem, len(F) - 1) + 1):
-                if abs(g_prev[rem - s] + F[s] - target) <= tol:
-                    break
-            else:  # pragma: no cover - defensive
-                raise AssertionError("DP backtracking failed")
-            if s >= 1:
-                stack.append((node * d - d + 1 + j, lvl + 1, d * R + j - 1, s))
-            rem -= s
-            g = g_prev
-    return chosen
+        E[lvl] = Ei
+    return E, split
 
 
 def tree_project_batch(V, tree, k):
@@ -305,18 +271,30 @@ def tree_project_batch(V, tree, k):
     if not 1 <= k <= tree.p:
         raise ValueError(f"k must be in 1..{tree.p}, got {k}")
 
-    E, prefix = _knapsack_tables(V, tree, k)
+    E, split = _knapsack_tables(V, tree, k)
     root = E[0][:, 1:]
     best = root.max(axis=1, keepdims=True)   # >= root, and >= 0
     # prefer the smallest budget attaining the max (avoids zero padding)
     b_star = 1 + np.argmax(best - root <= 1e-12 * (1 + best), axis=1)
     support = np.zeros(V.shape, dtype=bool)
-    for row, budget in enumerate(b_star.tolist()):
-        support[row, np.array(_backtrack(E, prefix, tree, row, budget)) - 1] = True
+    starts, d = tree.level_starts, tree.d
+    # top down over every row: R holds a level's chosen nodes (row-major, as
+    # in the tables) and rem what each one's subtree spends; each splits its
+    # rem - 1 over its children from the last, as recorded
+    R, rem = np.arange(len(V)), b_star
+    for lvl in range(tree.depth):
+        rows, cols = np.divmod(R, starts[lvl + 1] - starts[lvl])
+        support[rows, starts[lvl] + cols] = True
+        rem = rem - 1
+        alloc = np.zeros((len(R), d), dtype=np.int64)   # a leaf's splits are 0
+        for j in reversed(range(len(split[lvl]))):
+            alloc[:, j] = split[lvl][j][R, rem]
+            rem -= alloc[:, j]
+        chosen = alloc > 0
+        R, rem = (d * R[:, None] + np.arange(d))[chosen], alloc[chosen]
     # rooted-connected closure of the nonzeros, if a zero was chosen: bottom
     # up, a node stays if its value is nonzero or one of its children stayed
     if (support & (V == 0)).any():
-        starts, d = tree.level_starts, tree.d
         for lvl in reversed(range(tree.depth)):
             lo, hi = starts[lvl], starts[lvl + 1]
             keep = V[:, lo:hi] != 0

@@ -4,7 +4,8 @@ These deliberately avoid the library's own algorithms: subtree enumeration
 is exhaustive recursion, the lasso oracle is exact coordinate descent, the
 group list is built by walking parents, the traversal, support-grower and
 tree-sparsity references are the scalar loops the library's array engines
-replaced, and the prox oracle (in test_prox) is a convex solver.
+replaced, the projection reference is a per-node DP, and the prox oracle
+(in test_prox) is a convex solver.
 
 Hypothesis runs with random examples by default; HYPOTHESIS_PROFILE=ci
 selects a derandomized profile without deadlines.
@@ -67,6 +68,75 @@ def reference_is_tree_sparse(v, tree, tol=0.0):
     parent among those entries: a set loop over the nonzero nodes."""
     present = set(int(i) for i in np.flatnonzero(np.abs(v) > tol) + 1)
     return all(i == 1 or (i - 2) // tree.d + 1 in present for i in present)
+
+
+def _reference_tables(v, tree, k):
+    w = v * v
+    E, prefix = {}, {}
+    for i in range(tree.p, 0, -1):
+        cs = tree.children(i)
+        g = np.zeros(1)
+        tables = [g]
+        for c in cs:
+            F = np.concatenate(([0.0], E[c][1:]))
+            cap = min(k - 1, len(g) - 1 + len(F) - 1)
+            g_new = np.full(cap + 1, -np.inf)
+            for t in range(cap + 1):
+                lo = max(0, t - (len(F) - 1))
+                hi = min(t, len(g) - 1)
+                g_new[t] = np.max(g[lo:hi + 1] + F[t - hi:t - lo + 1][::-1])
+            g = g_new
+            tables.append(g)
+        cap = min(k, len(g))
+        Ei = np.full(cap + 1, -np.inf)
+        Ei[1:cap + 1] = w[i - 1] + g[:cap]
+        E[i], prefix[i] = Ei, (cs, tables)
+    return E, prefix
+
+
+def _reference_backtrack(E, prefix, node, budget, out):
+    out.append(node)
+    rem = budget - 1
+    cs, tables = prefix[node]
+    for j in range(len(cs), 0, -1):
+        F = np.concatenate(([0.0], E[cs[j - 1]][1:]))
+        g_prev, target = tables[j - 1], tables[j][rem]
+        for s in range(min(rem, len(F) - 1) + 1):
+            t = rem - s
+            if t < len(g_prev) and np.isclose(g_prev[t] + F[s], target, rtol=0,
+                                              atol=1e-9 * (1 + abs(target))):
+                if s >= 1:
+                    _reference_backtrack(E, prefix, cs[j - 1], s, out)
+                rem = t
+                break
+        else:
+            raise AssertionError("reference backtracking failed")
+
+
+def reference_project(v, tree, k):
+    """(support, values) of the exact tree projection by a per-node DP: one
+    knapsack merge per node and budget, then a recursive backtrack that
+    re-finds each split with np.isclose (the smallest budget and the
+    smallest child allocation win ties), then the zero-fringe closure."""
+    E, prefix = _reference_tables(v, tree, k)
+    root = E[1][1:]
+    best = np.max(root)
+    b_star = 1 + int(np.flatnonzero(np.isclose(root, best, rtol=0,
+                                               atol=1e-12 * (1 + abs(best))))[0])
+    chosen = []
+    _reference_backtrack(E, prefix, 1, b_star, chosen)
+    keep = set(chosen)
+    changed = True
+    while changed:
+        changed = False
+        for i in sorted(keep, reverse=True):
+            if v[i - 1] == 0 and not any(c in keep for c in tree.children(i)):
+                keep.remove(i)
+                changed = True
+    values = np.zeros(tree.p)
+    for i in keep:
+        values[i - 1] = v[i - 1]
+    return frozenset(keep), values
 
 
 def cd_lasso(A, y, lam, sweeps=20000, tol=1e-12):

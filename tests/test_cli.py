@@ -146,6 +146,16 @@ def test_workers_flag_is_gone(tmp_path, capsys):
     assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--trials", "5"), ("--out", "x.csv")])
+def test_learn_rejects_flags_it_does_not_read(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["learn", "--corpus", str(tmp_path), "--dict-path", str(tmp_path / "d.lasr"),
+              flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "d.lasr").exists()
+
+
 def test_learn_sense_compare_roundtrip(tmp_path, corpus_dir, capsys):
     root, test_img = corpus_dir
     dict_path = tmp_path / "d.lasr"

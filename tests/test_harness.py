@@ -119,6 +119,8 @@ def test_config_file_parsing(tmp_path):
     ("trials = ten", "config key 'trials': invalid literal"),
     ("k = 3,x", "config key 'k': invalid literal"),
     ("noise_std = loud", "config key 'noise_std': could not convert"),
+    ("in_sample = ture", "config key 'in_sample'"),
+    ("mode = compare", "unknown config key 'mode'"),
 ])
 def test_config_errors_name_the_key(tmp_path, line, reason):
     cfg_file = tmp_path / "run.cfg"

@@ -1,8 +1,9 @@
 """Property tests (hypothesis): traversal invariants of adaptive_sense_coeffs
 over random trees, supports, beta, tau and budgets; the array traversal
 engine against the scalar reference, session by session, on d-ary trees and
-the Haar quadtrees; is_tree_sparse against its set-loop reference; plus
-round trips through tree_project and the Haar transform."""
+the Haar quadtrees; is_tree_sparse against its set-loop reference; the
+batched tree projection against the per-node reference DP; plus round trips
+through tree_project and the Haar transform."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 from treesense import (SensingConfig, adaptive_sense_batch, adaptive_sense_coeffs,
                        haar2, ihaar2, is_tree_sparse, make_tree, random_tree_sparse,
-                       random_tree_sparse_batch, tree_project, wavelet_sense)
+                       random_tree_sparse_batch, tree_project, tree_project_batch,
+                       wavelet_sense)
 
-from conftest import reference_is_tree_sparse, reference_quadtree, reference_traversal
+from conftest import (reference_is_tree_sparse, reference_project, reference_quadtree,
+                      reference_traversal)
 
 # (d, L) with p <= 121, so one example stays in the millisecond range
 TREES = ([(2, L) for L in range(1, 7)] + [(3, L) for L in range(1, 5)]
@@ -193,6 +196,24 @@ def test_tree_project_is_idempotent(shape, data):
     w = tree_project(v, tree, k)
     again = tree_project(w.values, tree, k)
     assert np.array_equal(again.values, w.values)
+
+
+@SETTINGS
+@given(st.sampled_from([t for t in TREES if t[0] > 2 or t[1] <= 5]), st.data())
+def test_batched_projection_equals_per_node_reference(shape, data):
+    # up to 5 rows of values in -0.3, -0.2, ..., 0.3: sums of their squares
+    # tie exactly or to rounding, and the zeros leave a fringe to drop; each
+    # row must be its own per-node projection, values bit for bit
+    tree = make_tree(*shape)
+    k = data.draw(st.integers(1, tree.p))
+    entry = st.integers(-3, 3).map(lambda i: i / 10)
+    V = np.array(data.draw(st.lists(st.lists(entry, min_size=tree.p, max_size=tree.p),
+                                    min_size=1, max_size=5)))
+    values, support = tree_project_batch(V, tree, k)
+    for v, got_values, got_support in zip(V, values, support):
+        ref_support, ref_values = reference_project(v, tree, k)
+        assert set((np.flatnonzero(got_support) + 1).tolist()) == ref_support
+        assert got_values.tobytes() == ref_values.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,7 @@ from treesense import (Dictionary, GroupSet, make_tree, groups_of,
                        random_tree_sparse, random_tree_sparse_batch,
                        is_tree_sparse, tree_project, tree_project_batch)
 from conftest import (enumerate_rooted_subtrees, best_subtree_energy,
-                      reference_random_tree_sparse)
+                      reference_project, reference_random_tree_sparse)
 
 
 def test_make_tree_binary_three_levels():
@@ -181,76 +181,9 @@ def test_tree_project_exact_matches_enumeration(d, L, rng):
 
 
 # ---------------------------------------------------------------------------
-# Per-node reference DP: one knapsack merge per node and budget, backtracking
-# with np.isclose.  The level-synchronous tree_project must return the same
-# support and values, ties included.
+# The level-synchronous tree_project against conftest's per-node reference
+# DP: the same support and values, ties included.
 # ---------------------------------------------------------------------------
-
-def _reference_tables(v, tree, k):
-    w = v * v
-    E, prefix = {}, {}
-    for i in range(tree.p, 0, -1):
-        cs = tree.children(i)
-        g = np.zeros(1)
-        tables = [g]
-        for c in cs:
-            F = np.concatenate(([0.0], E[c][1:]))
-            cap = min(k - 1, len(g) - 1 + len(F) - 1)
-            g_new = np.full(cap + 1, -np.inf)
-            for t in range(cap + 1):
-                lo = max(0, t - (len(F) - 1))
-                hi = min(t, len(g) - 1)
-                g_new[t] = np.max(g[lo:hi + 1] + F[t - hi:t - lo + 1][::-1])
-            g = g_new
-            tables.append(g)
-        cap = min(k, len(g))
-        Ei = np.full(cap + 1, -np.inf)
-        Ei[1:cap + 1] = w[i - 1] + g[:cap]
-        E[i], prefix[i] = Ei, (cs, tables)
-    return E, prefix
-
-
-def _reference_backtrack(E, prefix, node, budget, out):
-    out.append(node)
-    rem = budget - 1
-    cs, tables = prefix[node]
-    for j in range(len(cs), 0, -1):
-        F = np.concatenate(([0.0], E[cs[j - 1]][1:]))
-        g_prev, target = tables[j - 1], tables[j][rem]
-        for s in range(min(rem, len(F) - 1) + 1):
-            t = rem - s
-            if t < len(g_prev) and np.isclose(g_prev[t] + F[s], target, rtol=0,
-                                              atol=1e-9 * (1 + abs(target))):
-                if s >= 1:
-                    _reference_backtrack(E, prefix, cs[j - 1], s, out)
-                rem = t
-                break
-        else:
-            raise AssertionError("reference backtracking failed")
-
-
-def reference_project(v, tree, k):
-    """(support, values) of the per-node exact projection."""
-    E, prefix = _reference_tables(v, tree, k)
-    root = E[1][1:]
-    best = np.max(root)
-    b_star = 1 + int(np.flatnonzero(np.isclose(root, best, rtol=0,
-                                               atol=1e-12 * (1 + abs(best))))[0])
-    chosen = []
-    _reference_backtrack(E, prefix, 1, b_star, chosen)
-    keep = set(chosen)
-    changed = True
-    while changed:
-        changed = False
-        for i in sorted(keep, reverse=True):
-            if v[i - 1] == 0 and not any(c in keep for c in tree.children(i)):
-                keep.remove(i)
-                changed = True
-    values = np.zeros(tree.p)
-    for i in keep:
-        values[i - 1] = v[i - 1]
-    return frozenset(keep), values
-
 
 # d in {2, 3, 4, 6}, every depth until p passes about 1000
 PROJECTION_TREES = ([(2, L) for L in range(1, 11)] + [(3, L) for L in range(1, 8)]
