@@ -18,15 +18,15 @@ import numpy as np
 
 from . import __version__
 from .dictlearn import LearnConfig, TrainingSet, learn, load_dictionary, save_dictionary
-from .harness import (ExperimentConfig, apply_config, compare_methods,
+from .harness import (ExperimentConfig, apply_config, as_table, compare_methods,
                       lambda_for_sparsity, load_corpus, parse_config_file,
                       read_pgm, sense_signal, verify_theorem, write_csv,
                       write_manifest)
 from .tree import make_tree
 
 
-# The ExperimentConfig fields each subcommand takes as flags.  Every
-# subcommand also takes --config and the COMMON_FLAGS.
+# The ExperimentConfig fields each subcommand takes, as flags and as
+# config-file keys.  Every subcommand also takes --config and the COMMON_FLAGS.
 COMMON_FLAGS = ("seed",)
 FLAGS = {
     "verify-theorem": ("trials", "out", "d", "L", "k", "c1", "a", "budgets", "noise_std"),
@@ -34,19 +34,24 @@ FLAGS = {
     "sense": ("trials", "out", "dict_path", "budgets", "taus", "noise_std",
               "target_sparsity"),
     "compare": ("trials", "out", "dict_path", "corpus", "target_side", "budgets", "taus",
-                "measurements", "noise_std", "target_sparsity", "test_signals"),
+                "measurements", "noise_std", "target_sparsity", "test_signals", "in_sample"),
 }
 
 
 def _build_cfg(args):
-    """The config file's settings, then the flags given, on the defaults."""
+    """The config file's settings, then the flags given, on the defaults.
+    The config file may set only the subcommand's own keys."""
     cfg = ExperimentConfig(mode=args.command)
+    flags = (*COMMON_FLAGS, *FLAGS[args.command])
     if args.config:
         try:
-            apply_config(cfg, parse_config_file(args.config))
+            settings = parse_config_file(args.config)
+            apply_config(cfg, settings)
+            for key in settings:
+                if key not in flags:
+                    raise ValueError(f"config key {key!r} is not a {args.command} option")
         except ValueError as exc:
             raise ValueError(f"{args.config}: {exc}") from None
-    flags = (*COMMON_FLAGS, *FLAGS[args.command])
     apply_config(cfg, {key: getattr(args, key) for key in flags
                        if getattr(args, key) is not None})
     return cfg
@@ -65,12 +70,12 @@ def cmd_tree_info(args):
 
 def cmd_verify_theorem(args):
     cfg = _build_cfg(args)
-    rows, summaries = verify_theorem(cfg)
-    write_csv(cfg.out, rows)
+    table, summaries = verify_theorem(cfg)
+    n_rows = write_csv(cfg.out, table)
     write_manifest(cfg.out + ".manifest.txt", cfg, summaries)
     for line in summaries:
         print(line)
-    print(f"wrote {len(rows)} rows to {cfg.out}")
+    print(f"wrote {n_rows} rows to {cfg.out}")
     return 0
 
 
@@ -119,9 +124,9 @@ def cmd_sense(args):
         cfg.budgets = (float(x.shape[0]),)
     k = cfg.target_sparsity or max(2, dictionary.tree.p // 4)
     rows = sense_signal(cfg, dictionary, mean, x, k, note=args.image)
-    write_csv(cfg.out, rows)
+    n_rows = write_csv(cfg.out, as_table(rows))
     write_manifest(cfg.out + ".manifest.txt", cfg)
-    print(f"wrote {len(rows)} rows to {cfg.out}")
+    print(f"wrote {n_rows} rows to {cfg.out}")
     return 0
 
 
@@ -130,10 +135,9 @@ def cmd_compare(args):
     if not cfg.budgets:
         n = cfg.target_side**2
         cfg.budgets = (float(n), n / 8, n / 32)
-    rows = compare_methods(cfg)
-    write_csv(cfg.out, rows)
+    n_rows = write_csv(cfg.out, as_table(compare_methods(cfg)))
     write_manifest(cfg.out + ".manifest.txt", cfg)
-    print(f"wrote {len(rows)} rows to {cfg.out}")
+    print(f"wrote {n_rows} rows to {cfg.out}")
     return 0
 
 

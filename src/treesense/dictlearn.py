@@ -246,7 +246,13 @@ def learn(training, tree, cfg, rng, init=None, weights=None):
     """Alternating minimization for the tree-structured orthonormal dictionary.
 
     Returns (Dictionary, A, history) where history holds the objective after
-    each alternation; the sequence is nonincreasing.  weights are the group
+    each alternation; the sequence is nonincreasing.  Alternation t codes
+    A_t against D_t, records the objective of (D_t, A_t), then fits D_{t+1}
+    to A_t.  Which pair is returned depends on how the loop stops: on `tol`
+    it returns D_t with A_t, the pair history[-1] belongs to; after
+    `outer_iters` alternations it returns D_{t+1} with A_t, and history[-1]
+    is the objective of A_t with the previous dictionary D_t (D_{t+1} fits
+    A_t at least as well).  weights are the group
     weights in heap order, as for groups_of (earlier versions read them in
     deepest-first group order), or None for all-ones.
     """

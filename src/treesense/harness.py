@@ -4,9 +4,9 @@ verification, energy-fair method comparison sweeps, and CSV emission."""
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
-import operator
 import os
 import re
 from dataclasses import dataclass, fields
@@ -36,6 +36,7 @@ __all__ = [
     "verify_theorem",
     "sense_signal",
     "compare_methods",
+    "as_table",
     "write_csv",
     "write_manifest",
 ]
@@ -211,12 +212,12 @@ class ExperimentConfig:
     mode: str = "verify-theorem"
     d: int = 2
     L: int = 6
-    k: tuple = (15,)
+    k: tuple[int, ...] = (15,)
     c1: float = 1.0
     a: float = 0.5
     budgets: tuple = ()
     taus: tuple = (0.0,)
-    measurements: tuple = ()
+    measurements: tuple[int, ...] = ()
     noise_std: float = 1.0
     trials: int = 100
     seed: int = 0
@@ -235,6 +236,10 @@ def _parse_list(val):
                  for x in val.split(",") if x.strip())
 
 
+def _parse_int_list(val):
+    return tuple(int(x) for x in val.split(",") if x.strip())
+
+
 def _parse_bool(val):
     word = val.lower()
     if word not in ("1", "true", "yes", "0", "false", "no"):
@@ -242,8 +247,8 @@ def _parse_bool(val):
     return word in ("1", "true", "yes")
 
 
-_PARSE_TYPE = {"tuple": _parse_list, "int": int, "float": float, "str": str,
-               "bool": _parse_bool}
+_PARSE_TYPE = {"tuple": _parse_list, "tuple[int, ...]": _parse_int_list, "int": int,
+               "float": float, "str": str, "bool": _parse_bool}
 # each field's parser, read off its annotation string: "float | None" -> float
 _PARSERS = {f.name: _PARSE_TYPE[f.type.split(" |")[0]] for f in fields(ExperimentConfig)
             if f.name != "mode"}
@@ -290,21 +295,35 @@ def _row(method, R, tau, m, trial, snr=None, support_exact=None,
             "energy_spent": energy, "wall_time": "", "note": note}
 
 
-def write_csv(path, rows):
-    """One line per row dict (keyed by CSV_FIELDS, as _row builds them).  The
-    columns that hold floats, R, tau, snr_db and energy_spent, are written
-    with 12 significant digits; the csv module writes None and "" as an empty
-    field and every other value with str()."""
+def as_table(rows):
+    """The table form of a list of row dicts: each CSV field's column."""
+    return {name: [row[name] for row in rows] for name in CSV_FIELDS}
+
+
+def _cells(column, n):
+    """A table entry's n cells: a float as 12 significant digits, anything
+    else as the csv module writes it (None and "" empty, str() otherwise)."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        # one format per distinct bit pattern (so -0.0 stays apart from 0.0)
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        return np.array(_cells(bits.view(np.float64).tolist(), n), object)[inverse].tolist()
+    if isinstance(column, np.ndarray):   # integers, bools or strings
+        return column.tolist()
+    if not isinstance(column, list):
+        return itertools.repeat(_cells([column], 1)[0], n)
+    return [f"{v:.12g}" if isinstance(v, float) else v for v in column]
+
+
+def write_csv(path, table):
+    """Write a table, which maps each of CSV_FIELDS to a column (a list or a
+    1-D array, one entry per row) or to a scalar every row shares; returns
+    the row count."""
+    n = max(len(col) for col in table.values() if isinstance(col, (list, np.ndarray)))
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(CSV_FIELDS)
-        writer.writerows(
-            (method, f"{R:.12g}" if isinstance(R, float) else R,
-             f"{tau:.12g}" if isinstance(tau, float) else tau, m, trial,
-             f"{snr:.12g}" if isinstance(snr, float) else snr, exact, support_exact,
-             f"{energy:.12g}" if isinstance(energy, float) else energy, wall_time, note)
-            for (method, R, tau, m, trial, snr, exact, support_exact, energy,
-                 wall_time, note) in map(operator.itemgetter(*CSV_FIELDS), rows))
+        writer.writerows(zip(*(_cells(table[name], n) for name in CSV_FIELDS), strict=True))
+    return n
 
 
 def write_manifest(path, cfg, summaries=()):
@@ -340,8 +359,9 @@ def _support_errors(batch, nodes, p):
 
 
 def _verify_cell(tree, k, R, beta, alpha, tau, cfg, cell):
-    """Rows and summary line of one (k, R) cell.  Its trials are drawn from
-    one generator, in batches of up to _VERIFY_BLOCK trials."""
+    """Columns (one entry per trial) and summary line of one (k, R) cell.
+    Its trials are drawn from one generator, in batches of up to
+    _VERIFY_BLOCK trials."""
     rng = np.random.default_rng([cfg.seed, cell])
     sense_cfg = SensingConfig(beta=beta, tau=tau, noise_std=cfg.noise_std, budget=R)
     per_trial = []
@@ -354,17 +374,15 @@ def _verify_cell(tree, k, R, beta, alpha, tau, cfg, cell):
                           *_support_errors(batch, nodes, tree.p)))
     m, energy, truncated, false_alarms, misses = map(np.concatenate, zip(*per_trial))
     exact = (false_alarms == 0) & (misses == 0)
-    rows = [_row("adaptive", R, tau, mt, trial, support_exact=int(ok), energy=e,
-                 note=f"k={k}")
-            for trial, (mt, ok, e) in enumerate(zip(m.tolist(), exact.tolist(),
-                                                    energy.tolist()))]
     bound = failure_bound(beta, tau, alpha, k, cfg.d)
     summary = (f"cell k={k} R={R:g}: "
                f"failure_rate={int(cfg.trials - exact.sum()) / cfg.trials:.6g} "
                f"bound={bound:.6g} mean_m={np.mean(m):.6g} predicted_m={cfg.d * k + 1} "
                f"truncated_rate={np.mean(truncated):.6g} "
                f"false_alarms={np.mean(false_alarms):.6g} misses={np.mean(misses):.6g}")
-    return rows, summary
+    return {"R": np.full(cfg.trials, R), "tau": np.full(cfg.trials, tau), "m": m,
+            "trial": np.arange(cfg.trials), "support_exact": exact.astype(np.int64),
+            "energy_spent": energy, "note": np.full(cfg.trials, f"k={k}")}, summary
 
 
 def verify_theorem(cfg):
@@ -372,21 +390,18 @@ def verify_theorem(cfg):
 
     For each (k, R) cell, signals are drawn at the amplitude threshold and
     acquired with the threshold traversal, the trials of a cell in batches
-    drawn from one generator; emits one row per trial plus a per-cell
-    summary (empirical failure rate vs the union bound, mean m vs dk+1, the
-    truncated share, and mean false alarms |S_hat - S| and misses
-    |S - S_hat| per trial).  Supports are kept off the leaf level so every
-    support node has d children to test.
+    drawn from one generator.  Returns write_csv's table, one row per trial,
+    and per cell a summary line (empirical failure rate vs the union bound,
+    mean m vs dk+1, the truncated share, and mean false alarms |S_hat - S|
+    and misses |S - S_hat| per trial).  Supports are kept off the leaf
+    level so every support node has d children to test.
     """
     if cfg.trials < 1:
         raise ValueError(f"trials must be at least 1, got {cfg.trials}")
     tree = make_tree(cfg.d, cfg.L)
-    rows, summaries = [], []
-    if cfg.budgets:
-        cells = [(k, R) for k in cfg.k for R in cfg.budgets]
-    else:
-        # default: unit per-measurement scale, R = (d+1)k
-        cells = [(k, float((cfg.d + 1) * k)) for k in cfg.k]
+    blocks, summaries = [], []
+    # the default budget is the unit per-measurement scale, R = (d+1)k
+    cells = [(k, R) for k in cfg.k for R in cfg.budgets or [float((cfg.d + 1) * k)]]
     for cell, (k, R) in enumerate(cells):
         beta = allocate_beta(R, cfg.d, k)
         alpha = min_amplitude(cfg.c1, cfg.a, cfg.d, k, beta)
@@ -394,11 +409,13 @@ def verify_theorem(cfg):
         if tau >= beta * alpha:
             logger.warning("cell (k=%d, R=%g) skipped: tau >= beta*alpha_min", k, R)
             continue
-
-        cell_rows, summary = _verify_cell(tree, k, R, beta, alpha, tau, cfg, cell)
-        rows.extend(cell_rows)
+        columns, summary = _verify_cell(tree, k, R, beta, alpha, tau, cfg, cell)
+        blocks.append(columns)
         summaries.append(summary)
-    return rows, summaries
+    # every cell has cfg.trials rows, so ravel joins the cells' columns
+    table = {name: np.ravel([block[name] for block in blocks])
+             for name in ("R", "tau", "m", "trial", "support_exact", "energy_spent", "note")}
+    return {**table, "method": "adaptive", "snr_db": None, "exact": "", "wall_time": ""}, summaries
 
 
 # ---------------------------------------------------------------------------

@@ -163,24 +163,25 @@ def random_tree_sparse_batch(tree, k, amp_min, amp_max, rng, trials, max_depth=N
         raise ValueError("cannot grow a connected support of size "
                          f"{k} under the depth restriction")
     inner = (last - 1) // d
-    rows, kids = np.arange(trials), np.arange(d)
+    kids = np.arange(d)
     nodes = np.ones((trials, k), dtype=np.int64)
     # boundary[t, :lens[t]] is row t's boundary list: each step pops one entry
     # (the later ones shift left) and appends the new node's children
     width = d + (k - 1) * (d - 1)
-    boundary = np.zeros((trials, width + 1), dtype=np.int64)
+    boundary = np.zeros((trials, width), dtype=np.int64)
     boundary[:, :d] = np.arange(2, d + 2)
+    flat, starts = boundary.reshape(-1), np.arange(trials) * width
     lens = np.full(trials, d * (inner >= 1))
-    cols = np.arange(width)
     for step in range(1, k):
         pick = rng.integers(0, lens)
-        j = boundary[rows, pick]
-        nodes[:, step] = j
-        boundary[:, :-1] = np.where(cols >= pick[:, None], boundary[:, 1:], boundary[:, :-1])
+        nodes[:, step] = j = flat[starts + pick]
+        live = d + (step - 1) * (d - 1)   # no list is longer before this pop
+        shift = boundary[:, :live]
+        shift[:, :-1] = np.where(np.arange(live - 1) >= pick[:, None], shift[:, 1:], shift[:, :-1])
         lens -= 1
-        r = rows[j <= inner]
-        boundary[r[:, None], lens[r, None] + kids] = d * j[r, None] - d + 2 + kids
-        lens[r] += d
+        grow = j <= inner
+        flat[(starts[grow] + lens[grow])[:, None] + kids] = d * j[grow, None] - d + 2 + kids
+        lens[grow] += d
 
     mags = rng.uniform(amp_min, amp_max, size=(trials, k))
     signs = rng.choice([-1.0, 1.0], size=(trials, k))

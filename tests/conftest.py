@@ -4,19 +4,24 @@ These deliberately avoid the library's own algorithms: subtree enumeration
 is exhaustive recursion, the lasso oracle is exact coordinate descent, the
 group list is built by walking parents, the traversal, support-grower and
 tree-sparsity references are the scalar loops the library's array engines
-replaced, the projection reference is a per-node DP, and the prox oracle
-(in test_prox) is a convex solver.
+replaced, the projection reference is a per-node DP, the CSV reference
+writes one row dict at a time, and the prox oracle (in test_prox) is a
+convex solver.
 
 Hypothesis runs with random examples by default; HYPOTHESIS_PROFILE=ci
 selects a derandomized profile without deadlines.
 """
 
+import csv
+import operator
 import os
 from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import settings
+
+from treesense import CSV_FIELDS
 
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
@@ -209,6 +214,44 @@ def reference_random_tree_sparse(tree, k, amp_min, amp_max, rng, max_depth=None)
     for idx, node in enumerate(support):
         values[node - 1] = signs[idx] * mags[idx]
     return values, frozenset(support)
+
+
+def reference_random_tree_sparse_batch(tree, k, amp_min, amp_max, rng, trials,
+                                       max_depth=None):
+    """(nodes, values) of `trials` k-tree-sparse vectors grown as Python
+    lists: one rng.integers call per step over the rows' boundary lengths,
+    then each row pops its pick and appends the new node's children."""
+    d, last = tree.d, tree.p
+    if max_depth is not None:
+        last = min(last, (d ** max(max_depth, 0) - 1) // (d - 1))
+    supports = [[1] for _ in range(trials)]
+    boundaries = [list(range(2, min(d + 1, last) + 1)) for _ in range(trials)]
+    for _ in range(1, k):
+        picks = rng.integers(0, [len(boundary) for boundary in boundaries])
+        for support, boundary, pick in zip(supports, boundaries, picks.tolist()):
+            j = boundary.pop(pick)
+            support.append(j)
+            boundary.extend(range(d * (j - 1) + 2, min(d * j + 1, last) + 1))
+    mags = rng.uniform(amp_min, amp_max, size=(trials, k))
+    signs = rng.choice([-1.0, 1.0], size=(trials, k))
+    return np.array(supports).reshape(trials, k), signs * mags
+
+
+def reference_write_csv(path, rows):
+    """One line per row dict keyed by CSV_FIELDS.  The columns that hold
+    floats, R, tau, snr_db and energy_spent, are written with 12 significant
+    digits; the csv module writes None and "" as an empty field and every
+    other value with str()."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(CSV_FIELDS)
+        writer.writerows(
+            (method, f"{R:.12g}" if isinstance(R, float) else R,
+             f"{tau:.12g}" if isinstance(tau, float) else tau, m, trial,
+             f"{snr:.12g}" if isinstance(snr, float) else snr, exact, support_exact,
+             f"{energy:.12g}" if isinstance(energy, float) else energy, wall_time, note)
+            for (method, R, tau, m, trial, snr, exact, support_exact, energy,
+                 wall_time, note) in map(operator.itemgetter(*CSV_FIELDS), rows))
 
 
 def _flat(band, s, i, j, side):

@@ -11,7 +11,7 @@ from treesense import (Dictionary, ExperimentConfig, LearnConfig,
                        groups_of, is_tree_sparse, lasso_solve, learn,
                        make_tree, min_amplitude, random_tree_sparse,
                        synthetic_corpus, tree_project, tree_prox,
-                       two_stage_estimate_coeffs, verify_theorem, write_csv)
+                       two_stage_estimate_coeffs, verify_theorem, write_csv, as_table)
 from treesense.harness import compare_methods
 
 from conftest import enumerate_rooted_subtrees, group_list
@@ -48,8 +48,8 @@ def test_criterion_1_measurement_count_law():
 def test_criterion_2_failure_probability_bound():
     d, L = 2, 10  # p = 1023
     trials = 10_000
-    rows, _ = verify_theorem(ExperimentConfig(d=d, L=L, k=(7, 15, 31), trials=trials,
-                                              seed=2))
+    table, _ = verify_theorem(ExperimentConfig(d=d, L=L, k=(7, 15, 31), trials=trials,
+                                               seed=2))
     all_ok = True
     details = []
     for k in (7, 15, 31):
@@ -58,9 +58,9 @@ def test_criterion_2_failure_probability_bound():
         alpha = min_amplitude(c1=1.0, a=0.5, d=d, k=k, beta=beta)
         tau = 0.5 * beta * alpha
         bound = failure_bound(beta, tau, alpha, k, d)
-        cell = [r for r in rows if r["note"] == f"k={k}"]
-        assert len(cell) == trials
-        rate = sum(r["support_exact"] == 0 for r in cell) / trials
+        cell = table["note"] == f"k={k}"
+        assert cell.sum() == trials
+        rate = np.sum(table["support_exact"][cell] == 0) / trials
         se = math.sqrt(bound * (1 - bound) / trials)
         ok = rate <= bound + 3 * se and rate <= 1.0 / k
         all_ok &= ok
@@ -310,8 +310,8 @@ def test_criterion_9_deterministic_csv(tmp_path):
     for run in (1, 2):
         cfg = ExperimentConfig(d=2, L=5, k=(3, 7), trials=40, seed=99,
                                out=str(tmp_path / f"vt{run}.csv"))
-        rows, _ = verify_theorem(cfg)
-        write_csv(cfg.out, rows)
+        table, _ = verify_theorem(cfg)
+        write_csv(cfg.out, table)
         pairs.append((tmp_path / f"vt{run}.csv").read_bytes())
     same_vt = pairs[0] == pairs[1]
 
@@ -327,7 +327,7 @@ def test_criterion_9_deterministic_csv(tmp_path):
                                out=str(tmp_path / f"cmp{run}.csv"))
         rows = compare_methods(cfg, training=tr, dictionary=planted,
                                dict_mean=np.full(64, 0.5))
-        write_csv(cfg.out, rows)
+        write_csv(cfg.out, as_table(rows))
         blobs.append((tmp_path / f"cmp{run}.csv").read_bytes())
     same_cmp = blobs[0] == blobs[1]
     _check(9, "byte-identical CSV across repeated same-seed runs",

@@ -100,7 +100,8 @@ FLAG_VALUES = {"seed": "7", "trials": "5", "out": "x.csv", "d": "3", "L": "5",
                "k": "3,7", "c1": "1.5", "a": "0.25", "budgets": "64,16.5",
                "noise_std": "0.5", "corpus": "imgs", "target_side": "16",
                "lam": "0.05", "target_sparsity": "6", "dict_path": "d.lasr",
-               "taus": "0,0.5", "measurements": "6,12", "test_signals": "3"}
+               "taus": "0,0.5", "measurements": "6,12", "test_signals": "3",
+               "in_sample": "no"}
 
 
 def test_flags_are_config_fields():
@@ -153,6 +154,18 @@ def test_learn_rejects_flags_it_does_not_read(tmp_path, capsys, flag, value):
               flag, value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "d.lasr").exists()
+
+
+@pytest.mark.parametrize("line", ["trials = 5", "out = x.csv"])
+def test_config_file_takes_only_the_subcommands_keys(tmp_path, corpus_dir, capsys, line):
+    root, _ = corpus_dir
+    cfg = tmp_path / "learn.cfg"
+    cfg.write_text(f"corpus = {root}\ntarget_side = 8\nL = 5\nlam = 0.05\n{line}\n")
+    assert main(["learn", "--config", str(cfg), "--dict-path", str(tmp_path / "d.lasr")]) == 2
+    key = line.split()[0]
+    assert capsys.readouterr().err == (f"treesense: error: {cfg}: config key {key!r} "
+                                       "is not a learn option\n")
     assert not (tmp_path / "d.lasr").exists()
 
 

@@ -10,7 +10,10 @@ from treesense import (CSV_FIELDS, Dictionary, ExperimentConfig, TrainingSet,
                        box_downscale, compare_methods, harness, lambda_for_sparsity,
                        lasso_solve, load_corpus, make_tree, model_cosamp, read_pgm, snr_db,
                        synthetic_corpus, verify_theorem, write_csv, write_manifest, write_pgm)
-from treesense.harness import _random_projection_arms, _row, apply_config, parse_config_file
+from treesense.harness import (_random_projection_arms, _row, apply_config, as_table,
+                               parse_config_file)
+
+from conftest import reference_write_csv
 
 
 def test_snr_values():
@@ -121,6 +124,9 @@ def test_config_file_parsing(tmp_path):
     ("noise_std = loud", "config key 'noise_std': could not convert"),
     ("in_sample = ture", "config key 'in_sample'"),
     ("mode = compare", "unknown config key 'mode'"),
+    ("k = 7.5", "config key 'k': invalid literal"),
+    ("k = 3,7.0", "config key 'k': invalid literal"),
+    ("measurements = 31.5", "config key 'measurements': invalid literal"),
 ])
 def test_config_errors_name_the_key(tmp_path, line, reason):
     cfg_file = tmp_path / "run.cfg"
@@ -146,12 +152,11 @@ def test_manifest_lists_every_field(tmp_path):
 
 def test_verify_theorem_noiseless_cells():
     cfg = ExperimentConfig(d=2, L=5, k=(3, 5), noise_std=0.0, trials=50, seed=1)
-    rows, summaries = verify_theorem(cfg)
-    assert len(rows) == 100  # one row per (cell, trial)
-    for r in rows:
-        k = int(r["note"].split("=")[1])
-        assert r["m"] == 2 * k + 1
-        assert r["support_exact"] == 1
+    table, summaries = verify_theorem(cfg)
+    assert len(table["m"]) == 100  # one row per (cell, trial)
+    k = np.array([int(note.split("=")[1]) for note in table["note"]])
+    assert np.array_equal(table["m"], 2 * k + 1)
+    assert np.all(table["support_exact"] == 1)
     assert len(summaries) == 2
 
 
@@ -174,11 +179,11 @@ def test_verify_theorem_traversal_statistics():
     # spent all of it; a session whose queue ran empty at its last affordable
     # measurement also has m = (d+1)k but was not cut, and is rare
     cfg = ExperimentConfig(d=2, L=6, k=(3, 7), noise_std=50.0, trials=200, seed=4)
-    rows, summaries = verify_theorem(cfg)
+    table, summaries = verify_theorem(cfg)
     for k, line in zip(cfg.k, summaries):
         stats = _summary_fields(line)
-        cell = [r for r in rows if r["note"] == f"k={k}"]
-        at_budget = sum(r["m"] == 3 * k for r in cell) / len(cell)
+        m = table["m"][table["note"] == f"k={k}"]
+        at_budget = np.sum(m == 3 * k) / len(m)
         assert at_budget > 0.5
         assert at_budget - 0.01 <= stats["truncated_rate"] <= at_budget
         assert stats["false_alarms"] > 0
@@ -210,13 +215,37 @@ def test_write_csv_field_formatting(tmp_path):
         _row("adaptive", np.float64(8.0), 0, 3, 2, snr=np.float64(1 / 7), support_exact=1),
         _row("pca", 1e-20, "", 12, 3, snr=2.0 / 3.0, energy=123456789012345.0),
     ]
-    write_csv(tmp_path / "f.csv", rows)
+    write_csv(tmp_path / "f.csv", as_table(rows))
     assert (tmp_path / "f.csv").read_text() == (
         "method,R,tau,m,trial,snr_db,exact,support_exact,energy_spent,wall_time,note\n"
         "adaptive,256,0.5,7,0,,1,,0.333333333333,,k=3\n"
         'lasso,32,,63,1,-4.25,0,,32,,"a,b"\n'
         "adaptive,8,0,3,2,0.142857142857,0,1,,,\n"
         "pca,1e-20,,12,3,0.666666666667,0,,1.23456789012e+14,,\n")
+
+
+def test_write_csv_matches_reference_writer(tmp_path, rng):
+    # 300 trials per cell cross the 256-trial sensing block; the reference
+    # writes the same values one row dict at a time
+    table, _ = verify_theorem(ExperimentConfig(d=2, L=6, k=(3, 7), budgets=(21, 30.5),
+                                               trials=300, seed=8))
+    n = write_csv(tmp_path / "vt.csv", table)
+    columns = {name: col.tolist() if isinstance(col, np.ndarray) else [col] * n
+               for name, col in table.items()}
+    reference_write_csv(tmp_path / "vt_ref.csv",
+                        [dict(zip(columns, row)) for row in zip(*columns.values())])
+    assert n == 4 * 300
+    assert (tmp_path / "vt.csv").read_bytes() == (tmp_path / "vt_ref.csv").read_bytes()
+
+    tree = make_tree(2, 4)
+    X, planted, _ = synthetic_corpus(20, 8, tree, 4, rng)
+    cfg = ExperimentConfig(mode="compare", budgets=(64.0, 16), taus=(0.0, 0.5),
+                           measurements=(4, 8), trials=2, seed=5, test_signals=2,
+                           target_sparsity=4)
+    rows = compare_methods(cfg, training=TrainingSet.from_raw(X), dictionary=planted)
+    assert write_csv(tmp_path / "cmp.csv", as_table(rows)) == len(rows)
+    reference_write_csv(tmp_path / "cmp_ref.csv", rows)
+    assert (tmp_path / "cmp.csv").read_bytes() == (tmp_path / "cmp_ref.csv").read_bytes()
 
 
 def test_synthetic_corpus_shapes(rng):

@@ -7,7 +7,8 @@ from treesense import (Dictionary, GroupSet, make_tree, groups_of,
                        random_tree_sparse, random_tree_sparse_batch,
                        is_tree_sparse, tree_project, tree_project_batch)
 from conftest import (enumerate_rooted_subtrees, best_subtree_energy,
-                      reference_project, reference_random_tree_sparse)
+                      reference_project, reference_random_tree_sparse,
+                      reference_random_tree_sparse_batch)
 
 
 def test_make_tree_binary_three_levels():
@@ -97,6 +98,23 @@ def test_random_tree_sparse_equals_scalar_reference(d, L, k, max_depth):
         values, support = reference_random_tree_sparse(t, k, 0.5, 2.0, ref_rng, max_depth)
         assert np.array_equal(vec.values.view(np.int64), values.view(np.int64))
         assert vec.support == support
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("trials", [2, 7, 300])
+@pytest.mark.parametrize("d,L,k,max_depth", [(2, 5, 7, None), (2, 10, 31, 9), (3, 4, 13, 3),
+                                             (4, 3, 21, None), (3, 5, 1, 2)])
+def test_random_tree_sparse_batch_equals_list_reference(d, L, k, max_depth, trials):
+    # every row of a batch draws exactly what the per-row list grower drew
+    t = make_tree(d, L)
+    for seed in range(5):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        nodes, values = random_tree_sparse_batch(t, k, 0.5, 2.0, rng, trials,
+                                                 max_depth=max_depth)
+        ref_nodes, ref_values = reference_random_tree_sparse_batch(t, k, 0.5, 2.0, ref_rng,
+                                                                   trials, max_depth)
+        assert np.array_equal(nodes, ref_nodes)
+        assert np.array_equal(values.view(np.int64), ref_values.view(np.int64))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
