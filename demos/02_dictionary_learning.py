@@ -9,9 +9,9 @@ import tempfile
 
 import numpy as np
 
-from treesense import (LearnConfig, TrainingSet, is_tree_sparse, learn,
-                       load_dictionary, make_tree, save_dictionary,
-                       synthetic_corpus)
+from treesense import (LearnConfig, TrainingSet, initial_dictionary,
+                       is_tree_sparse, learn, load_dictionary, make_tree,
+                       save_dictionary, synthetic_corpus)
 
 rng = np.random.default_rng(1)
 
@@ -22,7 +22,8 @@ training = TrainingSet.from_raw(X)
 print(f"corpus: {q} images of side {side} -> data matrix {training.data.shape}")
 
 cfg = LearnConfig(lam=0.05, outer_iters=40)
-dictionary, codes, history = learn(training, tree, cfg, rng)
+init = initial_dictionary(training, tree, rng)   # random training columns, orthonormalized
+dictionary, codes, history = learn(training, init, cfg)
 print(f"objective: {history[0]:.4f} -> {history[-1]:.4f} "
       f"over {len(history)} alternations (nonincreasing: "
       f"{all(a >= b - 1e-9 for a, b in zip(history, history[1:]))})")

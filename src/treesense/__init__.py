@@ -13,8 +13,8 @@ from .sensing import (SensingConfig, MeasurementLog, SensingOutcome,
                       two_stage_estimate_coeffs)
 from .bounds import false_alarm_bound, miss_bound, failure_bound, min_amplitude
 from .dictlearn import (Dictionary, TrainingSet, LearnConfig,
-                        tree_group_penalty, tree_prox, sparse_code,
-                        update_dictionary, learn, learn_objective,
+                        tree_group_penalty, tree_prox, update_dictionary,
+                        initial_dictionary, learn, learn_objective,
                         save_dictionary, load_dictionary)
 from .baselines import (gaussian_ensemble, lasso_solve, model_cosamp,
                         PcaModel, pca_fit, pca_reconstruct)

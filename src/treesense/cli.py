@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dictlearn import LearnConfig, TrainingSet, learn, load_dictionary, save_dictionary
+from .dictlearn import (LearnConfig, initial_dictionary, learn, load_dictionary,
+                        save_dictionary)
 from .harness import (ExperimentConfig, apply_config, as_table, compare_methods,
                       lambda_for_sparsity, load_corpus, parse_config_file,
                       read_pgm, sense_signal, verify_theorem, write_csv,
@@ -86,19 +87,13 @@ def cmd_learn(args):
         return 2
     training = load_corpus(cfg.corpus, cfg.target_side)
     tree = make_tree(cfg.d, cfg.L)
-    rng = np.random.default_rng(cfg.seed)
+    init = initial_dictionary(training, tree, np.random.default_rng(cfg.seed))
     lam = cfg.lam
     if lam is None:
-        from .dictlearn import Dictionary
-        from .dictlearn import _init_atoms
-        probe = Dictionary(atoms=_init_atoms(training, tree.p,
-                                             np.random.default_rng(cfg.seed)),
-                           tree=tree)
-        target = cfg.target_sparsity or max(2, tree.p // 4)
-        lam = lambda_for_sparsity(training, probe, tree, target)
+        target = cfg.sparsity_for(tree.p)
+        lam = lambda_for_sparsity(training, init, target)
         print(f"lambda search -> {lam:.6g} (target sparsity {target})")
-    learn_cfg = LearnConfig(lam=lam)
-    dictionary, A, history = learn(training, tree, learn_cfg, rng)
+    dictionary, A, history = learn(training, init, LearnConfig(lam=lam))
     out = cfg.dict_path or "dictionary.lasr"
     save_dictionary(out, dictionary, training.mean)
     mean_k = float(np.mean(np.sum(np.abs(A) > 1e-12, axis=0)))
@@ -122,7 +117,7 @@ def cmd_sense(args):
         return 2
     if not cfg.budgets:
         cfg.budgets = (float(x.shape[0]),)
-    k = cfg.target_sparsity or max(2, dictionary.tree.p // 4)
+    k = cfg.sparsity_for(dictionary.tree.p)
     rows = sense_signal(cfg, dictionary, mean, x, k, note=args.image)
     n_rows = write_csv(cfg.out, as_table(rows))
     write_manifest(cfg.out + ".manifest.txt", cfg)
@@ -132,10 +127,16 @@ def cmd_sense(args):
 
 def cmd_compare(args):
     cfg = _build_cfg(args)
+    for flag, value in (("--dict-path", cfg.dict_path), ("--corpus", cfg.corpus)):
+        if not value:
+            print(f"compare: {flag} is required", file=sys.stderr)
+            return 2
+    dictionary, mean = load_dictionary(cfg.dict_path)
+    training = load_corpus(cfg.corpus, cfg.target_side)
     if not cfg.budgets:
         n = cfg.target_side**2
         cfg.budgets = (float(n), n / 8, n / 32)
-    n_rows = write_csv(cfg.out, as_table(compare_methods(cfg)))
+    n_rows = write_csv(cfg.out, as_table(compare_methods(cfg, training, dictionary, mean)))
     write_manifest(cfg.out + ".manifest.txt", cfg)
     print(f"wrote {n_rows} rows to {cfg.out}")
     return 0

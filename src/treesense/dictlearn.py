@@ -25,8 +25,8 @@ __all__ = [
     "LearnConfig",
     "tree_group_penalty",
     "tree_prox",
-    "sparse_code",
     "update_dictionary",
+    "initial_dictionary",
     "learn",
     "learn_objective",
     "save_dictionary",
@@ -182,36 +182,13 @@ def tree_prox(v, groups, threshold, norm="l2"):
     return U
 
 
-def sparse_code(training, dictionary, groups, cfg):
-    """Code every training column against the dictionary.
-
-    With orthonormal D, 0.5 * ||x - D a||^2 equals 0.5 * ||D^T x - a||^2 plus
-    a constant, so the codes are exactly tree_prox(D^T X, lam): one prox.
-    """
-    X = training.data if isinstance(training, TrainingSet) else np.asarray(training, dtype=float)
-    D = _orthonormal_atoms(dictionary)
-    return tree_prox(D.T @ X, groups, cfg.lam, cfg.group_norm)
-
-
-def _orthonormal_atoms(dictionary):
-    """The dictionary's atoms, after checking D^T D = I (sparse coding by one
-    prox is exact only then)."""
-    D = dictionary.atoms
-    gram_err = np.max(np.abs(D.T @ D - np.eye(D.shape[1])))
-    if gram_err > ORTHO_TOL:
-        raise ValueError("sparse_code requires an orthonormal dictionary")
-    return D
-
-
-def update_dictionary(training, A):
+def update_dictionary(X, A):
     """Orthogonal Procrustes dictionary step: argmin ||X - DA||_F s.t. D^T D = I.
 
     Solved via the reduced SVD of X A^T.  Rank deficiency is completed
     deterministically by the SVD's remaining singular vectors (logged).
     """
-    X = training.data if isinstance(training, TrainingSet) else np.asarray(training, dtype=float)
-    A = np.asarray(A, dtype=float)
-    M = X @ A.T
+    M = np.asarray(X, dtype=float) @ np.asarray(A, dtype=float).T
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     if s[0] == 0 or s[-1] < 1e-12 * s[0]:
         logger.info("X A^T is rank-deficient; null directions completed deterministically")
@@ -224,11 +201,16 @@ def learn_objective(X, D, A, groups, lam, norm="l2"):
     return resid + lam * float(np.sum(tree_group_penalty(A, groups, norm)))
 
 
-def _init_atoms(training, p, rng):
-    """Orthonormalize p randomly chosen centered training columns (with
-    Gaussian fill-in when the selection is rank deficient)."""
+def initial_dictionary(training, tree, rng):
+    """learn's starting Dictionary: tree.p randomly chosen centered training
+    columns, orthonormalized (with Gaussian fill-in when the selection is
+    rank deficient)."""
     X = training.data
-    n, q = X.shape
+    (n, q), p = X.shape, tree.p
+    if p > n:
+        raise ValueError("p > n: orthonormal dictionary impossible")
+    if q < 1:
+        raise ValueError("empty training set")
     cols = rng.permutation(q)[:p]
     B = X[:, cols].copy()
     if B.shape[1] < p:
@@ -239,11 +221,12 @@ def _init_atoms(training, p, rng):
     Q = Q * np.sign(np.where(np.diag(R) == 0, 1.0, np.diag(R)))
     if np.max(np.abs(Q.T @ Q - np.eye(p))) > ORTHO_TOL:
         Q, _ = np.linalg.qr(rng.standard_normal((n, p)))
-    return Q
+    return Dictionary(atoms=Q, tree=tree)
 
 
-def learn(training, tree, cfg, rng, init=None, weights=None):
-    """Alternating minimization for the tree-structured orthonormal dictionary.
+def learn(training, init, cfg):
+    """Alternating minimization for the tree-structured orthonormal dictionary,
+    starting from the Dictionary init (initial_dictionary draws one).
 
     Returns (Dictionary, A, history) where history holds the objective after
     each alternation; the sequence is nonincreasing.  Alternation t codes
@@ -252,20 +235,11 @@ def learn(training, tree, cfg, rng, init=None, weights=None):
     it returns D_t with A_t, the pair history[-1] belongs to; after
     `outer_iters` alternations it returns D_{t+1} with A_t, and history[-1]
     is the objective of A_t with the previous dictionary D_t (D_{t+1} fits
-    A_t at least as well).  weights are the group
-    weights in heap order, as for groups_of (earlier versions read them in
-    deepest-first group order), or None for all-ones.
+    A_t at least as well).
     """
-    X = training.data
-    n, q = X.shape
-    if tree.p > n:
-        raise ValueError("p > n: orthonormal dictionary impossible")
-    if q < 1:
-        raise ValueError("empty training set")
-    groups = groups_of(tree, weights)
-    D = _init_atoms(training, tree.p, rng) if init is None else Dictionary(init, tree).atoms
-
-    # D stays orthonormal (QR, then Procrustes), so sparse_code is one prox
+    X, D, tree = training.data, init.atoms, init.tree
+    groups = groups_of(tree)
+    # D stays orthonormal (QR, then Procrustes), so coding is one prox of D^T X
     history = []
     for _ in range(cfg.outer_iters):
         A = tree_prox(D.T @ X, groups, cfg.lam, cfg.group_norm)
@@ -275,7 +249,7 @@ def learn(training, tree, cfg, rng, init=None, weights=None):
             prev = history[-2]
             if abs(prev - obj) < cfg.tol * max(abs(prev), 1.0):
                 break
-        D = update_dictionary(training, A)
+        D = update_dictionary(X, A)
     return Dictionary(atoms=D, tree=tree), A, history
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import logging
 import math
 import os
 import re
@@ -16,8 +15,7 @@ import numpy as np
 from . import __version__
 from .baselines import gaussian_ensemble, lasso_solve, model_cosamp, pca_fit, pca_reconstruct
 from .bounds import failure_bound, min_amplitude
-from .dictlearn import (Dictionary, TrainingSet, LearnConfig, _orthonormal_atoms,
-                        groups_of, tree_prox)
+from .dictlearn import Dictionary, TrainingSet, groups_of, tree_prox
 from .sensing import (SensingConfig, adaptive_sense, adaptive_sense_batch,
                       allocate_beta, reconstruct_from_outcome)
 from .tree import make_tree, random_tree_sparse, random_tree_sparse_batch
@@ -40,8 +38,6 @@ __all__ = [
     "write_csv",
     "write_manifest",
 ]
-
-logger = logging.getLogger(__name__)
 
 CSV_FIELDS = ["method", "R", "tau", "m", "trial", "snr_db", "exact",
               "support_exact", "energy_spent", "wall_time", "note"]
@@ -111,12 +107,12 @@ def read_pgm(path):
     return pixels.reshape(height, width).astype(float) / maxval
 
 
-def write_pgm(path, img, maxval=255):
+def write_pgm(path, img):
     """Write a [0, 1] float image as an 8-bit binary PGM."""
     img = np.asarray(img, dtype=float)
-    pix = np.clip(np.rint(img * maxval), 0, maxval).astype("u1")
+    pix = np.clip(np.rint(img * 255), 0, 255).astype("u1")
     with open(path, "wb") as f:
-        f.write(f"P5\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode())
+        f.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
         f.write(pix.tobytes())
 
 
@@ -151,11 +147,11 @@ def load_corpus(path, target_side):
     return TrainingSet.from_raw(np.column_stack(cols))
 
 
-def synthetic_corpus(q, side, tree, k, rng, amp=1.0, depth_decay=0.6, base_level=0.5):
+def synthetic_corpus(q, side, tree, k, rng, amp=1.0):
     """Generate a corpus of side x side images from a planted dictionary.
 
-    Each image is base_level plus D alpha with alpha tree-sparse (amplitudes
-    decaying with node depth, mimicking multiresolution energy decay).
+    Each image is 0.5 plus D alpha with alpha tree-sparse (amplitudes
+    decaying by 0.6 per tree level, mimicking multiresolution energy decay).
     Returns (raw n x q image matrix, planted Dictionary, coefficient matrix).
     """
     n = side * side
@@ -166,33 +162,26 @@ def synthetic_corpus(q, side, tree, k, rng, amp=1.0, depth_decay=0.6, base_level
     X = np.empty((n, q))
     A = np.zeros((tree.p, q))
     depth = np.searchsorted(tree.level_starts, np.arange(tree.p), side="right") - 1
-    decay = np.array([depth_decay**lvl for lvl in range(tree.depth)])[depth]
+    decay = np.array([0.6**lvl for lvl in range(tree.depth)])[depth]
     for i in range(q):
         a = random_tree_sparse(tree, k, 0.5 * amp, amp, rng).values * decay
         A[:, i] = a
-        X[:, i] = base_level + Q @ a
+        X[:, i] = 0.5 + Q @ a
     return X, planted, A
 
 
-def lambda_for_sparsity(training, dictionary, tree, target_k, base_cfg=None,
-                        lam_lo=1e-6, lam_hi=None, iters=40):
-    """Bisection over the penalty weight so coded columns average ~target_k
-    nonzeros (sparsity is set through lam, not an explicit k).  The codes at
-    lam are sparse_code's, tree_prox(D^T X, lam), with D^T X formed once."""
-    norm = (base_cfg or LearnConfig(lam=1.0)).group_norm
-    groups = groups_of(tree)
-    C = _orthonormal_atoms(dictionary).T @ training.data
-    if lam_hi is None:
-        lam_hi = 2.0 * float(np.max(np.abs(C))) + 1e-12
-
-    def mean_support(lam):
-        A = tree_prox(C, groups, lam, norm)
-        return float(np.mean(np.sum(np.abs(A) > 1e-12, axis=0)))
-
-    lo, hi = lam_lo, lam_hi
-    for _ in range(iters):
+def lambda_for_sparsity(training, dictionary, target_k):
+    """The l2 penalty weight at which coded columns average ~target_k
+    nonzeros (sparsity is set through lam, not an explicit k): 40 geometric
+    bisection steps over [1e-6, 2 max|D^T X|].  The codes at lam are learn's,
+    tree_prox(D^T X, lam), with D^T X formed once."""
+    groups = groups_of(dictionary.tree)
+    C = dictionary.atoms.T @ training.data
+    lo, hi = 1e-6, 2.0 * float(np.max(np.abs(C))) + 1e-12
+    for _ in range(40):
         mid = math.sqrt(lo * hi)
-        if mean_support(mid) > target_k:
+        A = tree_prox(C, groups, mid)
+        if np.mean(np.sum(np.abs(A) > 1e-12, axis=0)) > target_k:
             lo = mid
         else:
             hi = mid
@@ -230,6 +219,15 @@ class ExperimentConfig:
     test_signals: int = 2
     in_sample: bool = True
 
+    def sparsity_for(self, p):
+        """target_sparsity, by default max(2, p // 4), checked against a
+        tree of p nodes."""
+        k = max(2, p // 4) if self.target_sparsity is None else self.target_sparsity
+        if not 1 <= k <= p:
+            raise ValueError(f"config key 'target_sparsity': {k} is not in 1..{p}, "
+                             "the tree's node count")
+        return k
+
 
 def _parse_list(val):
     return tuple(float(x) if "." in x or "e" in x.lower() else int(x)
@@ -252,6 +250,8 @@ _PARSE_TYPE = {"tuple": _parse_list, "tuple[int, ...]": _parse_int_list, "int": 
 # each field's parser, read off its annotation string: "float | None" -> float
 _PARSERS = {f.name: _PARSE_TYPE[f.type.split(" |")[0]] for f in fields(ExperimentConfig)
             if f.name != "mode"}
+# the keys that count something, so must be at least 1
+_COUNTS = ("trials", "test_signals", "target_side", "target_sparsity")
 
 
 def parse_config_file(path):
@@ -271,12 +271,16 @@ def parse_config_file(path):
 
 def apply_config(cfg, kv):
     """Apply string key=value overrides onto an ExperimentConfig.  An unknown
-    key, or a value that does not parse, raises ValueError naming the key."""
+    key, a value that does not parse, or a count (_COUNTS) below 1 raises
+    ValueError naming the key."""
     for key, val in kv.items():
         if key not in _PARSERS:
             raise ValueError(f"unknown config key {key!r}")
         try:
-            setattr(cfg, key, _PARSERS[key](val))
+            value = _PARSERS[key](val)
+            if key in _COUNTS and value < 1:
+                raise ValueError(f"must be at least 1, got {value}")
+            setattr(cfg, key, value)
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
     return cfg
@@ -406,9 +410,6 @@ def verify_theorem(cfg):
         beta = allocate_beta(R, cfg.d, k)
         alpha = min_amplitude(cfg.c1, cfg.a, cfg.d, k, beta)
         tau = cfg.a * beta * alpha
-        if tau >= beta * alpha:
-            logger.warning("cell (k=%d, R=%g) skipped: tau >= beta*alpha_min", k, R)
-            continue
         columns, summary = _verify_cell(tree, k, R, beta, alpha, tau, cfg, cell)
         blocks.append(columns)
         summaries.append(summary)
@@ -500,30 +501,19 @@ def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, measurement
             for i, m in enumerate(measurements)}
 
 
-def compare_methods(cfg, training=None, dictionary=None, dict_mean=None):
-    """Energy-fair SNR-vs-measurements sweep across all methods.
-
-    training/dictionary may be passed directly (tests, synthetic runs) or
-    loaded from cfg.corpus / cfg.dict_path by the CLI.  The test signals are
-    the first cfg.test_signals training columns.  Returns CSV rows.
+def compare_methods(cfg, training, dictionary, dict_mean):
+    """Energy-fair SNR-vs-measurements sweep across all methods, of a
+    dictionary and its column mean dict_mean.  The test signals are the
+    first cfg.test_signals training columns.  Returns CSV rows.
     """
-    from .dictlearn import load_dictionary
-
-    if dictionary is None:
-        if cfg.dict_path is None:
-            raise ValueError("compare mode requires a dictionary container")
-        dictionary, dict_mean = load_dictionary(cfg.dict_path)
-    if training is None:
-        if cfg.corpus is None:
-            raise ValueError("compare mode requires a corpus (or explicit data)")
-        training = load_corpus(cfg.corpus, cfg.target_side)
-    if dict_mean is None:
-        dict_mean = training.mean
     n = dictionary.atoms.shape[0]
     if training.n != n:
         raise ValueError("corpus dimension does not match dictionary atoms")
+    if cfg.test_signals > training.q:
+        raise ValueError(f"config key 'test_signals': {cfg.test_signals} is more than "
+                         f"the corpus's {training.q} signals")
     tree = dictionary.tree
-    k = cfg.target_sparsity or max(2, tree.p // 4)
+    k = cfg.sparsity_for(tree.p)
     note = "in-sample" if cfg.in_sample else "held-out"
 
     if not cfg.budgets:

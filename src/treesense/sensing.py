@@ -246,25 +246,21 @@ def reconstruct_from_outcome(outcome, dictionary, beta, mean_offset=None):
     return x_hat if mean_offset is None else np.asarray(mean_offset, dtype=float) + x_hat
 
 
-def _two_stage(c, tree, total_budget, k, split, tau, alpha_min,
-               threshold_fraction, noise_std, rng):
-    if not 0 < split < 1:
-        raise ValueError("split must be in (0,1)")
+def _two_stage(c, tree, total_budget, k, alpha_min, noise_std, rng):
+    # Half the budget finds the support and half re-measures it: criterion
+    # 3's 2k^2 sigma^2 / R error prediction assumes this split.
     if total_budget <= 0:
         raise ValueError("total_budget must be positive")
-    beta1 = allocate_beta(split * total_budget, tree.d, k)
-    if tau is None:
-        if alpha_min is None:
-            raise ValueError("provide tau or alpha_min for the stage-1 threshold")
-        tau = threshold_fraction * beta1 * alpha_min
-    cfg = SensingConfig(beta=beta1, tau=tau, noise_std=noise_std,
-                        budget=split * total_budget)
+    half = 0.5 * total_budget
+    beta1 = allocate_beta(half, tree.d, k)
+    cfg = SensingConfig(beta=beta1, tau=0.5 * beta1 * alpha_min, noise_std=noise_std,
+                        budget=half)
     outcome = _sense_heap(c, tree, cfg, rng)
 
     coeffs = np.zeros(tree.p)
     s_hat = np.array(sorted(outcome.support_estimate), dtype=np.int64) - 1
     if len(s_hat):
-        beta2 = math.sqrt((1 - split) * total_budget / len(s_hat))
+        beta2 = math.sqrt(half / len(s_hat))
         y2 = beta2 * c[s_hat]
         if noise_std > 0:
             y2 += noise_std * rng.standard_normal(len(s_hat))
@@ -275,24 +271,20 @@ def _two_stage(c, tree, total_budget, k, split, tau, alpha_min,
     return outcome
 
 
-def two_stage_estimate(signal, dictionary, total_budget, k, rng, split=0.5,
-                       tau=None, alpha_min=None, threshold_fraction=0.5,
-                       noise_std=1.0):
+def two_stage_estimate(signal, dictionary, total_budget, k, rng, alpha_min, noise_std=1.0):
     """Support recovery followed by re-measurement of the recovered support.
 
-    Stage 1 runs the threshold traversal on a split*total_budget allowance;
-    stage 2 spends the remaining energy equally on one fresh measurement per
-    recovered index and stores the rescaled observations in coeff_estimates.
-    An empty stage-1 support yields the all-zero estimate.
+    Stage 1 runs the threshold traversal, with threshold beta_1 * alpha_min / 2,
+    on half of total_budget; stage 2 spends the other half equally on one
+    fresh measurement per recovered index and stores the rescaled
+    observations in coeff_estimates.  An empty stage-1 support yields the
+    all-zero estimate.
     """
     x = np.asarray(signal, dtype=float)
     return _two_stage(dictionary.atoms.T @ x, dictionary.tree, total_budget, k,
-                      split, tau, alpha_min, threshold_fraction, noise_std, rng)
+                      alpha_min, noise_std, rng)
 
 
-def two_stage_estimate_coeffs(alpha, tree, total_budget, k, rng, split=0.5,
-                              tau=None, alpha_min=None, threshold_fraction=0.5,
-                              noise_std=1.0):
+def two_stage_estimate_coeffs(alpha, tree, total_budget, k, rng, alpha_min, noise_std=1.0):
     """Coefficient-domain variant of two_stage_estimate."""
-    return _two_stage(_coeffs(alpha, tree), tree, total_budget, k, split, tau,
-                      alpha_min, threshold_fraction, noise_std, rng)
+    return _two_stage(_coeffs(alpha, tree), tree, total_budget, k, alpha_min, noise_std, rng)

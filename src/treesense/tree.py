@@ -102,8 +102,7 @@ def groups_of(tree, weights=None):
     """Group set of the hierarchical penalty: one group per node.
 
     weights is a length-p array in heap order (weights[i-1] weights g_i), or
-    None for all-ones.  Earlier versions read it in deepest-first group
-    order, so a length-p array given for that order must be reordered.
+    None for all-ones.
     """
     return GroupSet(tree, np.ones(tree.p) if weights is None else weights)
 

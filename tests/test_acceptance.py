@@ -5,12 +5,12 @@ import math
 
 import numpy as np
 
-from treesense import (Dictionary, ExperimentConfig, LearnConfig,
-                       SensingConfig, TrainingSet, adaptive_sense_coeffs,
+from treesense import (ExperimentConfig, LearnConfig, SensingConfig,
+                       TrainingSet, adaptive_sense_coeffs,
                        allocate_beta, failure_bound, gaussian_ensemble,
-                       groups_of, is_tree_sparse, lasso_solve, learn,
-                       make_tree, min_amplitude, random_tree_sparse,
-                       synthetic_corpus, tree_project, tree_prox,
+                       groups_of, initial_dictionary, is_tree_sparse,
+                       lasso_solve, learn, make_tree, min_amplitude,
+                       random_tree_sparse, synthetic_corpus, tree_project, tree_prox,
                        two_stage_estimate_coeffs, verify_theorem, write_csv, as_table)
 from treesense.harness import compare_methods
 
@@ -242,7 +242,7 @@ def test_criterion_6_dictionary_learning_invariants():
     X = Q @ A_star + 0.01 * rng.standard_normal((n, q))
     tr = TrainingSet.from_raw(X)
     cfg = LearnConfig(lam=0.05, outer_iters=50, tol=0.0)
-    d, A, hist = learn(tr, tree, cfg, rng)
+    d, A, hist = learn(tr, initial_dictionary(tr, tree, rng), cfg)
     monotone = all(a >= b - 1e-9 for a, b in zip(hist, hist[1:]))
     ortho = float(np.max(np.abs(d.atoms.T @ d.atoms - np.eye(tree.p))))
     sparse_ok = all(is_tree_sparse(A[:, i], tree, tol=1e-9)

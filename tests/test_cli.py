@@ -6,7 +6,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from treesense import (Dictionary, ExperimentConfig, load_dictionary, make_tree,
+from treesense import (Dictionary, ExperimentConfig, LearnConfig, initial_dictionary,
+                       lambda_for_sparsity, learn, load_corpus, load_dictionary, make_tree,
                        save_dictionary, synthetic_corpus, write_pgm)
 from treesense.cli import COMMON_FLAGS, FLAGS, _build_cfg, _parser, main
 
@@ -25,6 +26,15 @@ def corpus_dir(tmp_path_factory):
     test = root / "test.pgm"
     write_pgm(test, (X[:, 24].reshape(8, 8, order="F") - lo) / (hi - lo))
     return root, test
+
+
+@pytest.fixture(scope="module")
+def random_dict(tmp_path_factory):
+    """A random orthonormal 64 x 31 dictionary on the d=2, L=5 tree."""
+    path = tmp_path_factory.mktemp("dict") / "d.lasr"
+    Q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((64, 31)))
+    save_dictionary(path, Dictionary(atoms=Q, tree=make_tree(2, 5)))
+    return path
 
 
 def test_tree_info(capsys):
@@ -203,12 +213,9 @@ def test_learn_sense_compare_roundtrip(tmp_path, corpus_dir, capsys):
                                            "model-cosamp", "wavelet"}
 
 
-def test_log_level_info_reports_lasso_caps(tmp_path, corpus_dir, caplog):
+def test_log_level_info_reports_lasso_caps(tmp_path, corpus_dir, random_dict, caplog):
     root, _ = corpus_dir
-    Q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((64, 31)))
-    dict_path = tmp_path / "d.lasr"
-    save_dictionary(dict_path, Dictionary(atoms=Q, tree=make_tree(2, 5)))
-    argv = ["compare", "--dict-path", str(dict_path), "--corpus", str(root),
+    argv = ["compare", "--dict-path", str(random_dict), "--corpus", str(root),
             "--target-side", "8", "--budgets", "64,16", "--taus", "0",
             "--measurements", "6,12,6", "--trials", "2", "--test-signals", "1",
             "--target-sparsity", "6", "--seed", "4"]
@@ -239,6 +246,64 @@ def test_log_level_info_reports_lasso_caps(tmp_path, corpus_dir, caplog):
                           r"(\d+) stopped at iters=15, (\d+) had y = 0", messages[0])
     assert counts and sum(map(int, counts.groups())) == 8
     assert (tmp_path / "info.csv").read_bytes() == (tmp_path / "warn.csv").read_bytes()
+
+
+@pytest.mark.parametrize("lam", [["--lam", "0.05"], []])
+def test_learn_writes_the_librarys_dictionary(tmp_path, corpus_dir, lam):
+    # one initial dictionary, drawn from the seed, serves the lambda search
+    # and learn alike
+    root, _ = corpus_dir
+    cli_path, lib_path = tmp_path / "cli.lasr", tmp_path / "lib.lasr"
+    assert main(["learn", "--corpus", str(root), "--L", "5", "--target-side", "8",
+                 "--target-sparsity", "6", *lam, "--seed", "11",
+                 "--dict-path", str(cli_path)]) == 0
+    training = load_corpus(root, 8)
+    init = initial_dictionary(training, make_tree(2, 5), np.random.default_rng(11))
+    value = 0.05 if lam else lambda_for_sparsity(training, init, 6)
+    dictionary, _, _ = learn(training, init, LearnConfig(value))
+    save_dictionary(lib_path, dictionary, training.mean)
+    assert cli_path.read_bytes() == lib_path.read_bytes()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("learn", "--target-side", "0"),
+    ("learn", "--target-sparsity", "500"),
+    ("sense", "--trials", "0"),
+    ("compare", "--test-signals", "999"),
+    ("compare", "--target-sparsity", "99"),
+])
+def test_bad_counts_exit_2_naming_the_key(tmp_path, corpus_dir, random_dict, capsys,
+                                          command, flag, value):
+    # a count below 1 fails where it is parsed (test_config_errors_name_the_key
+    # has the rest); a target sparsity above the tree's p, or more test
+    # signals than the corpus holds, fails once the inputs are read
+    root, test_img = corpus_dir
+    out = tmp_path / "out"
+    inputs = {"learn": ["--corpus", str(root), "--L", "5", "--target-side", "8",
+                        "--dict-path", str(out)],
+              "sense": ["--dict-path", str(random_dict), "--image", str(test_img),
+                        "--out", str(out)],
+              "compare": ["--dict-path", str(random_dict), "--corpus", str(root),
+                          "--target-side", "8", "--budgets", "64", "--measurements", "6",
+                          "--out", str(out)]}[command]
+    assert main([command, *inputs, flag, value]) == 2
+    key = flag[2:].replace("-", "_")
+    err = capsys.readouterr().err
+    assert err.startswith(f"treesense: error: config key '{key}': ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("missing", ["--dict-path", "--corpus"])
+def test_compare_requires_dict_and_corpus(tmp_path, corpus_dir, random_dict, capsys, missing):
+    root, _ = corpus_dir
+    given = {"--dict-path": str(random_dict), "--corpus": str(root)}
+    del given[missing]
+    out = tmp_path / "c.csv"
+    argv = ["compare", *(word for item in given.items() for word in item),
+            "--target-side", "8", "--budgets", "64", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"compare: {missing} is required\n"
+    assert not out.exists()
 
 
 def test_learn_requires_corpus(capsys):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from treesense import (Dictionary, LearnConfig, TrainingSet, groups_of,
-                       is_tree_sparse, learn, learn_objective, load_dictionary,
-                       make_tree, random_tree_sparse, save_dictionary,
-                       sparse_code, tree_prox, update_dictionary)
+                       initial_dictionary, is_tree_sparse, learn, learn_objective,
+                       load_dictionary, make_tree, random_tree_sparse,
+                       save_dictionary, tree_prox, update_dictionary)
 
 
 def planted_instance(rng, n=64, p_tree=(2, 4), q=200, k=6, noise=0.01):
@@ -31,54 +31,30 @@ def test_dictionary_invariants_enforced():
         Dictionary(atoms=np.eye(2), tree=tree)  # p mismatch / p > n
 
 
+# With orthonormal D, learn's coding step is one prox: tree_prox(D^T X, lam)
+
 def test_sparse_code_lambda_extremes(rng):
     tree = make_tree(2, 3)
     n, q = 12, 20
     Q, _ = np.linalg.qr(rng.standard_normal((n, tree.p)))
-    d = Dictionary(atoms=Q, tree=tree)
     g = groups_of(tree)
     X = rng.standard_normal((n, q))
     tr = TrainingSet.from_raw(X)
     C = Q.T @ tr.data
     # huge penalty kills everything
-    big = LearnConfig(lam=1e3 * np.max(np.abs(C)))
-    assert np.all(sparse_code(tr, d, g, big) == 0)
+    assert np.all(tree_prox(C, g, 1e3 * np.max(np.abs(C))) == 0)
     # tiny penalty approaches the unregularized projection
-    small = LearnConfig(lam=1e-10)
-    assert np.allclose(sparse_code(tr, d, g, small), C, atol=1e-8)
+    assert np.allclose(tree_prox(C, g, 1e-10), C, atol=1e-8)
 
 
 def test_sparse_code_outputs_tree_sparse(rng):
     tree = make_tree(2, 4)
     n, q = 30, 40
     Q, _ = np.linalg.qr(rng.standard_normal((n, tree.p)))
-    d = Dictionary(atoms=Q, tree=tree)
-    g = groups_of(tree)
     tr = TrainingSet.from_raw(rng.standard_normal((n, q)))
-    A = sparse_code(tr, d, g, LearnConfig(lam=0.4))
+    A = tree_prox(Q.T @ tr.data, groups_of(tree), 0.4)
     for i in range(q):
         assert is_tree_sparse(A[:, i], tree, tol=1e-9)
-
-
-@pytest.mark.parametrize("norm", ["l2", "linf"])
-def test_sparse_code_is_one_prox(norm, rng):
-    tree = make_tree(3, 3)
-    Q, _ = np.linalg.qr(rng.standard_normal((20, tree.p)))
-    tr = TrainingSet.from_raw(rng.standard_normal((20, 30)))
-    cfg = LearnConfig(lam=0.3, group_norm=norm)
-    A = sparse_code(tr, Dictionary(atoms=Q, tree=tree), groups_of(tree), cfg)
-    assert np.array_equal(A, tree_prox(Q.T @ tr.data, groups_of(tree), 0.3, norm))
-
-
-def test_sparse_code_rejects_non_orthonormal(rng):
-    tree = make_tree(2, 2)
-    g = groups_of(tree)
-    tr = TrainingSet.from_raw(rng.standard_normal((5, 4)))
-    bad = Dictionary.__new__(Dictionary)
-    object.__setattr__(bad, "atoms", rng.standard_normal((5, 3)))
-    object.__setattr__(bad, "tree", tree)
-    with pytest.raises(ValueError):
-        sparse_code(tr, bad, g, LearnConfig(lam=0.1))
 
 
 def test_update_dictionary_fixed_point(rng):
@@ -86,7 +62,7 @@ def test_update_dictionary_fixed_point(rng):
     Q, _ = np.linalg.qr(rng.standard_normal((n, p)))
     X = Q @ np.diag([4.0, 3.0, 2.0, 1.0]) @ rng.standard_normal((p, 20))
     A = Q.T @ X  # X A^T = X X^T restricted: symmetric PSD in Q-coordinates
-    D = update_dictionary(TrainingSet(data=X, mean=np.zeros(n)), A)
+    D = update_dictionary(X, A)
     assert np.allclose(D, Q, atol=1e-8)
     assert np.linalg.norm(X - D @ A) < 1e-8
 
@@ -95,8 +71,7 @@ def test_update_dictionary_orthonormal_and_optimal(rng):
     n, p, q = 8, 5, 12
     X = rng.standard_normal((n, q))
     A = rng.standard_normal((p, q))
-    tr = TrainingSet(data=X, mean=np.zeros(n))
-    D = update_dictionary(tr, A)
+    D = update_dictionary(X, A)
     assert np.max(np.abs(D.T @ D - np.eye(p))) <= 1e-8
     val = np.linalg.norm(X - D @ A)
     for _ in range(100):
@@ -108,7 +83,7 @@ def test_learn_objective_monotone_on_planted(rng):
     tree, Q, A_star, X = planted_instance(rng)
     tr = TrainingSet.from_raw(X)
     cfg = LearnConfig(lam=0.05, outer_iters=20, tol=0.0)
-    d, A, hist = learn(tr, tree, cfg, rng)
+    d, A, hist = learn(tr, initial_dictionary(tr, tree, rng), cfg)
     assert all(a >= b - 1e-9 for a, b in zip(hist, hist[1:]))
     assert np.max(np.abs(d.atoms.T @ d.atoms - np.eye(tree.p))) <= 1e-8
     assert all(is_tree_sparse(A[:, i], tree, tol=1e-9) for i in range(A.shape[1]))
@@ -122,7 +97,7 @@ def test_learn_recovers_planted_objective(rng):
     g = groups_of(tree)
     # subspace (SVD) warm start; random inits can stall in local minima
     U, _, _ = np.linalg.svd(tr.data, full_matrices=False)
-    d, A, hist = learn(tr, tree, cfg, rng, init=U[:, :tree.p])
+    d, A, hist = learn(tr, Dictionary(atoms=U[:, :tree.p], tree=tree), cfg)
     # center the planted model the same way before comparing objectives
     A_c = A_star - A_star.mean(axis=1, keepdims=True)
     planted_obj = learn_objective(tr.data, Q, A_c, g, lam)
@@ -135,7 +110,7 @@ def test_learn_one_iteration_descends(rng):
     g = groups_of(tree)
     cfg = LearnConfig(lam=0.1, outer_iters=1)
     init, _ = np.linalg.qr(rng.standard_normal((64, tree.p)))
-    d, A, hist = learn(tr, tree, cfg, rng, init=init)
+    d, A, hist = learn(tr, Dictionary(atoms=init, tree=tree), cfg)
     obj_init = learn_objective(tr.data, init, np.zeros_like(A), g, 0.1)
     assert hist[-1] <= obj_init
 
@@ -144,14 +119,14 @@ def test_learn_rejects_non_orthonormal_init(rng):
     tree, Q, A_star, X = planted_instance(rng, q=20)
     init = 1.01 * np.linalg.qr(rng.standard_normal((64, tree.p)))[0]
     with pytest.raises(ValueError, match="not orthonormal"):
-        learn(TrainingSet.from_raw(X), tree, LearnConfig(lam=0.1), rng, init=init)
+        Dictionary(atoms=init, tree=tree)
 
 
 def test_learn_rejects_p_larger_than_n(rng):
     tree = make_tree(2, 4)  # p = 15
     tr = TrainingSet.from_raw(rng.standard_normal((8, 20)))
-    with pytest.raises(ValueError):
-        learn(tr, tree, LearnConfig(lam=0.1), rng)
+    with pytest.raises(ValueError, match="p > n"):
+        initial_dictionary(tr, tree, rng)
 
 
 def test_container_roundtrip_and_format(tmp_path, rng):

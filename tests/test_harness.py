@@ -127,6 +127,12 @@ def test_config_file_parsing(tmp_path):
     ("k = 7.5", "config key 'k': invalid literal"),
     ("k = 3,7.0", "config key 'k': invalid literal"),
     ("measurements = 31.5", "config key 'measurements': invalid literal"),
+    ("trials = 0", "config key 'trials': must be at least 1, got 0"),
+    ("trials = -2", "config key 'trials': must be at least 1, got -2"),
+    ("test_signals = 0", "config key 'test_signals': must be at least 1, got 0"),
+    ("target_side = 0", "config key 'target_side': must be at least 1, got 0"),
+    ("target_sparsity = 0", "config key 'target_sparsity': must be at least 1, got 0"),
+    ("target_sparsity = -3", "config key 'target_sparsity': must be at least 1, got -3"),
 ])
 def test_config_errors_name_the_key(tmp_path, line, reason):
     cfg_file = tmp_path / "run.cfg"
@@ -242,7 +248,8 @@ def test_write_csv_matches_reference_writer(tmp_path, rng):
     cfg = ExperimentConfig(mode="compare", budgets=(64.0, 16), taus=(0.0, 0.5),
                            measurements=(4, 8), trials=2, seed=5, test_signals=2,
                            target_sparsity=4)
-    rows = compare_methods(cfg, training=TrainingSet.from_raw(X), dictionary=planted)
+    tr = TrainingSet.from_raw(X)
+    rows = compare_methods(cfg, training=tr, dictionary=planted, dict_mean=tr.mean)
     assert write_csv(tmp_path / "cmp.csv", as_table(rows)) == len(rows)
     reference_write_csv(tmp_path / "cmp_ref.csv", rows)
     assert (tmp_path / "cmp.csv").read_bytes() == (tmp_path / "cmp_ref.csv").read_bytes()
@@ -262,10 +269,9 @@ def test_lambda_for_sparsity_targets(rng):
     tree = make_tree(2, 4)
     X, planted, _ = synthetic_corpus(60, 8, tree, 10, rng)
     tr = TrainingSet.from_raw(X)
-    lam = lambda_for_sparsity(tr, planted, tree, target_k=6)
-    from treesense import LearnConfig, groups_of, sparse_code
-    A = sparse_code(tr, planted, groups_of(tree),
-                    LearnConfig(lam=lam, outer_iters=1))
+    lam = lambda_for_sparsity(tr, planted, target_k=6)
+    from treesense import groups_of, tree_prox
+    A = tree_prox(planted.atoms.T @ tr.data, groups_of(tree), lam)
     mean_k = np.mean(np.sum(np.abs(A) > 1e-12, axis=0))
     assert 3 <= mean_k <= 10
 
@@ -302,7 +308,7 @@ def test_compare_generators_never_share_a_draw(rng, monkeypatch):
         return default_rng(seed)
 
     monkeypatch.setattr(np.random, "default_rng", recording_rng)
-    rows = compare_methods(cfg, training=tr, dictionary=planted)
+    rows = compare_methods(cfg, training=tr, dictionary=planted, dict_mean=tr.mean)
     # one generator per row (model-CoSaMP reuses the Lasso's measurements),
     # plus a lambda probe and an ensemble per (budget, m)
     assert len(first_draws) == sum(r["method"] != "model-cosamp" for r in rows) + 2 * 4
@@ -345,12 +351,6 @@ def test_random_projection_arms_match_per_m_lasso_solves(rng, monkeypatch):
                 assert cosamp[b, :, col].tobytes() == own.tobytes()
 
 
-def test_compare_methods_requires_dictionary():
-    cfg = ExperimentConfig(mode="compare", budgets=(16.0,))
-    with pytest.raises(ValueError):
-        compare_methods(cfg)
-
-
 def test_compare_rejects_dimension_mismatch(rng):
     tree = make_tree(2, 3)
     Q, _ = np.linalg.qr(rng.standard_normal((16, tree.p)))
@@ -358,4 +358,4 @@ def test_compare_rejects_dimension_mismatch(rng):
     tr = TrainingSet.from_raw(rng.standard_normal((25, 4)))
     cfg = ExperimentConfig(mode="compare", budgets=(16.0,))
     with pytest.raises(ValueError):
-        compare_methods(cfg, training=tr, dictionary=d)
+        compare_methods(cfg, training=tr, dictionary=d, dict_mean=tr.mean)
