@@ -87,10 +87,10 @@ def cmd_learn(args):
         return 2
     training = load_corpus(cfg.corpus, cfg.target_side)
     tree = make_tree(cfg.d, cfg.L)
+    target = cfg.sparsity_for(tree.p)   # checked even when --lam makes it unused
     init = initial_dictionary(training, tree, np.random.default_rng(cfg.seed))
     lam = cfg.lam
     if lam is None:
-        target = cfg.sparsity_for(tree.p)
         lam = lambda_for_sparsity(training, init, target)
         print(f"lambda search -> {lam:.6g} (target sparsity {target})")
     dictionary, A, history = learn(training, init, LearnConfig(lam=lam))

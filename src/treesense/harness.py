@@ -250,8 +250,8 @@ _PARSE_TYPE = {"tuple": _parse_list, "tuple[int, ...]": _parse_int_list, "int": 
 # each field's parser, read off its annotation string: "float | None" -> float
 _PARSERS = {f.name: _PARSE_TYPE[f.type.split(" |")[0]] for f in fields(ExperimentConfig)
             if f.name != "mode"}
-# the keys that count something, so must be at least 1
-_COUNTS = ("trials", "test_signals", "target_side", "target_sparsity")
+# the keys that count something, so must be at least 1 (each entry of a list)
+_COUNTS = ("trials", "test_signals", "target_side", "target_sparsity", "k", "measurements")
 
 
 def parse_config_file(path):
@@ -271,15 +271,18 @@ def parse_config_file(path):
 
 def apply_config(cfg, kv):
     """Apply string key=value overrides onto an ExperimentConfig.  An unknown
-    key, a value that does not parse, or a count (_COUNTS) below 1 raises
-    ValueError naming the key."""
+    key, a value that does not parse, a count (_COUNTS) below 1 or a budget
+    that is not positive raises ValueError naming the key."""
     for key, val in kv.items():
         if key not in _PARSERS:
             raise ValueError(f"unknown config key {key!r}")
         try:
             value = _PARSERS[key](val)
-            if key in _COUNTS and value < 1:
-                raise ValueError(f"must be at least 1, got {value}")
+            entries = value if isinstance(value, tuple) else (value,)
+            if key in _COUNTS and min(entries, default=1) < 1:
+                raise ValueError(f"must be at least 1, got {val}")
+            if key == "budgets" and not all(v > 0 for v in entries):
+                raise ValueError(f"must be positive, got {val}")
             setattr(cfg, key, value)
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
@@ -403,6 +406,10 @@ def verify_theorem(cfg):
     if cfg.trials < 1:
         raise ValueError(f"trials must be at least 1, got {cfg.trials}")
     tree = make_tree(cfg.d, cfg.L)
+    for k in cfg.k:
+        if not 1 <= k <= tree.n_internal:
+            raise ValueError(f"config key 'k': {k} is not in 1..{tree.n_internal}, the "
+                             "tree's nodes above its leaf level")
     blocks, summaries = [], []
     # the default budget is the unit per-measurement scale, R = (d+1)k
     cells = [(k, R) for k in cfg.k for R in cfg.budgets or [float((cfg.d + 1) * k)]]

@@ -33,12 +33,95 @@ def test_lasso_overdetermined_noiseless(rng):
     assert np.max(np.abs(a_hat - alpha)) < 1e-6
 
 
+def _relative_gap(A, y, lam, x):
+    """Duality gap over the primal objective at x, from the dual point
+    theta = r / max(1, |A^T r|_inf / lam), r = y - A x: a certificate that
+    x's objective is within that share of the optimum."""
+    r = y - A @ x
+    primal = 0.5 * r @ r + lam * np.abs(x).sum()
+    theta = r / max(1.0, np.abs(A.T @ r).max() / lam)
+    dual = 0.5 * y @ y - 0.5 * (y - theta) @ (y - theta)
+    return (primal - dual) / primal
+
+
 def test_lasso_matches_coordinate_descent(rng):
     A = rng.standard_normal((8, 5))
     y = rng.standard_normal(8)
     mine = lasso_solve(A, y, 0.1, max_iters=5000, tol=1e-14)
     oracle = cd_lasso(A, y, 0.1)
-    assert np.max(np.abs(mine - oracle)) < 1e-3
+    assert _relative_gap(A, y, 0.1, mine) <= 1e-8
+    assert np.max(np.abs(mine - oracle)) < 1e-6
+
+
+@pytest.mark.parametrize("m,p", [(20, 30), (12, 30)])
+def test_lasso_both_gram_routes_match_coordinate_descent(rng, m, p):
+    # p <= 2m forms K = A^T A once; p > 2m applies K as (D A^T) A
+    A = rng.standard_normal((m, p))
+    y = rng.standard_normal(m)
+    lam = 0.2 * np.max(np.abs(A.T @ y))
+    mine = lasso_solve(A, y, lam, max_iters=5000, tol=1e-14)
+    assert np.count_nonzero(mine) >= 3
+    assert _relative_gap(A, y, lam, mine) <= 1e-8
+    assert np.max(np.abs(mine - cd_lasso(A, y, lam))) < 1e-6
+
+
+@pytest.mark.parametrize("m,p", [(20, 30), (12, 30)])
+def test_lasso_blocked_columns_match_one_call(rng, monkeypatch, m, p):
+    A = rng.standard_normal((2, m, p))
+    Y = rng.standard_normal((2, m, 10))
+    lams = rng.uniform(0.1, 0.6, (2, 10)) * np.max(np.abs(A.transpose(0, 2, 1) @ Y))
+    # a loose tol keeps the stop tests away from rounding level
+    one_call = lasso_solve(A, Y, lams, max_iters=300, tol=1e-6)
+    blocks = []
+
+    def recording_mfista(apply_K, b, *args):
+        blocks.append(b.shape[1])
+        return mfista(apply_K, b, *args)
+
+    mfista = baselines._mfista
+    monkeypatch.setattr(baselines, "_mfista", recording_mfista)
+    monkeypatch.setattr(baselines, "_BLOCK_BYTES", 3 * 2 * p * 8)   # 3 columns a block
+    blocked = lasso_solve(A, Y, lams, max_iters=300, tol=1e-6)
+    assert blocks == [3, 3, 2, 2]
+    assert np.max(np.abs(blocked - one_call)) <= 1e-12
+
+
+@pytest.mark.parametrize("m,p", [(40, 60), (20, 60)])
+def test_lasso_carried_products_stay_close_to_direct(rng, m, p):
+    # the gradient KX - b is only ever combined from earlier K-products,
+    # never recomputed; after 200 iterations KX must still be A^T A X to
+    # rounding level
+    A = rng.standard_normal((2, m, p))
+    Y = rng.standard_normal((2, m, 5))
+    b = Y.transpose(0, 2, 1) @ A
+    K = A.transpose(0, 2, 1) @ A
+    lam = np.full((2, 5), 0.05 * np.max(np.abs(b)))
+    for apply_K in (lambda D: D @ K, lambda D: (D @ A.transpose(0, 2, 1)) @ A):
+        (X, GX), running = baselines._mfista(apply_K, b, lam, 200, 0.0)
+        assert running.all() and np.count_nonzero(X) > 0
+        assert np.max(np.abs(GX + b - X @ K)) <= 1e-11 * np.max(np.abs(X @ K))
+
+
+def test_lasso_logs_relative_duality_gap(rng, caplog):
+    A = rng.standard_normal((20, 30))
+    Y = rng.standard_normal((20, 3))
+    lam = 0.2 * np.max(np.abs(A.T @ Y))
+    reported = {}
+    for max_iters in (5000, 5):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="treesense.baselines"):
+            X = lasso_solve(A, Y, lam, max_iters=max_iters)
+        found = re.fullmatch(rf"lasso_solve: (\d+) of 3 columns stopped at "
+                             rf"max_iters={max_iters}; relative duality gap "
+                             r"median (\S+), max (\S+)", caplog.messages[-1])
+        assert found
+        gaps = [_relative_gap(A, Y[:, c], lam, X[:, c]) for c in range(3)]
+        median, largest = float(found.group(2)), float(found.group(3))
+        assert median == pytest.approx(np.median(gaps), rel=1e-2, abs=1e-12)
+        assert largest == pytest.approx(max(gaps), rel=1e-2, abs=1e-12)
+        reported[max_iters] = largest, int(found.group(1))
+    assert reported[5000][0] <= 1e-8 and reported[5000][1] == 0
+    assert reported[5][0] > 1e-4 and reported[5][1] == 3
 
 
 def test_lasso_batched_matches_column_calls(rng):

@@ -237,8 +237,10 @@ def test_log_level_info_reports_lasso_caps(tmp_path, corpus_dir, random_dict, ca
     assert len(messages) == 2
     for msg, total in zip(messages, (16, 8)):
         stopped = re.fullmatch(rf"lasso_solve: (\d+) of {total} columns stopped "
-                               r"at max_iters=200", msg)
+                               r"at max_iters=200; relative duality gap "
+                               r"median (\S+), max (\S+)", msg)
         assert stopped and int(stopped.group(1)) <= total
+        assert 0 <= float(stopped.group(2)) <= float(stopped.group(3))
     # one model-CoSaMP call for the same 8 problems, each with one stop reason
     messages = solver_messages("model_cosamp:")
     assert len(messages) == 1
@@ -268,6 +270,8 @@ def test_learn_writes_the_librarys_dictionary(tmp_path, corpus_dir, lam):
 @pytest.mark.parametrize("command,flag,value", [
     ("learn", "--target-side", "0"),
     ("learn", "--target-sparsity", "500"),
+    pytest.param("learn", "--lam 0.05 --target-sparsity", "500",
+                 id="learn---target-sparsity-500-with-lam"),
     ("sense", "--trials", "0"),
     ("compare", "--test-signals", "999"),
     ("compare", "--target-sparsity", "99"),
@@ -286,10 +290,32 @@ def test_bad_counts_exit_2_naming_the_key(tmp_path, corpus_dir, random_dict, cap
               "compare": ["--dict-path", str(random_dict), "--corpus", str(root),
                           "--target-side", "8", "--budgets", "64", "--measurements", "6",
                           "--out", str(out)]}[command]
-    assert main([command, *inputs, flag, value]) == 2
-    key = flag[2:].replace("-", "_")
+    assert main([command, *inputs, *flag.split(), value]) == 2
+    key = flag.split()[-1][2:].replace("-", "_")
     err = capsys.readouterr().err
     assert err.startswith(f"treesense: error: config key '{key}': ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag,value,reason", [
+    ("verify-theorem", "--k", "100", "100 is not in 1..7, the tree's nodes above its leaf level"),
+    ("verify-theorem", "--k", "10", "10 is not in 1..7, the tree's nodes above its leaf level"),
+    ("verify-theorem", "--budgets", "0", "must be positive, got 0"),
+    ("verify-theorem", "--budgets", "-3", "must be positive, got -3"),
+    ("compare", "--measurements", "0", "must be at least 1, got 0"),
+], ids=["k-100", "k-10", "budgets-0", "budgets--3", "measurements-0"])
+def test_list_option_errors_exit_2_naming_the_key(tmp_path, corpus_dir, random_dict, capsys,
+                                                  command, flag, value, reason):
+    # an entry of k, budgets or measurements out of range names its key, as
+    # a bad scalar option does, instead of failing inside a library call
+    root, _ = corpus_dir
+    out = tmp_path / "out.csv"
+    inputs = {"verify-theorem": ["--L", "4", "--trials", "5"],
+              "compare": ["--dict-path", str(random_dict), "--corpus", str(root),
+                          "--target-side", "8", "--budgets", "64"]}[command]
+    assert main([command, *inputs, flag, value, "--out", str(out)]) == 2
+    key = flag[2:]
+    assert capsys.readouterr().err == f"treesense: error: config key '{key}': {reason}\n"
     assert not out.exists()
 
 

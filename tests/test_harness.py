@@ -133,6 +133,11 @@ def test_config_file_parsing(tmp_path):
     ("target_side = 0", "config key 'target_side': must be at least 1, got 0"),
     ("target_sparsity = 0", "config key 'target_sparsity': must be at least 1, got 0"),
     ("target_sparsity = -3", "config key 'target_sparsity': must be at least 1, got -3"),
+    ("k = 7,0", "config key 'k': must be at least 1, got 7,0"),
+    ("measurements = 0", "config key 'measurements': must be at least 1, got 0"),
+    ("measurements = 6,-1", "config key 'measurements': must be at least 1, got 6,-1"),
+    ("budgets = 0", "config key 'budgets': must be positive, got 0"),
+    ("budgets = 64,-3.5", "config key 'budgets': must be positive, got 64,-3.5"),
 ])
 def test_config_errors_name_the_key(tmp_path, line, reason):
     cfg_file = tmp_path / "run.cfg"
