@@ -159,15 +159,12 @@ def synthetic_corpus(q, side, tree, k, rng, amp=1.0):
         raise ValueError("tree too large for the image dimension")
     Q, _ = np.linalg.qr(rng.standard_normal((n, tree.p)))
     planted = Dictionary(atoms=Q, tree=tree)
-    X = np.empty((n, q))
-    A = np.zeros((tree.p, q))
     depth = np.searchsorted(tree.level_starts, np.arange(tree.p), side="right") - 1
     decay = np.array([0.6**lvl for lvl in range(tree.depth)])[depth]
-    for i in range(q):
-        a = random_tree_sparse(tree, k, 0.5 * amp, amp, rng).values * decay
-        A[:, i] = a
-        X[:, i] = 0.5 + Q @ a
-    return X, planted, A
+    nodes, values = random_tree_sparse_batch(tree, k, 0.5 * amp, amp, rng, q)
+    A = np.zeros((tree.p, q))
+    A[nodes.T - 1, np.arange(q)] = values.T * decay[nodes.T - 1]
+    return 0.5 + Q @ A, planted, A
 
 
 def lambda_for_sparsity(training, dictionary, target_k):
@@ -347,7 +344,9 @@ def write_manifest(path, cfg, summaries=()):
 # ---------------------------------------------------------------------------
 
 # Trials per sensing batch in verify-theorem: a batch's arrays grow with its
-# trial count, so blocks of this size keep a cell's working memory bounded.
+# trial count, and its slot map and membership mask with trials * p entries
+# (one byte each while k <= 128), so blocks of at most this many trials, and
+# at most 2**18 // p, keep a cell's working memory bounded.
 _VERIFY_BLOCK = 256
 
 
@@ -356,11 +355,10 @@ def _support_errors(batch, nodes, p):
     is the batch's significant nodes and S = nodes[t].  A support node that
     was never measured is a miss."""
     trials, k = nodes.shape
-    stride = p + 1
-    truth = np.sort((np.arange(trials)[:, None] * stride + nodes).ravel())
+    member = np.zeros((trials, p + 1), dtype=bool)
+    member[np.arange(trials)[:, None], nodes] = True
     t_sig = batch.trial[batch.significant]
-    found = t_sig * stride + batch.node[batch.significant]
-    hit = truth[np.minimum(np.searchsorted(truth, found), len(truth) - 1)] == found
+    hit = member[t_sig, batch.node[batch.significant]]
     return (np.bincount(t_sig[~hit], minlength=trials),
             k - np.bincount(t_sig[hit], minlength=trials))
 
@@ -368,13 +366,14 @@ def _support_errors(batch, nodes, p):
 def _verify_cell(tree, k, R, beta, alpha, tau, cfg, cell):
     """Columns (one entry per trial) and summary line of one (k, R) cell.
     Its trials are drawn from one generator, in batches of up to
-    _VERIFY_BLOCK trials."""
+    min(_VERIFY_BLOCK, 2**18 // p) trials."""
     rng = np.random.default_rng([cfg.seed, cell])
     sense_cfg = SensingConfig(beta=beta, tau=tau, noise_std=cfg.noise_std, budget=R)
+    block = max(1, min(_VERIFY_BLOCK, 2**18 // tree.p))
     per_trial = []
-    for start in range(0, cfg.trials, _VERIFY_BLOCK):
+    for start in range(0, cfg.trials, block):
         nodes, values = random_tree_sparse_batch(
-            tree, k, alpha, alpha, rng, min(_VERIFY_BLOCK, cfg.trials - start),
+            tree, k, alpha, alpha, rng, min(block, cfg.trials - start),
             max_depth=cfg.L - 1)
         batch = adaptive_sense_batch(nodes, values, tree, sense_cfg, rng)
         per_trial.append((batch.m, batch.energy_spent, batch.truncated,

@@ -151,16 +151,19 @@ def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
     levels = []
     while True:
         counts = np.bincount(t, minlength=trials)
-        rank = m[t] + np.arange(len(t)) - (np.cumsum(counts) - counts)[t]
-        keep = rank < limit
-        truncated[t[~keep]] = True
-        t, i = t[keep], i[keep]
+        if (m + counts).max() > limit:
+            # a session measures its frontier in order until it reaches limit
+            rank = m[t] + np.arange(len(t)) - (np.cumsum(counts) - counts)[t]
+            keep = rank < limit
+            truncated[t[~keep]] = True
+            t, i = t[keep], i[keep]
+            counts = np.minimum(counts, limit - m)
         y = cfg.beta * coeff(t, i)
         if cfg.noise_std > 0:
             y += cfg.noise_std * rng.standard_normal(len(t))
         sig = np.abs(y) >= cfg.tau
         levels.append((t, i, y, sig))
-        m += np.bincount(t, minlength=trials)
+        m += counts
         first = d * i + shift
         grow = sig & (first > i) & (first + d <= n)
         t = np.repeat(t[grow], d)
@@ -212,21 +215,26 @@ def adaptive_sense_batch(nodes, values, tree, cfg, rng):
     nodes and values are (T, k): vector t is values[t] at the distinct node
     ids nodes[t] and zero elsewhere.  Returns a SessionBatch with node ids.
     With T = 1 the session equals adaptive_sense_coeffs on the dense vector,
-    draw for draw.
+    draw for draw.  The coefficients are looked up through a slot map of
+    T * p entries of the smallest signed integer type that holds -k (one
+    byte each up to k = 128), so a batch holds O(T * p) bytes besides its
+    measurements.
     """
     nodes = np.asarray(nodes)
     values = np.asarray(values, dtype=float)
     if nodes.ndim != 2 or nodes.shape != values.shape:
         raise ValueError("nodes and values must be (T, k) arrays of one shape")
-    trials, p = len(nodes), tree.p
-    order = np.argsort(nodes, axis=1)
-    keys = (np.take_along_axis(nodes, order, axis=1) - 1 + p * np.arange(trials)[:, None]).ravel()
-    vals = np.take_along_axis(values, order, axis=1).ravel()
+    (trials, k), p = nodes.shape, tree.p
+    # slot[t * p + i] is the column of node i + 1 in row t, or -1, which
+    # reads the zero column appended to the values
+    slot = np.full((trials, p), -1, dtype=np.min_scalar_type(-k))
+    slot[np.arange(trials)[:, None], nodes - 1] = np.arange(k)
+    slot = slot.reshape(-1)
+    padded = np.zeros((trials, k + 1))
+    padded[:, :k] = values
 
     def coeff(t, i):
-        q = t * p + i
-        at = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
-        return np.where(keys[at] == q, vals[at], 0.0)
+        return padded[t, slot[t * p + i]]
 
     batch = _traverse(coeff, p, tree.d, 1, [0], trials, cfg, rng)
     batch.node += 1

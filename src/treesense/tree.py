@@ -143,10 +143,11 @@ def random_tree_sparse_batch(tree, k, amp_min, amp_max, rng, trials, max_depth=N
     Returns (nodes, values), both (trials, k): row t holds the support of
     vector t in the order it was grown, root first, and the values there.
     Each support is grown from the root by repeatedly adding a uniformly
-    chosen boundary node; magnitudes are uniform on [amp_min, amp_max] with
-    random signs.  max_depth restricts growth to nodes at depth < max_depth
-    (useful to keep the support off the leaf level, where nodes have no
-    children to test).
+    chosen boundary node, row t's step s picking entry floor(u[s-1, t] * len)
+    of its boundary list from one rng.random((k - 1, trials)) block;
+    magnitudes are uniform on [amp_min, amp_max] with random signs.
+    max_depth restricts growth to nodes at depth < max_depth (useful to keep
+    the support off the leaf level, where nodes have no children to test).
     """
     if not 1 <= k <= tree.p:
         raise ValueError(f"k must be in 1..{tree.p}, got {k}")
@@ -164,23 +165,26 @@ def random_tree_sparse_batch(tree, k, amp_min, amp_max, rng, trials, max_depth=N
     inner = (last - 1) // d
     kids = np.arange(d)
     nodes = np.ones((trials, k), dtype=np.int64)
-    # boundary[t, :lens[t]] is row t's boundary list: each step pops one entry
-    # (the later ones shift left) and appends the new node's children
+    # boundary[t, :lens[t]] is row t's boundary list: each step swaps its
+    # last entry into the picked slot and appends the new node's children.
+    # A row that does not grow gets them too, past its end, where the next
+    # steps overwrite them: no list grows past d + (k - 1)(d - 1) entries
     width = d + (k - 1) * (d - 1)
     boundary = np.zeros((trials, width), dtype=np.int64)
     boundary[:, :d] = np.arange(2, d + 2)
     flat, starts = boundary.reshape(-1), np.arange(trials) * width
     lens = np.full(trials, d * (inner >= 1))
+    # the pick is floor(u * len) < len: u is a multiple of 2**-53 below 1,
+    # and (1 - 2**-53) * n rounds to a double below n for every n < 2**53
+    u = rng.random((k - 1, trials))
     for step in range(1, k):
-        pick = rng.integers(0, lens)
-        nodes[:, step] = j = flat[starts + pick]
-        live = d + (step - 1) * (d - 1)   # no list is longer before this pop
-        shift = boundary[:, :live]
-        shift[:, :-1] = np.where(np.arange(live - 1) >= pick[:, None], shift[:, 1:], shift[:, :-1])
+        at = starts + (u[step - 1] * lens).astype(np.int64)
+        nodes[:, step] = j = flat[at]
         lens -= 1
-        grow = j <= inner
-        flat[(starts[grow] + lens[grow])[:, None] + kids] = d * j[grow, None] - d + 2 + kids
-        lens[grow] += d
+        end = starts + lens
+        flat[at] = flat[end]
+        flat[end[:, None] + kids] = d * j[:, None] - d + 2 + kids
+        lens += d * (j <= inner)
 
     mags = rng.uniform(amp_min, amp_max, size=(trials, k))
     signs = rng.choice([-1.0, 1.0], size=(trials, k))

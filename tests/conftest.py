@@ -2,11 +2,11 @@
 
 These deliberately avoid the library's own algorithms: subtree enumeration
 is exhaustive recursion, the lasso oracle is exact coordinate descent, the
-group list is built by walking parents, the traversal, support-grower and
-tree-sparsity references are the scalar loops the library's array engines
-replaced, the projection reference is a per-node DP, the CSV reference
-writes one row dict at a time, and the prox oracle (in test_prox) is a
-convex solver.
+group list is built by walking parents, the traversal and tree-sparsity
+references are the scalar loops the library's array engines replaced, the
+support growers are list loops and their law is pushed forward set by set,
+the projection reference is a per-node DP, the CSV reference writes one row
+dict at a time, and the prox oracle (in test_prox) is a convex solver.
 
 Hypothesis runs with random examples by default; HYPOTHESIS_PROFILE=ci
 selects a derandomized profile without deadlines.
@@ -196,45 +196,96 @@ def reference_traversal(project, children_of, roots, cfg, rng):
     return nodes, ys, sigs, energy, truncated
 
 
-def reference_random_tree_sparse(tree, k, amp_min, amp_max, rng, max_depth=None):
-    """Scalar support grower: (values, support) of one k-tree-sparse vector,
-    the support grown from the root by popping a uniformly chosen entry of a
-    boundary list and appending the new node's children."""
+def _children_within(j, d, last):
+    return range(d * (j - 1) + 2, min(d * j + 1, last) + 1)
+
+
+def _last_node(tree, max_depth):
     d, last = tree.d, tree.p
     if max_depth is not None:
         last = min(last, (d ** max(max_depth, 0) - 1) // (d - 1))
-    support, boundary = [1], list(range(2, min(d + 1, last) + 1))
-    while len(support) < k:
-        j = boundary.pop(rng.integers(len(boundary)))
-        support.append(j)
-        boundary.extend(range(d * (j - 1) + 2, min(d * j + 1, last) + 1))
+    return last
+
+
+def _signed_values(tree, support, mags, signs):
     values = np.zeros(tree.p)
-    mags = rng.uniform(amp_min, amp_max, size=k)
-    signs = rng.choice([-1.0, 1.0], size=k)
     for idx, node in enumerate(support):
         values[node - 1] = signs[idx] * mags[idx]
-    return values, frozenset(support)
+    return values
+
+
+def reference_random_tree_sparse(tree, k, amp_min, amp_max, rng, max_depth=None):
+    """Scalar support grower: (values, support) of one k-tree-sparse vector.
+    The support is grown from the root by k - 1 steps over a boundary list,
+    with the k - 1 uniforms drawn as one rng.random block: step s picks
+    entry floor(u_s * len), moves the list's last entry into that slot,
+    drops the last slot and appends the new node's children."""
+    d, last = tree.d, _last_node(tree, max_depth)
+    support, boundary = [1], list(_children_within(1, d, last))
+    for u in rng.random(k - 1).tolist():
+        pick = int(u * len(boundary))
+        j = boundary[pick]
+        boundary[pick] = boundary[-1]
+        boundary.pop()
+        support.append(j)
+        boundary.extend(_children_within(j, d, last))
+    mags = rng.uniform(amp_min, amp_max, size=k)
+    signs = rng.choice([-1.0, 1.0], size=k)
+    return _signed_values(tree, support, mags, signs), frozenset(support)
 
 
 def reference_random_tree_sparse_batch(tree, k, amp_min, amp_max, rng, trials,
                                        max_depth=None):
     """(nodes, values) of `trials` k-tree-sparse vectors grown as Python
-    lists: one rng.integers call per step over the rows' boundary lengths,
-    then each row pops its pick and appends the new node's children."""
-    d, last = tree.d, tree.p
-    if max_depth is not None:
-        last = min(last, (d ** max(max_depth, 0) - 1) // (d - 1))
+    lists: one rng.random((k - 1, trials)) block of uniforms, then at each
+    step every row takes its uniform's entry, swaps its last boundary entry
+    into that slot and appends the new node's children."""
+    d, last = tree.d, _last_node(tree, max_depth)
     supports = [[1] for _ in range(trials)]
-    boundaries = [list(range(2, min(d + 1, last) + 1)) for _ in range(trials)]
-    for _ in range(1, k):
-        picks = rng.integers(0, [len(boundary) for boundary in boundaries])
-        for support, boundary, pick in zip(supports, boundaries, picks.tolist()):
-            j = boundary.pop(pick)
-            support.append(j)
-            boundary.extend(range(d * (j - 1) + 2, min(d * j + 1, last) + 1))
+    boundaries = [list(_children_within(1, d, last)) for _ in range(trials)]
+    for row in rng.random((k - 1, trials)).tolist():
+        for support, boundary, u in zip(supports, boundaries, row):
+            pick = int(u * len(boundary))
+            support.append(boundary[pick])
+            boundary[pick] = boundary[-1]
+            boundary.pop()
+            boundary.extend(_children_within(support[-1], d, last))
     mags = rng.uniform(amp_min, amp_max, size=(trials, k))
     signs = rng.choice([-1.0, 1.0], size=(trials, k))
     return np.array(supports).reshape(trials, k), signs * mags
+
+
+def popping_random_tree_sparse(tree, k, amp_min, amp_max, rng):
+    """(values, support) of one k-tree-sparse vector by the grower rule
+    treesense used before its swap-remove grower: each step draws
+    rng.integers(len) and pops that boundary entry, keeping the later ones
+    in order.  It draws a different stream from the same law, so test data
+    sets drawn with it keep their values."""
+    support, boundary = [1], list(_children_within(1, tree.d, tree.p))
+    while len(support) < k:
+        j = boundary.pop(rng.integers(len(boundary)))
+        support.append(j)
+        boundary.extend(_children_within(j, tree.d, tree.p))
+    mags = rng.uniform(amp_min, amp_max, size=k)
+    signs = rng.choice([-1.0, 1.0], size=k)
+    return _signed_values(tree, support, mags, signs), frozenset(support)
+
+
+def uniform_growth_law(tree, k, max_depth=None):
+    """{support: probability} of the k-node supports grown from the root by
+    adding a uniformly chosen boundary node k - 1 times, found by pushing
+    each set's probability forward over its boundary, set by set."""
+    d, last = tree.d, _last_node(tree, max_depth)
+    law = {frozenset([1]): 1.0}
+    for _ in range(k - 1):
+        nxt = {}
+        for sup, prob in law.items():
+            boundary = [c for j in sup for c in _children_within(j, d, last) if c not in sup]
+            for c in boundary:
+                grown = sup | {c}
+                nxt[grown] = nxt.get(grown, 0.0) + prob / len(boundary)
+        law = nxt
+    return law
 
 
 def reference_write_csv(path, rows):

@@ -10,7 +10,8 @@ from treesense import (ExperimentConfig, LearnConfig, SensingConfig,
                        allocate_beta, failure_bound, gaussian_ensemble,
                        groups_of, initial_dictionary, is_tree_sparse,
                        lasso_solve, learn, make_tree, min_amplitude,
-                       random_tree_sparse, synthetic_corpus, tree_project, tree_prox,
+                       random_tree_sparse, random_tree_sparse_batch, synthetic_corpus,
+                       tree_project, tree_prox,
                        two_stage_estimate_coeffs, verify_theorem, write_csv, as_table)
 from treesense.harness import compare_methods
 
@@ -113,13 +114,11 @@ def _lasso_success_rate(alpha, tree, k, R, m, trials, tag):
     p = tree.p
     phi = gaussian_ensemble(m, p, budget=R, seed=4000 + tag)
     rng = np.random.default_rng([4, 99, tag])
+    nodes, values = random_tree_sparse_batch(tree, k, alpha, alpha, rng, trials,
+                                             max_depth=tree.depth - 1)
     A_mat = np.zeros((p, trials))
-    supports = []
-    for t in range(trials):
-        vec = random_tree_sparse(tree, k, alpha, alpha, rng,
-                                 max_depth=tree.depth - 1)
-        A_mat[:, t] = vec.values
-        supports.append(vec.support)
+    A_mat[nodes.T - 1, np.arange(trials)] = values.T
+    supports = [frozenset(row) for row in nodes.tolist()]
     Y = phi @ A_mat + rng.standard_normal((m, trials))
     base = math.sqrt(2 * math.log(p))  # columns have unit norm at R = p
     best = 0.0

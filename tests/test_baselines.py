@@ -175,10 +175,21 @@ def test_cosamp_stack_matches_unpadded_calls(monkeypatch, caplog):
     Y = np.zeros((len(ms), max(ms), q))
     for b, m in enumerate(ms):
         A[b, :m] = gaussian_ensemble(m, t.p, budget=float(t.p), seed=b)
+        if m == t.p:
+            A[b] = np.linalg.qr(A[b])[0]
         for c in range(q):
             Y[b, :m, c] = A[b, :m] @ random_tree_sparse(t, k, 0.5, 1.5, rng).values
         Y[b, :m, 1] += 0.05 * rng.standard_normal(m)
     Y[1, :, 2] = 0
+    # with A orthonormal, a round acts on v = A^T y alone: E = the 2k-node
+    # projection of v - x plus x's support, then x = the k-node projection
+    # of v on E.  On this v each round reaches nodes the one before could
+    # not (10 and 21, then 4) and captures more energy, so the third round
+    # still improves and problem (2, 2) stops at iters
+    v = np.zeros(t.p)
+    v[np.array([1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 13, 14, 15, 21, 30]) - 1] = [
+        2.0, 2.3, 0.3, 1.0, 2.9, 1.0, 1.0, 0.3, 2.9, 1.7, 3.0, 2.5, 0.6, 1.4, 2.4]
+    Y[2, :, 2] = A[2] @ v
     sizes = []
 
     def recording_project(V, tree, k):
@@ -196,6 +207,9 @@ def test_cosamp_stack_matches_unpadded_calls(monkeypatch, caplog):
                           r"(\d+) stopped at iters=3, 1 had y = 0", caplog.messages[-1])
     assert counts and all(int(n) >= 1 for n in counts.groups())
     assert not out[1, :, 2].any()
+    rounds = [model_cosamp(A[2], Y[2, :, 2], k, t, iters=n) for n in (1, 2, 3)]
+    res = [np.linalg.norm(Y[2, :, 2] - A[2] @ x) for x in rounds]
+    assert res[0] > res[1] > res[2] > 1e-6 * np.linalg.norm(v)
     for b, m in enumerate(ms):
         for c in range(q):
             own = model_cosamp(A[b, :m], Y[b, :m, c], k, t, iters=3)

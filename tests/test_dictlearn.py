@@ -3,14 +3,18 @@ import pytest
 
 from treesense import (Dictionary, LearnConfig, TrainingSet, groups_of,
                        initial_dictionary, is_tree_sparse, learn, learn_objective,
-                       load_dictionary, make_tree, random_tree_sparse,
-                       save_dictionary, tree_prox, update_dictionary)
+                       load_dictionary, make_tree, save_dictionary, tree_prox,
+                       update_dictionary)
+
+from conftest import popping_random_tree_sparse
 
 
 def planted_instance(rng, n=64, p_tree=(2, 4), q=200, k=6, noise=0.01):
+    # the supports come from the popping grower: with the same seed, these
+    # are the instances the learn tests were written against
     tree = make_tree(*p_tree)
     Q, _ = np.linalg.qr(rng.standard_normal((n, tree.p)))
-    A = np.column_stack([random_tree_sparse(tree, k, 0.5, 1.5, rng).values
+    A = np.column_stack([popping_random_tree_sparse(tree, k, 0.5, 1.5, rng)[0]
                          for _ in range(q)])
     X = Q @ A + noise * rng.standard_normal((n, q))
     return tree, Q, A, X

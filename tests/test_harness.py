@@ -1,7 +1,8 @@
 import csv
 import math
 import re
-from dataclasses import fields
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -169,6 +170,22 @@ def test_verify_theorem_noiseless_cells():
     assert np.array_equal(table["m"], 2 * k + 1)
     assert np.all(table["support_exact"] == 1)
     assert len(summaries) == 2
+
+
+def test_verify_theorem_block_memory_is_bounded():
+    # p = 65,535: a block's slot map and membership mask hold trials * p
+    # bytes each, so 24 trials in one block would peak at 1.6 MB; blocks of
+    # 2**18 // p = 4 trials keep one 256 KiB map alive at a time
+    cfg = ExperimentConfig(d=2, L=16, k=(7,), trials=24, seed=3)
+    verify_theorem(replace(cfg, L=4, trials=1))   # imports stay out of the peak
+    tracemalloc.start()
+    try:
+        table, _ = verify_theorem(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table["m"]) == 24
+    assert peak <= 2**19, peak
 
 
 def test_verify_theorem_rejects_no_trials():

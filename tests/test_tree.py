@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from treesense import (Dictionary, GroupSet, make_tree, groups_of,
                        is_tree_sparse, tree_project, tree_project_batch)
 from conftest import (enumerate_rooted_subtrees, best_subtree_energy,
                       reference_project, reference_random_tree_sparse,
-                      reference_random_tree_sparse_batch)
+                      reference_random_tree_sparse_batch, uniform_growth_law)
 
 
 def test_make_tree_binary_three_levels():
@@ -116,6 +117,55 @@ def test_random_tree_sparse_batch_equals_list_reference(d, L, k, max_depth, tria
         assert np.array_equal(nodes, ref_nodes)
         assert np.array_equal(values.view(np.int64), ref_values.view(np.int64))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("d,L,k,max_depth", [(2, 4, 4, None), (2, 4, 4, 3), (3, 3, 4, None)])
+def test_random_tree_sparse_batch_follows_uniform_growth_law(d, L, k, max_depth):
+    # support frequencies of 40,000 draws against the exact law of growth by
+    # uniform boundary picks: how a pick is drawn may change, the law not
+    t = make_tree(d, L)
+    law = uniform_growth_law(t, k, max_depth)
+    cap = t.p if max_depth is None else (d**max_depth - 1) // (d - 1)
+    assert set(law) == {s for s in enumerate_rooted_subtrees(t, k)
+                        if len(s) == k and max(s) <= cap}
+    assert abs(sum(law.values()) - 1) < 1e-12
+    n = 40_000
+    nodes, _ = random_tree_sparse_batch(t, k, 1, 1, np.random.default_rng(15), n,
+                                        max_depth=max_depth)
+    counts = Counter(frozenset(row) for row in nodes.tolist())
+    assert set(counts) <= set(law)
+    expected = n * np.array(list(law.values()))
+    observed = np.array([counts[s] for s in law])
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    # Wilson-Hilferty upper 1e-4 quantile (z = 3.719) of chi-square, df = |law| - 1
+    df = len(law) - 1
+    assert chi2 <= df * (1 - 2 / (9 * df) + 3.719 * (2 / (9 * df)) ** 0.5) ** 3, (chi2, df)
+
+
+class _TopUniform:
+    """A generator whose uniforms are all 1 - 2**-53, the largest double
+    below 1; every other draw comes from a seeded Generator."""
+
+    def __init__(self):
+        self._rng = np.random.default_rng(0)
+
+    def random(self, size):
+        return np.full(size, 1 - 2**-53)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_random_tree_sparse_top_uniform_picks_last_entry():
+    # the largest uniform times a list length rounds below the length, so
+    # floor(u * len) needs no clamp: boundary [2, 3, 4] -> 4, then
+    # [2, 3, 11, 12, 13] -> 13
+    assert all(int((1 - 2**-53) * n) == n - 1 for n in range(1, 100_000))
+    t = make_tree(3, 3)
+    nodes, _ = random_tree_sparse_batch(t, 3, 1, 1, _TopUniform(), 2)
+    assert nodes.tolist() == [[1, 4, 13]] * 2
+    assert reference_random_tree_sparse_batch(t, 3, 1, 1, _TopUniform(), 2)[0].tolist() == \
+        nodes.tolist()
 
 
 @pytest.mark.parametrize("d,L,k,max_depth", [(2, 10, 31, 9), (3, 4, 13, 3), (4, 3, 5, None)])
