@@ -26,9 +26,10 @@ print(f"\nplanted support ({k} nodes): {sorted(vec.support)}")
 # Noiseless session: each node measurement is exact, so the traversal stops
 # after measuring the support plus its boundary -- exactly dk+1 measurements.
 cfg = SensingConfig(beta=1.0, tau=0.5, noise_std=0.0)
-out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)
-print(f"noiseless session: m = {out.log.m} (predicted {d * k + 1}), "
-      f"recovered support correct: {out.support_estimate == vec.support}")
+out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)   # a one-session batch
+found = set(out.node[out.significant].tolist())
+print(f"noiseless session: m = {out.m[0]} (predicted {d * k + 1}), "
+      f"recovered support correct: {found == vec.support}")
 
 # Noisy session under an energy budget R: beta spreads the budget over the
 # (d+1)k measurements a correct session needs, and the threshold tau trades
@@ -48,5 +49,5 @@ for t in range(trials):
     o = adaptive_sense_coeffs(v.values, tree,
                               SensingConfig(beta=beta, tau=tau, noise_std=1.0),
                               rng)
-    fails += o.support_estimate != v.support
+    fails += set(o.node[o.significant].tolist()) != v.support
 print(f"empirical failure rate over {trials} trials: {fails / trials:.4g}")

@@ -53,13 +53,13 @@ def min_amplitude(c1, a, d, k, beta):
     thresholds (false-alarm and miss); at or above it each branch of the
     union bound is <= k^(-c1)/2.
     """
-    if c1 <= 0:
+    if not c1 > 0:
         raise ValueError("c1 must be positive")
     if not 0 < a < 1:
         raise ValueError("a must be in (0,1)")
-    if k < 2:
+    if not k >= 2:
         raise ValueError("k must be >= 2")
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be positive")
     log2 = math.log(2)
     fa = math.sqrt((2 * math.log((d - 1) * k + 1) + 2 * c1 * math.log(k) + 2 * log2)

@@ -268,14 +268,17 @@ def parse_config_file(path):
 
 def apply_config(cfg, kv):
     """Apply string key=value overrides onto an ExperimentConfig.  An unknown
-    key, a value that does not parse, a count (_COUNTS) below 1 or a budget
-    that is not positive raises ValueError naming the key."""
+    key, a value that does not parse, a float that is not finite, a count
+    (_COUNTS) below 1 or a budget that is not positive raises ValueError
+    naming the key."""
     for key, val in kv.items():
         if key not in _PARSERS:
             raise ValueError(f"unknown config key {key!r}")
         try:
             value = _PARSERS[key](val)
             entries = value if isinstance(value, tuple) else (value,)
+            if not all(math.isfinite(v) for v in entries if isinstance(v, float)):
+                raise ValueError(f"must be finite, got {val}")
             if key in _COUNTS and min(entries, default=1) < 1:
                 raise ValueError(f"must be at least 1, got {val}")
             if key == "budgets" and not all(v > 0 for v in entries):
@@ -444,10 +447,10 @@ def sense_signal(cfg, dictionary, dict_mean, x, k, sig_idx=0, note=""):
             sense_cfg = SensingConfig(beta=beta, tau=tau, noise_std=cfg.noise_std, budget=R)
             for trial in range(cfg.trials):
                 rng = np.random.default_rng([cfg.seed, 1, b, sig_idx, tau_idx, trial])
-                out = adaptive_sense(x - dict_mean, dictionary, sense_cfg, rng)
-                x_hat = reconstruct_from_outcome(out, dictionary, beta, mean_offset=dict_mean)
-                rows.append(_row("adaptive", R, tau, out.log.m, trial, snr=snr_db(x, x_hat),
-                                 energy=out.log.energy_spent, note=note))
+                batch = adaptive_sense(x - dict_mean, dictionary, sense_cfg, rng)
+                x_hat = reconstruct_from_outcome(batch, dictionary, beta, mean_offset=dict_mean)
+                rows.append(_row("adaptive", R, tau, batch.m[0], trial, snr=snr_db(x, x_hat),
+                                 energy=batch.energy_spent[0], note=note))
     return rows
 
 
@@ -587,10 +590,10 @@ def compare_methods(cfg, training, dictionary, dict_mean):
                                               noise_std=cfg.noise_std, budget=R)
                     for trial in range(cfg.trials):
                         rng = np.random.default_rng([cfg.seed, 5, b, sig_idx, tau_idx, trial])
-                        out = wavelet_sense(img, sense_cfg, rng)
-                        rec = wavelet_reconstruct(out, side, beta_w)
+                        batch = wavelet_sense(img, sense_cfg, rng)
+                        rec = wavelet_reconstruct(batch, side, beta_w)
                         x_hat = rec.flatten(order="F")
-                        rows.append(_row("wavelet", R, tau_w, out.log.m, trial,
+                        rows.append(_row("wavelet", R, tau_w, batch.m[0], trial,
                                          snr=snr_db(x, x_hat),
-                                         energy=out.log.energy_spent, note=tag))
+                                         energy=batch.energy_spent[0], note=tag))
     return rows

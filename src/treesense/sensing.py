@@ -18,8 +18,6 @@ import numpy as np
 
 __all__ = [
     "SensingConfig",
-    "MeasurementLog",
-    "SensingOutcome",
     "SessionBatch",
     "allocate_beta",
     "adaptive_sense",
@@ -46,54 +44,27 @@ class SensingConfig:
     budget: float | None = None
 
     def __post_init__(self):
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ValueError("beta must be positive")
-        if self.tau < 0:
+        if not self.tau >= 0:
             raise ValueError("tau must be nonnegative")
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:
             raise ValueError("noise_std must be nonnegative")
         if self.budget is not None and not self.budget > 0:
             raise ValueError("budget must be positive or None")
 
 
 @dataclass
-class MeasurementLog:
-    """One session's measurements in the order taken: the node measured, the
-    observation y and whether it passed the threshold, one array entry each."""
-
-    node: np.ndarray
-    y: np.ndarray
-    significant: np.ndarray
-    energy_spent: float = 0.0
-
-    @property
-    def m(self):
-        return len(self.node)
-
-
-@dataclass
-class SensingOutcome:
-    """Support estimate plus the full measurement log.
-
-    truncated is True when the session stopped because the next measurement
-    would have exceeded the energy budget (rather than the scheduler running
-    empty).  coeff_estimates is filled by the two-stage estimator.
-    """
-
-    support_estimate: frozenset
-    log: MeasurementLog
-    truncated: bool = False
-    coeff_estimates: np.ndarray | None = None
-
-
-@dataclass
 class SessionBatch:
-    """Measurements of T independent sessions.
+    """Measurements of T independent sessions, the result of every sensing
+    call (the one-vector calls return T = 1).
 
     trial, node, y and significant hold one entry per measurement, tree
     level by tree level and, within a level, by trial and then by node, so
     the entries of one trial are in the order that session took them.  m,
-    energy_spent and truncated hold one entry per trial.
+    energy_spent and truncated hold one entry per trial; truncated is True
+    when the session stopped because the next measurement would have passed
+    the energy budget, rather than because its frontier ran empty.
     """
 
     trial: np.ndarray
@@ -103,15 +74,6 @@ class SessionBatch:
     m: np.ndarray
     energy_spent: np.ndarray
     truncated: np.ndarray
-
-    def session(self, t):
-        """The outcome of trial t alone."""
-        mine = self.trial == t
-        node, sig = self.node[mine], self.significant[mine]
-        log = MeasurementLog(node=node, y=self.y[mine], significant=sig,
-                             energy_spent=float(self.energy_spent[t]))
-        return SensingOutcome(support_estimate=frozenset(node[sig].tolist()), log=log,
-                              truncated=bool(self.truncated[t]))
 
 
 def allocate_beta(budget_R, d, k):
@@ -151,7 +113,7 @@ def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
     levels = []
     while True:
         counts = np.bincount(t, minlength=trials)
-        if (m + counts).max() > limit:
+        if (m + counts).max(initial=0) > limit:
             # a session measures its frontier in order until it reaches limit
             rank = m[t] + np.arange(len(t)) - (np.cumsum(counts) - counts)[t]
             keep = rank < limit
@@ -176,13 +138,6 @@ def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
                         energy_spent=meter[m], truncated=truncated)
 
 
-def _sense_heap(c, tree, cfg, rng):
-    """One session over the heap-ordered tree with coefficient vector c."""
-    batch = _traverse(lambda t, i: c[i], tree.p, tree.d, 1, [0], 1, cfg, rng)
-    batch.node += 1
-    return batch.session(0)
-
-
 def _coeffs(alpha, tree):
     a = np.asarray(alpha, dtype=float)
     if a.shape != (tree.p,):
@@ -193,29 +148,31 @@ def _coeffs(alpha, tree):
 def adaptive_sense(signal, dictionary, cfg, rng):
     """Run the threshold-traversal acquisition of signal against dictionary.
 
-    Returns the support estimate (nodes whose measurement passed tau) and the
-    measurement log; the outcome is flagged truncated if the energy budget
-    stopped the session early.
+    Returns a one-session SessionBatch: the measured node ids, observations
+    and significance flags, in the order taken; the support estimate is the
+    significant nodes.
     """
     x = np.asarray(signal, dtype=float)
     atoms = dictionary.atoms
     if atoms.shape[0] != x.shape[0]:
         raise ValueError("signal dimension does not match dictionary atoms")
-    return _sense_heap(atoms.T @ x, dictionary.tree, cfg, rng)
+    return adaptive_sense_coeffs(atoms.T @ x, dictionary.tree, cfg, rng)
 
 
 def adaptive_sense_coeffs(alpha, tree, cfg, rng):
     """Same traversal, sensing a coefficient vector directly (identity dictionary)."""
-    return _sense_heap(_coeffs(alpha, tree), tree, cfg, rng)
+    alpha = _coeffs(alpha, tree)
+    return adaptive_sense_batch(np.arange(1, tree.p + 1)[None], alpha[None], tree, cfg, rng)
 
 
 def adaptive_sense_batch(nodes, values, tree, cfg, rng):
     """Sense T coefficient vectors at once, each in its own session.
 
-    nodes and values are (T, k): vector t is values[t] at the distinct node
-    ids nodes[t] and zero elsewhere.  Returns a SessionBatch with node ids.
-    With T = 1 the session equals adaptive_sense_coeffs on the dense vector,
-    draw for draw.  The coefficients are looked up through a slot map of
+    nodes and values are (T, k): vector t is values[t] at the distinct
+    integer node ids nodes[t], each in 1..p, and zero elsewhere; anything
+    else raises ValueError.  Returns a SessionBatch with node ids.  A
+    session draws the same noise, value for value, as a one-vector call on
+    its dense vector.  The coefficients are looked up through a slot map of
     T * p entries of the smallest signed integer type that holds -k (one
     byte each up to k = 128), so a batch holds O(T * p) bytes besides its
     measurements.
@@ -225,10 +182,17 @@ def adaptive_sense_batch(nodes, values, tree, cfg, rng):
     if nodes.ndim != 2 or nodes.shape != values.shape:
         raise ValueError("nodes and values must be (T, k) arrays of one shape")
     (trials, k), p = nodes.shape, tree.p
+    if nodes.size and nodes.dtype.kind not in "iu":
+        raise ValueError(f"node ids must be integers, got dtype {nodes.dtype}")
+    if nodes.size and not (nodes.min() >= 1 and nodes.max() <= p):
+        raise ValueError(f"node ids must be in 1..{p}")
     # slot[t * p + i] is the column of node i + 1 in row t, or -1, which
     # reads the zero column appended to the values
-    slot = np.full((trials, p), -1, dtype=np.min_scalar_type(-k))
-    slot[np.arange(trials)[:, None], nodes - 1] = np.arange(k)
+    rows, cols, index = np.arange(trials)[:, None], np.arange(k), nodes.astype(np.intp) - 1
+    slot = np.full((trials, p), -1, dtype=np.min_scalar_type(-max(k, 1)))
+    slot[rows, index] = cols
+    if (slot[rows, index] != cols).any():
+        raise ValueError("node ids must be distinct within a row")
     slot = slot.reshape(-1)
     padded = np.zeros((trials, k + 1))
     padded[:, :k] = values
@@ -241,20 +205,38 @@ def adaptive_sense_batch(nodes, values, tree, cfg, rng):
     return batch
 
 
-def reconstruct_from_outcome(outcome, dictionary, beta, mean_offset=None):
-    """Weighted-atom reconstruction from a sensing outcome.
+def reconstruct_from_outcome(batch, dictionary, beta, mean_offset=None):
+    """Weighted-atom reconstruction from a one-session SessionBatch.
 
     Only atoms whose measurement passed the threshold contribute; each weight
     is the observation divided by beta, which unbiases the scaled measurement.
     """
     if beta == 0:
         raise ValueError("beta must be nonzero")
-    log = outcome.log
-    x_hat = dictionary.atoms[:, log.node[log.significant] - 1] @ (log.y[log.significant] / beta)
+    if len(batch.m) != 1:
+        raise ValueError(f"expected a batch of one session, got {len(batch.m)}")
+    sig = batch.significant
+    x_hat = dictionary.atoms[:, batch.node[sig] - 1] @ (batch.y[sig] / beta)
     return x_hat if mean_offset is None else np.asarray(mean_offset, dtype=float) + x_hat
 
 
-def _two_stage(c, tree, total_budget, k, alpha_min, noise_std, rng):
+def two_stage_estimate(signal, dictionary, total_budget, k, rng, alpha_min, noise_std=1.0):
+    """Support recovery followed by re-measurement of the recovered support.
+
+    Stage 1 runs the threshold traversal, with threshold beta_1 * alpha_min / 2,
+    on half of total_budget; stage 2 spends the other half equally on one
+    fresh measurement per recovered index: len(S_hat) * beta_2^2 = R/2.
+    Returns (estimate, batch): the rescaled stage-2 observations at S_hat
+    and zero elsewhere (all zero when S_hat is empty), and stage 1's session.
+    """
+    x = np.asarray(signal, dtype=float)
+    return two_stage_estimate_coeffs(dictionary.atoms.T @ x, dictionary.tree, total_budget,
+                                     k, rng, alpha_min, noise_std)
+
+
+def two_stage_estimate_coeffs(alpha, tree, total_budget, k, rng, alpha_min, noise_std=1.0):
+    """Coefficient-domain variant of two_stage_estimate."""
+    c = _coeffs(alpha, tree)
     # Half the budget finds the support and half re-measures it: criterion
     # 3's 2k^2 sigma^2 / R error prediction assumes this split.
     if total_budget <= 0:
@@ -263,36 +245,14 @@ def _two_stage(c, tree, total_budget, k, alpha_min, noise_std, rng):
     beta1 = allocate_beta(half, tree.d, k)
     cfg = SensingConfig(beta=beta1, tau=0.5 * beta1 * alpha_min, noise_std=noise_std,
                         budget=half)
-    outcome = _sense_heap(c, tree, cfg, rng)
+    batch = adaptive_sense_coeffs(c, tree, cfg, rng)
 
-    coeffs = np.zeros(tree.p)
-    s_hat = np.array(sorted(outcome.support_estimate), dtype=np.int64) - 1
+    estimate = np.zeros(tree.p)
+    s_hat = np.sort(batch.node[batch.significant]) - 1
     if len(s_hat):
         beta2 = math.sqrt(half / len(s_hat))
         y2 = beta2 * c[s_hat]
         if noise_std > 0:
             y2 += noise_std * rng.standard_normal(len(s_hat))
-        coeffs[s_hat] = y2 / beta2
-        for _ in s_hat:   # the meter adds one measurement at a time
-            outcome.log.energy_spent += beta2**2
-    outcome.coeff_estimates = coeffs
-    return outcome
-
-
-def two_stage_estimate(signal, dictionary, total_budget, k, rng, alpha_min, noise_std=1.0):
-    """Support recovery followed by re-measurement of the recovered support.
-
-    Stage 1 runs the threshold traversal, with threshold beta_1 * alpha_min / 2,
-    on half of total_budget; stage 2 spends the other half equally on one
-    fresh measurement per recovered index and stores the rescaled
-    observations in coeff_estimates.  An empty stage-1 support yields the
-    all-zero estimate.
-    """
-    x = np.asarray(signal, dtype=float)
-    return _two_stage(dictionary.atoms.T @ x, dictionary.tree, total_budget, k,
-                      alpha_min, noise_std, rng)
-
-
-def two_stage_estimate_coeffs(alpha, tree, total_budget, k, rng, alpha_min, noise_std=1.0):
-    """Coefficient-domain variant of two_stage_estimate."""
-    return _two_stage(_coeffs(alpha, tree), tree, total_budget, k, alpha_min, noise_std, rng)
+        estimate[s_hat] = y2 / beta2
+    return estimate, batch

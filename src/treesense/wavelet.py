@@ -95,7 +95,8 @@ def wavelet_sense(image, cfg, rng):
 
     The scaling coefficient and the three coarsest details are always
     measured; descent into finer details is gated by the significance test.
-    Node ids in the log are flat row-major indices into the coefficient array.
+    Returns a one-session SessionBatch whose node ids are flat row-major
+    indices into the coefficient array.
     """
     image = np.asarray(image, dtype=float)
     side = image.shape[0]
@@ -107,14 +108,17 @@ def wavelet_sense(image, cfg, rng):
     batch = _traverse(lambda t, i: c[i], side * side, 4, 0, np.arange(min(4, side * side)),
                       1, cfg, rng)
     batch.node = order[batch.node]
-    return batch.session(0)
+    return batch
 
 
-def wavelet_reconstruct(outcome, side, beta):
-    """Inverse transform of the significant measured coefficients / beta."""
+def wavelet_reconstruct(batch, side, beta):
+    """Inverse transform of a one-session batch's significant measured
+    coefficients / beta."""
     if beta == 0:
         raise ValueError("beta must be nonzero")
-    log = outcome.log
+    if len(batch.m) != 1:
+        raise ValueError(f"expected a batch of one session, got {len(batch.m)}")
     coeffs = np.zeros(side * side)
-    coeffs[log.node[log.significant]] = log.y[log.significant] / beta
+    sig = batch.significant
+    coeffs[batch.node[sig]] = batch.y[sig] / beta
     return ihaar2(coeffs.reshape(side, side))

@@ -166,6 +166,11 @@ def cd_lasso(A, y, lam, sweeps=20000, tol=1e-12):
     return x
 
 
+def significant_set(batch):
+    """The support estimate of a sensing batch: its significant node ids."""
+    return set(batch.node[batch.significant].tolist())
+
+
 def reference_traversal(project, children_of, roots, cfg, rng):
     """Scalar threshold traversal: a FIFO queue, one project(j) callback and
     one scalar rng.standard_normal() per measurement.  Returns the measured

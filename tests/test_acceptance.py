@@ -15,7 +15,7 @@ from treesense import (ExperimentConfig, LearnConfig, SensingConfig,
                        two_stage_estimate_coeffs, verify_theorem, write_csv, as_table)
 from treesense.harness import compare_methods
 
-from conftest import enumerate_rooted_subtrees, group_list
+from conftest import enumerate_rooted_subtrees, group_list, significant_set
 
 
 def _check(num, desc, ok, detail=""):
@@ -40,7 +40,7 @@ def test_criterion_1_measurement_count_law():
                 cfg = SensingConfig(beta=1.0, tau=0.5, noise_std=0.0)
                 out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)
                 total += 1
-                if out.log.m != d * k + 1 or out.support_estimate != vec.support:
+                if out.m[0] != d * k + 1 or significant_set(out) != vec.support:
                     bad += 1
     _check(1, "measurement-count law m = dk+1 with exact support",
            bad == 0, f"{bad}/{total} violations")
@@ -82,9 +82,9 @@ def test_criterion_3_two_stage_error_scaling():
         for trial in range(1000):
             rng = np.random.default_rng([3, int(R), trial])
             vec = random_tree_sparse(tree, k, alpha, alpha, rng, max_depth=5)
-            out = two_stage_estimate_coeffs(vec.values, tree, R, k, rng,
-                                            alpha_min=alpha, noise_std=sigma)
-            errs[trial] = np.sum((out.coeff_estimates - vec.values) ** 2)
+            estimate, _ = two_stage_estimate_coeffs(vec.values, tree, R, k, rng,
+                                                    alpha_min=alpha, noise_std=sigma)
+            errs[trial] = np.sum((estimate - vec.values) ** 2)
         means.append(float(np.mean(errs)))
     preds = [2 * k**2 * sigma**2 / R for R in (R0, 2 * R0, 4 * R0)]
     ok_pred = all(abs(m - p) <= 0.15 * p for m, p in zip(means, preds))
@@ -106,7 +106,7 @@ def _adaptive_success_rate(alpha, tree, k, R, trials, tag):
         cfg = SensingConfig(beta=beta, tau=0.5 * beta * alpha,
                             noise_std=1.0, budget=R)
         out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)
-        hits += out.support_estimate == vec.support
+        hits += significant_set(out) == vec.support
     return hits / trials
 
 

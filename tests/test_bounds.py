@@ -66,6 +66,11 @@ def test_min_amplitude_explicit_value():
     assert min_amplitude(c1, a, d, k, beta) == pytest.approx(max(fa, miss))
     with pytest.raises(ValueError):
         min_amplitude(1.0, 0.5, 2, 1, 1.0)
+    nan = float("nan")
+    for args in ((nan, 0.5, 2, k, beta), (c1, nan, 2, k, beta), (c1, a, 2, nan, beta),
+                 (c1, a, 2, k, nan)):
+        with pytest.raises(ValueError):
+            min_amplitude(*args)
 
 
 def test_min_amplitude_log_k_scaling():

@@ -303,18 +303,23 @@ def test_bad_counts_exit_2_naming_the_key(tmp_path, corpus_dir, random_dict, cap
     ("verify-theorem", "--budgets", "0", "must be positive, got 0"),
     ("verify-theorem", "--budgets", "-3", "must be positive, got -3"),
     ("compare", "--measurements", "0", "must be at least 1, got 0"),
-], ids=["k-100", "k-10", "budgets-0", "budgets--3", "measurements-0"])
+    ("verify-theorem", "--noise-std", "nan", "must be finite, got nan"),
+    ("verify-theorem", "--c1", "nan", "must be finite, got nan"),
+    ("compare", "--taus", "1e400", "must be finite, got 1e400"),
+], ids=["k-100", "k-10", "budgets-0", "budgets--3", "measurements-0", "noise-std-nan",
+        "c1-nan", "taus-1e400"])
 def test_list_option_errors_exit_2_naming_the_key(tmp_path, corpus_dir, random_dict, capsys,
                                                   command, flag, value, reason):
-    # an entry of k, budgets or measurements out of range names its key, as
-    # a bad scalar option does, instead of failing inside a library call
+    # an entry of k, budgets or measurements out of range, or a float that
+    # is not finite, names its key, as a bad scalar option does, instead of
+    # failing inside a library call or running on a nan
     root, _ = corpus_dir
     out = tmp_path / "out.csv"
     inputs = {"verify-theorem": ["--L", "4", "--trials", "5"],
               "compare": ["--dict-path", str(random_dict), "--corpus", str(root),
                           "--target-side", "8", "--budgets", "64"]}[command]
     assert main([command, *inputs, flag, value, "--out", str(out)]) == 2
-    key = flag[2:]
+    key = flag[2:].replace("-", "_")
     assert capsys.readouterr().err == f"treesense: error: config key '{key}': {reason}\n"
     assert not out.exists()
 

@@ -139,6 +139,12 @@ def test_config_file_parsing(tmp_path):
     ("measurements = 6,-1", "config key 'measurements': must be at least 1, got 6,-1"),
     ("budgets = 0", "config key 'budgets': must be positive, got 0"),
     ("budgets = 64,-3.5", "config key 'budgets': must be positive, got 64,-3.5"),
+    ("noise_std = nan", "config key 'noise_std': must be finite, got nan"),
+    ("lam = nan", "config key 'lam': must be finite, got nan"),
+    ("c1 = inf", "config key 'c1': must be finite, got inf"),
+    ("a = -inf", "config key 'a': must be finite, got -inf"),
+    ("taus = 0,1e400", "config key 'taus': must be finite, got 0,1e400"),
+    ("budgets = 1e400", "config key 'budgets': must be finite, got 1e400"),
 ])
 def test_config_errors_name_the_key(tmp_path, line, reason):
     cfg_file = tmp_path / "run.cfg"

@@ -15,7 +15,7 @@ from treesense import (SensingConfig, adaptive_sense_batch, adaptive_sense_coeff
                        wavelet_sense)
 
 from conftest import (reference_is_tree_sparse, reference_project, reference_quadtree,
-                      reference_traversal)
+                      reference_traversal, significant_set)
 
 # (d, L) with p <= 121, so one example stays in the millisecond range
 TREES = ([(2, L) for L in range(1, 7)] + [(3, L) for L in range(1, 5)]
@@ -42,16 +42,19 @@ def sessions(draw):
     return tree, vec, draw(configs()), rng
 
 
-def assert_matches_reference(out, ref):
-    """Every field of a session equals the scalar reference's, bit for bit."""
+def assert_matches_reference(batch, t, ref):
+    """Every field of session t of a batch equals the scalar reference's, bit
+    for bit."""
     nodes, ys, sigs, energy, truncated = ref
-    assert out.log.node.tolist() == nodes
-    assert np.array_equal(out.log.y.view(np.int64), np.array(ys, dtype=float).view(np.int64))
-    assert out.log.significant.tolist() == sigs
-    assert out.log.m == len(nodes)
-    assert out.log.energy_spent == energy
-    assert out.truncated == truncated
-    assert out.support_estimate == {j for j, sig in zip(nodes, sigs) if sig}
+    mine = batch.trial == t
+    node, y, sig = batch.node[mine], batch.y[mine], batch.significant[mine]
+    assert node.tolist() == nodes
+    assert np.array_equal(y.view(np.int64), np.array(ys, dtype=float).view(np.int64))
+    assert sig.tolist() == sigs
+    assert batch.m[t] == len(nodes)
+    assert batch.energy_spent[t] == energy
+    assert batch.truncated[t] == truncated
+    assert set(node[sig].tolist()) == {j for j, s in zip(nodes, sigs) if s}
 
 
 @SETTINGS
@@ -62,7 +65,7 @@ def test_engine_equals_scalar_reference(session, seed):
     out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)
     ref = reference_traversal(lambda j: float(vec.values[j - 1]), tree.children, [1],
                               cfg, ref_rng)
-    assert_matches_reference(out, ref)
+    assert_matches_reference(out, 0, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -76,7 +79,7 @@ def test_wavelet_engine_equals_scalar_reference(side, seed, cfg):
     roots, children = reference_quadtree(side)
     ref = reference_traversal(lambda j: float(flat[j]), children.__getitem__, roots,
                               cfg, ref_rng)
-    assert_matches_reference(out, ref)
+    assert_matches_reference(out, 0, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -118,9 +121,7 @@ def test_batch_trials_equal_scalar_reference(shape, trials, seed, cfg, data):
         dense[nodes[t] - 1] = values[t]
         ref = reference_traversal(lambda j: float(dense[j - 1]), tree.children, [1],
                                   cfg, _Replay(noise[batch.trial == t]))
-        out = batch.session(t)
-        assert_matches_reference(out, ref)
-        assert out.log.m == batch.m[t]
+        assert_matches_reference(batch, t, ref)
 
 
 @SETTINGS
@@ -129,9 +130,9 @@ def test_energy_is_m_beta_squared_within_budget(session):
     tree, vec, cfg, rng = session
     out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)
     cost = cfg.beta**2
-    assert abs(out.log.energy_spent - out.log.m * cost) <= 1e-12 * max(1.0, out.log.m * cost)
+    assert abs(out.energy_spent[0] - out.m[0] * cost) <= 1e-12 * max(1.0, out.m[0] * cost)
     if cfg.budget is not None:
-        assert out.log.energy_spent <= cfg.budget * (1 + 1e-12)
+        assert out.energy_spent[0] <= cfg.budget * (1 + 1e-12)
 
 
 @SETTINGS
@@ -139,14 +140,14 @@ def test_energy_is_m_beta_squared_within_budget(session):
 def test_truncated_iff_budget_binds_with_nodes_queued(session):
     tree, vec, cfg, rng = session
     out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)
-    measured = set(out.log.node.tolist())
+    measured = set(out.node.tolist())
     # the queue holds the root until it is measured, then every unmeasured
     # child of a significant node
-    queued = ({1} | {c for j in out.support_estimate for c in tree.children(j)}) - measured
+    queued = ({1} | {c for j in significant_set(out) for c in tree.children(j)}) - measured
     binds = (cfg.budget is not None
-             and out.log.energy_spent + cfg.beta**2 > cfg.budget * (1 + 1e-12))
-    assert out.truncated == (binds and bool(queued))
-    if not out.truncated:
+             and out.energy_spent[0] + cfg.beta**2 > cfg.budget * (1 + 1e-12))
+    assert out.truncated[0] == (binds and bool(queued))
+    if not out.truncated[0]:
         assert not queued
 
 
@@ -155,12 +156,12 @@ def test_truncated_iff_budget_binds_with_nodes_queued(session):
 def test_measured_set_is_rooted_connected(session):
     tree, vec, cfg, rng = session
     out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)
-    nodes = out.log.node.tolist()
+    nodes = out.node.tolist()
     assert len(set(nodes)) == len(nodes)
     assert not nodes or nodes[0] == 1
-    assert out.support_estimate <= set(nodes)
+    assert significant_set(out) <= set(nodes)
     for j in nodes[1:]:
-        assert tree.parent(j) in out.support_estimate
+        assert tree.parent(j) in significant_set(out)
 
 
 @SETTINGS
@@ -176,9 +177,9 @@ def test_noiseless_unbounded_count_is_dk_plus_1(shape, seed, data):
     vec = random_tree_sparse(tree, k, 0.5, 2.0, rng, max_depth=tree.depth - 1)
     cfg = SensingConfig(beta=beta, tau=tau, noise_std=0.0, budget=None)
     out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)
-    assert out.log.m == tree.d * k + 1
-    assert out.support_estimate == vec.support
-    assert not out.truncated
+    assert out.m[0] == tree.d * k + 1
+    assert significant_set(out) == vec.support
+    assert not out.truncated[0]
 
 
 # entries are exact zeros or at least 0.1 in magnitude, so no nonzero hides

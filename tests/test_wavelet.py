@@ -33,14 +33,14 @@ def test_sensing_order_is_quadtree_bfs(side, rng):
     assert len(children) == side * side
     assert sum(len(v) == 4 for v in children.values()) == max(side * side // 4 - 1, 0)
     nodes = reference_traversal(lambda j: 1.0, children.__getitem__, roots, cfg, rng)[0]
-    assert out.log.node.tolist() == nodes
+    assert out.node.tolist() == nodes
 
 
 def test_constant_image_only_coarse_significant(rng):
     img = np.full((8, 8), 0.7)
     cfg = SensingConfig(beta=2.0, tau=0.5, noise_std=0.0)
     out = wavelet_sense(img, cfg, rng)
-    assert out.log.m == 4  # scaling + 3 coarsest details
+    assert out.m[0] == 4  # scaling + 3 coarsest details
     rec = wavelet_reconstruct(out, 8, 2.0)
     assert np.max(np.abs(rec - img)) < 1e-12
 
@@ -49,7 +49,7 @@ def test_zero_threshold_noiseless_exact(rng):
     img = rng.standard_normal((16, 16))
     cfg = SensingConfig(beta=1.5, tau=0.0, noise_std=0.0)
     out = wavelet_sense(img, cfg, rng)
-    assert out.log.m == 16 * 16
+    assert out.m[0] == 16 * 16
     rec = wavelet_reconstruct(out, 16, 1.5)
     assert np.max(np.abs(rec - img)) < 1e-10
 
@@ -58,9 +58,9 @@ def test_budget_limits_wavelet_session(rng):
     img = rng.standard_normal((16, 16))
     cfg = SensingConfig(beta=1.0, tau=0.0, noise_std=0.0, budget=20.0)
     out = wavelet_sense(img, cfg, rng)
-    assert out.truncated
-    assert out.log.m == 20
-    assert out.log.energy_spent <= 20.0
+    assert out.truncated[0]
+    assert out.m[0] == 20
+    assert out.energy_spent[0] <= 20.0
 
 
 def test_wavelet_rejects_non_power_of_two(rng):
