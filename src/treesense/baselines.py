@@ -83,6 +83,12 @@ def lasso_solve(A, y, lam, max_iters=500, tol=1e-10):
     nor the gradient.  One INFO log line counts the pairs stopped at
     max_iters and gives the median and largest relative duality gap of the
     returned pairs.
+
+    The soft threshold is taken as V - clip(V, -lam/L, lam/L), so a zero
+    entry of the result is +0.0.  The iterates live in buffers reused from
+    one iteration to the next, and the arrays read off L and lam/L are
+    formed again only when L or the set of running columns changes.  A, y
+    and lam that are not finite raise a ValueError naming the argument.
     """
     A, Y, stacked, single = _as_stack(A, y)
     B, m, p = A.shape
@@ -91,8 +97,11 @@ def lasso_solve(A, y, lam, max_iters=500, tol=1e-10):
     lam_shapes = [(), (q,)] + [(B, q)] * stacked
     if lam.shape not in lam_shapes:
         raise ValueError(f"lam must have a shape in {lam_shapes}, got {lam.shape}")
-    if not np.all(lam > 0):
-        raise ValueError("lam must be positive")
+    if not np.all((lam > 0) & (lam < np.inf)):
+        raise ValueError("lam must be positive and finite")
+    for name, arr in (("A", A), ("y", Y)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
     lam = np.broadcast_to(lam, (B, q))
 
     # coefficients are held as rows, (B, q, p), so every per-column reduction
@@ -133,66 +142,89 @@ def _mfista(apply_K, b, lam, max_iters, tol):
     is D K.  Each point travels with its gradient Kx - b as a pair
     (2, B, q, p): the momentum step is an affine combination, so the same
     combination of gradients is the new point's gradient, and none is
-    recomputed.  Returns the kept pairs (X, KX - b) and which (stack,
-    column) pairs were still running at max_iters."""
+    recomputed.  The kept, trial and momentum pairs are buffers reused
+    across iterations (a kept trial swaps with the old kept pair), and are
+    reallocated only when columns are dropped.  Returns the kept pairs
+    (X, KX - b) and which (stack, column) pairs were still running at
+    max_iters."""
     B, q, p = b.shape
     out = np.empty((2, B, q, p))
     cols = np.arange(q)   # columns live in some stack; the arrays below hold only these
     live = np.ones((B, q), dtype=bool)
-    XP = ZP = np.stack([np.zeros((B, q, p)), -b])
+    all_live = True       # while it holds, the masks by live are no-ops and skipped
+    XP = np.stack([np.zeros((B, q, p)), -b])
+    ZP = XP.copy()
+    WP, EP, (V, D) = (np.empty_like(XP) for _ in range(3))
     l1_X = max_X = np.zeros((B, q))   # |X|_1 and max|X| of the kept iterates
     L = np.ones((B, q))
     t_mom = 1.0
+    stale = True   # L or the columns changed: re-form the arrays read off them
     for _ in range(max_iters):
         Z, GZ = ZP
-        WP = np.empty_like(ZP)
         W, GW = WP
         while True:
-            # W = Z - GZ/L soft-thresholded at lam/L
-            V = Z - GZ / L[..., None]
-            np.abs(V, out=W)
-            W -= (lam / L)[..., None]
-            np.copysign(np.maximum(W, 0.0, out=W), V, out=W)
-            D = W - Z
+            if stale:   # full-size operands: a broadcast one costs twice as much
+                L_p, hi = (np.repeat(a[..., None], p, axis=2) for a in (L, lam / L))
+                lo, lam2, stale = -hi, -2.0 * lam, False
+            # W = V - clip(V, -lam/L, lam/L), V = Z - GZ/L: V soft-thresholded
+            # at lam/L, with +0.0 where |V| <= lam/L
+            np.divide(GZ, L_p, out=V)
+            np.subtract(Z, V, out=V)
+            np.maximum(V, lo, out=W)
+            np.minimum(W, hi, out=W)
+            np.subtract(V, W, out=W)
+            np.subtract(W, Z, out=D)
             KD = apply_K(D)
             # f is quadratic, so f(W) <= f(Z) + GZ.D + L|D|^2/2 is D.KD <= L|D|^2
-            ok = (_dot(D, KD) <= L * _dot(D, D)) | ~live
+            ok = _dot(D, KD) <= L * _dot(D, D)
+            if not all_live:
+                ok |= ~live
             if ok.all():
                 break
-            L = np.where(ok, L, 2.0 * L)
+            L, stale = np.where(ok, L, 2.0 * L), True
             if np.any(L > 1e18):
                 raise RuntimeError("lasso step size underflow: problem badly scaled")
         np.add(GZ, KD, out=GW)
         # monotone: the kept iterate X never increases the objective, while
         # the momentum point Z tracks the accelerated step W; a frozen pair
         # keeps X and restarts Z from it.  f(W) - f(X) is read as
-        # E.(GW + GX)/2, E = W - X, which does not cancel against ||y||^2/2
-        EP = WP - XP
+        # E.(GW + GX)/2, E = W - X, which does not cancel against ||y||^2/2;
+        # the test E.(GW + GX) <= -2 lam (|W|_1 - |X|_1) decides as
+        # E.(GW + GX)/2 + lam (|W|_1 - |X|_1) <= 0 does: scaling by 2 is
+        # exact barring underflow, and a rounded sum has the exact sum's sign
+        np.subtract(WP, XP, out=EP)
         E = EP[0]
-        abs_W = np.abs(W)
-        l1_W, max_W = abs_W.sum(axis=2), abs_W.max(axis=2)
-        better = (0.5 * _dot(E, GW + XP[1]) + lam * (l1_W - l1_X) <= 0) & live
+        np.abs(W, out=V)
+        l1_W, max_W = V.sum(axis=2), V.max(axis=2)
+        better = _dot(E, np.add(GW, XP[1], out=D)) <= lam2 * (l1_W - l1_X)
+        if not all_live:
+            better &= live
         t_next = (1 + math.sqrt(1 + 4 * t_mom**2)) / 2
         # Z = X_new + (t/t_next)(W - X_new) + ((t-1)/t_next)(X_new - X) is
         # X_new + c (W - X): c = (t-1)/t_next where W is kept, t/t_next
         # where X is, and 0 for a frozen pair
-        if better.all():   # the common case
-            XP, l1_X, max_X, c = WP, l1_W, max_W, (t_mom - 1) / t_next
+        if better.all():   # every pair keeps its trial step: swap the buffers
+            XP, WP = WP, XP
+            l1_X, max_X, c = l1_W, max_W, (t_mom - 1) / t_next
         else:
-            XP = np.where(better[..., None], WP, XP)
+            np.copyto(XP, WP, where=better[..., None])
             l1_X, max_X = np.where(better, l1_W, l1_X), np.where(better, max_W, max_X)
             c = np.where(better, (t_mom - 1) / t_next, np.where(live, t_mom / t_next, 0.0))
             c = c[..., None]
-        ZP = XP + c * EP
+        np.add(np.multiply(EP, c, out=ZP), XP, out=ZP)
         t_mom = t_next
-        live &= np.abs(E).max(axis=2) >= tol * (1.0 + max_X)
-        run = live.any(axis=0)
-        if not run.all():
-            out[:, :, cols[~run]] = XP[:, :, ~run]
-            cols, XP, ZP = cols[run], XP[:, :, run], ZP[:, :, run]
-            live, lam, L, l1_X, max_X = (a[:, run] for a in (live, lam, L, l1_X, max_X))
-        if not len(cols):
-            break
+        live &= np.abs(E, out=V).max(axis=2) >= tol * (1.0 + max_X)
+        all_live = live.all()
+        if not all_live:
+            run = live.any(axis=0)
+            if not run.all():
+                out[:, :, cols[~run]] = XP[:, :, ~run]
+                cols, XP, ZP = cols[run], XP[:, :, run], ZP[:, :, run]
+                live, lam, L, l1_X, max_X = (a[:, run] for a in (live, lam, L, l1_X, max_X))
+                WP, EP, (V, D) = (np.empty_like(XP) for _ in range(3))
+                stale = True
+                if not len(cols):
+                    break
     out[:, :, cols] = XP
     running = np.zeros((B, q), dtype=bool)
     running[:, cols] = live
@@ -226,9 +258,10 @@ def model_cosamp(A, y, k, tree, iters=20, tol=1e-6):
     falls below tol * ||y|| or stalls, or after iters rounds (at once if
     y = 0); a stopped problem is frozen and left out of later projections,
     and one INFO log line counts the problems per stop reason.  The
-    projections of one round run as one batch over the running problems.  A problem's products and least-squares solves use only its
-    rows up to the last one where A or y is nonzero, so a zero-padded stack
-    returns what its unpadded problems would, bit for bit.
+    projections of one round run as one batch over the running problems.
+    A problem's products and least-squares solves use only its rows up to
+    the last one where A or y is nonzero, so a zero-padded stack returns
+    what its unpadded problems would, bit for bit.
     """
     A, Y, stacked, single = _as_stack(A, y)
     B, M, p = A.shape

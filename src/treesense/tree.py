@@ -216,11 +216,14 @@ def _knapsack_tables(V, tree, k):
     of a level of n nodes, so the children of index R are the next level's
     d*R .. d*R + d - 1.  E[lvl][R, b] is the max energy of a connected
     subtree rooted at R using exactly b nodes (b = 1..cap; column 0 is
-    -inf).  split[lvl][j][R, t] is the number of nodes child j gets when R's
-    first j + 1 children share t nodes: the smallest s whose energy is
-    within 1e-9 * (1 + best) of the best.  All nodes of a level have
-    tables of the same length, so merging child j into its parents is one
-    max-plus product over the whole level and every row.
+    -inf).  split[lvl][j - 1][R, t], for j = 1..d-1, is the number of nodes
+    child j gets when R's first j + 1 children share t nodes: the smallest s
+    whose energy is within 1e-9 * (1 + best) of the best.  All nodes of a
+    level have tables of the same length, so merging child j into its
+    parents is one max-plus product over the whole level and every row.
+    Child 0 merges into the empty table g = [0], so its product is its own
+    table and its split is s = t: neither is computed, and the backtrack
+    gives child 0 whatever its later siblings leave.
     """
     w = V * V
     starts, d = tree.level_starts, tree.d
@@ -231,10 +234,11 @@ def _knapsack_tables(V, tree, k):
         g = np.zeros((n, 1))   # g[R, t]: best energy using t nodes among merged children
         if lvl + 1 < tree.depth:
             # F[R, j, s]: allocate exactly s nodes to child j (s=0 -> skip it)
-            F = E[lvl + 1].reshape(n, d, -1).copy()
+            lf = E[lvl + 1].shape[1]
+            F = E[lvl + 1].reshape(n, d, lf).copy()
             F[:, :, 0] = 0.0
-            lf = F.shape[2]
-            for j in range(d):
+            g = F[:, 0, :min(k, lf)]   # child 0 merged into g = [0]
+            for j in range(1, d):
                 lg = g.shape[1]   # <= cap + 1, since cap + 1 = min(k, lg + lf - 1)
                 cap = min(k - 1, lg + lf - 2)
                 # gpad[R, lf-1+t] = g[R, t], -inf outside; the view's [R, s, t]
@@ -267,7 +271,8 @@ def tree_project_batch(V, tree, k):
     sum(v[i]^2) by a bottom-up dynamic program run one tree level at a time,
     over all rows at once; a row's result does not depend on the others.
     Of the budgets attaining the max, the smallest is backtracked, and
-    zero-valued nodes with no retained descendant are then dropped.
+    zero-valued nodes with no retained descendant are then dropped.  B may
+    be 0, giving two (0, p) arrays.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[1] != tree.p:
@@ -291,9 +296,11 @@ def tree_project_batch(V, tree, k):
         support[rows, starts[lvl] + cols] = True
         rem = rem - 1
         alloc = np.zeros((len(R), d), dtype=np.int64)   # a leaf's splits are 0
-        for j in reversed(range(len(split[lvl]))):
-            alloc[:, j] = split[lvl][j][R, rem]
-            rem -= alloc[:, j]
+        if lvl + 1 < tree.depth:
+            for j in reversed(range(1, d)):
+                alloc[:, j] = split[lvl][j - 1][R, rem]
+                rem -= alloc[:, j]
+            alloc[:, 0] = rem   # child 0 takes what its later siblings left
         chosen = alloc > 0
         R, rem = (d * R[:, None] + np.arange(d))[chosen], alloc[chosen]
     # rooted-connected closure of the nonzeros, if a zero was chosen: bottom

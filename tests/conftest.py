@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own algorithms: subtree enumeration
 is exhaustive recursion, the lasso oracle is exact coordinate descent, the
-group list is built by walking parents, the traversal and tree-sparsity
+Lasso kernel reference is the solver's earlier MFISTA loop, kept verbatim,
+the group list is built by walking parents, the traversal and tree-sparsity
 references are the scalar loops the library's array engines replaced, the
 support growers are list loops and their law is pushed forward set by set,
 the projection reference is a per-node DP, the CSV reference writes one row
@@ -13,6 +14,7 @@ selects a derandomized profile without deadlines.
 """
 
 import csv
+import math
 import operator
 import os
 from collections import deque
@@ -164,6 +166,88 @@ def cd_lasso(A, y, lam, sweeps=20000, tol=1e-12):
         if delta < tol:
             break
     return x
+
+
+# treesense.baselines' MFISTA kernel as it was before it reused buffers and
+# soft-thresholded in clip form, kept verbatim: lasso_solve with
+# baselines._mfista swapped for reference_mfista must return the same values
+
+
+def _dot(U, V):
+    """Row-wise dot products of two (..., p) arrays."""
+    return (U[..., None, :] @ V[..., :, None])[..., 0, 0]
+
+
+def reference_mfista(apply_K, b, lam, max_iters, tol):
+    """MFISTA on f(x) + lam|x|_1, f(x) = ||y||^2/2 - x.b + x.Kx/2, for
+    (B, q, p) coefficient rows b and (B, q) weights lam, where apply_K(D)
+    is D K.  Each point travels with its gradient Kx - b as a pair
+    (2, B, q, p): the momentum step is an affine combination, so the same
+    combination of gradients is the new point's gradient, and none is
+    recomputed.  Returns the kept pairs (X, KX - b) and which (stack,
+    column) pairs were still running at max_iters."""
+    B, q, p = b.shape
+    out = np.empty((2, B, q, p))
+    cols = np.arange(q)   # columns live in some stack; the arrays below hold only these
+    live = np.ones((B, q), dtype=bool)
+    XP = ZP = np.stack([np.zeros((B, q, p)), -b])
+    l1_X = max_X = np.zeros((B, q))   # |X|_1 and max|X| of the kept iterates
+    L = np.ones((B, q))
+    t_mom = 1.0
+    for _ in range(max_iters):
+        Z, GZ = ZP
+        WP = np.empty_like(ZP)
+        W, GW = WP
+        while True:
+            # W = Z - GZ/L soft-thresholded at lam/L
+            V = Z - GZ / L[..., None]
+            np.abs(V, out=W)
+            W -= (lam / L)[..., None]
+            np.copysign(np.maximum(W, 0.0, out=W), V, out=W)
+            D = W - Z
+            KD = apply_K(D)
+            # f is quadratic, so f(W) <= f(Z) + GZ.D + L|D|^2/2 is D.KD <= L|D|^2
+            ok = (_dot(D, KD) <= L * _dot(D, D)) | ~live
+            if ok.all():
+                break
+            L = np.where(ok, L, 2.0 * L)
+            if np.any(L > 1e18):
+                raise RuntimeError("lasso step size underflow: problem badly scaled")
+        np.add(GZ, KD, out=GW)
+        # monotone: the kept iterate X never increases the objective, while
+        # the momentum point Z tracks the accelerated step W; a frozen pair
+        # keeps X and restarts Z from it.  f(W) - f(X) is read as
+        # E.(GW + GX)/2, E = W - X, which does not cancel against ||y||^2/2
+        EP = WP - XP
+        E = EP[0]
+        abs_W = np.abs(W)
+        l1_W, max_W = abs_W.sum(axis=2), abs_W.max(axis=2)
+        better = (0.5 * _dot(E, GW + XP[1]) + lam * (l1_W - l1_X) <= 0) & live
+        t_next = (1 + math.sqrt(1 + 4 * t_mom**2)) / 2
+        # Z = X_new + (t/t_next)(W - X_new) + ((t-1)/t_next)(X_new - X) is
+        # X_new + c (W - X): c = (t-1)/t_next where W is kept, t/t_next
+        # where X is, and 0 for a frozen pair
+        if better.all():   # the common case
+            XP, l1_X, max_X, c = WP, l1_W, max_W, (t_mom - 1) / t_next
+        else:
+            XP = np.where(better[..., None], WP, XP)
+            l1_X, max_X = np.where(better, l1_W, l1_X), np.where(better, max_W, max_X)
+            c = np.where(better, (t_mom - 1) / t_next, np.where(live, t_mom / t_next, 0.0))
+            c = c[..., None]
+        ZP = XP + c * EP
+        t_mom = t_next
+        live &= np.abs(E).max(axis=2) >= tol * (1.0 + max_X)
+        run = live.any(axis=0)
+        if not run.all():
+            out[:, :, cols[~run]] = XP[:, :, ~run]
+            cols, XP, ZP = cols[run], XP[:, :, run], ZP[:, :, run]
+            live, lam, L, l1_X, max_X = (a[:, run] for a in (live, lam, L, l1_X, max_X))
+        if not len(cols):
+            break
+    out[:, :, cols] = XP
+    running = np.zeros((B, q), dtype=bool)
+    running[:, cols] = live
+    return out, running
 
 
 def significant_set(batch):

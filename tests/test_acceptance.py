@@ -110,7 +110,10 @@ def _adaptive_success_rate(alpha, tree, k, R, trials, tag):
     return hits / trials
 
 
-def _lasso_success_rate(alpha, tree, k, R, m, trials, tag):
+def _lasso_success_rate(alpha, tree, k, R, m, trials, tag, target=0.9):
+    """Best support-recovery rate over the lambda grid, in grid order; it
+    returns at the first lambda whose rate reaches target, since callers
+    only compare the rate with target."""
     p = tree.p
     phi = gaussian_ensemble(m, p, budget=R, seed=4000 + tag)
     rng = np.random.default_rng([4, 99, tag])
@@ -129,6 +132,8 @@ def _lasso_success_rate(alpha, tree, k, R, m, trials, tag):
             top = np.argsort(-np.abs(X[:, t]))[:k]
             hits += frozenset(int(j) + 1 for j in top) == supports[t]
         best = max(best, hits / trials)
+        if best >= target:
+            break
     return best
 
 

@@ -7,7 +7,7 @@ import pytest
 from treesense import (TrainingSet, baselines, gaussian_ensemble, is_tree_sparse,
                        lasso_solve, make_tree, model_cosamp, pca_fit,
                        pca_reconstruct, random_tree_sparse, tree_project_batch)
-from conftest import cd_lasso
+from conftest import cd_lasso, reference_mfista
 
 
 def test_ensemble_row_norms():
@@ -401,3 +401,133 @@ def test_lasso_zero_padded_rows_match_unpadded_solves(rng):
     for b, m in enumerate(ms):
         own = lasso_solve(A[b, :m], Y[b, :m], lams[b], max_iters=max_iters, tol=tol)
         assert np.max(np.abs(padded[b] - own)) <= 1e-12
+
+
+def _kernel_pair(monkeypatch, A, Y, lam, **kwargs):
+    """lasso_solve(A, Y, lam) as it is, and with its MFISTA kernel swapped
+    for the reference kernel of conftest."""
+    mine = lasso_solve(A, Y, lam, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(baselines, "_mfista", reference_mfista)
+        return mine, lasso_solve(A, Y, lam, **kwargs)
+
+
+def _assert_kernel_matches_reference(monkeypatch, A, Y, lam, **kwargs):
+    # np.array_equal: the same value in every entry, though a zero may come
+    # back as +0.0 where the reference's copysign gave -0.0
+    mine, ref = _kernel_pair(monkeypatch, A, Y, lam, **kwargs)
+    assert np.array_equal(mine, ref)
+    return ref
+
+
+def test_lasso_kernel_matches_reference_on_a_compare_stack(rng, monkeypatch):
+    # compare's shape: three measurement counts x three budgets, zero-padded
+    # to the largest m, with one lambda per (stack, column) pair
+    ms, p, q = (31, 63, 127), 127, 4
+    A = np.zeros((9, max(ms), p))
+    Y = np.zeros((9, max(ms), q))
+    for b in range(9):
+        m = ms[b // 3]
+        A[b, :m] = rng.standard_normal((m, p)) * (b % 3 + 1)
+        Y[b, :m] = A[b, :m] @ np.where(rng.random((p, q)) < 0.1, 1.0, 0.0) \
+            + 0.1 * rng.standard_normal((m, q))
+    lams = np.array([0.001, 0.01, 0.05, 0.2]) * np.max(np.abs(A.transpose(0, 2, 1) @ Y),
+                                                      axis=(1, 2))[:, None]
+    ref = _assert_kernel_matches_reference(monkeypatch, A, Y, lams, max_iters=200)
+    assert ref.shape == (9, p, q) and np.count_nonzero(ref) > 0
+
+
+def test_lasso_kernel_matches_reference_on_the_factored_route(rng, monkeypatch):
+    # p > 2m applies K as (D A^T) A
+    A = rng.standard_normal((12, 30))
+    Y = rng.standard_normal((12, 5))
+    lams = rng.uniform(0.05, 0.5, 5) * np.max(np.abs(A.T @ Y))
+    _assert_kernel_matches_reference(monkeypatch, A, Y, lams, max_iters=300)
+
+
+def test_lasso_kernel_matches_reference_when_backtracking_after_step_one(rng, monkeypatch):
+    # columns of A scaled from 1 to 100: L keeps doubling after iteration 1
+    A = rng.standard_normal((20, 30)) * np.logspace(0, 2, 30)
+    Y = rng.standard_normal((20, 3))
+    lam = 0.1 * np.max(np.abs(A.T @ Y))
+    applies = []
+
+    def counting_reference(apply_K, *args):
+        def counted(D):
+            applies[-1] += 1
+            return apply_K(D)
+        return reference_mfista(counted, *args)
+
+    monkeypatch.setattr(baselines, "_mfista", counting_reference)
+    for max_iters in (1, 100):
+        applies.append(0)
+        lasso_solve(A, Y, lam, max_iters=max_iters, tol=0.0)
+    monkeypatch.undo()
+    assert applies[1] - applies[0] > 99   # more than one K-apply per later step
+    _assert_kernel_matches_reference(monkeypatch, A, Y, lam, max_iters=100, tol=0.0)
+
+
+def test_lasso_kernel_matches_reference_as_columns_freeze(rng, monkeypatch):
+    # columns stop at different iterations, in one stack before the other,
+    # so pairs are frozen while their column runs on and columns are dropped
+    B, q = 2, 4
+    A = rng.standard_normal((B, 15, 8))
+    Y = rng.standard_normal((B, 15, q))
+    Y[0, :, 2] = 0.0
+    Y[:, :, 3] = 0.0
+    lams = np.array([[0.3, 0.1, 0.6, 0.3], [0.1, 0.6, 0.3, 0.2]])
+    lams = lams * np.max(np.abs(A.transpose(0, 2, 1) @ Y), axis=(1, 2))[:, None]
+    max_iters, tol = 300, 1e-6
+    with monkeypatch.context() as patch:
+        patch.setattr(baselines, "_mfista", reference_mfista)
+        stops = [_stop_iteration(A[b], Y[b, :, c], lams[b, c], max_iters, tol)
+                 for b in range(B) for c in range(q)]
+    assert max(stops) < max_iters and len(set(stops)) >= 5
+    _assert_kernel_matches_reference(monkeypatch, A, Y, lams, max_iters=max_iters, tol=tol)
+
+
+def test_lasso_kernel_matches_reference_after_a_rejected_step(rng, monkeypatch):
+    # with tol = 0 no pair freezes, so a kept iterate that stays put for a
+    # step and moves later was a rejected monotone step: the np.where branch
+    A = rng.standard_normal((15, 25))
+    Y = rng.standard_normal((15, 3))
+    lam = 0.1 * np.max(np.abs(A.T @ Y))
+    n = 40
+    with monkeypatch.context() as patch:
+        patch.setattr(baselines, "_mfista", reference_mfista)
+        kept = [lasso_solve(A, Y, lam, max_iters=i, tol=0.0) for i in range(1, n + 1)]
+    rejected = [(i, c) for i in range(n - 2) for c in range(3)
+                if np.array_equal(kept[i][:, c], kept[i + 1][:, c])
+                and not np.array_equal(kept[i + 1][:, c], kept[-1][:, c])]
+    assert rejected
+    _assert_kernel_matches_reference(monkeypatch, A, Y, lam, max_iters=n, tol=0.0)
+
+
+def test_lasso_kernel_matches_reference_over_several_blocks(rng, monkeypatch):
+    A = rng.standard_normal((2, 20, 30))
+    Y = rng.standard_normal((2, 20, 10))
+    lams = rng.uniform(0.1, 0.6, (2, 10)) * np.max(np.abs(A.transpose(0, 2, 1) @ Y))
+    monkeypatch.setattr(baselines, "_BLOCK_BYTES", 3 * 2 * 30 * 8)   # 3 columns a block
+    blocks, mfista = [], baselines._mfista
+
+    def recording_mfista(apply_K, b, *args):
+        blocks.append(b.shape[1])
+        return mfista(apply_K, b, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(baselines, "_mfista", recording_mfista)
+        lasso_solve(A, Y, lams, max_iters=300, tol=1e-6)
+    assert blocks == [3, 3, 2, 2]
+    _assert_kernel_matches_reference(monkeypatch, A, Y, lams, max_iters=300, tol=1e-6)
+
+
+@pytest.mark.parametrize("arg,lam", [("lam", np.inf), ("y", 0.1), ("A", 0.1)])
+def test_lasso_rejects_non_finite_input(rng, arg, lam):
+    A = rng.standard_normal((6, 5))
+    y = rng.standard_normal(6)
+    if arg == "y":
+        y[2] = np.nan
+    elif arg == "A":
+        A[1, 3] = np.inf
+    with pytest.raises(ValueError, match=f"^{arg} must be"):
+        lasso_solve(A, y, lam)

@@ -305,3 +305,11 @@ def test_tree_project_batch_rejects_bad_shapes():
             tree_project_batch(bad, t, 2)
     with pytest.raises(ValueError, match="k must be"):
         tree_project_batch(np.zeros((2, t.p)), t, 0)
+
+
+@pytest.mark.parametrize("d,L", [(2, 4), (3, 3)])
+def test_tree_project_batch_of_no_rows(d, L):
+    t = make_tree(d, L)
+    values, support = tree_project_batch(np.zeros((0, t.p)), t, 3)
+    assert values.shape == support.shape == (0, t.p)
+    assert values.dtype == float and support.dtype == bool
