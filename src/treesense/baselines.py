@@ -84,11 +84,8 @@ def lasso_solve(A, y, lam, max_iters=500, tol=1e-10):
     max_iters and gives the median and largest relative duality gap of the
     returned pairs.
 
-    The soft threshold is taken as V - clip(V, -lam/L, lam/L), so a zero
-    entry of the result is +0.0.  The iterates live in buffers reused from
-    one iteration to the next, and the arrays read off L and lam/L are
-    formed again only when L or the set of running columns changes.  A, y
-    and lam that are not finite raise a ValueError naming the argument.
+    A zero entry of the result is +0.0.  A, y and lam that are not finite
+    raise a ValueError naming the argument.
     """
     A, Y, stacked, single = _as_stack(A, y)
     B, m, p = A.shape
@@ -151,7 +148,6 @@ def _mfista(apply_K, b, lam, max_iters, tol):
     out = np.empty((2, B, q, p))
     cols = np.arange(q)   # columns live in some stack; the arrays below hold only these
     live = np.ones((B, q), dtype=bool)
-    all_live = True       # while it holds, the masks by live are no-ops and skipped
     XP = np.stack([np.zeros((B, q, p)), -b])
     ZP = XP.copy()
     WP, EP, (V, D) = (np.empty_like(XP) for _ in range(3))
@@ -176,9 +172,7 @@ def _mfista(apply_K, b, lam, max_iters, tol):
             np.subtract(W, Z, out=D)
             KD = apply_K(D)
             # f is quadratic, so f(W) <= f(Z) + GZ.D + L|D|^2/2 is D.KD <= L|D|^2
-            ok = _dot(D, KD) <= L * _dot(D, D)
-            if not all_live:
-                ok |= ~live
+            ok = (_dot(D, KD) <= L * _dot(D, D)) | ~live
             if ok.all():
                 break
             L, stale = np.where(ok, L, 2.0 * L), True
@@ -196,9 +190,7 @@ def _mfista(apply_K, b, lam, max_iters, tol):
         E = EP[0]
         np.abs(W, out=V)
         l1_W, max_W = V.sum(axis=2), V.max(axis=2)
-        better = _dot(E, np.add(GW, XP[1], out=D)) <= lam2 * (l1_W - l1_X)
-        if not all_live:
-            better &= live
+        better = (_dot(E, np.add(GW, XP[1], out=D)) <= lam2 * (l1_W - l1_X)) & live
         t_next = (1 + math.sqrt(1 + 4 * t_mom**2)) / 2
         # Z = X_new + (t/t_next)(W - X_new) + ((t-1)/t_next)(X_new - X) is
         # X_new + c (W - X): c = (t-1)/t_next where W is kept, t/t_next
@@ -214,17 +206,15 @@ def _mfista(apply_K, b, lam, max_iters, tol):
         np.add(np.multiply(EP, c, out=ZP), XP, out=ZP)
         t_mom = t_next
         live &= np.abs(E, out=V).max(axis=2) >= tol * (1.0 + max_X)
-        all_live = live.all()
-        if not all_live:
-            run = live.any(axis=0)
-            if not run.all():
-                out[:, :, cols[~run]] = XP[:, :, ~run]
-                cols, XP, ZP = cols[run], XP[:, :, run], ZP[:, :, run]
-                live, lam, L, l1_X, max_X = (a[:, run] for a in (live, lam, L, l1_X, max_X))
-                WP, EP, (V, D) = (np.empty_like(XP) for _ in range(3))
-                stale = True
-                if not len(cols):
-                    break
+        run = live.any(axis=0)
+        if not run.all():
+            out[:, :, cols[~run]] = XP[:, :, ~run]
+            cols, XP, ZP = cols[run], XP[:, :, run], ZP[:, :, run]
+            live, lam, L, l1_X, max_X = (a[:, run] for a in (live, lam, L, l1_X, max_X))
+            WP, EP, (V, D) = (np.empty_like(XP) for _ in range(3))
+            stale = True
+        if not len(cols):
+            break
     out[:, :, cols] = XP
     running = np.zeros((B, q), dtype=bool)
     running[:, cols] = live

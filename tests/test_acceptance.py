@@ -110,10 +110,14 @@ def _adaptive_success_rate(alpha, tree, k, R, trials, tag):
     return hits / trials
 
 
-def _lasso_success_rate(alpha, tree, k, R, m, trials, tag, target=0.9):
+# criterion 4's success rate: an amplitude counts as recovered at this rate
+_TARGET = 0.9
+
+
+def _lasso_success_rate(alpha, tree, k, R, m, trials, tag):
     """Best support-recovery rate over the lambda grid, in grid order; it
-    returns at the first lambda whose rate reaches target, since callers
-    only compare the rate with target."""
+    returns at the first lambda whose rate reaches _TARGET, since callers
+    only compare the rate with _TARGET."""
     p = tree.p
     phi = gaussian_ensemble(m, p, budget=R, seed=4000 + tag)
     rng = np.random.default_rng([4, 99, tag])
@@ -132,16 +136,16 @@ def _lasso_success_rate(alpha, tree, k, R, m, trials, tag, target=0.9):
             top = np.argsort(-np.abs(X[:, t]))[:k]
             hits += frozenset(int(j) + 1 for j in top) == supports[t]
         best = max(best, hits / trials)
-        if best >= target:
+        if best >= _TARGET:
             break
     return best
 
 
-def _bisect_threshold(rate_fn, lo, hi, steps=6, target=0.9):
-    """Smallest amplitude with success rate >= target, bracketed in [lo, hi]."""
+def _bisect_threshold(rate_fn, lo, hi, steps=6):
+    """Smallest amplitude with success rate >= _TARGET, bracketed in [lo, hi]."""
     for _ in range(steps):
         mid = math.sqrt(lo * hi)
-        if rate_fn(mid) >= target:
+        if rate_fn(mid) >= _TARGET:
             hi = mid
         else:
             lo = mid
@@ -164,8 +168,8 @@ def test_criterion_4_weak_signal_recovery_advantage():
         return _lasso_success_rate(alpha, tree, k, R, m=200, trials=trials,
                                    tag=tag[0])
 
-    assert adaptive_rate(0.5) < 0.9 and adaptive_rate(8.0) >= 0.9
-    assert lasso_rate(1.0) < 0.9 and lasso_rate(32.0) >= 0.9
+    assert adaptive_rate(0.5) < _TARGET and adaptive_rate(8.0) >= _TARGET
+    assert lasso_rate(1.0) < _TARGET and lasso_rate(32.0) >= _TARGET
     _, ad_hi = _bisect_threshold(adaptive_rate, 0.5, 8.0)
     la_lo, _ = _bisect_threshold(lasso_rate, 1.0, 32.0)
     factor = la_lo / ad_hi  # conservative bracket endpoints

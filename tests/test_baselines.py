@@ -84,6 +84,7 @@ def test_lasso_blocked_columns_match_one_call(rng, monkeypatch, m, p):
     blocked = lasso_solve(A, Y, lams, max_iters=300, tol=1e-6)
     assert blocks == [3, 3, 2, 2]
     assert np.max(np.abs(blocked - one_call)) <= 1e-12
+    _assert_kernel_matches_reference(monkeypatch, A, Y, lams, max_iters=300, tol=1e-6)
 
 
 @pytest.mark.parametrize("m,p", [(40, 60), (20, 60)])
@@ -334,7 +335,7 @@ def test_lasso_momentum_converges_within_200_iterations(rng):
         assert gap <= 1e-4
 
 
-def test_lasso_stack_matches_one_problem_solves(rng):
+def test_lasso_stack_matches_one_problem_solves(rng, monkeypatch):
     B, q = 2, 4
     A = rng.standard_normal((B, 15, 8))
     Y = rng.standard_normal((B, 15, q))
@@ -356,6 +357,7 @@ def test_lasso_stack_matches_one_problem_solves(rng):
         for c in range(q):
             single = lasso_solve(A[b], Y[b, :, c], lams[b, c], max_iters=max_iters, tol=tol)
             assert np.max(np.abs(stacked[b, :, c] - single)) <= 1e-12
+    _assert_kernel_matches_reference(monkeypatch, A, Y, lams, max_iters=max_iters, tol=tol)
 
 
 @pytest.mark.parametrize("a_shape,y_shape,lam", [
@@ -403,24 +405,20 @@ def test_lasso_zero_padded_rows_match_unpadded_solves(rng):
         assert np.max(np.abs(padded[b] - own)) <= 1e-12
 
 
-def _kernel_pair(monkeypatch, A, Y, lam, **kwargs):
-    """lasso_solve(A, Y, lam) as it is, and with its MFISTA kernel swapped
-    for the reference kernel of conftest."""
+def _assert_kernel_matches_reference(monkeypatch, A, Y, lam, **kwargs):
+    """lasso_solve(A, Y, lam) equals, value for value, what it returns with
+    its MFISTA kernel swapped for the reference kernel of conftest; a zero
+    may come back as +0.0 where the reference's copysign gave -0.0, which
+    np.array_equal does not tell apart.  Returns the reference result."""
     mine = lasso_solve(A, Y, lam, **kwargs)
     with monkeypatch.context() as patch:
         patch.setattr(baselines, "_mfista", reference_mfista)
-        return mine, lasso_solve(A, Y, lam, **kwargs)
-
-
-def _assert_kernel_matches_reference(monkeypatch, A, Y, lam, **kwargs):
-    # np.array_equal: the same value in every entry, though a zero may come
-    # back as +0.0 where the reference's copysign gave -0.0
-    mine, ref = _kernel_pair(monkeypatch, A, Y, lam, **kwargs)
+        ref = lasso_solve(A, Y, lam, **kwargs)
     assert np.array_equal(mine, ref)
     return ref
 
 
-def test_lasso_kernel_matches_reference_on_a_compare_stack(rng, monkeypatch):
+def _compare_stack_case(rng, monkeypatch):
     # compare's shape: three measurement counts x three budgets, zero-padded
     # to the largest m, with one lambda per (stack, column) pair
     ms, p, q = (31, 63, 127), 127, 4
@@ -433,19 +431,18 @@ def test_lasso_kernel_matches_reference_on_a_compare_stack(rng, monkeypatch):
             + 0.1 * rng.standard_normal((m, q))
     lams = np.array([0.001, 0.01, 0.05, 0.2]) * np.max(np.abs(A.transpose(0, 2, 1) @ Y),
                                                       axis=(1, 2))[:, None]
-    ref = _assert_kernel_matches_reference(monkeypatch, A, Y, lams, max_iters=200)
-    assert ref.shape == (9, p, q) and np.count_nonzero(ref) > 0
+    return A, Y, lams, dict(max_iters=200)
 
 
-def test_lasso_kernel_matches_reference_on_the_factored_route(rng, monkeypatch):
+def _factored_route_case(rng, monkeypatch):
     # p > 2m applies K as (D A^T) A
     A = rng.standard_normal((12, 30))
     Y = rng.standard_normal((12, 5))
     lams = rng.uniform(0.05, 0.5, 5) * np.max(np.abs(A.T @ Y))
-    _assert_kernel_matches_reference(monkeypatch, A, Y, lams, max_iters=300)
+    return A, Y, lams, dict(max_iters=300)
 
 
-def test_lasso_kernel_matches_reference_when_backtracking_after_step_one(rng, monkeypatch):
+def _late_backtracking_case(rng, monkeypatch):
     # columns of A scaled from 1 to 100: L keeps doubling after iteration 1
     A = rng.standard_normal((20, 30)) * np.logspace(0, 2, 30)
     Y = rng.standard_normal((20, 3))
@@ -458,35 +455,16 @@ def test_lasso_kernel_matches_reference_when_backtracking_after_step_one(rng, mo
             return apply_K(D)
         return reference_mfista(counted, *args)
 
-    monkeypatch.setattr(baselines, "_mfista", counting_reference)
-    for max_iters in (1, 100):
-        applies.append(0)
-        lasso_solve(A, Y, lam, max_iters=max_iters, tol=0.0)
-    monkeypatch.undo()
-    assert applies[1] - applies[0] > 99   # more than one K-apply per later step
-    _assert_kernel_matches_reference(monkeypatch, A, Y, lam, max_iters=100, tol=0.0)
-
-
-def test_lasso_kernel_matches_reference_as_columns_freeze(rng, monkeypatch):
-    # columns stop at different iterations, in one stack before the other,
-    # so pairs are frozen while their column runs on and columns are dropped
-    B, q = 2, 4
-    A = rng.standard_normal((B, 15, 8))
-    Y = rng.standard_normal((B, 15, q))
-    Y[0, :, 2] = 0.0
-    Y[:, :, 3] = 0.0
-    lams = np.array([[0.3, 0.1, 0.6, 0.3], [0.1, 0.6, 0.3, 0.2]])
-    lams = lams * np.max(np.abs(A.transpose(0, 2, 1) @ Y), axis=(1, 2))[:, None]
-    max_iters, tol = 300, 1e-6
     with monkeypatch.context() as patch:
-        patch.setattr(baselines, "_mfista", reference_mfista)
-        stops = [_stop_iteration(A[b], Y[b, :, c], lams[b, c], max_iters, tol)
-                 for b in range(B) for c in range(q)]
-    assert max(stops) < max_iters and len(set(stops)) >= 5
-    _assert_kernel_matches_reference(monkeypatch, A, Y, lams, max_iters=max_iters, tol=tol)
+        patch.setattr(baselines, "_mfista", counting_reference)
+        for max_iters in (1, 100):
+            applies.append(0)
+            lasso_solve(A, Y, lam, max_iters=max_iters, tol=0.0)
+    assert applies[1] - applies[0] > 99   # more than one K-apply per later step
+    return A, Y, lam, dict(max_iters=100, tol=0.0)
 
 
-def test_lasso_kernel_matches_reference_after_a_rejected_step(rng, monkeypatch):
+def _rejected_step_case(rng, monkeypatch):
     # with tol = 0 no pair freezes, so a kept iterate that stays put for a
     # step and moves later was a rejected monotone step: the np.where branch
     A = rng.standard_normal((15, 25))
@@ -500,25 +478,19 @@ def test_lasso_kernel_matches_reference_after_a_rejected_step(rng, monkeypatch):
                 if np.array_equal(kept[i][:, c], kept[i + 1][:, c])
                 and not np.array_equal(kept[i + 1][:, c], kept[-1][:, c])]
     assert rejected
-    _assert_kernel_matches_reference(monkeypatch, A, Y, lam, max_iters=n, tol=0.0)
+    return A, Y, lam, dict(max_iters=n, tol=0.0)
 
 
-def test_lasso_kernel_matches_reference_over_several_blocks(rng, monkeypatch):
-    A = rng.standard_normal((2, 20, 30))
-    Y = rng.standard_normal((2, 20, 10))
-    lams = rng.uniform(0.1, 0.6, (2, 10)) * np.max(np.abs(A.transpose(0, 2, 1) @ Y))
-    monkeypatch.setattr(baselines, "_BLOCK_BYTES", 3 * 2 * 30 * 8)   # 3 columns a block
-    blocks, mfista = [], baselines._mfista
-
-    def recording_mfista(apply_K, b, *args):
-        blocks.append(b.shape[1])
-        return mfista(apply_K, b, *args)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(baselines, "_mfista", recording_mfista)
-        lasso_solve(A, Y, lams, max_iters=300, tol=1e-6)
-    assert blocks == [3, 3, 2, 2]
-    _assert_kernel_matches_reference(monkeypatch, A, Y, lams, max_iters=300, tol=1e-6)
+@pytest.mark.parametrize("case", [_compare_stack_case, _factored_route_case,
+                                  _late_backtracking_case, _rejected_step_case],
+                         ids=["compare_stack", "factored_route", "late_backtracking",
+                              "rejected_step"])
+def test_lasso_kernel_matches_reference(rng, monkeypatch, case):
+    # each case asserts the path it is there to reach; freezing, dropped
+    # columns and several blocks are covered by the stack and block tests
+    A, Y, lam, kwargs = case(rng, monkeypatch)
+    ref = _assert_kernel_matches_reference(monkeypatch, A, Y, lam, **kwargs)
+    assert np.count_nonzero(ref) > 0
 
 
 @pytest.mark.parametrize("arg,lam", [("lam", np.inf), ("y", 0.1), ("A", 0.1)])
