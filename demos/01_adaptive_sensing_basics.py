@@ -11,6 +11,12 @@ from treesense import (SensingConfig, adaptive_sense_coeffs, allocate_beta,
                        failure_bound, make_tree, min_amplitude,
                        random_tree_sparse)
 
+
+def support_of(v):
+    """Node ids (1-based, heap order) of the nonzero coefficients."""
+    return set((np.flatnonzero(v) + 1).tolist())
+
+
 rng = np.random.default_rng(0)
 
 d, L, k = 2, 6, 8
@@ -18,18 +24,19 @@ tree = make_tree(d, L)
 print(f"binary tree of depth {L}: p = {tree.p} nodes")
 print(f"children of node 3: {tree.children(3)}; parent of 12: {tree.parent(12)}")
 
-# A tree-sparse signal: nonzeros form a rooted connected subtree.
+# A tree-sparse signal: a length-p coefficient array whose nonzeros form a
+# rooted connected subtree.
 vec = random_tree_sparse(tree, k, amp_min=1.0, amp_max=2.0, rng=rng,
                          max_depth=L - 1)
-print(f"\nplanted support ({k} nodes): {sorted(vec.support)}")
+print(f"\nplanted support ({k} nodes): {sorted(support_of(vec))}")
 
 # Noiseless session: each node measurement is exact, so the traversal stops
 # after measuring the support plus its boundary -- exactly dk+1 measurements.
 cfg = SensingConfig(beta=1.0, tau=0.5, noise_std=0.0)
-out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)   # a one-session batch
+out = adaptive_sense_coeffs(vec, tree, cfg, rng)   # a one-session batch
 found = set(out.node[out.significant].tolist())
 print(f"noiseless session: m = {out.m[0]} (predicted {d * k + 1}), "
-      f"recovered support correct: {found == vec.support}")
+      f"recovered support correct: {found == support_of(vec)}")
 
 # Noisy session under an energy budget R: beta spreads the budget over the
 # (d+1)k measurements a correct session needs, and the threshold tau trades
@@ -46,8 +53,8 @@ fails = 0
 trials = 2000
 for t in range(trials):
     v = random_tree_sparse(tree, k, alpha, alpha, rng, max_depth=L - 1)
-    o = adaptive_sense_coeffs(v.values, tree,
+    o = adaptive_sense_coeffs(v, tree,
                               SensingConfig(beta=beta, tau=tau, noise_std=1.0),
                               rng)
-    fails += set(o.node[o.significant].tolist()) != v.support
+    fails += set(o.node[o.significant].tolist()) != support_of(v)
 print(f"empirical failure rate over {trials} trials: {fails / trials:.4g}")

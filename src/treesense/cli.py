@@ -58,6 +58,13 @@ def _build_cfg(args):
     return cfg
 
 
+def _require(*given):
+    """Raise ValueError naming the first (flag, value) pair left unset."""
+    for flag, value in given:
+        if not value:
+            raise ValueError(f"{flag} is required")
+
+
 def cmd_tree_info(args):
     tree = make_tree(args.d, args.L)
     print(f"d={tree.d} L={tree.depth} p={tree.p}")
@@ -82,9 +89,7 @@ def cmd_verify_theorem(args):
 
 def cmd_learn(args):
     cfg = _build_cfg(args)
-    if not cfg.corpus:
-        print("learn: --corpus is required", file=sys.stderr)
-        return 2
+    _require(("--corpus", cfg.corpus))
     training = load_corpus(cfg.corpus, cfg.target_side)
     tree = make_tree(cfg.d, cfg.L)
     target = cfg.sparsity_for(tree.p)   # checked even when --lam makes it unused
@@ -106,15 +111,9 @@ def cmd_learn(args):
 
 def cmd_sense(args):
     cfg = _build_cfg(args)
-    if not cfg.dict_path or not args.image:
-        print("sense: --dict-path and --image are required", file=sys.stderr)
-        return 2
+    _require(("--dict-path", cfg.dict_path), ("--image", args.image))
     dictionary, mean = load_dictionary(cfg.dict_path)
     x = read_pgm(args.image).flatten(order="F")
-    if x.shape[0] != dictionary.atoms.shape[0]:
-        print("sense: image size does not match dictionary dimension",
-              file=sys.stderr)
-        return 2
     if not cfg.budgets:
         cfg.budgets = (float(x.shape[0]),)
     k = cfg.sparsity_for(dictionary.tree.p)
@@ -127,10 +126,7 @@ def cmd_sense(args):
 
 def cmd_compare(args):
     cfg = _build_cfg(args)
-    for flag, value in (("--dict-path", cfg.dict_path), ("--corpus", cfg.corpus)):
-        if not value:
-            print(f"compare: {flag} is required", file=sys.stderr)
-            return 2
+    _require(("--dict-path", cfg.dict_path), ("--corpus", cfg.corpus))
     dictionary, mean = load_dictionary(cfg.dict_path)
     training = load_corpus(cfg.corpus, cfg.target_side)
     if not cfg.budgets:

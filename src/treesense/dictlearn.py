@@ -54,7 +54,7 @@ class Dictionary:
         if p > n:
             raise ValueError("orthonormal columns require p <= n")
         gram_err = np.max(np.abs(atoms.T @ atoms - np.eye(p)))
-        if gram_err > ORTHO_TOL:
+        if not gram_err <= ORTHO_TOL:   # a nan entry makes gram_err nan
             raise ValueError(f"columns not orthonormal (max Gram deviation {gram_err:.2e})")
 
 
@@ -203,8 +203,8 @@ def learn_objective(X, D, A, groups, lam, norm="l2"):
 
 def initial_dictionary(training, tree, rng):
     """learn's starting Dictionary: tree.p randomly chosen centered training
-    columns, orthonormalized (with Gaussian fill-in when the selection is
-    rank deficient)."""
+    columns, slightly perturbed and orthonormalized by QR (Gaussian columns
+    fill in when there are fewer than tree.p)."""
     X = training.data
     (n, q), p = X.shape, tree.p
     if p > n:
@@ -219,8 +219,6 @@ def initial_dictionary(training, tree, rng):
     B = B + 1e-8 * np.linalg.norm(B, ord="fro") / np.sqrt(B.size) * rng.standard_normal(B.shape)
     Q, R = np.linalg.qr(B)
     Q = Q * np.sign(np.where(np.diag(R) == 0, 1.0, np.diag(R)))
-    if np.max(np.abs(Q.T @ Q - np.eye(p))) > ORTHO_TOL:
-        Q, _ = np.linalg.qr(rng.standard_normal((n, p)))
     return Dictionary(atoms=Q, tree=tree)
 
 
@@ -279,7 +277,8 @@ def save_dictionary(path, dictionary, mean=None):
 
 def load_dictionary(path):
     """Load (Dictionary, mean) from the binary container.  A truncated file,
-    trailing bytes or an inconsistent header raise ValueError naming the path."""
+    trailing bytes, an inconsistent header, atoms that are not orthonormal
+    and a mean that is not finite raise ValueError naming the path."""
     with open(path, "rb") as f:
         raw = f.read()
     try:
@@ -297,6 +296,8 @@ def load_dictionary(path):
             raise ValueError("container p inconsistent with (d, L)")
         body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
         atoms = body[n:].reshape((n, p), order="F").copy()
+        if not np.isfinite(body[:n]).all():
+            raise ValueError("column mean is not finite")
         return Dictionary(atoms=atoms, tree=tree), body[:n].copy()
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -16,7 +16,7 @@ from . import __version__
 from .baselines import gaussian_ensemble, lasso_solve, model_cosamp, pca_fit, pca_reconstruct
 from .bounds import failure_bound, min_amplitude
 from .dictlearn import Dictionary, TrainingSet, groups_of, tree_prox
-from .sensing import (SensingConfig, adaptive_sense, adaptive_sense_batch,
+from .sensing import (SensingConfig, adaptive_sense_batch, adaptive_sense_coeffs,
                       allocate_beta, reconstruct_from_outcome)
 from .tree import make_tree, random_tree_sparse, random_tree_sparse_batch
 from .wavelet import wavelet_reconstruct, wavelet_sense
@@ -409,9 +409,10 @@ def verify_theorem(cfg):
         raise ValueError(f"trials must be at least 1, got {cfg.trials}")
     tree = make_tree(cfg.d, cfg.L)
     for k in cfg.k:
-        if not 1 <= k <= tree.n_internal:
-            raise ValueError(f"config key 'k': {k} is not in 1..{tree.n_internal}, the "
-                             "tree's nodes above its leaf level")
+        if not 2 <= k <= tree.n_internal:
+            raise ValueError(f"config key 'k': {k} is not in 2..{tree.n_internal}: the "
+                             "failure bound needs k >= 2, and the tree has "
+                             f"{tree.n_internal} nodes above its leaf level")
     blocks, summaries = [], []
     # the default budget is the unit per-measurement scale, R = (d+1)k
     cells = [(k, R) for k in cfg.k for R in cfg.budgets or [float((cfg.d + 1) * k)]]
@@ -439,7 +440,13 @@ def verify_theorem(cfg):
 def sense_signal(cfg, dictionary, dict_mean, x, k, sig_idx=0, note=""):
     """Rows of the adaptive dictionary sessions of one signal x: one per
     budget, tau and trial of cfg, in that order.  Each session draws from
-    its own generator, keyed [cfg.seed, 1, b, sig_idx, tau index, trial]."""
+    its own generator, keyed [cfg.seed, 1, b, sig_idx, tau index, trial].
+    Every session senses the coefficients c = Dᵀ(x - dict_mean)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dictionary.atoms.shape[0],):
+        raise ValueError(f"signal of {x.size} entries does not match the dictionary's "
+                         f"atoms of dimension {dictionary.atoms.shape[0]}")
+    c = dictionary.atoms.T @ (x - dict_mean)
     rows = []
     for b, R in enumerate(cfg.budgets):
         beta = allocate_beta(R, dictionary.tree.d, k)
@@ -447,7 +454,7 @@ def sense_signal(cfg, dictionary, dict_mean, x, k, sig_idx=0, note=""):
             sense_cfg = SensingConfig(beta=beta, tau=tau, noise_std=cfg.noise_std, budget=R)
             for trial in range(cfg.trials):
                 rng = np.random.default_rng([cfg.seed, 1, b, sig_idx, tau_idx, trial])
-                batch = adaptive_sense(x - dict_mean, dictionary, sense_cfg, rng)
+                batch = adaptive_sense_coeffs(c, dictionary.tree, sense_cfg, rng)
                 x_hat = reconstruct_from_outcome(batch, dictionary, beta, mean_offset=dict_mean)
                 rows.append(_row("adaptive", R, tau, batch.m[0], trial, snr=snr_db(x, x_hat),
                                  energy=batch.energy_spent[0], note=note))
@@ -479,7 +486,7 @@ def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, measurement
             A[i, b, :m] = phi @ atoms
             # lambda probe: one held-out synthetic tree-sparse signal
             rng = np.random.default_rng([cfg.seed, 3, b, m])
-            x = atoms @ random_tree_sparse(dictionary.tree, k, 0.5, 1.0, rng).values
+            x = atoms @ random_tree_sparse(dictionary.tree, k, 0.5, 1.0, rng)
             y = phi @ x
             if cfg.noise_std > 0:
                 y = y + cfg.noise_std * rng.standard_normal(m)

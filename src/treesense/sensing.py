@@ -20,11 +20,9 @@ __all__ = [
     "SensingConfig",
     "SessionBatch",
     "allocate_beta",
-    "adaptive_sense",
     "adaptive_sense_coeffs",
     "adaptive_sense_batch",
     "reconstruct_from_outcome",
-    "two_stage_estimate",
     "two_stage_estimate_coeffs",
 ]
 
@@ -96,15 +94,12 @@ def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
     session draws exactly the values of one scalar draw per measurement.
     Returns a SessionBatch whose nodes are positions.
     """
-    # The energy meter starts at 0 and adds cost once per measurement, and a
-    # session stops before the meter would pass the budget.  accumulate adds
-    # in the same sequence, so its sums are the meter's, bit for bit.
-    cost = cfg.beta**2
-    limit = n
-    if cfg.budget is not None:
-        # the rounding of the sums is far below the 1e-6 margin
-        spent = np.cumsum(np.full(int(min(n, cfg.budget / cost * (1 + 1e-6) + 2)), cost))
-        limit = int(np.count_nonzero(spent <= cfg.budget * (1 + 1e-12)))
+    # meter[j] is the energy of j measurements, added up one cost at a time
+    # from 0 (0.0 + cost is exact), its rounding far below the 1e-6 margin of
+    # its length; a session stops before the meter would pass the budget.
+    cost, budget = cfg.beta**2, math.inf if cfg.budget is None else cfg.budget
+    meter = np.cumsum(np.r_[0.0, np.full(int(min(n, budget / cost * (1 + 1e-6) + 2)), cost)])
+    limit = int(np.count_nonzero(meter[1:] <= budget * (1 + 1e-12)))
     roots = np.asarray(roots)
     t = np.repeat(np.arange(trials), len(roots))
     i = np.tile(roots, trials)
@@ -133,7 +128,6 @@ def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
         if not len(t):
             break
     trial, node, y, sig = map(np.concatenate, zip(*levels))
-    meter = np.cumsum(np.r_[0.0, np.full(m.max(initial=0), cost)])
     return SessionBatch(trial=trial, node=node, y=y, significant=sig, m=m,
                         energy_spent=meter[m], truncated=truncated)
 
@@ -145,22 +139,11 @@ def _coeffs(alpha, tree):
     return a
 
 
-def adaptive_sense(signal, dictionary, cfg, rng):
-    """Run the threshold-traversal acquisition of signal against dictionary.
-
-    Returns a one-session SessionBatch: the measured node ids, observations
-    and significance flags, in the order taken; the support estimate is the
-    significant nodes.
-    """
-    x = np.asarray(signal, dtype=float)
-    atoms = dictionary.atoms
-    if atoms.shape[0] != x.shape[0]:
-        raise ValueError("signal dimension does not match dictionary atoms")
-    return adaptive_sense_coeffs(atoms.T @ x, dictionary.tree, cfg, rng)
-
-
 def adaptive_sense_coeffs(alpha, tree, cfg, rng):
-    """Same traversal, sensing a coefficient vector directly (identity dictionary)."""
+    """Run the threshold traversal of one length-p coefficient vector alpha
+    (a signal x sensed against an orthonormal dictionary D has alpha = Dᵀx).
+    Returns a one-session SessionBatch; the support estimate is its
+    significant nodes."""
     alpha = _coeffs(alpha, tree)
     return adaptive_sense_batch(np.arange(1, tree.p + 1)[None], alpha[None], tree, cfg, rng)
 
@@ -220,8 +203,9 @@ def reconstruct_from_outcome(batch, dictionary, beta, mean_offset=None):
     return x_hat if mean_offset is None else np.asarray(mean_offset, dtype=float) + x_hat
 
 
-def two_stage_estimate(signal, dictionary, total_budget, k, rng, alpha_min, noise_std=1.0):
-    """Support recovery followed by re-measurement of the recovered support.
+def two_stage_estimate_coeffs(alpha, tree, total_budget, k, rng, alpha_min, noise_std=1.0):
+    """Support recovery followed by re-measurement of the recovered support,
+    on a length-p coefficient vector alpha (Dᵀx for a signal x).
 
     Stage 1 runs the threshold traversal, with threshold beta_1 * alpha_min / 2,
     on half of total_budget; stage 2 spends the other half equally on one
@@ -229,13 +213,6 @@ def two_stage_estimate(signal, dictionary, total_budget, k, rng, alpha_min, nois
     Returns (estimate, batch): the rescaled stage-2 observations at S_hat
     and zero elsewhere (all zero when S_hat is empty), and stage 1's session.
     """
-    x = np.asarray(signal, dtype=float)
-    return two_stage_estimate_coeffs(dictionary.atoms.T @ x, dictionary.tree, total_budget,
-                                     k, rng, alpha_min, noise_std)
-
-
-def two_stage_estimate_coeffs(alpha, tree, total_budget, k, rng, alpha_min, noise_std=1.0):
-    """Coefficient-domain variant of two_stage_estimate."""
     c = _coeffs(alpha, tree)
     # Half the budget finds the support and half re-measures it: criterion
     # 3's 2k^2 sigma^2 / R error prediction assumes this split.

@@ -14,13 +14,11 @@ import numpy as np
 __all__ = [
     "TreeTopology",
     "GroupSet",
-    "TreeSparseVector",
     "make_tree",
     "groups_of",
     "random_tree_sparse",
     "random_tree_sparse_batch",
     "is_tree_sparse",
-    "tree_project",
     "tree_project_batch",
 ]
 
@@ -107,36 +105,6 @@ def groups_of(tree, weights=None):
     return GroupSet(tree, np.ones(tree.p) if weights is None else weights)
 
 
-@dataclass(frozen=True)
-class TreeSparseVector:
-    """Length-p vector whose support is a rooted connected subtree.
-
-    support may retain nodes whose value is exactly zero when they are
-    ancestors of nonzero nodes (can arise from projection of adversarial
-    inputs); values are always zero outside support.
-    """
-
-    values: np.ndarray
-    support: frozenset
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        nz = {int(i) + 1 for i in np.flatnonzero(v)}
-        if not nz <= self.support:
-            raise ValueError("values are nonzero outside the declared support")
-
-    @property
-    def k(self):
-        return len(self.support)
-
-    @property
-    def alpha_min(self):
-        if not self.support:
-            return np.inf
-        return min(abs(self.values[i - 1]) for i in self.support)
-
-
 def random_tree_sparse_batch(tree, k, amp_min, amp_max, rng, trials, max_depth=None):
     """Draw `trials` random k-tree-sparse vectors at once, in sparse form.
 
@@ -193,11 +161,11 @@ def random_tree_sparse_batch(tree, k, amp_min, amp_max, rng, trials, max_depth=N
 
 def random_tree_sparse(tree, k, amp_min, amp_max, rng, max_depth=None):
     """Draw a random k-tree-sparse vector: random_tree_sparse_batch with
-    one trial, as a dense TreeSparseVector."""
+    one trial, as a dense length-p array, nonzero exactly on its support."""
     nodes, vals = random_tree_sparse_batch(tree, k, amp_min, amp_max, rng, 1, max_depth)
     values = np.zeros(tree.p)
     values[nodes[0] - 1] = vals[0]
-    return TreeSparseVector(values=values, support=frozenset(nodes[0].tolist()))
+    return values
 
 
 def is_tree_sparse(v, tree, tol=0.0):
@@ -313,14 +281,3 @@ def tree_project_batch(V, tree, k):
                 keep |= support[:, hi:starts[lvl + 2]].reshape(len(V), hi - lo, d).any(axis=2)
             support[:, lo:hi] &= keep
     return np.where(support, V, 0.0), support
-
-
-def tree_project(v, tree, k):
-    """Project v onto the set of vectors with rooted-connected support <= k:
-    tree_project_batch with one row, as a TreeSparseVector."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (tree.p,):
-        raise ValueError(f"expected length-{tree.p} vector")
-    values, support = tree_project_batch(v[None], tree, k)
-    return TreeSparseVector(values=values[0],
-                            support=frozenset((np.flatnonzero(support[0]) + 1).tolist()))

@@ -255,6 +255,11 @@ def significant_set(batch):
     return set(batch.node[batch.significant].tolist())
 
 
+def support_of(vec):
+    """The support of a dense length-p vector: its nonzero node ids."""
+    return set((np.flatnonzero(vec) + 1).tolist())
+
+
 def reference_traversal(project, children_of, roots, cfg, rng):
     """Scalar threshold traversal: a FIFO queue, one project(j) callback and
     one scalar rng.standard_normal() per measurement.  Returns the measured

@@ -11,11 +11,11 @@ from treesense import (ExperimentConfig, LearnConfig, SensingConfig,
                        groups_of, initial_dictionary, is_tree_sparse,
                        lasso_solve, learn, make_tree, min_amplitude,
                        random_tree_sparse, random_tree_sparse_batch, synthetic_corpus,
-                       tree_project, tree_prox,
+                       tree_project_batch, tree_prox,
                        two_stage_estimate_coeffs, verify_theorem, write_csv, as_table)
 from treesense.harness import compare_methods
 
-from conftest import enumerate_rooted_subtrees, group_list, significant_set
+from conftest import enumerate_rooted_subtrees, group_list, significant_set, support_of
 
 
 def _check(num, desc, ok, detail=""):
@@ -38,9 +38,9 @@ def test_criterion_1_measurement_count_law():
                 vec = random_tree_sparse(tree, k, 1.0, 2.0, rng,
                                          max_depth=L - 1)
                 cfg = SensingConfig(beta=1.0, tau=0.5, noise_std=0.0)
-                out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)
+                out = adaptive_sense_coeffs(vec, tree, cfg, rng)
                 total += 1
-                if out.m[0] != d * k + 1 or significant_set(out) != vec.support:
+                if out.m[0] != d * k + 1 or significant_set(out) != support_of(vec):
                     bad += 1
     _check(1, "measurement-count law m = dk+1 with exact support",
            bad == 0, f"{bad}/{total} violations")
@@ -82,9 +82,9 @@ def test_criterion_3_two_stage_error_scaling():
         for trial in range(1000):
             rng = np.random.default_rng([3, int(R), trial])
             vec = random_tree_sparse(tree, k, alpha, alpha, rng, max_depth=5)
-            estimate, _ = two_stage_estimate_coeffs(vec.values, tree, R, k, rng,
+            estimate, _ = two_stage_estimate_coeffs(vec, tree, R, k, rng,
                                                     alpha_min=alpha, noise_std=sigma)
-            errs[trial] = np.sum((estimate - vec.values) ** 2)
+            errs[trial] = np.sum((estimate - vec) ** 2)
         means.append(float(np.mean(errs)))
     preds = [2 * k**2 * sigma**2 / R for R in (R0, 2 * R0, 4 * R0)]
     ok_pred = all(abs(m - p) <= 0.15 * p for m, p in zip(means, preds))
@@ -105,8 +105,8 @@ def _adaptive_success_rate(alpha, tree, k, R, trials, tag):
                                  max_depth=tree.depth - 1)
         cfg = SensingConfig(beta=beta, tau=0.5 * beta * alpha,
                             noise_std=1.0, budget=R)
-        out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)
-        hits += significant_set(out) == vec.support
+        out = adaptive_sense_coeffs(vec, tree, cfg, rng)
+        hits += significant_set(out) == support_of(vec)
     return hits / trials
 
 
@@ -245,7 +245,7 @@ def test_criterion_6_dictionary_learning_invariants():
     tree = make_tree(2, 4)  # p = 15
     n, q, k = 64, 200, 6
     Q, _ = np.linalg.qr(rng.standard_normal((n, tree.p)))
-    A_star = np.column_stack([random_tree_sparse(tree, k, 0.5, 1.5, rng).values
+    A_star = np.column_stack([random_tree_sparse(tree, k, 0.5, 1.5, rng)
                               for _ in range(q)])
     X = Q @ A_star + 0.01 * rng.standard_normal((n, q))
     tr = TrainingSet.from_raw(X)
@@ -268,11 +268,11 @@ def test_criterion_7_exact_projection_matches_enumeration():
         for _ in range(50):
             v = rng.standard_normal(tree.p) * rng.uniform(0.5, 2.0)
             for k in range(1, tree.p + 1):
-                got = tree_project(v, tree, k)
+                values, _ = tree_project_batch(v[None], tree, k)
                 best = max(
                     sum(v[i - 1] ** 2 for i in s)
                     for s in enumerate_rooted_subtrees(tree, k))
-                if abs(np.sum(got.values**2) - best) > 1e-10:
+                if abs(np.sum(values[0]**2) - best) > 1e-10:
                     mismatches += 1
     _check(7, "exact tree projection equals exhaustive enumeration (p <= 15)",
            mismatches == 0, f"{mismatches} mismatches")

@@ -27,7 +27,7 @@ def test_lasso_zero_when_penalty_dominates(rng):
 def test_lasso_overdetermined_noiseless(rng):
     t = make_tree(2, 3)
     phi = gaussian_ensemble(20, t.p, budget=20.0, seed=1)
-    alpha = random_tree_sparse(t, 3, 0.5, 1.5, rng).values
+    alpha = random_tree_sparse(t, 3, 0.5, 1.5, rng)
     y = phi @ alpha
     a_hat = lasso_solve(phi, y, 1e-9, max_iters=3000, tol=1e-15)
     assert np.max(np.abs(a_hat - alpha)) < 1e-6
@@ -140,12 +140,12 @@ def test_cosamp_planted_recovery(rng):
     for trial in range(10):
         phi = gaussian_ensemble(48, t.p, budget=float(t.p), seed=100 + trial)
         vec = random_tree_sparse(t, 8, 0.5, 1.5, rng)
-        y = phi @ vec.values
+        y = phi @ vec
         x_hat = model_cosamp(phi, y, 8, t, iters=20)
         assert is_tree_sparse(x_hat, t)
         if np.linalg.norm(y - phi @ x_hat) < 1e-6:
             successes += 1
-            assert np.allclose(x_hat, vec.values, atol=1e-6)
+            assert np.allclose(x_hat, vec, atol=1e-6)
     assert successes >= 8  # m >= 4k and well-conditioned: near-certain recovery
 
 
@@ -179,7 +179,7 @@ def test_cosamp_stack_matches_unpadded_calls(monkeypatch, caplog):
         if m == t.p:
             A[b] = np.linalg.qr(A[b])[0]
         for c in range(q):
-            Y[b, :m, c] = A[b, :m] @ random_tree_sparse(t, k, 0.5, 1.5, rng).values
+            Y[b, :m, c] = A[b, :m] @ random_tree_sparse(t, k, 0.5, 1.5, rng)
         Y[b, :m, 1] += 0.05 * rng.standard_normal(m)
     Y[1, :, 2] = 0
     # with A orthonormal, a round acts on v = A^T y alone: E = the 2k-node

@@ -85,21 +85,31 @@ def test_config_file_errors_name_the_file(tmp_path, capsys, line, reason):
                     capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("kind", ["truncated-lasr", "malformed-pgm"])
+@pytest.mark.parametrize("kind", ["truncated-lasr", "nan-atom-lasr", "nan-mean-lasr",
+                                  "malformed-pgm"])
 def test_malformed_input_files_exit_2_naming_the_file(tmp_path, capsys, kind):
     dict_path, img = tmp_path / "d.lasr", tmp_path / "img.pgm"
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 3)))
+    save_dictionary(dict_path, Dictionary(atoms=Q, tree=make_tree(2, 2)))
+    write_pgm(img, np.full((2, 2), 0.5))
+    argv = ["sense", "--dict-path", str(dict_path), "--image", str(img),
+            "--out", str(tmp_path / "s.csv")]
+    bad = dict_path
     if kind == "truncated-lasr":
         dict_path.write_bytes(b"LASR\x01\x00")
         argv = ["compare", "--dict-path", str(dict_path), "--corpus", str(tmp_path),
                 "--target-side", "2", "--budgets", "4", "--out", str(tmp_path / "c.csv")]
-        bad = dict_path
-    else:
-        Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 3)))
-        save_dictionary(dict_path, Dictionary(atoms=Q, tree=make_tree(2, 2)))
+    elif kind == "malformed-pgm":
         img.write_bytes(b"P5\n2 2\n255\n\x00\x01\x02")   # 3 of 4 pixels
-        argv = ["sense", "--dict-path", str(dict_path), "--image", str(img),
-                "--out", str(tmp_path / "s.csv")]
         bad = img
+    else:
+        # one nan in the mean (right after the 22-byte header) or in atom
+        # entry 5, column-major: sense would run and write a finite-looking
+        # or a nan SNR
+        raw = bytearray(dict_path.read_bytes())
+        at = 22 if kind == "nan-mean-lasr" else 22 + 8 * 4 + 8 * 5
+        raw[at:at + 8] = np.float64(np.nan).tobytes()
+        dict_path.write_bytes(bytes(raw))
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"treesense: error: {bad}: ") and err.count("\n") == 1
@@ -297,16 +307,21 @@ def test_bad_counts_exit_2_naming_the_key(tmp_path, corpus_dir, random_dict, cap
     assert not out.exists()
 
 
+# verify-theorem's k range on the d = 2, L = 4 tree
+K_RANGE = "the failure bound needs k >= 2, and the tree has 7 nodes above its leaf level"
+
+
 @pytest.mark.parametrize("command,flag,value,reason", [
-    ("verify-theorem", "--k", "100", "100 is not in 1..7, the tree's nodes above its leaf level"),
-    ("verify-theorem", "--k", "10", "10 is not in 1..7, the tree's nodes above its leaf level"),
+    ("verify-theorem", "--k", "100", "100 is not in 2..7: " + K_RANGE),
+    ("verify-theorem", "--k", "10", "10 is not in 2..7: " + K_RANGE),
+    ("verify-theorem", "--k", "1", "1 is not in 2..7: " + K_RANGE),
     ("verify-theorem", "--budgets", "0", "must be positive, got 0"),
     ("verify-theorem", "--budgets", "-3", "must be positive, got -3"),
     ("compare", "--measurements", "0", "must be at least 1, got 0"),
     ("verify-theorem", "--noise-std", "nan", "must be finite, got nan"),
     ("verify-theorem", "--c1", "nan", "must be finite, got nan"),
     ("compare", "--taus", "1e400", "must be finite, got 1e400"),
-], ids=["k-100", "k-10", "budgets-0", "budgets--3", "measurements-0", "noise-std-nan",
+], ids=["k-100", "k-10", "k-1", "budgets-0", "budgets--3", "measurements-0", "noise-std-nan",
         "c1-nan", "taus-1e400"])
 def test_list_option_errors_exit_2_naming_the_key(tmp_path, corpus_dir, random_dict, capsys,
                                                   command, flag, value, reason):
@@ -333,7 +348,7 @@ def test_compare_requires_dict_and_corpus(tmp_path, corpus_dir, random_dict, cap
     argv = ["compare", *(word for item in given.items() for word in item),
             "--target-side", "8", "--budgets", "64", "--out", str(out)]
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"compare: {missing} is required\n"
+    assert capsys.readouterr().err == f"treesense: error: {missing} is required\n"
     assert not out.exists()
 
 
@@ -357,3 +372,4 @@ def test_sense_rejects_size_mismatch(tmp_path, corpus_dir, capsys):
     rc = main(["sense", "--dict-path", str(dict_path), "--image", str(bad),
                "--out", str(tmp_path / "s.csv")])
     assert rc == 2
+    assert capsys.readouterr().err.startswith("treesense: error: signal of 256 entries")

@@ -33,6 +33,11 @@ def test_dictionary_invariants_enforced():
         Dictionary(atoms=np.ones((5, 3)), tree=tree)
     with pytest.raises(ValueError):
         Dictionary(atoms=np.eye(2), tree=tree)  # p mismatch / p > n
+    # a nan entry makes the Gram deviation nan, which passes a "> tol" test
+    atoms = np.eye(4)[:, :3]
+    atoms[1, 2] = np.nan
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Dictionary(atoms=atoms, tree=tree)
 
 
 # With orthonormal D, learn's coding step is one prox: tree_prox(D^T X, lam)

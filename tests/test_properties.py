@@ -3,7 +3,7 @@ over random trees, supports, beta, tau and budgets; the array traversal
 engine against the scalar reference, session by session, on d-ary trees and
 the Haar quadtrees; is_tree_sparse against its set-loop reference; the
 batched tree projection against the per-node reference DP; plus round trips
-through tree_project and the Haar transform."""
+through tree_project_batch and the Haar transform."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from treesense import (SensingConfig, adaptive_sense_batch, adaptive_sense_coeffs,
                        haar2, ihaar2, is_tree_sparse, make_tree, random_tree_sparse,
-                       random_tree_sparse_batch, tree_project, tree_project_batch,
+                       random_tree_sparse_batch, tree_project_batch,
                        wavelet_sense)
 
 from conftest import (reference_is_tree_sparse, reference_project, reference_quadtree,
-                      reference_traversal, significant_set)
+                      reference_traversal, significant_set, support_of)
 
 # (d, L) with p <= 121, so one example stays in the millisecond range
 TREES = ([(2, L) for L in range(1, 7)] + [(3, L) for L in range(1, 5)]
@@ -62,8 +62,8 @@ def assert_matches_reference(batch, t, ref):
 def test_engine_equals_scalar_reference(session, seed):
     tree, vec, cfg, _ = session
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)
-    ref = reference_traversal(lambda j: float(vec.values[j - 1]), tree.children, [1],
+    out = adaptive_sense_coeffs(vec, tree, cfg, rng)
+    ref = reference_traversal(lambda j: float(vec[j - 1]), tree.children, [1],
                               cfg, ref_rng)
     assert_matches_reference(out, 0, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -128,7 +128,7 @@ def test_batch_trials_equal_scalar_reference(shape, trials, seed, cfg, data):
 @given(sessions())
 def test_energy_is_m_beta_squared_within_budget(session):
     tree, vec, cfg, rng = session
-    out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)
+    out = adaptive_sense_coeffs(vec, tree, cfg, rng)
     cost = cfg.beta**2
     assert abs(out.energy_spent[0] - out.m[0] * cost) <= 1e-12 * max(1.0, out.m[0] * cost)
     if cfg.budget is not None:
@@ -139,7 +139,7 @@ def test_energy_is_m_beta_squared_within_budget(session):
 @given(sessions())
 def test_truncated_iff_budget_binds_with_nodes_queued(session):
     tree, vec, cfg, rng = session
-    out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)
+    out = adaptive_sense_coeffs(vec, tree, cfg, rng)
     measured = set(out.node.tolist())
     # the queue holds the root until it is measured, then every unmeasured
     # child of a significant node
@@ -155,7 +155,7 @@ def test_truncated_iff_budget_binds_with_nodes_queued(session):
 @given(sessions())
 def test_measured_set_is_rooted_connected(session):
     tree, vec, cfg, rng = session
-    out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)
+    out = adaptive_sense_coeffs(vec, tree, cfg, rng)
     nodes = out.node.tolist()
     assert len(set(nodes)) == len(nodes)
     assert not nodes or nodes[0] == 1
@@ -176,9 +176,9 @@ def test_noiseless_unbounded_count_is_dk_plus_1(shape, seed, data):
     rng = np.random.default_rng(seed)
     vec = random_tree_sparse(tree, k, 0.5, 2.0, rng, max_depth=tree.depth - 1)
     cfg = SensingConfig(beta=beta, tau=tau, noise_std=0.0, budget=None)
-    out = adaptive_sense_coeffs(vec.values, tree, cfg, rng)
+    out = adaptive_sense_coeffs(vec, tree, cfg, rng)
     assert out.m[0] == tree.d * k + 1
-    assert significant_set(out) == vec.support
+    assert significant_set(out) == support_of(vec)
     assert not out.truncated[0]
 
 
@@ -194,9 +194,9 @@ def test_tree_project_is_idempotent(shape, data):
     tree = make_tree(*shape)
     v = np.array(data.draw(st.lists(ENTRIES, min_size=tree.p, max_size=tree.p)))
     k = data.draw(st.integers(1, tree.p))
-    w = tree_project(v, tree, k)
-    again = tree_project(w.values, tree, k)
-    assert np.array_equal(again.values, w.values)
+    w, _ = tree_project_batch(v[None], tree, k)
+    again, _ = tree_project_batch(w, tree, k)
+    assert np.array_equal(again[0], w[0])
 
 
 @SETTINGS
@@ -235,7 +235,7 @@ def test_is_tree_sparse_equals_set_loop(shape, seed, tol):
     # its entries, and up to two entries set anywhere
     tree = make_tree(*shape)
     rng = np.random.default_rng(seed)
-    v = random_tree_sparse(tree, int(rng.integers(1, tree.p + 1)), 0.01, 1.0, rng).values
+    v = random_tree_sparse(tree, int(rng.integers(1, tree.p + 1)), 0.01, 1.0, rng)
     flips = rng.integers(0, tree.p, size=rng.integers(0, 3))
     v[flips] = rng.uniform(-1.0, 1.0, size=len(flips))
     assert is_tree_sparse(v, tree, tol) == reference_is_tree_sparse(v, tree, tol)

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from treesense import (Dictionary, SensingConfig, adaptive_sense, adaptive_sense_batch,
+from treesense import (Dictionary, SensingConfig, adaptive_sense_batch,
                        adaptive_sense_coeffs, allocate_beta, make_tree,
                        random_tree_sparse, reconstruct_from_outcome,
-                       two_stage_estimate, two_stage_estimate_coeffs,
-                       wavelet_reconstruct)
+                       two_stage_estimate_coeffs, wavelet_reconstruct)
 
-from conftest import significant_set
+from conftest import significant_set, support_of
 
 
 def identity_dict(tree):
@@ -33,9 +32,9 @@ def test_noiseless_measurement_count_and_support(rng):
     for k in (1, 3, 7):
         vec = random_tree_sparse(t, k, 1.0, 2.0, rng, max_depth=t.depth - 1)
         cfg = SensingConfig(beta=1.0, tau=0.5, noise_std=0.0)
-        out = adaptive_sense_coeffs(vec.values, t, cfg, rng)
+        out = adaptive_sense_coeffs(vec, t, cfg, rng)
         assert out.m[0] == 2 * k + 1
-        assert significant_set(out) == vec.support
+        assert significant_set(out) == support_of(vec)
         assert not out.truncated[0]
 
 
@@ -44,11 +43,11 @@ def test_measured_set_is_support_plus_boundary(rng):
     k = 5
     vec = random_tree_sparse(t, k, 1.0, 1.0, rng, max_depth=t.depth - 1)
     cfg = SensingConfig(beta=1.0, tau=0.5, noise_std=0.0)
-    out = adaptive_sense_coeffs(vec.values, t, cfg, rng)
+    out = adaptive_sense_coeffs(vec, t, cfg, rng)
     measured = set(out.node.tolist())
-    boundary = measured - vec.support
+    boundary = measured - support_of(vec)
     assert len(boundary) == (t.d - 1) * k + 1
-    assert boundary.isdisjoint(vec.support)
+    assert boundary.isdisjoint(support_of(vec))
 
 
 def test_zero_threshold_measures_everything(rng):
@@ -81,7 +80,7 @@ def test_energy_accounting(rng):
     t = make_tree(2, 4)
     vec = random_tree_sparse(t, 3, 1, 1, rng, max_depth=3)
     cfg = SensingConfig(beta=1.7, tau=0.4, noise_std=1.0, budget=100.0)
-    out = adaptive_sense_coeffs(vec.values, t, cfg, rng)
+    out = adaptive_sense_coeffs(vec, t, cfg, rng)
     assert out.energy_spent[0] == pytest.approx(out.m[0] * 1.7**2)
     assert out.energy_spent[0] <= 100.0
 
@@ -90,7 +89,7 @@ def test_significance_flag_matches_threshold(rng):
     t = make_tree(2, 4)
     vec = random_tree_sparse(t, 4, 1, 2, rng)
     cfg = SensingConfig(beta=1.0, tau=0.9, noise_std=1.0)
-    out = adaptive_sense_coeffs(vec.values, t, cfg, rng)
+    out = adaptive_sense_coeffs(vec, t, cfg, rng)
     nodes = out.node.tolist()
     assert len(nodes) == len(set(nodes))
     for node, y, significant in zip(nodes, out.y, out.significant):
@@ -144,11 +143,11 @@ def test_reconstruction_noiseless_projection(rng):
     Q, _ = np.linalg.qr(rng.standard_normal((n, t.p)))
     d = Dictionary(atoms=Q, tree=t)
     vec = random_tree_sparse(t, 3, 1, 2, rng)
-    x = Q @ vec.values
+    x = Q @ vec
     cfg = SensingConfig(beta=2.0, tau=0.5, noise_std=0.0)
-    out = adaptive_sense(x, d, cfg, rng)
+    out = adaptive_sense_coeffs(d.atoms.T @ x, d.tree, cfg, rng)
     x_hat = reconstruct_from_outcome(out, d, beta=2.0)
-    proj = sum((Q[:, j - 1] @ x) * Q[:, j - 1] for j in vec.support)
+    proj = sum((Q[:, j - 1] @ x) * Q[:, j - 1] for j in support_of(vec))
     assert np.allclose(x_hat, proj)
 
 
@@ -157,7 +156,7 @@ def test_reconstruction_single_atom():
     d = Dictionary(atoms=np.eye(1), tree=t)
     rng = np.random.default_rng(0)
     cfg = SensingConfig(beta=3.0, tau=0.1, noise_std=0.0)
-    out = adaptive_sense(np.array([2.0]), d, cfg, rng)
+    out = adaptive_sense_coeffs(d.atoms.T @ np.array([2.0]), d.tree, cfg, rng)
     assert out.y[0] == pytest.approx(6.0)
     assert reconstruct_from_outcome(out, d, beta=3.0)[0] == pytest.approx(2.0)
 
@@ -167,7 +166,7 @@ def test_reconstruction_empty_support_is_mean(rng):
     d = identity_dict(t)
     mean = np.arange(7.0)
     cfg = SensingConfig(beta=1.0, tau=5.0, noise_std=0.0)
-    out = adaptive_sense(np.zeros(7), d, cfg, rng)
+    out = adaptive_sense_coeffs(d.atoms.T @ np.zeros(7), d.tree, cfg, rng)
     assert np.array_equal(reconstruct_from_outcome(out, d, 1.0, mean), mean)
 
 
@@ -175,9 +174,9 @@ def test_two_stage_noiseless_exact(rng):
     t = make_tree(2, 5)
     d = identity_dict(t)
     vec = random_tree_sparse(t, 4, 1, 2, rng, max_depth=4)
-    estimate, out = two_stage_estimate(vec.values, d, 60.0, 4, rng,
-                                       alpha_min=1.0, noise_std=0.0)
-    assert np.allclose(estimate, vec.values)
+    estimate, out = two_stage_estimate_coeffs(d.atoms.T @ vec, d.tree, 60.0, 4, rng,
+                                              alpha_min=1.0, noise_std=0.0)
+    assert np.allclose(estimate, vec)
     assert out.m[0] == 2 * 4 + 1
 
 
@@ -197,9 +196,9 @@ def test_two_stage_error_matches_variance_prediction(rng):
     errs = []
     for _ in range(400):
         vec = random_tree_sparse(t, k, alpha_amp, alpha_amp, rng, max_depth=4)
-        estimate, _ = two_stage_estimate_coeffs(vec.values, t, R, k, rng,
+        estimate, _ = two_stage_estimate_coeffs(vec, t, R, k, rng,
                                                 alpha_min=alpha_amp, noise_std=1.0)
-        errs.append(np.sum((estimate - vec.values) ** 2))
+        errs.append(np.sum((estimate - vec) ** 2))
     predicted = 2 * k**2 / R
     assert np.mean(errs) == pytest.approx(predicted, rel=0.25)
 

@@ -6,10 +6,18 @@ import pytest
 
 from treesense import (Dictionary, GroupSet, make_tree, groups_of,
                        random_tree_sparse, random_tree_sparse_batch,
-                       is_tree_sparse, tree_project, tree_project_batch)
+                       is_tree_sparse, tree_project_batch)
 from conftest import (enumerate_rooted_subtrees, best_subtree_energy,
                       reference_project, reference_random_tree_sparse,
-                      reference_random_tree_sparse_batch, uniform_growth_law)
+                      reference_random_tree_sparse_batch, support_of, uniform_growth_law)
+
+
+def project_one(v, tree, k):
+    """(values, support) of tree_project_batch on the one row v: row 0 of
+    its values, and the node ids of row 0 of its mask, which keeps a
+    zero-valued ancestor of a retained node."""
+    values, mask = tree_project_batch(v[None], tree, k)
+    return values[0], set((np.flatnonzero(mask[0]) + 1).tolist())
 
 
 def test_make_tree_binary_three_levels():
@@ -64,8 +72,8 @@ def test_groups_reject_negative_weight():
 
 def test_random_tree_sparse_extremes(rng):
     t = make_tree(2, 3)
-    assert random_tree_sparse(t, 1, 1, 1, rng).support == {1}
-    assert random_tree_sparse(t, t.p, 1, 1, rng).support == set(range(1, 8))
+    assert support_of(random_tree_sparse(t, 1, 1, 1, rng)) == {1}
+    assert support_of(random_tree_sparse(t, t.p, 1, 1, rng)) == set(range(1, 8))
 
 
 def test_random_tree_sparse_always_connected(rng):
@@ -73,17 +81,17 @@ def test_random_tree_sparse_always_connected(rng):
     t = make_tree(2, 3)
     for _ in range(50):
         vec = random_tree_sparse(t, 3, 0.5, 2.0, rng)
-        assert 1 in vec.support
-        assert vec.support & {2, 3}
-        assert is_tree_sparse(vec.values, t)
-        assert vec.alpha_min >= 0.5
+        assert 1 in support_of(vec)
+        assert support_of(vec) & {2, 3}
+        assert is_tree_sparse(vec, t)
+        assert np.abs(vec[vec != 0]).min() >= 0.5
 
 
 def test_random_tree_sparse_reaches_every_subtree(rng):
     t = make_tree(2, 3)
     seen = set()
     for _ in range(2000):
-        seen.add(frozenset(random_tree_sparse(t, 3, 1, 1, rng).support))
+        seen.add(frozenset(support_of(random_tree_sparse(t, 3, 1, 1, rng))))
     expected = {s for s in enumerate_rooted_subtrees(t, 3) if len(s) == 3}
     assert seen == expected
 
@@ -97,8 +105,8 @@ def test_random_tree_sparse_equals_scalar_reference(d, L, k, max_depth):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         vec = random_tree_sparse(t, k, 0.5, 2.0, rng, max_depth=max_depth)
         values, support = reference_random_tree_sparse(t, k, 0.5, 2.0, ref_rng, max_depth)
-        assert np.array_equal(vec.values.view(np.int64), values.view(np.int64))
-        assert vec.support == support
+        assert np.array_equal(vec.view(np.int64), values.view(np.int64))
+        assert support_of(vec) == support
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -203,7 +211,7 @@ def test_random_tree_sparse_depth_restriction(rng):
     t = make_tree(3, 4)
     for max_depth, n in ((0, 1), (1, 1), (2, 4), (3, 13), (9, 40)):
         vec = random_tree_sparse(t, n, 1, 1, rng, max_depth=max_depth)
-        assert vec.support == set(range(1, n + 1))
+        assert support_of(vec) == set(range(1, n + 1))
         if n < t.p:
             with pytest.raises(ValueError, match="depth restriction"):
                 random_tree_sparse(t, n + 1, 1, 1, rng, max_depth=max_depth)
@@ -223,16 +231,15 @@ def test_is_tree_sparse_cases():
 def test_tree_project_examples():
     t = make_tree(2, 3)
     v = np.array([5.0, 1, 3, 0, 0, 0, 0])
-    out = tree_project(v, t, 2)
-    assert out.support == {1, 3}
-    assert tree_project(v, t, 1).support == {1}
-    full = tree_project(v, t, t.p)
-    assert full.support == {1, 2, 3}
-    assert np.array_equal(full.values, v)
+    assert project_one(v, t, 2)[1] == {1, 3}
+    assert project_one(v, t, 1)[1] == {1}
+    full_values, full_support = project_one(v, t, t.p)
+    assert full_support == {1, 2, 3}
+    assert np.array_equal(full_values, v)
     # energy 2 is reached by {1, 3} at budget 2 and by {1, 2, 4} at budget 3:
     # the smallest budget wins
     tie = np.array([1.0, 0, 1, 1, 0, 0, 0])
-    assert tree_project(tie, t, 3).support == {1, 3}
+    assert project_one(tie, t, 3)[1] == {1, 3}
 
 
 @pytest.mark.parametrize("d,L", [(2, 3), (2, 4), (3, 3)])
@@ -241,15 +248,15 @@ def test_tree_project_exact_matches_enumeration(d, L, rng):
     for _ in range(10):
         v = rng.standard_normal(t.p)
         for k in range(1, t.p + 1):
-            out = tree_project(v, t, k)
-            got = sum(v[i - 1] ** 2 for i in out.support)
+            values, support = project_one(v, t, k)
+            got = sum(v[i - 1] ** 2 for i in support)
             assert got == pytest.approx(best_subtree_energy(t, v, k), abs=1e-9)
-            assert len(out.support) <= k
-            assert is_tree_sparse(out.values, t)
+            assert len(support) <= k
+            assert is_tree_sparse(values, t)
 
 
 # ---------------------------------------------------------------------------
-# The level-synchronous tree_project against conftest's per-node reference
+# The level-synchronous projection of one row against conftest's per-node reference
 # DP: the same support and values, ties included.
 # ---------------------------------------------------------------------------
 
@@ -272,10 +279,10 @@ def test_level_projection_matches_per_node_dp(d, L):
     ties = np.round(dense, 1)
     for v in (dense, sparse, ties):
         for k in ks:
-            got = tree_project(v, t, k)
+            got_values, got_support = project_one(v, t, k)
             support, values = reference_project(v, t, k)
-            assert got.support == support, (k, sorted(got.support ^ support))
-            assert np.array_equal(got.values, values)
+            assert got_support == support, (k, sorted(got_support ^ support))
+            assert np.array_equal(got_values, values)
 
 
 @pytest.mark.parametrize("d,L", PROJECTION_TREES)
