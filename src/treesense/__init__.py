@@ -3,8 +3,8 @@ learned dictionaries."""
 
 __version__ = "0.1.0"
 
-from .tree import (TreeTopology, GroupSet, make_tree, groups_of, random_tree_sparse,
-                   random_tree_sparse_batch, is_tree_sparse, tree_project_batch)
+from .tree import (TreeTopology, make_tree, random_tree_sparse, random_tree_sparse_batch,
+                   is_tree_sparse, tree_project_batch)
 from .sensing import (SensingConfig, SessionBatch, allocate_beta, adaptive_sense_coeffs,
                       adaptive_sense_batch, reconstruct_from_outcome,
                       two_stage_estimate_coeffs)

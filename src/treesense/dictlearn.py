@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import TreeTopology, groups_of, make_tree
+from .tree import TreeTopology, make_tree
 
 __all__ = [
     "Dictionary",
@@ -83,21 +83,26 @@ class TrainingSet:
 @dataclass(frozen=True)
 class LearnConfig:
     lam: float
-    group_norm: str = "l2"
     outer_iters: int = 30
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.lam <= 0:
+        if not self.lam > 0:   # rejects nan too
             raise ValueError("lam must be positive")
-        if self.group_norm not in ("l2", "linf"):
-            raise ValueError("group_norm must be 'l2' or 'linf'")
         if self.outer_iters < 1:
             raise ValueError("outer_iters must be >= 1")
 
 
-def tree_group_penalty(a, groups, norm="l2"):
-    """Hierarchical penalty: sum over groups of weight * norm(a restricted to g).
+def _columns(a, tree):
+    """a, a length-p vector or a (p, q) matrix, as a (p, q) view."""
+    if a.ndim not in (1, 2) or a.shape[0] != tree.p:
+        raise ValueError(f"expected shape ({tree.p},) or ({tree.p}, q), got {a.shape}")
+    return a.reshape(tree.p, -1)
+
+
+def tree_group_penalty(a, tree, norm="l2"):
+    """Hierarchical penalty: sum over groups of norm(a restricted to g), one
+    group per node (the node and its descendants).
 
     a is a length-p vector (returns a scalar) or a (p, q) matrix (returns the
     q column penalties).  A group's energy (l2) or maximum (linf) combines its
@@ -105,9 +110,8 @@ def tree_group_penalty(a, groups, norm="l2"):
     """
     if norm not in ("l2", "linf"):
         raise ValueError("norm must be 'l2' or 'linf'")
-    w, tree = groups.weights, groups.tree
     a = np.asarray(a, dtype=float)
-    cols = a.reshape(a.shape[0], -1)
+    cols = _columns(a, tree)
     agg = cols * cols if norm == "l2" else np.abs(cols)
     combine = np.add if norm == "l2" else np.maximum
     starts = tree.level_starts
@@ -115,26 +119,25 @@ def tree_group_penalty(a, groups, norm="l2"):
         lo, hi = starts[lvl], starts[lvl + 1]
         kids = agg[hi:starts[lvl + 2]].reshape(hi - lo, tree.d, -1)
         combine(agg[lo:hi], combine.reduce(kids, axis=1), out=agg[lo:hi])
-    out = w @ (np.sqrt(agg) if norm == "l2" else agg)
+    out = (np.sqrt(agg) if norm == "l2" else agg).sum(axis=0)
     return out[0] if a.ndim == 1 else out
 
 
 def _l1_projection(V, radius):
     """Euclidean projection of each V[r, c, :] onto the l1 ball of radius
-    radius[r, c] (zero where the radius is <= 0), by one batched sort."""
+    radius > 0, by one batched sort."""
     a = np.abs(V)
     u = np.sort(a)[..., ::-1]
     css = np.cumsum(u, axis=-1)
-    hit = u * np.arange(1, u.shape[-1] + 1) > css - radius[..., None]
+    hit = u * np.arange(1, u.shape[-1] + 1) > css - radius
     rho = u.shape[-1] - 1 - np.argmax(hit[..., ::-1], axis=-1)   # the last hit
     theta = (np.take_along_axis(css, rho[..., None], -1)[..., 0] - radius) / (rho + 1)
-    proj = np.where((a.sum(axis=-1) <= radius)[..., None], V,
+    return np.where((a.sum(axis=-1) <= radius)[..., None], V,
                     np.sign(V) * np.maximum(a - theta[..., None], 0.0))
-    return np.where((radius <= 0)[..., None], 0.0, proj)
 
 
-def tree_prox(v, groups, threshold, norm="l2"):
-    """Exact prox of threshold * Omega at v for laminar (tree) groups.
+def tree_prox(v, tree, threshold, norm="l2"):
+    """Exact prox of threshold * Omega at v for the tree's groups.
 
     Composes the single-group prox operators deepest group first (Jenatton
     et al., JMLR 2011); accepts a vector or a (p, q) matrix of columns.  Both
@@ -142,17 +145,18 @@ def tree_prox(v, groups, threshold, norm="l2"):
     l2: a group's energy is its node's plus scale^2 * each child group's, and
     an entry's final scale is the product of its node's and its ancestors'.
     linf: each group loses its projection onto the l1 ball of radius
-    threshold * weight, with a level's groups gathered as one array.
+    threshold, with a level's groups gathered as one array.
     """
-    if threshold < 0:
+    if not threshold >= 0:   # rejects nan too
         raise ValueError("threshold must be nonnegative")
     if norm not in ("l2", "linf"):
         raise ValueError("norm must be 'l2' or 'linf'")
-    t = threshold * groups.weights
     U = np.array(v, dtype=float)
-    cols = U.reshape(U.shape[0], -1)
-    q, tree, starts = cols.shape[1], groups.tree, groups.tree.level_starts
+    cols = _columns(U, tree)
+    q, starts = cols.shape[1], tree.level_starts
     if norm == "linf":
+        if threshold == 0:   # every group's l1 ball is {0}
+            return U
         for lvl in reversed(range(tree.depth)):
             lo, hi = starts[lvl], starts[lvl + 1]
             spans = list(zip(starts[lvl:-1], starts[lvl + 1:]))   # this level and every deeper one
@@ -160,7 +164,7 @@ def tree_prox(v, groups, threshold, norm="l2"):
             # the same values in the same order as they would for one group
             G = np.concatenate([cols[s:e].reshape(hi - lo, -1, q) for s, e in spans],
                                axis=1).transpose(0, 2, 1).copy()
-            out = (G - _l1_projection(G, t[lo:hi, None])).transpose(0, 2, 1)
+            out = (G - _l1_projection(G, threshold)).transpose(0, 2, 1)
             ends = np.cumsum([e - s for s, e in spans]) // (hi - lo)
             for (s, e), block in zip(spans, np.split(out, ends[:-1], axis=1)):
                 cols[s:e] = block.reshape(-1, q)
@@ -173,8 +177,8 @@ def tree_prox(v, groups, threshold, norm="l2"):
         energy = cols[lo:hi] ** 2
         if lvl + 1 < tree.depth:
             energy += shrunk[hi:starts[lvl + 2]].reshape(hi - lo, tree.d, -1).sum(axis=1)
-        norms, tl = np.sqrt(energy), t[lo:hi, None]
-        s = np.where(norms > tl, 1.0 - tl / np.where(norms > 0, norms, 1.0), 0.0)
+        norms = np.sqrt(energy)
+        s = np.where(norms > threshold, 1.0 - threshold / np.where(norms > 0, norms, 1.0), 0.0)
         scale[lo:hi], shrunk[lo:hi] = s, s * s * energy
     for lvl in range(1, tree.depth):   # multiply each parent's scale down
         scale[starts[lvl]:starts[lvl + 1]] *= np.repeat(scale[starts[lvl - 1]:starts[lvl]], tree.d, axis=0)
@@ -185,20 +189,21 @@ def tree_prox(v, groups, threshold, norm="l2"):
 def update_dictionary(X, A):
     """Orthogonal Procrustes dictionary step: argmin ||X - DA||_F s.t. D^T D = I.
 
-    Solved via the reduced SVD of X A^T.  Rank deficiency is completed
-    deterministically by the SVD's remaining singular vectors (logged).
+    Solved via the reduced SVD of X A^T.  When X A^T is rank-deficient
+    (logged) the minimizer is not unique: the null directions are the SVD's
+    remaining singular vectors, which move with rounding (ROADMAP item 4).
     """
     M = np.asarray(X, dtype=float) @ np.asarray(A, dtype=float).T
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     if s[0] == 0 or s[-1] < 1e-12 * s[0]:
-        logger.info("X A^T is rank-deficient; null directions completed deterministically")
+        logger.info("X A^T is rank-deficient; null directions are not unique and move with rounding")
     return U @ Vt
 
 
-def learn_objective(X, D, A, groups, lam, norm="l2"):
-    """Value of the learning objective at (D, A)."""
+def learn_objective(X, D, A, tree, lam):
+    """Value of the learning objective at (D, A), with the l2 penalty."""
     resid = 0.5 * np.sum((X - D @ A) ** 2)
-    return resid + lam * float(np.sum(tree_group_penalty(A, groups, norm)))
+    return resid + lam * float(np.sum(tree_group_penalty(A, tree)))
 
 
 def initial_dictionary(training, tree, rng):
@@ -236,12 +241,11 @@ def learn(training, init, cfg):
     A_t at least as well).
     """
     X, D, tree = training.data, init.atoms, init.tree
-    groups = groups_of(tree)
     # D stays orthonormal (QR, then Procrustes), so coding is one prox of D^T X
     history = []
     for _ in range(cfg.outer_iters):
-        A = tree_prox(D.T @ X, groups, cfg.lam, cfg.group_norm)
-        obj = learn_objective(X, D, A, groups, cfg.lam, cfg.group_norm)
+        A = tree_prox(D.T @ X, tree, cfg.lam)
+        obj = learn_objective(X, D, A, tree, cfg.lam)
         history.append(obj)
         if len(history) >= 2:
             prev = history[-2]
@@ -269,6 +273,8 @@ def save_dictionary(path, dictionary, mean=None):
     mean = np.zeros(n) if mean is None else np.asarray(mean, dtype=float)
     if mean.shape != (n,):
         raise ValueError("mean length must match atom dimension")
+    if not np.isfinite(mean).all():
+        raise ValueError("column mean is not finite")
     with open(path, "wb") as f:
         f.write(_HEADER.pack(_MAGIC, _VERSION, n, p, tree.d, tree.depth))
         f.write(mean.astype("<f8").tobytes())

@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .baselines import gaussian_ensemble, lasso_solve, model_cosamp, pca_fit, pca_reconstruct
 from .bounds import failure_bound, min_amplitude
-from .dictlearn import Dictionary, TrainingSet, groups_of, tree_prox
+from .dictlearn import Dictionary, TrainingSet, tree_prox
 from .sensing import (SensingConfig, adaptive_sense_batch, adaptive_sense_coeffs,
                       allocate_beta, reconstruct_from_outcome)
 from .tree import make_tree, random_tree_sparse, random_tree_sparse_batch
@@ -172,12 +172,11 @@ def lambda_for_sparsity(training, dictionary, target_k):
     nonzeros (sparsity is set through lam, not an explicit k): 40 geometric
     bisection steps over [1e-6, 2 max|D^T X|].  The codes at lam are learn's,
     tree_prox(D^T X, lam), with D^T X formed once."""
-    groups = groups_of(dictionary.tree)
     C = dictionary.atoms.T @ training.data
     lo, hi = 1e-6, 2.0 * float(np.max(np.abs(C))) + 1e-12
     for _ in range(40):
         mid = math.sqrt(lo * hi)
-        A = tree_prox(C, groups, mid)
+        A = tree_prox(C, dictionary.tree, mid)
         if np.mean(np.sum(np.abs(A) > 1e-12, axis=0)) > target_k:
             lo = mid
         else:

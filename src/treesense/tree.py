@@ -1,4 +1,4 @@
-"""Balanced d-ary coefficient trees, hierarchical groups, and tree-sparse vectors.
+"""Balanced d-ary coefficient trees and tree-sparse vectors.
 
 Nodes are indexed 1..p in heap order: the root is 1 and the children of node
 i are d*(i-1)+2 .. d*i+1 (those that are <= p).  A vector is tree-sparse when
@@ -13,9 +13,7 @@ import numpy as np
 
 __all__ = [
     "TreeTopology",
-    "GroupSet",
     "make_tree",
-    "groups_of",
     "random_tree_sparse",
     "random_tree_sparse_batch",
     "is_tree_sparse",
@@ -73,36 +71,6 @@ def make_tree(d, L):
     if p > _MAX_NODES:
         raise ValueError(f"tree with d={d}, L={L} overflows the index range")
     return TreeTopology(p=p, d=d, depth=L)
-
-
-@dataclass(frozen=True, eq=False)
-class GroupSet:
-    """Hierarchical groups g_i = {i} union descendants(i), one per node.
-
-    weights[i-1] is the nonnegative weight of g_i (heap order).  The groups
-    are read off the tree: at level l, g_i is node i plus one contiguous
-    block of each deeper level, and the groups of one level are disjoint.
-    """
-
-    tree: TreeTopology
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        if w.shape != (self.tree.p,):
-            raise ValueError(f"weights must have length {self.tree.p}")
-        if np.any(w < 0):
-            raise ValueError("group weights must be nonnegative")
-        object.__setattr__(self, "weights", w)
-
-
-def groups_of(tree, weights=None):
-    """Group set of the hierarchical penalty: one group per node.
-
-    weights is a length-p array in heap order (weights[i-1] weights g_i), or
-    None for all-ones.
-    """
-    return GroupSet(tree, np.ones(tree.p) if weights is None else weights)
 
 
 def random_tree_sparse_batch(tree, k, amp_min, amp_max, rng, trials, max_depth=None):

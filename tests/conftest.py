@@ -51,12 +51,11 @@ def best_subtree_energy(tree, v, k):
                for s in enumerate_rooted_subtrees(tree, k))
 
 
-def group_list(groups):
-    """(g_i, weight of g_i) for every node i of a GroupSet, deepest first and
-    by index within a depth.  g_i = {i} and its descendants, in increasing
-    order, found by walking each node's parents (j > 1 has parent
-    (j - 2) // d + 1)."""
-    p, d = groups.tree.p, groups.tree.d
+def group_list(tree):
+    """The group g_i of every node i of the tree, deepest first and by index
+    within a depth.  g_i = {i} and its descendants, in increasing order,
+    found by walking each node's parents (j > 1 has parent (j - 2) // d + 1)."""
+    p, d = tree.p, tree.d
     members = {i: [] for i in range(1, p + 1)}
     depth = {}
     for j in range(1, p + 1):
@@ -67,7 +66,7 @@ def group_list(groups):
             members[i].append(j)
             depth[j] += 1
     order = sorted(members, key=lambda i: (-depth[i], i))
-    return [(tuple(members[i]), groups.weights[i - 1]) for i in order]
+    return [tuple(members[i]) for i in order]
 
 
 def reference_is_tree_sparse(v, tree, tol=0.0):

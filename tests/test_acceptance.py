@@ -8,7 +8,7 @@ import numpy as np
 from treesense import (ExperimentConfig, LearnConfig, SensingConfig,
                        TrainingSet, adaptive_sense_coeffs,
                        allocate_beta, failure_bound, gaussian_ensemble,
-                       groups_of, initial_dictionary, is_tree_sparse,
+                       initial_dictionary, is_tree_sparse,
                        lasso_solve, learn, make_tree, min_amplitude,
                        random_tree_sparse, random_tree_sparse_batch, synthetic_corpus,
                        tree_project_batch, tree_prox,
@@ -187,14 +187,13 @@ def _criterion_5_by_certificate():
     rng = np.random.default_rng(5)
     for d, L in ((2, 1), (2, 2), (2, 3), (3, 2), (4, 2), (5, 2), (6, 2)):
         tree = make_tree(d, L)
-        g = groups_of(tree)
         for norm in ("l2", "linf"):
             for _ in range(100):
                 v = 2.0 * rng.standard_normal(tree.p)
                 thr = rng.uniform(0.05, 1.5)
-                _, duals = per_group_prox(v, g, thr, norm)
-                resid, dist = prox_certificate(v, tree_prox(v, g, thr, norm),
-                                               thr, g, norm, duals)
+                _, duals = per_group_prox(v, tree, thr, norm)
+                resid, dist = prox_certificate(v, tree_prox(v, tree, thr, norm),
+                                               thr, tree, norm, duals)
                 worst_resid, worst = max(worst_resid, resid), max(worst, dist)
     _check(5, "tree_prox certified by the duality gap on all trees with p <= 7",
            worst_resid <= 1e-10 and worst <= 1e-6,
@@ -209,13 +208,13 @@ def test_criterion_5_prox_oracle_equivalence():
         return _criterion_5_by_certificate()
     from test_prox import cvx_prox
 
-    def slow_oracle(v, groups, threshold, norm):
+    def slow_oracle(v, tree, threshold, norm):
         # high-accuracy fallback when the default solver is imprecise
         u = cp.Variable(len(v))
         pen = 0
-        for grp, w in group_list(groups):
+        for grp in group_list(tree):
             idx = [i - 1 for i in grp]
-            pen = pen + w * cp.norm(u[idx], 2 if norm == "l2" else "inf")
+            pen = pen + cp.norm(u[idx], 2 if norm == "l2" else "inf")
         prob = cp.Problem(cp.Minimize(0.5 * cp.sum_squares(u - v)
                                       + threshold * pen))
         prob.solve(solver=cp.SCS, eps=1e-9)
@@ -225,16 +224,15 @@ def test_criterion_5_prox_oracle_equivalence():
     rng = np.random.default_rng(5)
     for d, L in ((2, 1), (2, 2), (2, 3), (3, 2), (4, 2), (5, 2), (6, 2)):
         tree = make_tree(d, L)
-        g = groups_of(tree)
         for norm in ("l2", "linf"):
             for _ in range(100):
                 v = 2.0 * rng.standard_normal(tree.p)
                 thr = rng.uniform(0.05, 1.5)
-                mine = tree_prox(v, g, thr, norm)
-                oracle = cvx_prox(v, g, thr, norm)
+                mine = tree_prox(v, tree, thr, norm)
+                oracle = cvx_prox(v, tree, thr, norm)
                 dev = float(np.max(np.abs(mine - oracle)))
                 if dev >= 1e-4:
-                    dev = float(np.max(np.abs(mine - slow_oracle(v, g, thr, norm))))
+                    dev = float(np.max(np.abs(mine - slow_oracle(v, tree, thr, norm))))
                 worst = max(worst, dev)
     _check(5, "tree_prox matches convex solver on all trees with p <= 7",
            worst < 1e-4, f"worst deviation {worst:.3g}")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treesense import (Dictionary, LearnConfig, TrainingSet, groups_of,
+from treesense import (Dictionary, LearnConfig, TrainingSet,
                        initial_dictionary, is_tree_sparse, learn, learn_objective,
                        load_dictionary, make_tree, save_dictionary, tree_prox,
                        update_dictionary)
@@ -46,14 +46,13 @@ def test_sparse_code_lambda_extremes(rng):
     tree = make_tree(2, 3)
     n, q = 12, 20
     Q, _ = np.linalg.qr(rng.standard_normal((n, tree.p)))
-    g = groups_of(tree)
     X = rng.standard_normal((n, q))
     tr = TrainingSet.from_raw(X)
     C = Q.T @ tr.data
     # huge penalty kills everything
-    assert np.all(tree_prox(C, g, 1e3 * np.max(np.abs(C))) == 0)
+    assert np.all(tree_prox(C, tree, 1e3 * np.max(np.abs(C))) == 0)
     # tiny penalty approaches the unregularized projection
-    assert np.allclose(tree_prox(C, g, 1e-10), C, atol=1e-8)
+    assert np.allclose(tree_prox(C, tree, 1e-10), C, atol=1e-8)
 
 
 def test_sparse_code_outputs_tree_sparse(rng):
@@ -61,7 +60,7 @@ def test_sparse_code_outputs_tree_sparse(rng):
     n, q = 30, 40
     Q, _ = np.linalg.qr(rng.standard_normal((n, tree.p)))
     tr = TrainingSet.from_raw(rng.standard_normal((n, q)))
-    A = tree_prox(Q.T @ tr.data, groups_of(tree), 0.4)
+    A = tree_prox(Q.T @ tr.data, tree, 0.4)
     for i in range(q):
         assert is_tree_sparse(A[:, i], tree, tol=1e-9)
 
@@ -103,24 +102,22 @@ def test_learn_recovers_planted_objective(rng):
     tr = TrainingSet.from_raw(X)
     lam = 0.02
     cfg = LearnConfig(lam=lam, outer_iters=120, tol=0.0)
-    g = groups_of(tree)
     # subspace (SVD) warm start; random inits can stall in local minima
     U, _, _ = np.linalg.svd(tr.data, full_matrices=False)
     d, A, hist = learn(tr, Dictionary(atoms=U[:, :tree.p], tree=tree), cfg)
     # center the planted model the same way before comparing objectives
     A_c = A_star - A_star.mean(axis=1, keepdims=True)
-    planted_obj = learn_objective(tr.data, Q, A_c, g, lam)
+    planted_obj = learn_objective(tr.data, Q, A_c, tree, lam)
     assert hist[-1] <= planted_obj * 1.05
 
 
 def test_learn_one_iteration_descends(rng):
     tree, Q, A_star, X = planted_instance(rng, q=50)
     tr = TrainingSet.from_raw(X)
-    g = groups_of(tree)
     cfg = LearnConfig(lam=0.1, outer_iters=1)
     init, _ = np.linalg.qr(rng.standard_normal((64, tree.p)))
     d, A, hist = learn(tr, Dictionary(atoms=init, tree=tree), cfg)
-    obj_init = learn_objective(tr.data, init, np.zeros_like(A), g, 0.1)
+    obj_init = learn_objective(tr.data, init, np.zeros_like(A), tree, 0.1)
     assert hist[-1] <= obj_init
 
 
@@ -129,6 +126,12 @@ def test_learn_rejects_non_orthonormal_init(rng):
     init = 1.01 * np.linalg.qr(rng.standard_normal((64, tree.p)))[0]
     with pytest.raises(ValueError, match="not orthonormal"):
         Dictionary(atoms=init, tree=tree)
+
+
+def test_learn_config_rejects_nonpositive_lam():
+    for lam in (0.0, -0.1, np.nan):
+        with pytest.raises(ValueError, match="lam must be positive"):
+            LearnConfig(lam=lam)
 
 
 def test_learn_rejects_p_larger_than_n(rng):
@@ -163,6 +166,17 @@ def test_container_roundtrip_and_format(tmp_path, rng):
     path2.write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(ValueError):
         load_dictionary(path2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_dictionary_rejects_nonfinite_mean(bad, tmp_path):
+    tree = make_tree(2, 2)
+    mean = np.zeros(4)
+    mean[1] = bad
+    path = tmp_path / "dict.lasr"
+    with pytest.raises(ValueError, match="column mean is not finite"):
+        save_dictionary(path, Dictionary(atoms=np.eye(4)[:, :tree.p], tree=tree), mean)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("cut", ["short_header", "short_body", "trailing_bytes"])

@@ -298,8 +298,8 @@ def test_lambda_for_sparsity_targets(rng):
     X, planted, _ = synthetic_corpus(60, 8, tree, 10, rng)
     tr = TrainingSet.from_raw(X)
     lam = lambda_for_sparsity(tr, planted, target_k=6)
-    from treesense import groups_of, tree_prox
-    A = tree_prox(planted.atoms.T @ tr.data, groups_of(tree), lam)
+    from treesense import tree_prox
+    A = tree_prox(planted.atoms.T @ tr.data, tree, lam)
     mean_k = np.mean(np.sum(np.abs(A) > 1e-12, axis=0))
     assert 3 <= mean_k <= 10
 

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from treesense import groups_of, make_tree, tree_group_penalty, tree_prox
+from treesense import make_tree, tree_group_penalty, tree_prox
 from conftest import group_list
 
 # every tree with p <= 7 (acceptance criterion 5)
@@ -11,15 +13,15 @@ LEVEL_TREES = ([(2, L) for L in range(1, 11)] + [(3, L) for L in range(1, 8)]
                + [(4, L) for L in range(1, 7)] + [(6, L) for L in range(1, 6)])
 
 
-def cvx_prox(v, groups, threshold, norm):
+def cvx_prox(v, tree, threshold, norm):
     """Independent convex-solver oracle for the prox objective (skips the
     calling test when cvxpy is not installed)."""
     cp = pytest.importorskip("cvxpy")
     u = cp.Variable(len(v))
     pen = 0
-    for grp, w in group_list(groups):
+    for grp in group_list(tree):
         idx = [i - 1 for i in grp]
-        pen = pen + w * cp.norm(u[idx], 2 if norm == "l2" else "inf")
+        pen = pen + cp.norm(u[idx], 2 if norm == "l2" else "inf")
     prob = cp.Problem(cp.Minimize(0.5 * cp.sum_squares(u - v) + threshold * pen))
     prob.solve(solver=cp.CLARABEL)
     return u.value
@@ -27,67 +29,84 @@ def cvx_prox(v, groups, threshold, norm):
 
 def test_penalty_values():
     t = make_tree(2, 2)
-    g = groups_of(t)
-    assert tree_group_penalty(np.zeros(3), g) == 0.0
-    assert tree_group_penalty(np.array([1.0, 0, 0]), g) == pytest.approx(1.0)
-    assert tree_group_penalty(np.array([0.0, 2, 0]), g) == pytest.approx(4.0)
+    assert tree_group_penalty(np.zeros(3), t) == 0.0
+    assert tree_group_penalty(np.array([1.0, 0, 0]), t) == pytest.approx(1.0)
+    assert tree_group_penalty(np.array([0.0, 2, 0]), t) == pytest.approx(4.0)
 
 
 def test_prox_identity_at_zero_threshold(rng):
     t = make_tree(2, 3)
-    g = groups_of(t)
-    v = rng.standard_normal(7)
-    assert np.array_equal(tree_prox(v, g, 0.0), v)
+    for norm in ("l2", "linf"):
+        for v in (rng.standard_normal(t.p), rng.standard_normal((t.p, 4))):
+            out = tree_prox(v, t, 0.0, norm)
+            assert np.array_equal(out, v) and out is not v
 
 
-def test_prox_full_shrinkage():
-    # single effective group when only the root weight is nonzero
+def test_prox_full_shrinkage(rng):
+    # the root group holds every entry: a threshold at least the dual norm
+    # of v (l2 for l2 groups, l1 for linf) zeroes it
+    t = make_tree(2, 3)
+    v = rng.standard_normal(t.p)
+    for norm, dual_ord in (("l2", 2), ("linf", 1)):
+        out = tree_prox(v, t, np.linalg.norm(v, ord=dual_ord) + 0.1, norm)
+        assert np.all(out == 0.0)
+
+
+@pytest.mark.parametrize("norm", ["l2", "linf"])
+@pytest.mark.parametrize("shape", [(8,), (2,), (8, 2), (6, 2)],
+                         ids=["long", "short", "long-rows", "short-rows"])
+def test_penalty_kernels_reject_wrong_length(norm, shape):
+    t = make_tree(2, 3)   # p = 7
+    msg = re.escape(f"expected shape (7,) or (7, q), got {shape}")
+    with pytest.raises(ValueError, match=msg):
+        tree_prox(np.ones(shape), t, 0.1, norm)
+    with pytest.raises(ValueError, match=msg):
+        tree_group_penalty(np.ones(shape), t, norm)
+
+
+@pytest.mark.parametrize("norm", ["l2", "linf"])
+def test_prox_rejects_nan_and_negative_threshold(norm):
     t = make_tree(2, 2)
-    g = groups_of(t, weights=[1.0, 0.0, 0.0])
-    v = np.array([0.3, -0.2, 0.1])
-    out = tree_prox(v, g, np.linalg.norm(v) + 0.1, "l2")
-    assert np.allclose(out, 0.0)
+    for thr in (np.nan, -0.1):
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            tree_prox(np.ones(t.p), t, thr, norm)
 
 
 @pytest.mark.parametrize("norm", ["l2", "linf"])
 @pytest.mark.parametrize("d,L", [(2, 2), (2, 3), (3, 2)])
 def test_prox_matches_convex_solver(norm, d, L, rng):
     t = make_tree(d, L)
-    g = groups_of(t)
     for _ in range(25):
         v = 2.0 * rng.standard_normal(t.p)
         thr = rng.uniform(0.05, 1.2)
-        mine = tree_prox(v, g, thr, norm)
-        oracle = cvx_prox(v, g, thr, norm)
+        mine = tree_prox(v, t, thr, norm)
+        oracle = cvx_prox(v, t, thr, norm)
         assert np.max(np.abs(mine - oracle)) < 1e-4
 
 
 def test_prox_specific_small_instance():
     # T_{3,2}, v=(3,1,0), unit weights, l2, threshold 0.5
     t = make_tree(2, 2)
-    g = groups_of(t)
     v = np.array([3.0, 1.0, 0.0])
-    mine = tree_prox(v, g, 0.5, "l2")
-    oracle = cvx_prox(v, g, 0.5, "l2")
+    mine = tree_prox(v, t, 0.5, "l2")
+    oracle = cvx_prox(v, t, 0.5, "l2")
     assert np.max(np.abs(mine - oracle)) < 1e-4
 
 
 def test_prox_matrix_columns_match_vector_calls(rng):
     t = make_tree(2, 3)
-    g = groups_of(t)
     V = rng.standard_normal((t.p, 5))
-    out = tree_prox(V, g, 0.3, "l2")
+    out = tree_prox(V, t, 0.3, "l2")
     for c in range(5):
-        assert np.allclose(out[:, c], tree_prox(V[:, c], g, 0.3, "l2"))
+        assert np.allclose(out[:, c], tree_prox(V[:, c], t, 0.3, "l2"))
 
 
 def test_prox_zero_pattern_is_rooted_connected(rng):
     from treesense import is_tree_sparse
     t = make_tree(2, 4)
-    g = groups_of(t)
     for _ in range(50):
         v = rng.standard_normal(t.p) * rng.uniform(0.5, 3)
-        out = tree_prox(v, g, rng.uniform(0.1, 1.0), "l2")
+        out = tree_prox(v, t, rng.uniform(0.1, 1.0), "l2")
         assert is_tree_sparse(out, t, tol=1e-12)
 
 
@@ -95,11 +114,10 @@ def test_prox_zero_pattern_is_rooted_connected(rng):
 # Per-group reference formulas: one group at a time, deepest group first.
 # ---------------------------------------------------------------------------
 
-def per_group_penalty(a, groups, norm):
-    """sum_g w_g * ||a_g||, one np.linalg.norm call per group."""
+def per_group_penalty(a, tree, norm):
+    """sum_g ||a_g||, one np.linalg.norm call per group."""
     ord_ = np.inf if norm == "linf" else 2
-    return sum(w * np.linalg.norm(a[np.asarray(g) - 1], ord=ord_)
-               for g, w in group_list(groups))
+    return sum(np.linalg.norm(a[np.asarray(g) - 1], ord=ord_) for g in group_list(tree))
 
 
 def l1_ball(z, radius):
@@ -116,31 +134,30 @@ def l1_ball(z, radius):
     return np.sign(z) * np.maximum(a - hi, 0.0)
 
 
-def per_group_prox(v, groups, threshold, norm):
+def per_group_prox(v, tree, threshold, norm):
     """Compose the single-group prox steps in group order.
 
-    Returns the result and, per group, (indices, bound, xi): xi is what the
-    group's step removed, the candidate dual variable of that group, and
-    bound = threshold * w_g the radius of its dual-norm ball.
+    Returns the result and, per group, (indices, xi): xi is what the group's
+    step removed, the candidate dual variable of that group.
     """
     u = np.array(v, dtype=float)
     duals = []
-    for g, w in group_list(groups):
-        idx, t = np.asarray(g) - 1, threshold * w
+    for g in group_list(tree):
+        idx = np.asarray(g) - 1
         z = u[idx].copy()
         if norm == "l2":
             nz = np.linalg.norm(z)
-            u[idx] = z * (1.0 - t / nz) if nz > t else 0.0
+            u[idx] = z * (1.0 - threshold / nz) if nz > threshold else 0.0
         else:
-            u[idx] = z - l1_ball(z, t)
-        duals.append((idx, t, z - u[idx]))
+            u[idx] = z - l1_ball(z, threshold)
+        duals.append((idx, z - u[idx]))
     return u, duals
 
 
-def prox_certificate(v, u, threshold, groups, norm, duals):
+def prox_certificate(v, u, threshold, tree, norm, duals):
     """KKT certificate for u = prox(v) from candidate duals xi_g (on g).
 
-    Each xi_g is first scaled into its ball ||xi_g||_* <= threshold * w_g
+    Each xi_g is first scaled into its ball ||xi_g||_* <= threshold
     (dual norm l2 for l2 groups, l1 for linf groups).  Returns
     ||v - u - sum xi_g|| and a bound on ||u - prox(v)||: for feasible xi,
     D(xi) = 0.5||v||^2 - 0.5||v - sum xi||^2 is at most the minimum of the
@@ -149,11 +166,11 @@ def prox_certificate(v, u, threshold, groups, norm, duals):
     """
     dual_ord = 2 if norm == "l2" else 1
     total = np.zeros_like(v)
-    for idx, bound, xi in duals:
+    for idx, xi in duals:
         size = np.linalg.norm(xi, ord=dual_ord)
-        total[idx] += xi * min(1.0, bound / size) if size > 0 else 0.0
+        total[idx] += xi * min(1.0, threshold / size) if size > 0 else 0.0
     primal = (0.5 * np.sum((u - v) ** 2)
-              + threshold * per_group_penalty(u, groups, norm))
+              + threshold * per_group_penalty(u, tree, norm))
     dual = 0.5 * np.sum(v ** 2) - 0.5 * np.sum((v - total) ** 2)
     return np.linalg.norm(v - u - total), np.sqrt(2.0 * max(primal - dual, 0.0))
 
@@ -164,31 +181,27 @@ def test_prox_certified_by_duality_gap(norm, d, L):
     """Oracle without a convex solver: per-group duals certify tree_prox."""
     rng = np.random.default_rng([5, d, L])
     tree = make_tree(d, L)
-    for weights in (None, rng.uniform(0.0, 2.0, tree.p) * (rng.random(tree.p) > 0.3)):
-        g = groups_of(tree, weights)
-        for _ in range(40):
-            v = 2.0 * rng.standard_normal(tree.p)
-            thr = rng.uniform(0.05, 1.5)
-            u = tree_prox(v, g, thr, norm)
-            _, duals = per_group_prox(v, g, thr, norm)
-            resid, dist = prox_certificate(v, u, thr, g, norm, duals)
-            assert resid <= 1e-10 and dist <= 1e-6
+    for _ in range(40):
+        v = 2.0 * rng.standard_normal(tree.p)
+        thr = rng.uniform(0.05, 1.5)
+        u = tree_prox(v, tree, thr, norm)
+        _, duals = per_group_prox(v, tree, thr, norm)
+        resid, dist = prox_certificate(v, u, thr, tree, norm, duals)
+        assert resid <= 1e-10 and dist <= 1e-6
 
 
 @pytest.mark.parametrize("d,L", LEVEL_TREES)
 def test_level_kernels_match_per_group_formulas(d, L):
     rng = np.random.default_rng([7, d, L])
     tree = make_tree(d, L)
-    for weights in (None, rng.uniform(0.0, 2.0, tree.p) * (rng.random(tree.p) > 0.3)):
-        g = groups_of(tree, weights)
-        V = 2.0 * rng.standard_normal((tree.p, 3))
-        thr = rng.uniform(0.1, 2.0)
-        for norm in ("l2", "linf"):
-            ref = np.array([per_group_penalty(V[:, c], g, norm) for c in range(3)])
-            np.testing.assert_allclose(tree_group_penalty(V, g, norm), ref, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(tree_group_penalty(V[:, 0], g, norm), ref[0], rtol=1e-12, atol=0)
-        tol = 1e-12 * np.max(np.abs(V))
-        for norm in ("l2", "linf"):
-            ref = np.column_stack([per_group_prox(V[:, c], g, thr, norm)[0] for c in range(3)])
-            np.testing.assert_allclose(tree_prox(V, g, thr, norm), ref, rtol=0, atol=tol)
-            np.testing.assert_allclose(tree_prox(V[:, 1], g, thr, norm), ref[:, 1], rtol=0, atol=tol)
+    V = 2.0 * rng.standard_normal((tree.p, 3))
+    thr = rng.uniform(0.1, 2.0)
+    for norm in ("l2", "linf"):
+        ref = np.array([per_group_penalty(V[:, c], tree, norm) for c in range(3)])
+        np.testing.assert_allclose(tree_group_penalty(V, tree, norm), ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(tree_group_penalty(V[:, 0], tree, norm), ref[0], rtol=1e-12, atol=0)
+    tol = 1e-12 * np.max(np.abs(V))
+    for norm in ("l2", "linf"):
+        ref = np.column_stack([per_group_prox(V[:, c], tree, thr, norm)[0] for c in range(3)])
+        np.testing.assert_allclose(tree_prox(V, tree, thr, norm), ref, rtol=0, atol=tol)
+        np.testing.assert_allclose(tree_prox(V[:, 1], tree, thr, norm), ref[:, 1], rtol=0, atol=tol)

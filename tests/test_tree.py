@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from treesense import (Dictionary, GroupSet, make_tree, groups_of,
+from treesense import (Dictionary, make_tree,
                        random_tree_sparse, random_tree_sparse_batch,
                        is_tree_sparse, tree_project_batch)
 from conftest import (enumerate_rooted_subtrees, best_subtree_energy,
@@ -53,21 +53,6 @@ def test_make_tree_rejects_bad_args():
         make_tree(2, 0)
     with pytest.raises(ValueError):
         make_tree(2, 80)  # index overflow
-
-
-def test_group_set_rejects_bad_weights():
-    t = make_tree(2, 2)
-    for w in ([1.0, 1.0], np.ones(4)):
-        with pytest.raises(ValueError, match="length 3"):
-            GroupSet(t, w)
-    with pytest.raises(ValueError, match="nonnegative"):
-        GroupSet(t, [1.0, -0.5, 1.0])
-
-
-def test_groups_reject_negative_weight():
-    t = make_tree(2, 2)
-    with pytest.raises(ValueError):
-        groups_of(t, weights=[-1, 1, 1])
 
 
 def test_random_tree_sparse_extremes(rng):
@@ -190,14 +175,12 @@ def test_random_tree_sparse_batch_rows_are_rooted_subtrees(d, L, k, max_depth, r
         assert all((j - 2) // d + 1 in row[:i] for i, j in enumerate(row) if i)
 
 
-def test_group_set_and_dictionary_compare_by_identity():
+def test_dictionary_compares_by_identity():
     t = make_tree(2, 3)
-    g = groups_of(t)
-    D = Dictionary(atoms=np.eye(t.p), tree=t)
-    for obj, twin in ((g, groups_of(t)), (D, Dictionary(atoms=np.eye(t.p), tree=t))):
-        assert obj == obj and obj != twin
-        assert hash(obj) == hash(obj)
-        assert len({obj, twin}) == 2
+    D, twin = Dictionary(atoms=np.eye(t.p), tree=t), Dictionary(atoms=np.eye(t.p), tree=t)
+    assert D == D and D != twin
+    assert hash(D) == hash(D)
+    assert len({D, twin}) == 2
 
 
 def test_random_tree_sparse_rejects_bad_k(rng):
