@@ -34,26 +34,14 @@ def gaussian_ensemble(m, n, budget, seed):
     return G * (np.sqrt(budget / m) / row_norms)
 
 
-def _as_stack(A, y):
-    """(A, Y, stacked, single): A as a (B, m, p) stack and y as (B, m, q),
-    from one (m, p) matrix with y (m,) or (m, q), or from a stack."""
+def _stack(A, Y):
+    """A (B, m, p) and Y (B, m, q) as float arrays, or a ValueError."""
     A = np.asarray(A, dtype=float)
-    Y = np.asarray(y, dtype=float)
-    shapes = f"A {A.shape} and y {Y.shape}"
-    stacked, single = A.ndim == 3, Y.ndim == 1
-    if A.ndim == 2 and Y.ndim in (1, 2):
-        A, Y = A[None], Y.reshape(1, len(Y), -1)
+    Y = np.asarray(Y, dtype=float)
     if A.ndim != 3 or Y.ndim != 3 or Y.shape[:2] != A.shape[:2]:
-        raise ValueError(f"{shapes} do not match: need A (m, p) with y (m,) or "
-                         f"(m, q), or A (B, m, p) with y (B, m, q)")
-    return A, Y, stacked, single
-
-
-def _from_stack(out, stacked, single):
-    """A (B, p, q) result in the shape of the input y."""
-    if stacked:
-        return out
-    return out[0, :, 0] if single else out[0]
+        raise ValueError(f"A {A.shape} and Y {Y.shape} do not match: need A (B, m, p) "
+                         f"with Y (B, m, q)")
+    return A, Y
 
 
 # Columns are solved in blocks of at most this many bytes per (B, q_b, p)
@@ -62,15 +50,14 @@ def _from_stack(out, stacked, single):
 _BLOCK_BYTES = 1 << 18
 
 
-def lasso_solve(A, y, lam, max_iters=500, tol=1e-10):
+def lasso_solve(A, Y, lam, max_iters=500, tol=1e-10):
     """Monotone FISTA (MFISTA, Beck & Teboulle 2009) with backtracking, for a
     stack of independent Lasso problems.
 
-    Minimizes 0.5||y - A alpha||^2 + lam*||alpha||_1.  A is one (m, p)
-    matrix, with y a vector or an (m, q) matrix of right-hand sides sharing
-    it, or a stack (B, m, p) with y of shape (B, m, q).  lam is a scalar, one
-    positive weight per column (q,) or, for a stack, one per (stack, column)
-    pair (B, q).  The result is (p,), (p, q) or (B, p, q) to match y.
+    Minimizes 0.5||y - A alpha||^2 + lam*||alpha||_1 for each column y of
+    Y[b] with the matrix A[b].  A is a (B, m, p) stack and Y is (B, m, q);
+    one problem takes A[None] and Y[None].  lam is a positive scalar or one
+    weight per (stack, column) pair, (B, q).  The result is (B, p, q).
 
     The iteration runs in coefficient space, on b = A^T y and K = A^T A: one
     K-apply per trial step, with K formed once when p <= 2m and applied as
@@ -78,8 +65,8 @@ def lasso_solve(A, y, lam, max_iters=500, tol=1e-10):
     iterate.  Each (stack, column) pair has its own step size 1/L (starting
     at L = 1, doubled until the backtracking test holds) and its own
     stopping test, after which it is frozen and takes no part in the
-    backtracking, so a stacked solve equals its one-problem solves up to
-    rounding.  Zero rows appended to A and y change neither the objective
+    backtracking, so solving a stack equals solving its problems one at a
+    time, up to rounding.  Zero rows appended to A and y change neither the objective
     nor the gradient.  One INFO log line counts the pairs stopped at
     max_iters and gives the median and largest relative duality gap of the
     returned pairs.
@@ -87,13 +74,12 @@ def lasso_solve(A, y, lam, max_iters=500, tol=1e-10):
     A zero entry of the result is +0.0.  A, y and lam that are not finite
     raise a ValueError naming the argument.
     """
-    A, Y, stacked, single = _as_stack(A, y)
+    A, Y = _stack(A, Y)
     B, m, p = A.shape
     q = Y.shape[2]
     lam = np.asarray(lam, dtype=float)
-    lam_shapes = [(), (q,)] + [(B, q)] * stacked
-    if lam.shape not in lam_shapes:
-        raise ValueError(f"lam must have a shape in {lam_shapes}, got {lam.shape}")
+    if lam.shape not in ((), (B, q)):
+        raise ValueError(f"lam must be a scalar or have shape {(B, q)}, got {lam.shape}")
     if not np.all((lam > 0) & (lam < np.inf)):
         raise ValueError("lam must be positive and finite")
     for name, arr in (("A", A), ("y", Y)):
@@ -125,7 +111,7 @@ def lasso_solve(A, y, lam, max_iters=500, tol=1e-10):
         logger.info("lasso_solve: %d of %d columns stopped at max_iters=%d; relative "
                     "duality gap median %.3g, max %.3g", capped, B * q, max_iters,
                     np.median(gap), gap.max())
-    return _from_stack(out.transpose(0, 2, 1), stacked, single)
+    return out.transpose(0, 2, 1)
 
 
 def _dot(U, V):
@@ -234,15 +220,14 @@ def _relative_gap(X, GX, b, yy, lam):
     return np.divide(primal - dual, primal, out=np.zeros_like(primal), where=primal > 0)
 
 
-def model_cosamp(A, y, k, tree, iters=20, tol=1e-6):
+def model_cosamp(A, Y, k, tree, iters=20, tol=1e-6):
     """CoSaMP with the best-k-term steps replaced by tree projection, for a
     stack of independent problems.
 
     Both the proxy-support enlargement (size 2k) and the final pruning
     (size k) project onto rooted-connected supports, so every returned
-    vector is tree-sparse.  A and y follow lasso_solve: one (m, p) matrix
-    with y (m,) or (m, q), or a stack (B, m, p) with y (B, m, q); the result
-    is (p,), (p, q) or (B, p, q) to match y.
+    vector is tree-sparse.  A and Y follow lasso_solve: a (B, m, p) stack
+    with (B, m, q) right-hand sides; the result is (B, p, q).
 
     Each (stack, column) problem stops on its own, once its residual norm
     falls below tol * ||y|| or stalls, or after iters rounds (at once if
@@ -253,7 +238,7 @@ def model_cosamp(A, y, k, tree, iters=20, tol=1e-6):
     the last one where A or y is nonzero, so a zero-padded stack returns
     what its unpadded problems would, bit for bit.
     """
-    A, Y, stacked, single = _as_stack(A, y)
+    A, Y = _stack(A, Y)
     B, M, p = A.shape
     q = Y.shape[2]
     if k > p:
@@ -295,7 +280,7 @@ def model_cosamp(A, y, k, tree, iters=20, tol=1e-6):
     logger.info("model_cosamp: of %d problems, %d met tol, %d stalled, %d stopped "
                 "at iters=%d, %d had y = 0", len(probs), counts[1], counts[2],
                 counts[0], iters, counts[3])
-    return _from_stack(x.reshape(B, q, p).transpose(0, 2, 1), stacked, single)
+    return x.reshape(B, q, p).transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)

@@ -139,7 +139,7 @@ def _l1_projection(V, radius):
 def tree_prox(v, tree, threshold, norm="l2"):
     """Exact prox of threshold * Omega at v for the tree's groups.
 
-    Composes the single-group prox operators deepest group first (Jenatton
+    Composes the one-group prox operators deepest group first (Jenatton
     et al., JMLR 2011); accepts a vector or a (p, q) matrix of columns.  Both
     norms run a level at a time, since the groups of one level are disjoint.
     l2: a group's energy is its node's plus scale^2 * each child group's, and

@@ -136,11 +136,11 @@ def load_corpus(path, target_side):
     cols = []
     for name in names:
         full = os.path.join(path, name)
+        img = read_pgm(full)   # its errors name the path
         try:
-            img = read_pgm(full)
             img = box_downscale(img, target_side)
         except ValueError as exc:
-            raise ValueError(f"{name}: {exc}") from exc
+            raise ValueError(f"{full}: {exc}") from exc
         cols.append(img.flatten(order="F"))
     if not cols:
         raise ValueError(f"no PGM images found in {path}")
@@ -469,7 +469,7 @@ def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, measurement
     ensemble is held at a time.  Every m's rows are zero-padded to the
     largest m, which changes neither a Lasso objective nor its gradient,
     and model_cosamp drops the padding itself, so the whole sweep is solved
-    in three stacked calls: the lambda grids, the Lasso columns and the
+    in three calls on the stack: the lambda grids, the Lasso columns and the
     model-CoSaMP columns."""
     atoms, B, n_test = dictionary.atoms, len(cfg.budgets), test_matrix.shape[1]
     grid = np.array([0.001, 0.01, 0.05, 0.2])

@@ -76,7 +76,7 @@ class SessionBatch:
 
 def allocate_beta(budget_R, d, k):
     """Per-measurement scale that spends budget_R over (d+1)k measurements."""
-    if budget_R <= 0 or d <= 0 or k <= 0:
+    if not (budget_R > 0 and d > 0 and k > 0):
         raise ValueError("budget_R, d, and k must all be positive")
     return math.sqrt(budget_R / ((d + 1) * k))
 
@@ -90,7 +90,7 @@ def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
     noiseless coefficients at positions i of trials t.  The frontier is a
     flat list of (trial, position) pairs sorted by trial, then position,
     which within a trial is the order a FIFO queue would measure them in.
-    Noise is one block per level, drawn in frontier order, so a single
+    Noise is one block per level, drawn in frontier order, so one
     session draws exactly the values of one scalar draw per measurement.
     Returns a SessionBatch whose nodes are positions.
     """
@@ -188,18 +188,25 @@ def adaptive_sense_batch(nodes, values, tree, cfg, rng):
     return batch
 
 
+def _significant(batch, beta):
+    """(node ids, observations / beta) of a one-session batch's significant
+    measurements."""
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+    if len(batch.m) != 1:
+        raise ValueError(f"expected a batch of one session, got {len(batch.m)}")
+    sig = batch.significant
+    return batch.node[sig], batch.y[sig] / beta
+
+
 def reconstruct_from_outcome(batch, dictionary, beta, mean_offset=None):
     """Weighted-atom reconstruction from a one-session SessionBatch.
 
     Only atoms whose measurement passed the threshold contribute; each weight
     is the observation divided by beta, which unbiases the scaled measurement.
     """
-    if beta == 0:
-        raise ValueError("beta must be nonzero")
-    if len(batch.m) != 1:
-        raise ValueError(f"expected a batch of one session, got {len(batch.m)}")
-    sig = batch.significant
-    x_hat = dictionary.atoms[:, batch.node[sig] - 1] @ (batch.y[sig] / beta)
+    nodes, weights = _significant(batch, beta)
+    x_hat = dictionary.atoms[:, nodes - 1] @ weights
     return x_hat if mean_offset is None else np.asarray(mean_offset, dtype=float) + x_hat
 
 

@@ -137,8 +137,12 @@ def random_tree_sparse(tree, k, amp_min, amp_max, rng, max_depth=None):
 
 
 def is_tree_sparse(v, tree, tol=0.0):
-    """True iff the entries with |v[i]| > tol form a rooted connected set."""
-    present = np.abs(np.asarray(v, dtype=float)) > tol
+    """True iff the entries with |v[i]| > tol of a length-p vector v form a
+    rooted connected set."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (tree.p,):
+        raise ValueError(f"expected v of shape ({tree.p},), got {v.shape}")
+    present = np.abs(v) > tol
     nodes = np.flatnonzero(present[1:]) + 2     # the non-root entries, 1-based
     return bool(present[(nodes - 2) // tree.d].all())   # each one's parent
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sensing import _traverse
+from .sensing import _significant, _traverse
 
 __all__ = [
     "haar2",
@@ -98,13 +98,10 @@ def wavelet_sense(image, cfg, rng):
     Returns a one-session SessionBatch whose node ids are flat row-major
     indices into the coefficient array.
     """
-    image = np.asarray(image, dtype=float)
-    side = image.shape[0]
-    if image.shape != (side, side):
-        raise ValueError("image must be square")
-    _check_side(side)
+    c = haar2(image)
+    side = c.shape[0]
     order = _sensing_order(side)
-    c = haar2(image).ravel()[order]
+    c = c.ravel()[order]
     batch = _traverse(lambda t, i: c[i], side * side, 4, 0, np.arange(min(4, side * side)),
                       1, cfg, rng)
     batch.node = order[batch.node]
@@ -114,11 +111,7 @@ def wavelet_sense(image, cfg, rng):
 def wavelet_reconstruct(batch, side, beta):
     """Inverse transform of a one-session batch's significant measured
     coefficients / beta."""
-    if beta == 0:
-        raise ValueError("beta must be nonzero")
-    if len(batch.m) != 1:
-        raise ValueError(f"expected a batch of one session, got {len(batch.m)}")
+    nodes, weights = _significant(batch, beta)
     coeffs = np.zeros(side * side)
-    sig = batch.significant
-    coeffs[batch.node[sig]] = batch.y[sig] / beta
+    coeffs[nodes] = weights
     return ihaar2(coeffs.reshape(side, side))

@@ -130,7 +130,7 @@ def _lasso_success_rate(alpha, tree, k, R, m, trials, tag):
     base = math.sqrt(2 * math.log(p))  # columns have unit norm at R = p
     best = 0.0
     for lam in (0.25 * base, 0.5 * base, base):
-        X = lasso_solve(phi, Y, lam, max_iters=150, tol=1e-7)
+        X = lasso_solve(phi[None], Y[None], lam, max_iters=150, tol=1e-7)[0]
         hits = 0
         for t in range(trials):
             top = np.argsort(-np.abs(X[:, t]))[:k]

@@ -21,7 +21,7 @@ def test_lasso_zero_when_penalty_dominates(rng):
     A = rng.standard_normal((12, 8))
     y = rng.standard_normal(12)
     lam = np.max(np.abs(A.T @ y)) * 1.0001
-    assert np.all(lasso_solve(A, y, lam) == 0)
+    assert np.all(lasso_solve(A[None], y[None, :, None], lam) == 0)
 
 
 def test_lasso_overdetermined_noiseless(rng):
@@ -29,7 +29,7 @@ def test_lasso_overdetermined_noiseless(rng):
     phi = gaussian_ensemble(20, t.p, budget=20.0, seed=1)
     alpha = random_tree_sparse(t, 3, 0.5, 1.5, rng)
     y = phi @ alpha
-    a_hat = lasso_solve(phi, y, 1e-9, max_iters=3000, tol=1e-15)
+    a_hat = lasso_solve(phi[None], y[None, :, None], 1e-9, max_iters=3000, tol=1e-15)[0, :, 0]
     assert np.max(np.abs(a_hat - alpha)) < 1e-6
 
 
@@ -47,7 +47,7 @@ def _relative_gap(A, y, lam, x):
 def test_lasso_matches_coordinate_descent(rng):
     A = rng.standard_normal((8, 5))
     y = rng.standard_normal(8)
-    mine = lasso_solve(A, y, 0.1, max_iters=5000, tol=1e-14)
+    mine = lasso_solve(A[None], y[None, :, None], 0.1, max_iters=5000, tol=1e-14)[0, :, 0]
     oracle = cd_lasso(A, y, 0.1)
     assert _relative_gap(A, y, 0.1, mine) <= 1e-8
     assert np.max(np.abs(mine - oracle)) < 1e-6
@@ -59,7 +59,7 @@ def test_lasso_both_gram_routes_match_coordinate_descent(rng, m, p):
     A = rng.standard_normal((m, p))
     y = rng.standard_normal(m)
     lam = 0.2 * np.max(np.abs(A.T @ y))
-    mine = lasso_solve(A, y, lam, max_iters=5000, tol=1e-14)
+    mine = lasso_solve(A[None], y[None, :, None], lam, max_iters=5000, tol=1e-14)[0, :, 0]
     assert np.count_nonzero(mine) >= 3
     assert _relative_gap(A, y, lam, mine) <= 1e-8
     assert np.max(np.abs(mine - cd_lasso(A, y, lam))) < 1e-6
@@ -111,7 +111,7 @@ def test_lasso_logs_relative_duality_gap(rng, caplog):
     for max_iters in (5000, 5):
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="treesense.baselines"):
-            X = lasso_solve(A, Y, lam, max_iters=max_iters)
+            X = lasso_solve(A[None], Y[None], lam, max_iters=max_iters)[0]
         found = re.fullmatch(rf"lasso_solve: (\d+) of 3 columns stopped at "
                              rf"max_iters={max_iters}; relative duality gap "
                              r"median (\S+), max (\S+)", caplog.messages[-1])
@@ -128,9 +128,10 @@ def test_lasso_logs_relative_duality_gap(rng, caplog):
 def test_lasso_batched_matches_column_calls(rng):
     A = rng.standard_normal((10, 6))
     Y = rng.standard_normal((10, 4))
-    batch = lasso_solve(A, Y, 0.2, max_iters=2000, tol=1e-14)
+    batch = lasso_solve(A[None], Y[None], 0.2, max_iters=2000, tol=1e-14)[0]
     for c in range(4):
-        single = lasso_solve(A, Y[:, c], 0.2, max_iters=2000, tol=1e-14)
+        single = lasso_solve(A[None], Y[None, :, c, None], 0.2, max_iters=2000,
+                             tol=1e-14)[0, :, 0]
         assert np.max(np.abs(batch[:, c] - single)) < 1e-8
 
 
@@ -141,7 +142,7 @@ def test_cosamp_planted_recovery(rng):
         phi = gaussian_ensemble(48, t.p, budget=float(t.p), seed=100 + trial)
         vec = random_tree_sparse(t, 8, 0.5, 1.5, rng)
         y = phi @ vec
-        x_hat = model_cosamp(phi, y, 8, t, iters=20)
+        x_hat = model_cosamp(phi[None], y[None, :, None], 8, t, iters=20)[0, :, 0]
         assert is_tree_sparse(x_hat, t)
         if np.linalg.norm(y - phi @ x_hat) < 1e-6:
             successes += 1
@@ -152,7 +153,7 @@ def test_cosamp_planted_recovery(rng):
 def test_cosamp_zero_measurements(rng):
     t = make_tree(2, 4)
     phi = gaussian_ensemble(10, t.p, budget=10.0, seed=0)
-    assert np.all(model_cosamp(phi, np.zeros(10), 3, t) == 0)
+    assert np.all(model_cosamp(phi[None], np.zeros((1, 10, 1)), 3, t) == 0)
 
 
 def test_cosamp_k_equals_p_is_least_squares(rng):
@@ -160,7 +161,7 @@ def test_cosamp_k_equals_p_is_least_squares(rng):
     A = rng.standard_normal((20, t.p))
     alpha = rng.standard_normal(t.p)
     y = A @ alpha
-    x_hat = model_cosamp(A, y, t.p, t, iters=5)
+    x_hat = model_cosamp(A[None], y[None, :, None], t.p, t, iters=5)[0, :, 0]
     assert np.max(np.abs(x_hat - alpha)) < 1e-8
 
 
@@ -168,7 +169,7 @@ def test_cosamp_stack_matches_unpadded_calls(monkeypatch, caplog):
     # three measurement counts zero-padded to the largest, with noiseless,
     # noisy and y = 0 columns: problems stop on the tolerance, on a stalled
     # residual, at iters and at once, in different rounds, and each must
-    # equal its own unpadded 2-D call bit for bit
+    # equal its own unpadded one-problem call bit for bit
     rng = np.random.default_rng(9)
     t = make_tree(2, 5)
     ms, q, k = (10, 18, 31), 3, 6
@@ -208,21 +209,25 @@ def test_cosamp_stack_matches_unpadded_calls(monkeypatch, caplog):
                           r"(\d+) stopped at iters=3, 1 had y = 0", caplog.messages[-1])
     assert counts and all(int(n) >= 1 for n in counts.groups())
     assert not out[1, :, 2].any()
-    rounds = [model_cosamp(A[2], Y[2, :, 2], k, t, iters=n) for n in (1, 2, 3)]
+    rounds = [model_cosamp(A[2:3], Y[2:3, :, 2:3], k, t, iters=n)[0, :, 0] for n in (1, 2, 3)]
     res = [np.linalg.norm(Y[2, :, 2] - A[2] @ x) for x in rounds]
     assert res[0] > res[1] > res[2] > 1e-6 * np.linalg.norm(v)
     for b, m in enumerate(ms):
         for c in range(q):
-            own = model_cosamp(A[b, :m], Y[b, :m, c], k, t, iters=3)
+            own = model_cosamp(A[b:b + 1, :m], Y[b:b + 1, :m, c:c + 1], k, t, iters=3)[0, :, 0]
             assert out[b, :, c].tobytes() == own.tobytes(), (b, c)
 
 
 def test_cosamp_rejects_mismatched_stacks():
+    # one layout only: a 2-D A or a 1-D or 2-D Y is rejected even where the
+    # shapes agree
     t = make_tree(2, 3)
-    with pytest.raises(ValueError, match=re.escape("A (2, 5, 7) and y (3, 5, 1)")):
-        model_cosamp(np.ones((2, 5, 7)), np.ones((3, 5, 1)), 2, t)
-    with pytest.raises(ValueError, match=re.escape("A (5, 7) and y (4,)")):
-        model_cosamp(np.ones((5, 7)), np.ones(4), 2, t)
+    for a_shape, y_shape in [((2, 5, 7), (3, 5, 1)), ((5, 7), (4,)), ((5, 7), (5,)),
+                             ((5, 7), (5, 2)), ((1, 5, 7), (5, 2))]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"A {a_shape} and Y {y_shape} do not match: need A (B, m, p) with "
+                f"Y (B, m, q)")):
+            model_cosamp(np.ones(a_shape), np.ones(y_shape), 2, t)
 
 
 def test_pca_exact_in_span(rng):
@@ -274,20 +279,22 @@ def test_lasso_per_column_lambda_matches_column_calls_unconverged(rng):
     A = rng.standard_normal((12, 9))
     Y = rng.standard_normal((12, 4))
     lams = np.array([0.02, 0.1, 0.5, 2.0]) * np.max(np.abs(A.T @ Y))
-    batch = lasso_solve(A, Y, lams, max_iters=20, tol=0.0)
+    batch = lasso_solve(A[None], Y[None], lams[None], max_iters=20, tol=0.0)[0]
     for c in range(4):
-        single = lasso_solve(A, Y[:, c], lams[c], max_iters=20, tol=0.0)
+        single = lasso_solve(A[None], Y[None, :, c, None], lams[c], max_iters=20,
+                             tol=0.0)[0, :, 0]
         assert np.max(np.abs(batch[:, c] - single)) <= 1e-12
 
 
 def _stop_iteration(A, y, lam, max_iters, tol):
     """Fewest iterations after which a single-column solve returns its final
     answer (a stopped column no longer changes)."""
-    final = lasso_solve(A, y, lam, max_iters=max_iters, tol=tol)
+    A, Y = A[None], y[None, :, None]
+    final = lasso_solve(A, Y, lam, max_iters=max_iters, tol=tol)
     lo, hi = 0, max_iters
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if np.array_equal(lasso_solve(A, y, lam, max_iters=mid, tol=tol), final):
+        if np.array_equal(lasso_solve(A, Y, lam, max_iters=mid, tol=tol), final):
             hi = mid
         else:
             lo = mid
@@ -304,17 +311,19 @@ def test_lasso_columns_stop_independently(rng):
     max_iters, tol = 300, 1e-6
     stops = [_stop_iteration(A, Y[:, c], lams[c], max_iters, tol) for c in range(4)]
     assert len(set(stops)) == 4 and max(stops) < max_iters
-    batch = lasso_solve(A, Y, lams, max_iters=max_iters, tol=tol)
+    batch = lasso_solve(A[None], Y[None], lams[None], max_iters=max_iters, tol=tol)[0]
     for c in range(4):
-        single = lasso_solve(A, Y[:, c], lams[c], max_iters=max_iters, tol=tol)
+        single = lasso_solve(A[None], Y[None, :, c, None], lams[c], max_iters=max_iters,
+                             tol=tol)[0, :, 0]
         assert np.max(np.abs(batch[:, c] - single)) <= 1e-12
 
 
-@pytest.mark.parametrize("lam", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2, 0.3]],
-                                 [0.1, 0.0, 0.3], [0.1, -0.2, 0.3], [0.1, np.nan, 0.3]])
+@pytest.mark.parametrize("lam", [[[0.1, 0.2]], [[0.1, 0.2, 0.3, 0.4]], [0.1, 0.2, 0.3],
+                                 [[0.1, 0.0, 0.3]], [[0.1, -0.2, 0.3]], [[0.1, np.nan, 0.3]]])
 def test_lasso_rejects_bad_lambda_vector(rng, lam):
-    A = rng.standard_normal((6, 5))
-    Y = rng.standard_normal((6, 3))
+    # lam is a scalar or (B, q) = (1, 3); a (q,) vector is not taken
+    A = rng.standard_normal((1, 6, 5))
+    Y = rng.standard_normal((1, 6, 3))
     with pytest.raises(ValueError):
         lasso_solve(A, Y, lam)
 
@@ -330,7 +339,7 @@ def test_lasso_momentum_converges_within_200_iterations(rng):
         A = rng.standard_normal((40, 80))
         y = rng.standard_normal(40)
         lam = 0.1 * np.max(np.abs(A.T @ y))
-        mine = lasso_solve(A, y, lam, max_iters=200, tol=0.0)
+        mine = lasso_solve(A[None], y[None, :, None], lam, max_iters=200, tol=0.0)[0, :, 0]
         gap = _lasso_objective(A, y, lam, mine) - _lasso_objective(A, y, lam, cd_lasso(A, y, lam))
         assert gap <= 1e-4
 
@@ -349,26 +358,30 @@ def test_lasso_stack_matches_one_problem_solves(rng, monkeypatch):
     assert stops.max() < max_iters
     assert all(len(set(row)) >= 3 for row in stops)       # within a stack
     assert np.all(stops[0, :3] != stops[1, :3])           # across stacks
-    stacked = lasso_solve(A, Y, lams, max_iters=max_iters, tol=tol)
-    assert stacked.shape == (B, 8, q)
+    stack = lasso_solve(A, Y, lams, max_iters=max_iters, tol=tol)
+    assert stack.shape == (B, 8, q)
     for b in range(B):
-        assert np.max(np.abs(stacked[b] - lasso_solve(A[b], Y[b], lams[b], max_iters=max_iters,
-                                                       tol=tol))) <= 1e-12
+        own = lasso_solve(A[b:b + 1], Y[b:b + 1], lams[b:b + 1], max_iters=max_iters, tol=tol)
+        assert np.max(np.abs(stack[b] - own[0])) <= 1e-12
         for c in range(q):
-            single = lasso_solve(A[b], Y[b, :, c], lams[b, c], max_iters=max_iters, tol=tol)
-            assert np.max(np.abs(stacked[b, :, c] - single)) <= 1e-12
+            own = lasso_solve(A[b:b + 1], Y[b:b + 1, :, c:c + 1], lams[b, c],
+                              max_iters=max_iters, tol=tol)
+            assert np.max(np.abs(stack[b, :, c] - own[0, :, 0])) <= 1e-12
     _assert_kernel_matches_reference(monkeypatch, A, Y, lams, max_iters=max_iters, tol=tol)
 
 
 @pytest.mark.parametrize("a_shape,y_shape,lam", [
-    ((2, 6, 5), (6, 3), 0.1),            # stacked A, one-problem y
+    ((2, 6, 5), (6, 3), 0.1),            # stacked A, 2-D Y
     ((2, 6, 5), (3, 6, 3), 0.1),         # stack counts differ
     ((2, 6, 5), (2, 7, 3), 0.1),         # measurement counts differ
-    ((6, 5), (2, 6, 3), 0.1),            # one-problem A, stacked y
+    ((6, 5), (2, 6, 3), 0.1),            # 2-D A, stacked Y
     ((1, 2, 6, 5), (1, 2, 6, 3), 0.1),   # no such stack
     ((2, 6, 5), (2, 6, 3), np.full((3, 3), 0.1)),
     ((2, 6, 5), (2, 6, 3), np.full((2, 2), 0.1)),
     ((2, 6, 5), (2, 6, 3), np.full((2, 3, 1), 0.1)),
+    ((6, 5), (6, 3), 0.1),               # one problem, not stacked
+    ((6, 5), (6,), 0.1),
+    ((2, 6, 5), (2, 6, 3), np.full(3, 0.1)),   # one lambda per column, not per pair
 ])
 def test_lasso_rejects_mismatched_stack_shapes(rng, a_shape, y_shape, lam):
     with pytest.raises(ValueError):
@@ -401,7 +414,8 @@ def test_lasso_zero_padded_rows_match_unpadded_solves(rng):
     assert max(stops) < max_iters
     padded = lasso_solve(A, Y, lams, max_iters=max_iters, tol=tol)
     for b, m in enumerate(ms):
-        own = lasso_solve(A[b, :m], Y[b, :m], lams[b], max_iters=max_iters, tol=tol)
+        own = lasso_solve(A[b:b + 1, :m], Y[b:b + 1, :m], lams[b:b + 1], max_iters=max_iters,
+                          tol=tol)[0]
         assert np.max(np.abs(padded[b] - own)) <= 1e-12
 
 
@@ -439,7 +453,7 @@ def _factored_route_case(rng, monkeypatch):
     A = rng.standard_normal((12, 30))
     Y = rng.standard_normal((12, 5))
     lams = rng.uniform(0.05, 0.5, 5) * np.max(np.abs(A.T @ Y))
-    return A, Y, lams, dict(max_iters=300)
+    return A[None], Y[None], lams[None], dict(max_iters=300)
 
 
 def _late_backtracking_case(rng, monkeypatch):
@@ -459,9 +473,9 @@ def _late_backtracking_case(rng, monkeypatch):
         patch.setattr(baselines, "_mfista", counting_reference)
         for max_iters in (1, 100):
             applies.append(0)
-            lasso_solve(A, Y, lam, max_iters=max_iters, tol=0.0)
+            lasso_solve(A[None], Y[None], lam, max_iters=max_iters, tol=0.0)
     assert applies[1] - applies[0] > 99   # more than one K-apply per later step
-    return A, Y, lam, dict(max_iters=100, tol=0.0)
+    return A[None], Y[None], lam, dict(max_iters=100, tol=0.0)
 
 
 def _rejected_step_case(rng, monkeypatch):
@@ -473,12 +487,13 @@ def _rejected_step_case(rng, monkeypatch):
     n = 40
     with monkeypatch.context() as patch:
         patch.setattr(baselines, "_mfista", reference_mfista)
-        kept = [lasso_solve(A, Y, lam, max_iters=i, tol=0.0) for i in range(1, n + 1)]
+        kept = [lasso_solve(A[None], Y[None], lam, max_iters=i, tol=0.0)[0]
+                for i in range(1, n + 1)]
     rejected = [(i, c) for i in range(n - 2) for c in range(3)
                 if np.array_equal(kept[i][:, c], kept[i + 1][:, c])
                 and not np.array_equal(kept[i + 1][:, c], kept[-1][:, c])]
     assert rejected
-    return A, Y, lam, dict(max_iters=n, tol=0.0)
+    return A[None], Y[None], lam, dict(max_iters=n, tol=0.0)
 
 
 @pytest.mark.parametrize("case", [_compare_stack_case, _factored_route_case,
@@ -502,4 +517,4 @@ def test_lasso_rejects_non_finite_input(rng, arg, lam):
     elif arg == "A":
         A[1, 3] = np.inf
     with pytest.raises(ValueError, match=f"^{arg} must be"):
-        lasso_solve(A, y, lam)
+        lasso_solve(A[None], y[None, :, None], lam)

@@ -102,6 +102,19 @@ def test_load_corpus_empty_dir(tmp_path):
         load_corpus(tmp_path, 8)
 
 
+@pytest.mark.parametrize("name,raw,problem", [
+    ("a.pgm", b"P5\n2 2\n255\n\x00\x00", "2 bytes of pixel data, expected 4"),
+    ("b.pgm", b"P5\n4 2\n255\n" + bytes(8), "image must be square"),
+], ids=["malformed", "non_square"])
+def test_load_corpus_names_a_bad_file_once(tmp_path, name, raw, problem):
+    write_pgm(tmp_path / "good.pgm", np.zeros((4, 4)))
+    (tmp_path / name).write_bytes(raw)
+    with pytest.raises(ValueError) as info:
+        load_corpus(tmp_path, 2)
+    assert str(info.value) == f"{tmp_path / name}: {problem}"
+    assert str(info.value).count(name) == 1
+
+
 def test_load_corpus_constant_image(tmp_path):
     write_pgm(tmp_path / "c.pgm", np.full((8, 8), 0.5))
     tr = load_corpus(tmp_path, 8)
@@ -357,9 +370,9 @@ def test_random_projection_arms_match_per_m_lasso_solves(rng, monkeypatch):
                            trials=2, seed=3, test_signals=2, target_sparsity=8)
     calls = []
 
-    def recording_solve(A, y, lam, **kw):
+    def recording_solve(A, Y, lam, **kw):
         calls.append(np.array(lam))
-        return lasso_solve(A, y, lam, **kw)
+        return lasso_solve(A, Y, lam, **kw)
 
     monkeypatch.setattr(harness, "lasso_solve", recording_solve)
     arms = _random_projection_arms(cfg, planted, tr.mean,
@@ -371,11 +384,12 @@ def test_random_projection_arms_match_per_m_lasso_solves(rng, monkeypatch):
         assert A.shape == (2, m, tree.p) and Y.shape == (2, 4, m)
         assert alphas.shape == cosamp.shape == (2, tree.p, 4)
         for b in range(2):
-            own = lasso_solve(A[b], Y[b].T, lams[i, b], max_iters=200)
+            own = lasso_solve(A[b][None], Y[b].T[None], lams[i, b][None], max_iters=200)[0]
             assert np.max(np.abs(alphas[b] - own)) <= 1e-6
             # model-CoSaMP drops the padding itself: bit for bit
             for col in range(4):
-                own = model_cosamp(A[b], Y[b, col], 8, tree, iters=15)
+                own = model_cosamp(A[b][None], Y[b, col][None, :, None], 8, tree,
+                                   iters=15)[0, :, 0]
                 assert cosamp[b, :, col].tobytes() == own.tobytes()
 
 

@@ -6,7 +6,7 @@ import pytest
 from treesense import (Dictionary, SensingConfig, adaptive_sense_batch,
                        adaptive_sense_coeffs, allocate_beta, make_tree,
                        random_tree_sparse, reconstruct_from_outcome,
-                       two_stage_estimate_coeffs, wavelet_reconstruct)
+                       two_stage_estimate_coeffs, wavelet_reconstruct, wavelet_sense)
 
 from conftest import significant_set, support_of
 
@@ -24,6 +24,9 @@ def test_allocate_beta_values():
         allocate_beta(0, 2, 2)
     with pytest.raises(ValueError):
         allocate_beta(1, 2, 0)
+    for args in [(math.nan, 2, 2), (1, math.nan, 2), (1, 2, math.nan)]:
+        with pytest.raises(ValueError, match="must all be positive"):
+            allocate_beta(*args)
 
 
 def test_noiseless_measurement_count_and_support(rng):
@@ -135,6 +138,18 @@ def test_reconstruction_needs_one_session(rng):
         reconstruct_from_outcome(batch, identity_dict(t), 1.0)
     with pytest.raises(ValueError, match="one session"):
         wavelet_reconstruct(batch, 2, 1.0)
+
+
+@pytest.mark.parametrize("beta", [math.nan, -2.0, 0.0])
+def test_reconstruction_rejects_nonpositive_beta(rng, beta):
+    t = make_tree(2, 3)
+    cfg = SensingConfig(beta=2.0, tau=0.5, noise_std=0.0)
+    batch = adaptive_sense_coeffs(np.arange(1.0, 8.0), t, cfg, rng)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        reconstruct_from_outcome(batch, identity_dict(t), beta)
+    batch = wavelet_sense(np.arange(16.0).reshape(4, 4), cfg, rng)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        wavelet_reconstruct(batch, 4, beta)
 
 
 def test_reconstruction_noiseless_projection(rng):

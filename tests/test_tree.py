@@ -211,6 +211,13 @@ def test_is_tree_sparse_cases():
     assert is_tree_sparse(v, t)
 
 
+@pytest.mark.parametrize("shape", [(10,), (8,), (3,), (7, 2)])
+def test_is_tree_sparse_rejects_wrong_shape(shape):
+    t = make_tree(2, 3)   # p = 7
+    with pytest.raises(ValueError, match=re.escape(f"expected v of shape (7,), got {shape}")):
+        is_tree_sparse(np.ones(shape), t)
+
+
 def test_tree_project_examples():
     t = make_tree(2, 3)
     v = np.array([5.0, 1, 3, 0, 0, 0, 0])
