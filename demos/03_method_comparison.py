@@ -27,16 +27,15 @@ cfg = ExperimentConfig(mode="compare",
                        measurements=(32,),
                        noise_std=1.0, trials=5, seed=2,
                        test_signals=3, target_sparsity=k)
-rows = compare_methods(cfg, training=training, dictionary=planted,
-                       dict_mean=np.full(n, 0.5))
+table = compare_methods(cfg, training=training, dictionary=planted,
+                        dict_mean=np.full(n, 0.5))
 
 snrs = defaultdict(list)
 meas = defaultdict(list)
-for r in rows:
-    if r["snr_db"] is not None:
-        key = (r["method"], r["R"])
-        snrs[key].append(r["snr_db"])
-        meas[key].append(r["m"])
+for method, R, m, snr in zip(table["method"], table["R"], table["m"], table["snr_db"]):
+    if snr is not None:
+        snrs[method, R].append(snr)
+        meas[method, R].append(m)
 
 print(f"{'method':<14}{'R':>8}{'mean m':>9}{'mean SNR (dB)':>15}")
 for key in sorted(snrs, key=lambda t: (t[0], -t[1])):

@@ -18,5 +18,5 @@ from .baselines import (gaussian_ensemble, lasso_solve, model_cosamp,
 from .wavelet import haar2, ihaar2, wavelet_sense, wavelet_reconstruct
 from .harness import (snr_db, read_pgm, write_pgm, box_downscale, load_corpus,
                       synthetic_corpus, lambda_for_sparsity, ExperimentConfig,
-                      verify_theorem, sense_signal, compare_methods, as_table,
-                      write_csv, write_manifest, CSV_FIELDS)
+                      verify_theorem, sense_signal, compare_methods, write_csv,
+                      write_manifest, CSV_FIELDS)

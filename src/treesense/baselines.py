@@ -26,7 +26,7 @@ logger = logging.getLogger(__name__)
 def gaussian_ensemble(m, n, budget, seed):
     """(m, n) Gaussian test matrix of total energy budget: m iid Gaussian rows,
     each rescaled to norm sqrt(budget/m)."""
-    if m < 1 or budget <= 0:
+    if m < 1 or not 0 < budget < math.inf:
         raise ValueError("need m >= 1 and budget > 0")
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((m, n))
@@ -309,8 +309,11 @@ def pca_reconstruct(model, x, budget, rng, noise_std=1.0):
 
     Each projection is scaled by sqrt(budget/r) and corrupted by the same
     additive Gaussian noise model as the adaptive arm; the reconstruction
-    divides the observations back by the scale and adds the mean.
+    divides the observations back by the scale and adds the mean.  budget
+    must be positive and finite.
     """
+    if not 0 < budget < math.inf:
+        raise ValueError(f"budget must be positive and finite, got {budget}")
     r = model.components.shape[1]
     if r == 0:
         return model.mean.copy()

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .dictlearn import (LearnConfig, initial_dictionary, learn, load_dictionary,
                         save_dictionary)
-from .harness import (ExperimentConfig, apply_config, as_table, compare_methods,
+from .harness import (ExperimentConfig, apply_config, compare_methods,
                       lambda_for_sparsity, load_corpus, parse_config_file,
                       read_pgm, sense_signal, verify_theorem, write_csv,
                       write_manifest)
@@ -117,8 +117,7 @@ def cmd_sense(args):
     if not cfg.budgets:
         cfg.budgets = (float(x.shape[0]),)
     k = cfg.sparsity_for(dictionary.tree.p)
-    rows = sense_signal(cfg, dictionary, mean, x, k, note=args.image)
-    n_rows = write_csv(cfg.out, as_table(rows))
+    n_rows = write_csv(cfg.out, sense_signal(cfg, dictionary, mean, x, k, note=args.image))
     write_manifest(cfg.out + ".manifest.txt", cfg)
     print(f"wrote {n_rows} rows to {cfg.out}")
     return 0
@@ -132,7 +131,7 @@ def cmd_compare(args):
     if not cfg.budgets:
         n = cfg.target_side**2
         cfg.budgets = (float(n), n / 8, n / 32)
-    n_rows = write_csv(cfg.out, as_table(compare_methods(cfg, training, dictionary, mean)))
+    n_rows = write_csv(cfg.out, compare_methods(cfg, training, dictionary, mean))
     write_manifest(cfg.out + ".manifest.txt", cfg)
     print(f"wrote {n_rows} rows to {cfg.out}")
     return 0

@@ -34,7 +34,6 @@ __all__ = [
     "verify_theorem",
     "sense_signal",
     "compare_methods",
-    "as_table",
     "write_csv",
     "write_manifest",
 ]
@@ -44,17 +43,21 @@ CSV_FIELDS = ["method", "R", "tau", "m", "trial", "snr_db", "exact",
 
 
 def snr_db(x, x_hat):
-    """Reconstruction SNR in decibels; +inf signals an exact reconstruction
-    (written to CSV via the `exact` sentinel column, never as a number)."""
+    """Reconstruction SNR in decibels of each row of x_hat (..., n) against x
+    (n,), a float for one row; +inf signals an exact reconstruction (written
+    to CSV via the `exact` sentinel column, never as a number)."""
     x = np.asarray(x, dtype=float)
     x_hat = np.asarray(x_hat, dtype=float)
+    if x.ndim != 1 or x_hat.shape[-1:] != x.shape:
+        raise ValueError(f"x_hat of shape {x_hat.shape} does not match x of shape "
+                         f"{x.shape}: need x (n,) and x_hat (..., n)")
     sig = float(np.sum(x**2))
     if sig == 0:
         raise ValueError("reference signal has zero energy")
-    err = float(np.sum((x_hat - x) ** 2))
-    if err == 0:
-        return math.inf
-    return 10.0 * math.log10(sig / err)
+    err = np.sum((x_hat - x) ** 2, axis=-1)
+    # math.log10 per row: np.log10 can differ from it in the last bit
+    snr = [10.0 * math.log10(sig / e) if e else math.inf for e in np.ravel(err).tolist()]
+    return snr[0] if err.ndim == 0 else np.reshape(snr, err.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -288,24 +291,6 @@ def apply_config(cfg, kv):
     return cfg
 
 
-def _row(method, R, tau, m, trial, snr=None, support_exact=None,
-         energy=None, note=""):
-    exact = ""
-    snr_out = snr
-    if snr is not None and math.isinf(snr):
-        exact, snr_out = 1, None
-    elif snr is not None:
-        exact = 0
-    return {"method": method, "R": R, "tau": tau, "m": m, "trial": trial,
-            "snr_db": snr_out, "exact": exact, "support_exact": support_exact,
-            "energy_spent": energy, "wall_time": "", "note": note}
-
-
-def as_table(rows):
-    """The table form of a list of row dicts: each CSV field's column."""
-    return {name: [row[name] for row in rows] for name in CSV_FIELDS}
-
-
 def _cells(column, n):
     """A table entry's n cells: a float as 12 significant digits, anything
     else as the csv module writes it (None and "" empty, str() otherwise)."""
@@ -436,32 +421,56 @@ def verify_theorem(cfg):
 # arm's number and the cell's position in the sweep (budget index b, signal,
 # tau index, trial; m is an exact integer key), so no two cells share a draw.
 
+def _trial_rngs(cfg, *key):
+    """One generator per trial of cfg, keyed [cfg.seed, *key, trial]."""
+    return [np.random.default_rng([cfg.seed, *key, trial]) for trial in range(cfg.trials)]
+
+
+def _extend(table, method, R, tau, m, trial, snr, energy, note):
+    """Append rows to a table of list columns, one per entry of the SNR array
+    snr, where +inf marks an exact reconstruction (exact=1, empty snr_db);
+    each other argument holds one entry per row or a value all rows share."""
+    snr = snr.tolist()
+    exact = [int(math.isinf(v)) for v in snr]
+    cells = (method, R, tau, m, trial, [None if e else v for v, e in zip(snr, exact)], exact,
+             None, energy, "", note)   # CSV_FIELDS' order
+    for name, value in zip(CSV_FIELDS, cells, strict=True):
+        rows = isinstance(value, (list, range, np.ndarray))
+        table[name] += list(value) if rows else [value] * len(snr)
+
+
+def _synthesize(atoms, coef):
+    """(q, n): atoms @ coef[:, j] per column j of coef (p, q), as q stacked
+    vector-matrix products, which round as those do (atoms @ coef does not)."""
+    return np.matmul(coef.T[:, None, :], atoms.T)[:, 0]
+
+
 def sense_signal(cfg, dictionary, dict_mean, x, k, sig_idx=0, note=""):
-    """Rows of the adaptive dictionary sessions of one signal x: one per
-    budget, tau and trial of cfg, in that order.  Each session draws from
-    its own generator, keyed [cfg.seed, 1, b, sig_idx, tau index, trial].
-    Every session senses the coefficients c = Dᵀ(x - dict_mean)."""
+    """write_csv's table of the adaptive dictionary sessions of one signal
+    x: a row per budget, tau and trial of cfg, in that order.  Each session
+    draws from its own generator, keyed [cfg.seed, 1, b, sig_idx, tau index,
+    trial].  Every session senses the coefficients c = Dᵀ(x - dict_mean)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (dictionary.atoms.shape[0],):
         raise ValueError(f"signal of {x.size} entries does not match the dictionary's "
                          f"atoms of dimension {dictionary.atoms.shape[0]}")
     c = dictionary.atoms.T @ (x - dict_mean)
-    rows = []
+    table = {name: [] for name in CSV_FIELDS}
     for b, R in enumerate(cfg.budgets):
         beta = allocate_beta(R, dictionary.tree.d, k)
         for tau_idx, tau in enumerate(cfg.taus):
             sense_cfg = SensingConfig(beta=beta, tau=tau, noise_std=cfg.noise_std, budget=R)
-            for trial in range(cfg.trials):
-                rng = np.random.default_rng([cfg.seed, 1, b, sig_idx, tau_idx, trial])
-                batch = adaptive_sense_coeffs(c, dictionary.tree, sense_cfg, rng)
-                x_hat = reconstruct_from_outcome(batch, dictionary, beta, mean_offset=dict_mean)
-                rows.append(_row("adaptive", R, tau, batch.m[0], trial, snr=snr_db(x, x_hat),
-                                 energy=batch.energy_spent[0], note=note))
-    return rows
+            sessions = [adaptive_sense_coeffs(c, dictionary.tree, sense_cfg, rng)
+                        for rng in _trial_rngs(cfg, 1, b, sig_idx, tau_idx)]
+            x_hat = np.concatenate([reconstruct_from_outcome(s, dictionary, beta, dict_mean)
+                                    for s in sessions])
+            _extend(table, "adaptive", R, tau, [s.m[0] for s in sessions], range(cfg.trials),
+                    snr_db(x, x_hat), [s.energy_spent[0] for s in sessions], note)
+    return table
 
 
 def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, measurements, k):
-    """Per distinct measurement count m: the Phi D stack (B, m, p), centred
+    """Per measurement count m: the Phi D stack (B, m, p), centred
     measurements (B, columns, m), Lasso coefficients (B, p, columns) and
     model-CoSaMP coefficients (B, p, columns) of every budget, one column
     per (signal, trial), signal-major.  Each (budget, m) ensemble, lambda
@@ -496,8 +505,7 @@ def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, measurement
             phi_mean = phi @ dict_mean
             for sig_idx in range(n_test):
                 phi_x = phi @ test_matrix[:, sig_idx]
-                for trial in range(cfg.trials):
-                    rng = np.random.default_rng([cfg.seed, 4, b, sig_idx, m, trial])
+                for trial, rng in enumerate(_trial_rngs(cfg, 4, b, sig_idx, m)):
                     y = phi_x
                     if cfg.noise_std > 0:
                         y = y + cfg.noise_std * rng.standard_normal(m)
@@ -505,7 +513,7 @@ def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, measurement
     # per (m, budget), the grid weight whose probe reconstruction has the best SNR
     A_flat, lam_grid = A.reshape(-1, M, p), lam_grid.reshape(-1, len(grid))
     alphas = lasso_solve(A_flat, Y_grid.reshape(-1, M, len(grid)), lam_grid, max_iters=200)
-    lams = [lam[np.argmax([snr_db(x, atoms @ a) for a in alpha.T])]
+    lams = [lam[np.argmax(snr_db(x, _synthesize(atoms, alpha)))]
             for x, lam, alpha in zip(probes, lam_grid, alphas)]
     Y_flat = Y.reshape(-1, n_cols, M).transpose(0, 2, 1)
     alphas = lasso_solve(A_flat, Y_flat, np.repeat(np.array(lams)[:, None], n_cols, axis=1),
@@ -519,7 +527,7 @@ def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, measurement
 def compare_methods(cfg, training, dictionary, dict_mean):
     """Energy-fair SNR-vs-measurements sweep across all methods, of a
     dictionary and its column mean dict_mean.  The test signals are the
-    first cfg.test_signals training columns.  Returns CSV rows.
+    first cfg.test_signals training columns.  Returns write_csv's table.
     """
     n = dictionary.atoms.shape[0]
     if training.n != n:
@@ -527,12 +535,15 @@ def compare_methods(cfg, training, dictionary, dict_mean):
     if cfg.test_signals > training.q:
         raise ValueError(f"config key 'test_signals': {cfg.test_signals} is more than "
                          f"the corpus's {training.q} signals")
+    if len(set(cfg.measurements)) < len(cfg.measurements):
+        raise ValueError(f"config key 'measurements': {cfg.measurements} repeats an entry")
     tree = dictionary.tree
     k = cfg.sparsity_for(tree.p)
     note = "in-sample" if cfg.in_sample else "held-out"
 
+    table = {name: [] for name in CSV_FIELDS}
     if not cfg.budgets:
-        return []
+        return table
     test_matrix = training.data[:, :cfg.test_signals] + training.mean[:, None]
     n_test = test_matrix.shape[1]
 
@@ -541,10 +552,9 @@ def compare_methods(cfg, training, dictionary, dict_mean):
 
     measurements = [int(m) for m in
                     cfg.measurements or (tree.p // 4, tree.p // 2, tree.p)]
-    distinct = list(dict.fromkeys(measurements))
     # per m; neither the PCA fit nor the arms' seeds depend on the signal
     pca_models = {}
-    pca_ranks = [m for m in distinct if m <= min(training.n, training.q)]
+    pca_ranks = [m for m in measurements if m <= min(training.n, training.q)]
     if pca_ranks:
         svd = np.linalg.svd(training.data, full_matrices=False)[:2]
         for m in pca_ranks:
@@ -553,40 +563,35 @@ def compare_methods(cfg, training, dictionary, dict_mean):
             except ValueError:
                 pca_models[m] = None
     rand_arms = _random_projection_arms(cfg, dictionary, dict_mean, test_matrix,
-                                        distinct, k)
+                                        measurements, k)
     # adaptive dictionary sensing at each threshold, per signal budget-major
     adaptive = [sense_signal(cfg, dictionary, dict_mean, test_matrix[:, sig_idx], k,
                              sig_idx, f"{note};signal={sig_idx}") for sig_idx in range(n_test)]
     per_budget = len(cfg.taus) * cfg.trials
-    rows = []
+    trials = range(cfg.trials)
     for b, R in enumerate(cfg.budgets):
         beta_w = math.sqrt(R / (3 * k + 1))   # wavelet arm: nominal m = 3k+1
         for sig_idx in range(n_test):
             x = test_matrix[:, sig_idx]
             tag = f"{note};signal={sig_idx}"
-            rows.extend(adaptive[sig_idx][b * per_budget:(b + 1) * per_budget])
+            for name, column in adaptive[sig_idx].items():
+                table[name] += column[b * per_budget:(b + 1) * per_budget]
 
             for m in measurements:
                 # PCA at matched measurement count
                 model = pca_models.get(m)
                 if model is not None:
-                    for trial in range(cfg.trials):
-                        rng = np.random.default_rng([cfg.seed, 2, b, sig_idx, m, trial])
-                        x_hat = pca_reconstruct(model, x, R, rng,
-                                                noise_std=cfg.noise_std)
-                        rows.append(_row("pca", R, "", m, trial,
-                                         snr=snr_db(x, x_hat), energy=R, note=tag))
+                    x_hat = np.array([pca_reconstruct(model, x, R, rng, noise_std=cfg.noise_std)
+                                      for rng in _trial_rngs(cfg, 2, b, sig_idx, m)])
+                    _extend(table, "pca", R, "", m, trials, snr_db(x, x_hat), R, tag)
 
-                # random-projection arms (shared ensemble per (R, m))
+                # Lasso and model-CoSaMP rows, alternating per trial (one ensemble per (R, m))
                 alphas, cosamp = rand_arms[m][2:]
-                for trial in range(cfg.trials):
-                    col = sig_idx * cfg.trials + trial
-                    x_lasso = dictionary.atoms @ alphas[b, :, col] + dict_mean
-                    x_cos = dict_mean + dictionary.atoms @ cosamp[b, :, col]
-                    rows.append(_row("lasso", R, "", m, trial,
-                                     snr=snr_db(x, x_lasso), energy=R, note=tag))
-                    rows.append(_row("model-cosamp", R, "", m, trial,
-                                     snr=snr_db(x, x_cos), energy=R, note=tag))
+                cols = slice(sig_idx * cfg.trials, (sig_idx + 1) * cfg.trials)
+                coef = np.stack([alphas[b, :, cols], cosamp[b, :, cols]], axis=2)
+                x_hat = dict_mean + _synthesize(dictionary.atoms, coef.reshape(tree.p, -1))
+                _extend(table, ["lasso", "model-cosamp"] * cfg.trials, R, "", m,
+                        np.repeat(trials, 2), snr_db(x, x_hat), R, tag)
 
             # direct wavelet sensing (image signals only)
             if is_image:
@@ -594,12 +599,10 @@ def compare_methods(cfg, training, dictionary, dict_mean):
                 for tau_idx, tau_w in enumerate((0.0, 0.5)):
                     sense_cfg = SensingConfig(beta=beta_w, tau=tau_w,
                                               noise_std=cfg.noise_std, budget=R)
-                    for trial in range(cfg.trials):
-                        rng = np.random.default_rng([cfg.seed, 5, b, sig_idx, tau_idx, trial])
-                        batch = wavelet_sense(img, sense_cfg, rng)
-                        rec = wavelet_reconstruct(batch, side, beta_w)
-                        x_hat = rec.flatten(order="F")
-                        rows.append(_row("wavelet", R, tau_w, batch.m[0], trial,
-                                         snr=snr_db(x, x_hat),
-                                         energy=batch.energy_spent[0], note=tag))
-    return rows
+                    sessions = [wavelet_sense(img, sense_cfg, rng)
+                                for rng in _trial_rngs(cfg, 5, b, sig_idx, tau_idx)]
+                    rec = np.concatenate([wavelet_reconstruct(s, side, beta_w) for s in sessions])
+                    x_hat = rec.transpose(0, 2, 1).reshape(cfg.trials, n)   # column-major
+                    _extend(table, "wavelet", R, tau_w, [s.m[0] for s in sessions], trials,
+                            snr_db(x, x_hat), [s.energy_spent[0] for s in sessions], tag)
+    return table

@@ -188,25 +188,27 @@ def adaptive_sense_batch(nodes, values, tree, cfg, rng):
     return batch
 
 
-def _significant(batch, beta):
-    """(node ids, observations / beta) of a one-session batch's significant
-    measurements."""
+def _scatter(batch, beta, size, first):
+    """(T, size): each session's significant observations / beta at its node
+    ids, which must all lie in first..first + size - 1, and zero elsewhere."""
     if not beta > 0:
         raise ValueError("beta must be positive")
-    if len(batch.m) != 1:
-        raise ValueError(f"expected a batch of one session, got {len(batch.m)}")
+    node = batch.node
+    if len(node) and not first <= node.min() <= node.max() < first + size:
+        raise ValueError(f"the batch's node ids {node.min()}..{node.max()} do not fit "
+                         f"the {size} ids {first}..{first + size - 1} it fills")
     sig = batch.significant
-    return batch.node[sig], batch.y[sig] / beta
+    out = np.zeros((len(batch.m), size))
+    out[batch.trial[sig], node[sig] - first] = batch.y[sig] / beta
+    return out
 
 
 def reconstruct_from_outcome(batch, dictionary, beta, mean_offset=None):
-    """Weighted-atom reconstruction from a one-session SessionBatch.
-
-    Only atoms whose measurement passed the threshold contribute; each weight
-    is the observation divided by beta, which unbiases the scaled measurement.
-    """
-    nodes, weights = _significant(batch, beta)
-    x_hat = dictionary.atoms[:, nodes - 1] @ weights
+    """Weighted-atom reconstructions (T, n) of a T-session SessionBatch with
+    node ids in 1..p.  Only atoms whose measurement passed the threshold
+    contribute; each weight is the observation divided by beta, which
+    unbiases the scaled measurement."""
+    x_hat = _scatter(batch, beta, dictionary.atoms.shape[1], 1) @ dictionary.atoms.T
     return x_hat if mean_offset is None else np.asarray(mean_offset, dtype=float) + x_hat
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sensing import _significant, _traverse
+from .sensing import _scatter, _traverse
 
 __all__ = [
     "haar2",
@@ -48,24 +48,24 @@ def haar2(img):
 
 
 def ihaar2(coeffs):
-    """Inverse of haar2."""
+    """Inverse of haar2, of a (side, side) array or of each of a (..., side, side) stack."""
     coeffs = np.asarray(coeffs, dtype=float)
-    side = coeffs.shape[0]
-    if coeffs.shape != (side, side):
+    if coeffs.ndim < 2 or coeffs.shape[-1] != coeffs.shape[-2]:
         raise ValueError("coefficient array must be square")
+    side = coeffs.shape[-1]
     _check_side(side)
     out = coeffs.copy()
     s = 1
     while s < side:
         t = 2 * s
-        a = out[:s, :s].copy()
-        h = out[:s, s:t].copy()
-        v = out[s:t, :s].copy()
-        d = out[s:t, s:t].copy()
-        out[0:t:2, 0:t:2] = (a + h + v + d) / 2
-        out[0:t:2, 1:t:2] = (a - h + v - d) / 2
-        out[1:t:2, 0:t:2] = (a + h - v - d) / 2
-        out[1:t:2, 1:t:2] = (a - h - v + d) / 2
+        a = out[..., :s, :s].copy()
+        h = out[..., :s, s:t].copy()
+        v = out[..., s:t, :s].copy()
+        d = out[..., s:t, s:t].copy()
+        out[..., 0:t:2, 0:t:2] = (a + h + v + d) / 2
+        out[..., 0:t:2, 1:t:2] = (a - h + v - d) / 2
+        out[..., 1:t:2, 0:t:2] = (a + h - v - d) / 2
+        out[..., 1:t:2, 1:t:2] = (a - h - v + d) / 2
         s = t
     return out
 
@@ -109,9 +109,6 @@ def wavelet_sense(image, cfg, rng):
 
 
 def wavelet_reconstruct(batch, side, beta):
-    """Inverse transform of a one-session batch's significant measured
-    coefficients / beta."""
-    nodes, weights = _significant(batch, beta)
-    coeffs = np.zeros(side * side)
-    coeffs[nodes] = weights
-    return ihaar2(coeffs.reshape(side, side))
+    """Inverse transforms (T, side, side) of each session's significant
+    measured coefficients / beta; node ids must lie in 0..side² - 1."""
+    return ihaar2(_scatter(batch, beta, side * side, 0).reshape(len(batch.m), side, side))

@@ -12,7 +12,7 @@ from treesense import (ExperimentConfig, LearnConfig, SensingConfig,
                        lasso_solve, learn, make_tree, min_amplitude,
                        random_tree_sparse, random_tree_sparse_batch, synthetic_corpus,
                        tree_project_batch, tree_prox,
-                       two_stage_estimate_coeffs, verify_theorem, write_csv, as_table)
+                       two_stage_estimate_coeffs, verify_theorem, write_csv)
 from treesense.harness import compare_methods
 
 from conftest import enumerate_rooted_subtrees, group_list, significant_set, support_of
@@ -287,14 +287,15 @@ def test_criterion_8_protocol_level_comparison():
                            taus=(0.0, 0.5, 1.0, 2.0), measurements=(64,),
                            noise_std=1.0, trials=3, seed=8, test_signals=3,
                            target_sparsity=k)
-    rows = compare_methods(cfg, training=tr, dictionary=planted,
-                           dict_mean=np.full(side * side, 0.5))
+    table = compare_methods(cfg, training=tr, dictionary=planted,
+                            dict_mean=np.full(side * side, 0.5))
+    rows = list(zip(table["method"], table["R"], table["tau"], table["snr_db"], strict=True))
 
     def mean_snr(method, R, tau=None):
-        vals = [r["snr_db"] for r in rows
-                if r["method"] == method and r["R"] == R
-                and (tau is None or r["tau"] == tau)
-                and r["snr_db"] is not None]
+        vals = [snr for row_method, row_R, row_tau, snr in rows
+                if row_method == method and row_R == R
+                and (tau is None or row_tau == tau)
+                and snr is not None]
         return float(np.mean(vals))
 
     ok_order = True
@@ -331,9 +332,8 @@ def test_criterion_9_deterministic_csv(tmp_path):
                                measurements=(8,), trials=3, seed=9,
                                test_signals=2, target_sparsity=6,
                                out=str(tmp_path / f"cmp{run}.csv"))
-        rows = compare_methods(cfg, training=tr, dictionary=planted,
-                               dict_mean=np.full(64, 0.5))
-        write_csv(cfg.out, as_table(rows))
+        write_csv(cfg.out, compare_methods(cfg, training=tr, dictionary=planted,
+                                           dict_mean=np.full(64, 0.5)))
         blobs.append((tmp_path / f"cmp{run}.csv").read_bytes())
     same_cmp = blobs[0] == blobs[1]
     _check(9, "byte-identical CSV across repeated same-seed runs",

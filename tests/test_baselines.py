@@ -1,4 +1,5 @@
 import logging
+import math
 import re
 
 import numpy as np
@@ -15,6 +16,12 @@ def test_ensemble_row_norms():
     norms = np.linalg.norm(phi, axis=1)
     assert np.allclose(norms, np.sqrt(200.0 / 10), rtol=1e-12)
     assert np.sum(phi**2) == pytest.approx(200.0)
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0, -1.0])
+def test_ensemble_rejects_a_budget_that_is_not_positive_and_finite(budget):
+    with pytest.raises(ValueError, match=r"need m >= 1 and budget > 0"):
+        gaussian_ensemble(3, 4, budget, seed=0)
 
 
 def test_lasso_zero_when_penalty_dominates(rng):
@@ -244,6 +251,14 @@ def test_pca_zero_components_returns_mean(rng):
     model = pca_fit(tr, 0)
     x = rng.standard_normal(10)
     assert np.array_equal(pca_reconstruct(model, x, 10.0, rng), tr.mean)
+
+
+@pytest.mark.parametrize("budget", [-4.0, 0.0, math.nan, math.inf])
+def test_pca_reconstruct_rejects_a_budget_that_is_not_positive_and_finite(rng, budget):
+    tr = TrainingSet.from_raw(rng.standard_normal((10, 12)))
+    model = pca_fit(tr, 3)
+    with pytest.raises(ValueError, match="budget must be positive and finite"):
+        pca_reconstruct(model, rng.standard_normal(10), budget, rng)
 
 
 def test_pca_rejects_r_above_rank(rng):

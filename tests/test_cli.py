@@ -227,7 +227,7 @@ def test_log_level_info_reports_lasso_caps(tmp_path, corpus_dir, random_dict, ca
     root, _ = corpus_dir
     argv = ["compare", "--dict-path", str(random_dict), "--corpus", str(root),
             "--target-side", "8", "--budgets", "64,16", "--taus", "0",
-            "--measurements", "6,12,6", "--trials", "2", "--test-signals", "1",
+            "--measurements", "6,12", "--trials", "2", "--test-signals", "1",
             "--target-sparsity", "6", "--seed", "4"]
 
     def solver_messages(prefix):
@@ -241,8 +241,8 @@ def test_log_level_info_reports_lasso_caps(tmp_path, corpus_dir, random_dict, ca
         assert main(["--log-level", "info", *argv, "--out", str(tmp_path / "info.csv")]) == 0
     finally:
         logging.getLogger("treesense").setLevel(logging.NOTSET)
-    # one call for the lambda grids (2 distinct m x 2 budgets x 4 weights)
-    # and one for the columns (2 distinct m x 2 budgets x 2 trials)
+    # one call for the lambda grids (2 m x 2 budgets x 4 weights) and one
+    # for the columns (2 m x 2 budgets x 2 trials)
     messages = solver_messages("lasso_solve:")
     assert len(messages) == 2
     for msg, total in zip(messages, (16, 8)):
@@ -318,16 +318,18 @@ K_RANGE = "the failure bound needs k >= 2, and the tree has 7 nodes above its le
     ("verify-theorem", "--budgets", "0", "must be positive, got 0"),
     ("verify-theorem", "--budgets", "-3", "must be positive, got -3"),
     ("compare", "--measurements", "0", "must be at least 1, got 0"),
+    ("compare", "--measurements", "31,31", "(31, 31) repeats an entry"),
     ("verify-theorem", "--noise-std", "nan", "must be finite, got nan"),
     ("verify-theorem", "--c1", "nan", "must be finite, got nan"),
     ("compare", "--taus", "1e400", "must be finite, got 1e400"),
-], ids=["k-100", "k-10", "k-1", "budgets-0", "budgets--3", "measurements-0", "noise-std-nan",
-        "c1-nan", "taus-1e400"])
+], ids=["k-100", "k-10", "k-1", "budgets-0", "budgets--3", "measurements-0",
+        "measurements-repeated", "noise-std-nan", "c1-nan", "taus-1e400"])
 def test_list_option_errors_exit_2_naming_the_key(tmp_path, corpus_dir, random_dict, capsys,
                                                   command, flag, value, reason):
-    # an entry of k, budgets or measurements out of range, or a float that
-    # is not finite, names its key, as a bad scalar option does, instead of
-    # failing inside a library call or running on a nan
+    # an entry of k, budgets or measurements out of range, a repeated entry
+    # of measurements, or a float that is not finite, names its key, as a
+    # bad scalar option does, instead of failing inside a library call,
+    # running on a nan or writing a row twice
     root, _ = corpus_dir
     out = tmp_path / "out.csv"
     inputs = {"verify-theorem": ["--L", "4", "--trials", "5"],

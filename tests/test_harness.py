@@ -11,7 +11,7 @@ from treesense import (CSV_FIELDS, Dictionary, ExperimentConfig, TrainingSet,
                        box_downscale, compare_methods, harness, lambda_for_sparsity,
                        lasso_solve, load_corpus, make_tree, model_cosamp, read_pgm, snr_db,
                        synthetic_corpus, verify_theorem, write_csv, write_manifest, write_pgm)
-from treesense.harness import (_random_projection_arms, _row, apply_config, as_table,
+from treesense.harness import (_extend, _random_projection_arms, apply_config,
                                parse_config_file)
 
 from conftest import reference_write_csv
@@ -25,6 +25,27 @@ def test_snr_values():
     assert math.isinf(snr_db(x, x))
     with pytest.raises(ValueError):
         snr_db(np.zeros(3), np.ones(3))
+
+
+def test_snr_scores_each_row(rng):
+    x = rng.standard_normal(30)
+    x_hat = x + rng.standard_normal((2, 4, 30)) * np.array([0, 1e-3, 0.5, 2.0])[:, None]
+    snr = snr_db(x, x_hat)
+    assert snr.shape == (2, 4)
+    for i in range(2):
+        for j in range(4):
+            assert snr[i, j] == snr_db(x, x_hat[i, j])   # row sums as the 1-D sums, bit for bit
+    assert math.isinf(snr[0, 0]) and math.isinf(snr[1, 0])
+    assert isinstance(snr_db(x, x_hat[0, 1]), float)
+    assert snr_db(x, x_hat[:, 1]).shape == (2,) and snr_db(x, x_hat[:1, 1]).shape == (1,)
+
+
+@pytest.mark.parametrize("x_hat_shape", [(1,), (3,), (2, 3), (4, 1), ()])
+def test_snr_rejects_rows_of_another_length(x_hat_shape):
+    # a (1,) x_hat used to broadcast against x and score 0 dB
+    with pytest.raises(ValueError, match=re.escape(f"x_hat of shape {x_hat_shape} does not "
+                                                   "match x of shape (4,)")):
+        snr_db(np.ones(4), np.zeros(x_hat_shape))
 
 
 def test_pgm_roundtrip(tmp_path, rng):
@@ -256,19 +277,37 @@ def test_csv_schema_and_determinism(tmp_path):
 
 
 def test_write_csv_field_formatting(tmp_path):
-    rows = [
-        _row("adaptive", 256.0, 0.5, 7, 0, snr=math.inf, energy=1 / 3, note="k=3"),
-        _row("lasso", 32, "", 63, 1, snr=-4.25, energy=np.float64(32.0), note="a,b"),
-        _row("adaptive", np.float64(8.0), 0, 3, 2, snr=np.float64(1 / 7), support_exact=1),
-        _row("pca", 1e-20, "", 12, 3, snr=2.0 / 3.0, energy=123456789012345.0),
-    ]
-    write_csv(tmp_path / "f.csv", as_table(rows))
+    table = {"method": ["adaptive", "lasso", "adaptive", "pca"],
+             "R": [256.0, 32, np.float64(8.0), 1e-20], "tau": [0.5, "", 0, ""],
+             "m": [7, 63, 3, 12], "trial": [0, 1, 2, 3],
+             "snr_db": [None, -4.25, np.float64(1 / 7), 2.0 / 3.0], "exact": [1, 0, 0, 0],
+             "support_exact": [None, None, 1, None],
+             "energy_spent": [1 / 3, np.float64(32.0), None, 123456789012345.0],
+             "wall_time": "", "note": ["k=3", "a,b", "", ""]}
+    assert write_csv(tmp_path / "f.csv", table) == 4
     assert (tmp_path / "f.csv").read_text() == (
         "method,R,tau,m,trial,snr_db,exact,support_exact,energy_spent,wall_time,note\n"
         "adaptive,256,0.5,7,0,,1,,0.333333333333,,k=3\n"
         'lasso,32,,63,1,-4.25,0,,32,,"a,b"\n'
         "adaptive,8,0,3,2,0.142857142857,0,1,,,\n"
         "pca,1e-20,,12,3,0.666666666667,0,,1.23456789012e+14,,\n")
+
+
+def test_extend_writes_exact_rows_with_the_sentinel(tmp_path):
+    # an SNR of +inf is an exact reconstruction: exact=1 and no snr_db;
+    # shared values repeat on every row of the block
+    table = {name: [] for name in CSV_FIELDS}
+    _extend(table, "wavelet", 8, 0.5, [3, 4], range(2), np.array([math.inf, 1 / 3]),
+            [np.float64(2.0), 2.5], "n")
+    _extend(table, ["lasso", "model-cosamp"], 32.5, "", 6, np.repeat(range(1), 2),
+            np.array([-4.25, math.inf]), 32.5, "a,b")
+    assert write_csv(tmp_path / "f.csv", table) == 4
+    assert (tmp_path / "f.csv").read_text() == (
+        "method,R,tau,m,trial,snr_db,exact,support_exact,energy_spent,wall_time,note\n"
+        "wavelet,8,0.5,3,0,,1,,2,,n\n"
+        "wavelet,8,0.5,4,1,0.333333333333,0,,2.5,,n\n"
+        'lasso,32.5,,6,0,-4.25,0,,32.5,,"a,b"\n'
+        'model-cosamp,32.5,,6,0,,1,,32.5,,"a,b"\n')
 
 
 def test_write_csv_matches_reference_writer(tmp_path, rng):
@@ -290,9 +329,10 @@ def test_write_csv_matches_reference_writer(tmp_path, rng):
                            measurements=(4, 8), trials=2, seed=5, test_signals=2,
                            target_sparsity=4)
     tr = TrainingSet.from_raw(X)
-    rows = compare_methods(cfg, training=tr, dictionary=planted, dict_mean=tr.mean)
-    assert write_csv(tmp_path / "cmp.csv", as_table(rows)) == len(rows)
-    reference_write_csv(tmp_path / "cmp_ref.csv", rows)
+    table = compare_methods(cfg, training=tr, dictionary=planted, dict_mean=tr.mean)
+    assert write_csv(tmp_path / "cmp.csv", table) == len(table["method"])
+    reference_write_csv(tmp_path / "cmp_ref.csv",
+                        [dict(zip(table, row)) for row in zip(*table.values())])
     assert (tmp_path / "cmp.csv").read_bytes() == (tmp_path / "cmp_ref.csv").read_bytes()
 
 
@@ -324,13 +364,48 @@ def test_compare_methods_schema_and_energy(rng):
     cfg = ExperimentConfig(mode="compare", budgets=(256.0,), taus=(0.0, 0.5),
                            measurements=(8, 16), trials=2, seed=3,
                            test_signals=1, target_sparsity=8)
-    rows = compare_methods(cfg, training=tr, dictionary=planted,
-                           dict_mean=np.full(256, 0.5))
-    methods = {r["method"] for r in rows}
+    table = compare_methods(cfg, training=tr, dictionary=planted,
+                            dict_mean=np.full(256, 0.5))
+    assert set(table) == set(CSV_FIELDS)
+    methods = set(table["method"])
     assert methods == {"adaptive", "pca", "lasso", "model-cosamp", "wavelet"}
-    for r in rows:
-        if r["energy_spent"] not in (None, ""):
-            assert r["energy_spent"] <= r["R"] * (1 + 1e-9)
+    for R, energy in zip(table["R"], table["energy_spent"], strict=True):
+        if energy not in (None, ""):
+            assert energy <= R * (1 + 1e-9)
+
+
+def test_compare_rows_keep_their_order(rng):
+    # per budget, then per signal: the adaptive rows (tau, then trial); per m
+    # the PCA trials, then Lasso and model-CoSaMP alternating per trial; then
+    # the wavelet rows (tau, then trial)
+    tree = make_tree(2, 4)
+    X, planted, _ = synthetic_corpus(20, 8, tree, 4, rng)
+    tr = TrainingSet.from_raw(X)
+    cfg = ExperimentConfig(mode="compare", budgets=(64.0, 16), taus=(0, 0.5),
+                           measurements=(4, 8), trials=2, seed=5, test_signals=2,
+                           target_sparsity=4)
+    table = compare_methods(cfg, training=tr, dictionary=planted, dict_mean=tr.mean)
+    block = [("adaptive", tau, "", trial) for tau in (0, 0.5) for trial in (0, 1)]
+    for m in (4, 8):
+        block += [("pca", "", m, trial) for trial in (0, 1)]
+        block += [(method, "", m, trial) for trial in (0, 1)
+                  for method in ("lasso", "model-cosamp")]
+    block += [("wavelet", tau, "", trial) for tau in (0.0, 0.5) for trial in (0, 1)]
+    rows = list(zip(table["method"], table["R"], table["tau"], table["m"], table["trial"],
+                    table["note"], strict=True))
+    expected = [(method, R, tau, m, trial, f"in-sample;signal={sig}")
+                for R in (64.0, 16) for sig in (0, 1) for method, tau, m, trial in block]
+    assert [(method, R, tau, m if method in ("pca", "lasso", "model-cosamp") else "", trial,
+             note) for method, R, tau, m, trial, note in rows] == expected
+    # the exact sentinel: snr_db is empty exactly where exact is 1
+    assert all((snr is None) == (exact == 1)
+               for snr, exact in zip(table["snr_db"], table["exact"], strict=True))
+    assert set(table["support_exact"]) == {None} and set(table["wall_time"]) == {""}
+
+    # no budgets: an empty table, which writes the header alone
+    empty = compare_methods(replace(cfg, budgets=()), training=tr, dictionary=planted,
+                            dict_mean=tr.mean)
+    assert empty == {name: [] for name in CSV_FIELDS}
 
 
 def test_compare_generators_never_share_a_draw(rng, monkeypatch):
@@ -349,10 +424,10 @@ def test_compare_generators_never_share_a_draw(rng, monkeypatch):
         return default_rng(seed)
 
     monkeypatch.setattr(np.random, "default_rng", recording_rng)
-    rows = compare_methods(cfg, training=tr, dictionary=planted, dict_mean=tr.mean)
+    table = compare_methods(cfg, training=tr, dictionary=planted, dict_mean=tr.mean)
     # one generator per row (model-CoSaMP reuses the Lasso's measurements),
     # plus a lambda probe and an ensemble per (budget, m)
-    assert len(first_draws) == sum(r["method"] != "model-cosamp" for r in rows) + 2 * 4
+    assert len(first_draws) == sum(method != "model-cosamp" for method in table["method"]) + 2 * 4
     assert len(set(first_draws)) == len(first_draws)
 
 

@@ -1,9 +1,10 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from treesense import (Dictionary, SensingConfig, adaptive_sense_batch,
+from treesense import (Dictionary, SensingConfig, SessionBatch, adaptive_sense_batch,
                        adaptive_sense_coeffs, allocate_beta, make_tree,
                        random_tree_sparse, reconstruct_from_outcome,
                        two_stage_estimate_coeffs, wavelet_reconstruct, wavelet_sense)
@@ -130,14 +131,64 @@ def test_batch_of_empty_supports():
     assert len(batch.m) == 0 and len(batch.node) == 0
 
 
-def test_reconstruction_needs_one_session(rng):
-    t = make_tree(2, 3)
+def session(batch, t):
+    """Session t of a SessionBatch, as a one-session batch."""
+    keep = batch.trial == t
+    return SessionBatch(trial=np.zeros(keep.sum(), dtype=batch.trial.dtype),
+                        node=batch.node[keep], y=batch.y[keep],
+                        significant=batch.significant[keep], m=batch.m[t:t + 1],
+                        energy_spent=batch.energy_spent[t:t + 1],
+                        truncated=batch.truncated[t:t + 1])
+
+
+def join_sessions(*batches):
+    """One SessionBatch of one-session batches, session t from batches[t]."""
+    parts = {f.name: np.concatenate([getattr(b, f.name) for b in batches])
+             for f in fields(SessionBatch)}
+    parts["trial"] = np.concatenate([np.full(len(b.node), t) for t, b in enumerate(batches)])
+    return SessionBatch(**parts)
+
+
+def test_reconstruction_takes_a_session_batch(rng):
+    # a T-session batch reconstructs to the rows of its sessions' one-session
+    # reconstructions: the dictionary's within rounding (one product over
+    # every session), the wavelet's bit for bit
+    t = make_tree(2, 4)
+    Q, _ = np.linalg.qr(rng.standard_normal((20, t.p)))
+    d, mean = Dictionary(atoms=Q, tree=t), rng.standard_normal(20)
+    cfg = SensingConfig(beta=1.5, tau=0.8, noise_std=0.5)
+    batch = adaptive_sense_batch([[1, 2, 5], [1, 3, 6]], [[2.0, -1.5, 1.0], [1.0, 2.5, -2.0]],
+                                 t, cfg, rng)
+    x_hat = reconstruct_from_outcome(batch, d, 1.5, mean)
+    assert x_hat.shape == (2, 20)
+    for trial in range(2):
+        own = reconstruct_from_outcome(session(batch, trial), d, 1.5, mean)
+        assert own.shape == (1, 20)
+        assert np.max(np.abs(x_hat[trial] - own[0])) <= 1e-12 * np.max(np.abs(own))
+
+    images = rng.standard_normal((2, 8, 8))
+    sessions = [wavelet_sense(img, cfg, rng) for img in images]
+    rec = wavelet_reconstruct(join_sessions(*sessions), 8, 1.5)
+    assert rec.shape == (2, 8, 8)
+    for trial in range(2):
+        assert rec[trial].tobytes() == wavelet_reconstruct(sessions[trial], 8, 1.5)[0].tobytes()
+    # and a batch of no sessions to no rows
+    empty = SessionBatch(*(getattr(batch, f.name)[:0] for f in fields(SessionBatch)))
+    assert reconstruct_from_outcome(empty, d, 1.5).shape == (0, 20)
+    assert wavelet_reconstruct(empty, 8, 1.5).shape == (0, 8, 8)
+
+
+def test_reconstruction_rejects_node_ids_outside_its_size(rng):
+    # both raised numpy's IndexError before
     cfg = SensingConfig(beta=1.0, tau=0.0, noise_std=0.0)
-    batch = adaptive_sense_batch([[1], [1]], [[1.0], [2.0]], t, cfg, rng)
-    with pytest.raises(ValueError, match="one session"):
-        reconstruct_from_outcome(batch, identity_dict(t), 1.0)
-    with pytest.raises(ValueError, match="one session"):
+    batch = wavelet_sense(rng.standard_normal((4, 4)), cfg, rng)
+    with pytest.raises(ValueError, match=r"node ids 0\.\.15 do not fit the 4 ids 0\.\.3"):
         wavelet_reconstruct(batch, 2, 1.0)
+    t = make_tree(2, 3)
+    batch = adaptive_sense_coeffs(np.arange(1.0, 8.0), t, cfg, rng)
+    three = Dictionary(atoms=np.eye(3), tree=make_tree(2, 2))
+    with pytest.raises(ValueError, match=r"node ids 1\.\.7 do not fit the 3 ids 1\.\.3"):
+        reconstruct_from_outcome(batch, three, 1.0)
 
 
 @pytest.mark.parametrize("beta", [math.nan, -2.0, 0.0])
@@ -182,7 +233,7 @@ def test_reconstruction_empty_support_is_mean(rng):
     mean = np.arange(7.0)
     cfg = SensingConfig(beta=1.0, tau=5.0, noise_std=0.0)
     out = adaptive_sense_coeffs(d.atoms.T @ np.zeros(7), d.tree, cfg, rng)
-    assert np.array_equal(reconstruct_from_outcome(out, d, 1.0, mean), mean)
+    assert np.array_equal(reconstruct_from_outcome(out, d, 1.0, mean), mean[None])
 
 
 def test_two_stage_noiseless_exact(rng):

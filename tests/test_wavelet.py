@@ -36,6 +36,18 @@ def test_sensing_order_is_quadtree_bfs(side, rng):
     assert out.node.tolist() == nodes
 
 
+def test_ihaar2_of_a_stack_is_each_image_bit_for_bit(rng):
+    coeffs = rng.standard_normal((2, 3, 8, 8))
+    back = ihaar2(coeffs)
+    assert back.shape == (2, 3, 8, 8)
+    for i in range(2):
+        for j in range(3):
+            assert back[i, j].tobytes() == ihaar2(coeffs[i, j]).tobytes()
+    for shape in [(2, 4, 8), (4,), ()]:
+        with pytest.raises(ValueError, match="must be square"):
+            ihaar2(np.zeros(shape))
+
+
 def test_constant_image_only_coarse_significant(rng):
     img = np.full((8, 8), 0.7)
     cfg = SensingConfig(beta=2.0, tau=0.5, noise_std=0.0)
