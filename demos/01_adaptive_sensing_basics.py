@@ -7,9 +7,9 @@ noisy case.
 
 import numpy as np
 
-from treesense import (SensingConfig, adaptive_sense_coeffs, allocate_beta,
-                       failure_bound, make_tree, min_amplitude,
-                       random_tree_sparse)
+from treesense import (SensingConfig, adaptive_sense_batch, adaptive_sense_coeffs,
+                       allocate_beta, failure_bound, make_tree, min_amplitude,
+                       random_tree_sparse, random_tree_sparse_batch)
 
 
 def support_of(v):
@@ -49,12 +49,15 @@ print(f"\nbudget R = {R}: beta = {beta:.3f}, "
       f"recoverable amplitude >= {alpha:.3f}, tau = {tau:.3f}")
 print(f"analytic failure bound: {failure_bound(beta, tau, alpha, k, d):.4g}")
 
-fails = 0
+# Many sessions run in one call: row t of nodes/values is one signal, in
+# sparse form, and session t of the batch senses it (batch.trial says which).
 trials = 2000
-for t in range(trials):
-    v = random_tree_sparse(tree, k, alpha, alpha, rng, max_depth=L - 1)
-    o = adaptive_sense_coeffs(v, tree,
-                              SensingConfig(beta=beta, tau=tau, noise_std=1.0),
-                              rng)
-    fails += set(o.node[o.significant].tolist()) != support_of(v)
+nodes, values = random_tree_sparse_batch(tree, k, alpha, alpha, rng, trials,
+                                         max_depth=L - 1)
+batch = adaptive_sense_batch(nodes, values, tree,
+                             SensingConfig(beta=beta, tau=tau, noise_std=1.0), rng)
+found = [set() for _ in range(trials)]
+for t, node in zip(batch.trial[batch.significant], batch.node[batch.significant]):
+    found[t].add(int(node))
+fails = sum(f != set(row) for f, row in zip(found, nodes.tolist()))
 print(f"empirical failure rate over {trials} trials: {fails / trials:.4g}")

@@ -16,8 +16,8 @@ from . import __version__
 from .baselines import gaussian_ensemble, lasso_solve, model_cosamp, pca_fit, pca_reconstruct
 from .bounds import failure_bound, min_amplitude
 from .dictlearn import Dictionary, TrainingSet, tree_prox
-from .sensing import (SensingConfig, adaptive_sense_batch, adaptive_sense_coeffs,
-                      allocate_beta, reconstruct_from_outcome)
+from .sensing import (SensingConfig, _session_noise, _synthesize, adaptive_sense_batch,
+                      adaptive_sense_coeffs, allocate_beta, reconstruct_from_outcome)
 from .tree import make_tree, random_tree_sparse, random_tree_sparse_batch
 from .wavelet import wavelet_reconstruct, wavelet_sense
 
@@ -439,33 +439,28 @@ def _extend(table, method, R, tau, m, trial, snr, energy, note):
         table[name] += list(value) if rows else [value] * len(snr)
 
 
-def _synthesize(atoms, coef):
-    """(q, n): atoms @ coef[:, j] per column j of coef (p, q), as q stacked
-    vector-matrix products, which round as those do (atoms @ coef does not)."""
-    return np.matmul(coef.T[:, None, :], atoms.T)[:, 0]
-
-
 def sense_signal(cfg, dictionary, dict_mean, x, k, sig_idx=0, note=""):
     """write_csv's table of the adaptive dictionary sessions of one signal
     x: a row per budget, tau and trial of cfg, in that order.  Each session
     draws from its own generator, keyed [cfg.seed, 1, b, sig_idx, tau index,
-    trial].  Every session senses the coefficients c = Dᵀ(x - dict_mean)."""
+    trial], and every session senses the coefficients c = Dᵀ(x - dict_mean),
+    so the trials of a (budget, tau) cell are sensed in one call."""
     x = np.asarray(x, dtype=float)
     if x.shape != (dictionary.atoms.shape[0],):
         raise ValueError(f"signal of {x.size} entries does not match the dictionary's "
                          f"atoms of dimension {dictionary.atoms.shape[0]}")
     c = dictionary.atoms.T @ (x - dict_mean)
+    rows = np.broadcast_to(c, (cfg.trials, len(c)))
     table = {name: [] for name in CSV_FIELDS}
     for b, R in enumerate(cfg.budgets):
         beta = allocate_beta(R, dictionary.tree.d, k)
         for tau_idx, tau in enumerate(cfg.taus):
             sense_cfg = SensingConfig(beta=beta, tau=tau, noise_std=cfg.noise_std, budget=R)
-            sessions = [adaptive_sense_coeffs(c, dictionary.tree, sense_cfg, rng)
-                        for rng in _trial_rngs(cfg, 1, b, sig_idx, tau_idx)]
-            x_hat = np.concatenate([reconstruct_from_outcome(s, dictionary, beta, dict_mean)
-                                    for s in sessions])
-            _extend(table, "adaptive", R, tau, [s.m[0] for s in sessions], range(cfg.trials),
-                    snr_db(x, x_hat), [s.energy_spent[0] for s in sessions], note)
+            batch = adaptive_sense_coeffs(rows, dictionary.tree, sense_cfg,
+                                          _trial_rngs(cfg, 1, b, sig_idx, tau_idx))
+            x_hat = reconstruct_from_outcome(batch, dictionary, beta, dict_mean)
+            _extend(table, "adaptive", R, tau, batch.m, range(cfg.trials),
+                    snr_db(x, x_hat), batch.energy_spent, note)
     return table
 
 
@@ -504,16 +499,16 @@ def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, measurement
             # the column mean is known to every reconstructor
             phi_mean = phi @ dict_mean
             for sig_idx in range(n_test):
-                phi_x = phi @ test_matrix[:, sig_idx]
-                for trial, rng in enumerate(_trial_rngs(cfg, 4, b, sig_idx, m)):
-                    y = phi_x
-                    if cfg.noise_std > 0:
-                        y = y + cfg.noise_std * rng.standard_normal(m)
-                    Y[i, b, sig_idx * cfg.trials + trial, :m] = y - phi_mean
+                y = phi @ test_matrix[:, sig_idx]
+                if cfg.noise_std > 0:   # trial t's m draws from its own generator
+                    noise = _session_noise(_trial_rngs(cfg, 4, b, sig_idx, m),
+                                           np.full(cfg.trials, m))
+                    y = y + cfg.noise_std * noise.reshape(cfg.trials, m)
+                Y[i, b, sig_idx * cfg.trials:(sig_idx + 1) * cfg.trials, :m] = y - phi_mean
     # per (m, budget), the grid weight whose probe reconstruction has the best SNR
     A_flat, lam_grid = A.reshape(-1, M, p), lam_grid.reshape(-1, len(grid))
     alphas = lasso_solve(A_flat, Y_grid.reshape(-1, M, len(grid)), lam_grid, max_iters=200)
-    lams = [lam[np.argmax(snr_db(x, _synthesize(atoms, alpha)))]
+    lams = [lam[np.argmax(snr_db(x, _synthesize(atoms, alpha.T)))]
             for x, lam, alpha in zip(probes, lam_grid, alphas)]
     Y_flat = Y.reshape(-1, n_cols, M).transpose(0, 2, 1)
     alphas = lasso_solve(A_flat, Y_flat, np.repeat(np.array(lams)[:, None], n_cols, axis=1),
@@ -539,6 +534,12 @@ def compare_methods(cfg, training, dictionary, dict_mean):
         raise ValueError(f"config key 'measurements': {cfg.measurements} repeats an entry")
     tree = dictionary.tree
     k = cfg.sparsity_for(tree.p)
+    measurements = [int(m) for m in
+                    cfg.measurements or (tree.p // 4, tree.p // 2, tree.p)]
+    if min(measurements) < 1:
+        raise ValueError(f"config key 'measurements': {tuple(measurements)} holds a count "
+                         "below 1 (with no measurements given, the counts are p // 4, "
+                         f"p // 2 and p, for the dictionary's p = {tree.p})")
     note = "in-sample" if cfg.in_sample else "held-out"
 
     table = {name: [] for name in CSV_FIELDS}
@@ -550,8 +551,6 @@ def compare_methods(cfg, training, dictionary, dict_mean):
     side = int(round(math.sqrt(n)))
     is_image = side * side == n and side >= 2 and not (side & (side - 1))
 
-    measurements = [int(m) for m in
-                    cfg.measurements or (tree.p // 4, tree.p // 2, tree.p)]
     # per m; neither the PCA fit nor the arms' seeds depend on the signal
     pca_models = {}
     pca_ranks = [m for m in measurements if m <= min(training.n, training.q)]
@@ -589,7 +588,7 @@ def compare_methods(cfg, training, dictionary, dict_mean):
                 alphas, cosamp = rand_arms[m][2:]
                 cols = slice(sig_idx * cfg.trials, (sig_idx + 1) * cfg.trials)
                 coef = np.stack([alphas[b, :, cols], cosamp[b, :, cols]], axis=2)
-                x_hat = dict_mean + _synthesize(dictionary.atoms, coef.reshape(tree.p, -1))
+                x_hat = dict_mean + _synthesize(dictionary.atoms, coef.reshape(tree.p, -1).T)
                 _extend(table, ["lasso", "model-cosamp"] * cfg.trials, R, "", m,
                         np.repeat(trials, 2), snr_db(x, x_hat), R, tag)
 
@@ -599,10 +598,10 @@ def compare_methods(cfg, training, dictionary, dict_mean):
                 for tau_idx, tau_w in enumerate((0.0, 0.5)):
                     sense_cfg = SensingConfig(beta=beta_w, tau=tau_w,
                                               noise_std=cfg.noise_std, budget=R)
-                    sessions = [wavelet_sense(img, sense_cfg, rng)
-                                for rng in _trial_rngs(cfg, 5, b, sig_idx, tau_idx)]
-                    rec = np.concatenate([wavelet_reconstruct(s, side, beta_w) for s in sessions])
+                    batch = wavelet_sense(img, sense_cfg,
+                                          _trial_rngs(cfg, 5, b, sig_idx, tau_idx))
+                    rec = wavelet_reconstruct(batch, side, beta_w)
                     x_hat = rec.transpose(0, 2, 1).reshape(cfg.trials, n)   # column-major
-                    _extend(table, "wavelet", R, tau_w, [s.m[0] for s in sessions], trials,
-                            snr_db(x, x_hat), [s.energy_spent[0] for s in sessions], tag)
+                    _extend(table, "wavelet", R, tau_w, batch.m, trials, snr_db(x, x_hat),
+                            batch.energy_spent, tag)
     return table

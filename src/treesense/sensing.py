@@ -7,6 +7,9 @@ the measured value passes a significance threshold.
 One engine runs the traversal over a coefficient array laid out in BFS order,
 for any number of independent sessions at once: each tree level is one step
 of a fixed number of array operations, whatever the number of sessions.
+Every call that draws noise takes rng as one generator, which all sessions
+draw from in turn, or as a list of one generator per session, on which
+session t makes exactly the draws a one-session call on rng[t] makes.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tree import _shared_generator
 
 __all__ = [
     "SensingConfig",
@@ -42,12 +47,12 @@ class SensingConfig:
     budget: float | None = None
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if not self.tau >= 0:
-            raise ValueError("tau must be nonnegative")
-        if not self.noise_std >= 0:
-            raise ValueError("noise_std must be nonnegative")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not 0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be nonnegative and finite, got {self.tau}")
+        if not 0 <= self.noise_std < math.inf:
+            raise ValueError(f"noise_std must be nonnegative and finite, got {self.noise_std}")
         if self.budget is not None and not self.budget > 0:
             raise ValueError("budget must be positive or None")
 
@@ -55,7 +60,8 @@ class SensingConfig:
 @dataclass
 class SessionBatch:
     """Measurements of T independent sessions, the result of every sensing
-    call (the one-vector calls return T = 1).
+    call: T is the number of coefficient rows sensed, or of the generators
+    wavelet_sense is given (1 for one generator).
 
     trial, node, y and significant hold one entry per measurement, tree
     level by tree level and, within a level, by trial and then by node, so
@@ -90,10 +96,13 @@ def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
     noiseless coefficients at positions i of trials t.  The frontier is a
     flat list of (trial, position) pairs sorted by trial, then position,
     which within a trial is the order a FIFO queue would measure them in.
-    Noise is one block per level, drawn in frontier order, so one
+    Noise is one block per level, drawn in frontier order from one shared
+    generator rng, or from a list of `trials` generators, one block per
+    session with measurements left on the level from rng[t]; either way one
     session draws exactly the values of one scalar draw per measurement.
     Returns a SessionBatch whose nodes are positions.
     """
+    shared = _shared_generator(rng, trials)
     # meter[j] is the energy of j measurements, added up one cost at a time
     # from 0 (0.0 + cost is exact), its rounding far below the 1e-6 margin of
     # its length; a session stops before the meter would pass the budget.
@@ -107,7 +116,7 @@ def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
     truncated = np.zeros(trials, dtype=bool)
     levels = []
     while True:
-        counts = np.bincount(t, minlength=trials)
+        counts = queued = np.bincount(t, minlength=trials)
         if (m + counts).max(initial=0) > limit:
             # a session measures its frontier in order until it reaches limit
             rank = m[t] + np.arange(len(t)) - (np.cumsum(counts) - counts)[t]
@@ -117,7 +126,8 @@ def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
             counts = np.minimum(counts, limit - m)
         y = cfg.beta * coeff(t, i)
         if cfg.noise_std > 0:
-            y += cfg.noise_std * rng.standard_normal(len(t))
+            y += cfg.noise_std * (shared.standard_normal(len(t)) if shared is not None
+                                  else _session_noise(rng, counts, queued))
         sig = np.abs(y) >= cfg.tau
         levels.append((t, i, y, sig))
         m += counts
@@ -132,20 +142,33 @@ def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
                         energy_spent=meter[m], truncated=truncated)
 
 
+def _session_noise(gens, counts, drawing=None):
+    """counts[t] standard normals from gens[t] for each row t where drawing
+    (by default counts) is nonzero, in row order, as one array."""
+    rows = np.flatnonzero(counts if drawing is None else drawing).tolist()
+    return np.concatenate([np.empty(0)] + [gens[r].standard_normal(n) for r, n
+                                           in zip(rows, counts[rows].tolist())])
+
+
 def _coeffs(alpha, tree):
+    """alpha as (T, p) rows; a length-p vector is one row."""
     a = np.asarray(alpha, dtype=float)
-    if a.shape != (tree.p,):
-        raise ValueError(f"expected length-{tree.p} coefficient vector")
-    return a
+    if a.shape[-1:] != (tree.p,) or a.ndim > 2:
+        raise ValueError(f"expected a length-{tree.p} coefficient vector or (T, {tree.p}) "
+                         f"rows, got shape {a.shape}")
+    return a.reshape(-1, tree.p)
 
 
 def adaptive_sense_coeffs(alpha, tree, cfg, rng):
-    """Run the threshold traversal of one length-p coefficient vector alpha
-    (a signal x sensed against an orthonormal dictionary D has alpha = Dᵀx).
-    Returns a one-session SessionBatch; the support estimate is its
+    """Run the threshold traversal of a length-p coefficient vector alpha (a
+    signal x sensed against an orthonormal dictionary D has alpha = Dᵀx),
+    with one generator, or of each row of (T, p) coefficients alpha, with a
+    list of T generators (or one that all rows share).  Returns a T-session
+    SessionBatch (T = 1 for a vector); the support estimates are its
     significant nodes."""
     alpha = _coeffs(alpha, tree)
-    return adaptive_sense_batch(np.arange(1, tree.p + 1)[None], alpha[None], tree, cfg, rng)
+    nodes = np.broadcast_to(np.arange(1, tree.p + 1), alpha.shape)
+    return adaptive_sense_batch(nodes, alpha, tree, cfg, rng)
 
 
 def adaptive_sense_batch(nodes, values, tree, cfg, rng):
@@ -153,12 +176,13 @@ def adaptive_sense_batch(nodes, values, tree, cfg, rng):
 
     nodes and values are (T, k): vector t is values[t] at the distinct
     integer node ids nodes[t], each in 1..p, and zero elsewhere; anything
-    else raises ValueError.  Returns a SessionBatch with node ids.  A
-    session draws the same noise, value for value, as a one-vector call on
-    its dense vector.  The coefficients are looked up through a slot map of
-    T * p entries of the smallest signed integer type that holds -k (one
-    byte each up to k = 128), so a batch holds O(T * p) bytes besides its
-    measurements.
+    else raises ValueError.  rng is one generator that all sessions share,
+    or a list of T generators, one per session.  Returns a SessionBatch with
+    node ids.  A session draws the same noise, value for value, as a
+    one-vector call on its dense vector.  The coefficients are looked up
+    through a slot map of T * p entries of the smallest signed integer type
+    that holds -k (one byte each up to k = 128), so a batch holds O(T * p)
+    bytes besides its measurements.
     """
     nodes = np.asarray(nodes)
     values = np.asarray(values, dtype=float)
@@ -203,42 +227,63 @@ def _scatter(batch, beta, size, first):
     return out
 
 
+def _synthesize(atoms, rows):
+    """(T, n): atoms @ rows[t] for each row of rows (T, p), as T stacked
+    vector-matrix products, so that each row rounds as a one-row product
+    does (one (T, p) @ (p, n) product rounds differently)."""
+    return np.matmul(rows[:, None, :], atoms.T)[:, 0]
+
+
 def reconstruct_from_outcome(batch, dictionary, beta, mean_offset=None):
     """Weighted-atom reconstructions (T, n) of a T-session SessionBatch with
     node ids in 1..p.  Only atoms whose measurement passed the threshold
     contribute; each weight is the observation divided by beta, which
-    unbiases the scaled measurement."""
-    x_hat = _scatter(batch, beta, dictionary.atoms.shape[1], 1) @ dictionary.atoms.T
+    unbiases the scaled measurement.  Session t's row is the one a
+    one-session batch of it gives, bit for bit."""
+    x_hat = _synthesize(dictionary.atoms, _scatter(batch, beta, dictionary.atoms.shape[1], 1))
     return x_hat if mean_offset is None else np.asarray(mean_offset, dtype=float) + x_hat
 
 
 def two_stage_estimate_coeffs(alpha, tree, total_budget, k, rng, alpha_min, noise_std=1.0):
     """Support recovery followed by re-measurement of the recovered support,
-    on a length-p coefficient vector alpha (Dᵀx for a signal x).
+    on a length-p coefficient vector alpha (Dᵀx for a signal x) with one
+    generator, or on each row of (T, p) coefficients alpha with a list of T
+    generators (or one that all rows share).
 
     Stage 1 runs the threshold traversal, with threshold beta_1 * alpha_min / 2,
     on half of total_budget; stage 2 spends the other half equally on one
-    fresh measurement per recovered index: len(S_hat) * beta_2^2 = R/2.
-    Returns (estimate, batch): the rescaled stage-2 observations at S_hat
-    and zero elsewhere (all zero when S_hat is empty), and stage 1's session.
+    fresh measurement per recovered index: len(S_hat) * beta_2^2 = R/2,
+    drawing its noise after stage 1 from the same generator.  Returns
+    (estimate, batch): the rescaled stage-2 observations at S_hat and zero
+    elsewhere (all zero when S_hat is empty), shaped as alpha, and stage 1's
+    sessions.
     """
     c = _coeffs(alpha, tree)
     # Half the budget finds the support and half re-measures it: criterion
     # 3's 2k^2 sigma^2 / R error prediction assumes this split.
-    if total_budget <= 0:
-        raise ValueError("total_budget must be positive")
+    if not 0 < total_budget < math.inf:
+        raise ValueError(f"total_budget must be positive and finite, got {total_budget}")
+    if not 0 <= alpha_min < math.inf:
+        raise ValueError(f"alpha_min must be nonnegative and finite, got {alpha_min}")
     half = 0.5 * total_budget
     beta1 = allocate_beta(half, tree.d, k)
     cfg = SensingConfig(beta=beta1, tau=0.5 * beta1 * alpha_min, noise_std=noise_std,
                         budget=half)
     batch = adaptive_sense_coeffs(c, tree, cfg, rng)
 
-    estimate = np.zeros(tree.p)
-    s_hat = np.sort(batch.node[batch.significant]) - 1
+    # each row's S_hat, in node order
+    sig = batch.significant
+    trial, s_hat = batch.trial[sig], batch.node[sig] - 1
+    order = np.lexsort((s_hat, trial))
+    trial, s_hat = trial[order], s_hat[order]
+    sizes = np.bincount(trial, minlength=len(c))
+    estimate = np.zeros(c.shape)
     if len(s_hat):
-        beta2 = math.sqrt(half / len(s_hat))
-        y2 = beta2 * c[s_hat]
+        beta2 = np.sqrt(half / sizes[trial])
+        y2 = beta2 * c[trial, s_hat]
         if noise_std > 0:
-            y2 += noise_std * rng.standard_normal(len(s_hat))
-        estimate[s_hat] = y2 / beta2
-    return estimate, batch
+            shared = _shared_generator(rng, len(c))
+            y2 += noise_std * (shared.standard_normal(len(s_hat)) if shared is not None
+                               else _session_noise(rng, sizes))
+        estimate[trial, s_hat] = y2 / beta2
+    return estimate.reshape(np.shape(alpha)), batch

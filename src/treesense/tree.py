@@ -73,6 +73,19 @@ def make_tree(d, L):
     return TreeTopology(p=p, d=d, depth=L)
 
 
+def _shared_generator(rng, rows):
+    """The generator that all rows draw from in turn, or None when rng is a
+    list or tuple of one generator per row.  A list of one is its generator;
+    anything that is not a list or tuple, duck-typed generators included, is
+    one generator."""
+    if not isinstance(rng, (list, tuple)):
+        return rng
+    if len(rng) != rows:
+        raise ValueError(f"{len(rng)} generators for {rows} rows: pass one generator, "
+                         "or a list of one per row")
+    return rng[0] if rows == 1 else None
+
+
 def random_tree_sparse_batch(tree, k, amp_min, amp_max, rng, trials, max_depth=None):
     """Draw `trials` random k-tree-sparse vectors at once, in sparse form.
 
@@ -80,8 +93,11 @@ def random_tree_sparse_batch(tree, k, amp_min, amp_max, rng, trials, max_depth=N
     vector t in the order it was grown, root first, and the values there.
     Each support is grown from the root by repeatedly adding a uniformly
     chosen boundary node, row t's step s picking entry floor(u[s-1, t] * len)
-    of its boundary list from one rng.random((k - 1, trials)) block;
+    of its boundary list from a (k - 1, trials) block of uniforms;
     magnitudes are uniform on [amp_min, amp_max] with random signs.
+    rng is one generator, which draws the block with rng.random((k - 1,
+    trials)), then all magnitudes, then all signs, or a list of `trials`
+    generators, where row t draws on rng[t] what a one-row call on it draws.
     max_depth restricts growth to nodes at depth < max_depth (useful to keep
     the support off the leaf level, where nodes have no children to test).
     """
@@ -100,6 +116,17 @@ def random_tree_sparse_batch(tree, k, amp_min, amp_max, rng, trials, max_depth=N
                          f"{k} under the depth restriction")
     inner = (last - 1) // d
     kids = np.arange(d)
+    shared = _shared_generator(rng, trials)
+    if shared is not None:
+        u = shared.random((k - 1, trials))
+        mags = shared.uniform(amp_min, amp_max, size=(trials, k))
+        signs = shared.choice([-1.0, 1.0], size=(trials, k))
+    else:   # the empty entries keep an empty list's shapes
+        u = np.hstack([g.random((k - 1, 1)) for g in rng] + [np.empty((k - 1, 0))])
+        mags = np.vstack([g.uniform(amp_min, amp_max, size=(1, k)) for g in rng]
+                         + [np.empty((0, k))])
+        signs = np.vstack([g.choice([-1.0, 1.0], size=(1, k)) for g in rng]
+                          + [np.empty((0, k))])
     nodes = np.ones((trials, k), dtype=np.int64)
     # boundary[t, :lens[t]] is row t's boundary list: each step swaps its
     # last entry into the picked slot and appends the new node's children.
@@ -112,7 +139,6 @@ def random_tree_sparse_batch(tree, k, amp_min, amp_max, rng, trials, max_depth=N
     lens = np.full(trials, d * (inner >= 1))
     # the pick is floor(u * len) < len: u is a multiple of 2**-53 below 1,
     # and (1 - 2**-53) * n rounds to a double below n for every n < 2**53
-    u = rng.random((k - 1, trials))
     for step in range(1, k):
         at = starts + (u[step - 1] * lens).astype(np.int64)
         nodes[:, step] = j = flat[at]
@@ -121,9 +147,6 @@ def random_tree_sparse_batch(tree, k, amp_min, amp_max, rng, trials, max_depth=N
         flat[at] = flat[end]
         flat[end[:, None] + kids] = d * j[:, None] - d + 2 + kids
         lens += d * (j <= inner)
-
-    mags = rng.uniform(amp_min, amp_max, size=(trials, k))
-    signs = rng.choice([-1.0, 1.0], size=(trials, k))
     return nodes, signs * mags
 
 

@@ -95,15 +95,18 @@ def wavelet_sense(image, cfg, rng):
 
     The scaling coefficient and the three coarsest details are always
     measured; descent into finer details is gated by the significance test.
-    Returns a one-session SessionBatch whose node ids are flat row-major
-    indices into the coefficient array.
+    rng is one generator, for one session, or a list of T generators, for T
+    sessions of the one image, session t drawing from rng[t] what a
+    one-session call on it draws.  Returns a SessionBatch of those sessions
+    whose node ids are flat row-major indices into the coefficient array.
     """
     c = haar2(image)
     side = c.shape[0]
     order = _sensing_order(side)
     c = c.ravel()[order]
+    trials = len(rng) if isinstance(rng, (list, tuple)) else 1
     batch = _traverse(lambda t, i: c[i], side * side, 4, 0, np.arange(min(4, side * side)),
-                      1, cfg, rng)
+                      trials, cfg, rng)
     batch.node = order[batch.node]
     return batch
 

@@ -14,6 +14,7 @@ selects a derandomized profile without deadlines.
 """
 
 import csv
+import functools
 import math
 import operator
 import os
@@ -45,10 +46,22 @@ def enumerate_rooted_subtrees(tree, k):
     return results
 
 
+@functools.lru_cache(maxsize=None)
+def subtree_incidence(tree, k):
+    """The 0/1 matrix (read-only) with one row per rooted connected subset of
+    size <= k, from enumerate_rooted_subtrees, and one column per node:
+    enumerated once per (tree, k)."""
+    subsets = enumerate_rooted_subtrees(tree, k)
+    incidence = np.zeros((len(subsets), tree.p))
+    for row, s in enumerate(subsets):
+        incidence[row, [i - 1 for i in s]] = 1.0
+    incidence.flags.writeable = False
+    return incidence
+
+
 def best_subtree_energy(tree, v, k):
     """Max captured energy over all rooted connected supports of size <= k."""
-    return max(sum(v[i - 1] ** 2 for i in s)
-               for s in enumerate_rooted_subtrees(tree, k))
+    return float(np.max(subtree_incidence(tree, k) @ np.square(v)))
 
 
 def group_list(tree):
@@ -252,6 +265,16 @@ def reference_mfista(apply_K, b, lam, max_iters, tol):
 def significant_set(batch):
     """The support estimate of a sensing batch: its significant node ids."""
     return set(batch.node[batch.significant].tolist())
+
+
+def significant_sets(batch):
+    """The support estimate of each session of a sensing batch, a list of T
+    sets of significant node ids."""
+    sets = [set() for _ in range(len(batch.m))]
+    sig = batch.significant
+    for t, node in zip(batch.trial[sig].tolist(), batch.node[sig].tolist()):
+        sets[t].add(node)
+    return sets
 
 
 def support_of(vec):

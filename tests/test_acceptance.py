@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from treesense import (ExperimentConfig, LearnConfig, SensingConfig,
-                       TrainingSet, adaptive_sense_coeffs,
+                       TrainingSet, adaptive_sense_batch, adaptive_sense_coeffs,
                        allocate_beta, failure_bound, gaussian_ensemble,
                        initial_dictionary, is_tree_sparse,
                        lasso_solve, learn, make_tree, min_amplitude,
@@ -15,7 +15,7 @@ from treesense import (ExperimentConfig, LearnConfig, SensingConfig,
                        two_stage_estimate_coeffs, verify_theorem, write_csv)
 from treesense.harness import compare_methods
 
-from conftest import enumerate_rooted_subtrees, group_list, significant_set, support_of
+from conftest import best_subtree_energy, group_list, significant_sets, support_of
 
 
 def _check(num, desc, ok, detail=""):
@@ -25,23 +25,27 @@ def _check(num, desc, ok, detail=""):
 
 
 def test_criterion_1_measurement_count_law():
-    # noiseless correct tests: every session ends at m = dk+1 with S_hat = S
+    # noiseless correct tests: every session ends at m = dk+1 with S_hat = S.
+    # The trials' k and vectors are drawn in turn from one generator; the
+    # sessions draw nothing, so each k's trials are sensed in one call
     bad = 0
     total = 0
+    cfg = SensingConfig(beta=1.0, tau=0.5, noise_std=0.0)
     for d in (2, 3):
         for L in range(4, 9):
             tree = make_tree(d, L)
             rng = np.random.default_rng([1, d, L])
             k_cap = min(10, make_tree(d, L - 1).p)  # supports stay internal
+            by_k = {}
             for trial in range(200):
                 k = int(rng.integers(1, k_cap + 1))
-                vec = random_tree_sparse(tree, k, 1.0, 2.0, rng,
-                                         max_depth=L - 1)
-                cfg = SensingConfig(beta=1.0, tau=0.5, noise_std=0.0)
-                out = adaptive_sense_coeffs(vec, tree, cfg, rng)
-                total += 1
-                if out.m[0] != d * k + 1 or significant_set(out) != support_of(vec):
-                    bad += 1
+                by_k.setdefault(k, []).append(random_tree_sparse(tree, k, 1.0, 2.0, rng,
+                                                                 max_depth=L - 1))
+            for k, vecs in by_k.items():
+                out = adaptive_sense_coeffs(np.array(vecs), tree, cfg, rng)
+                for m, found, vec in zip(out.m, significant_sets(out), vecs, strict=True):
+                    total += 1
+                    bad += m != d * k + 1 or found != support_of(vec)
     _check(1, "measurement-count law m = dk+1 with exact support",
            bad == 0, f"{bad}/{total} violations")
 
@@ -78,13 +82,15 @@ def test_criterion_3_two_stage_error_scaling():
     for R in (R0, 2 * R0, 4 * R0):
         beta1 = allocate_beta(0.5 * R0, 2, k)  # smallest budget is binding
         alpha = 12.0 / beta1
-        errs = np.empty(1000)
-        for trial in range(1000):
-            rng = np.random.default_rng([3, int(R), trial])
-            vec = random_tree_sparse(tree, k, alpha, alpha, rng, max_depth=5)
-            estimate, _ = two_stage_estimate_coeffs(vec, tree, R, k, rng,
-                                                    alpha_min=alpha, noise_std=sigma)
-            errs[trial] = np.sum((estimate - vec) ** 2)
+        # trial t draws its vector, then both stages' noise, from its own generator
+        rngs = [np.random.default_rng([3, int(R), trial]) for trial in range(1000)]
+        nodes, values = random_tree_sparse_batch(tree, k, alpha, alpha, rngs, 1000,
+                                                 max_depth=5)
+        vecs = np.zeros((1000, tree.p))
+        vecs[np.arange(1000)[:, None], nodes - 1] = values
+        estimate, _ = two_stage_estimate_coeffs(vecs, tree, R, k, rngs,
+                                                alpha_min=alpha, noise_std=sigma)
+        errs = np.sum((estimate - vecs) ** 2, axis=1)
         means.append(float(np.mean(errs)))
     preds = [2 * k**2 * sigma**2 / R for R in (R0, 2 * R0, 4 * R0)]
     ok_pred = all(abs(m - p) <= 0.15 * p for m, p in zip(means, preds))
@@ -97,16 +103,14 @@ def test_criterion_3_two_stage_error_scaling():
 
 
 def _adaptive_success_rate(alpha, tree, k, R, trials, tag):
+    # trial t draws its vector, then its noise, from its own generator
     beta = allocate_beta(R, tree.d, k)
-    hits = 0
-    for trial in range(trials):
-        rng = np.random.default_rng([4, tag, trial])
-        vec = random_tree_sparse(tree, k, alpha, alpha, rng,
-                                 max_depth=tree.depth - 1)
-        cfg = SensingConfig(beta=beta, tau=0.5 * beta * alpha,
-                            noise_std=1.0, budget=R)
-        out = adaptive_sense_coeffs(vec, tree, cfg, rng)
-        hits += significant_set(out) == support_of(vec)
+    rngs = [np.random.default_rng([4, tag, trial]) for trial in range(trials)]
+    nodes, values = random_tree_sparse_batch(tree, k, alpha, alpha, rngs, trials,
+                                             max_depth=tree.depth - 1)
+    cfg = SensingConfig(beta=beta, tau=0.5 * beta * alpha, noise_std=1.0, budget=R)
+    out = adaptive_sense_batch(nodes, values, tree, cfg, rngs)
+    hits = sum(found == set(row) for found, row in zip(significant_sets(out), nodes.tolist()))
     return hits / trials
 
 
@@ -259,6 +263,7 @@ def test_criterion_6_dictionary_learning_invariants():
 
 
 def test_criterion_7_exact_projection_matches_enumeration():
+    # each (tree, k) is enumerated once, and shared by the 50 vectors
     mismatches = 0
     rng = np.random.default_rng(7)
     for d, L in ((2, 2), (3, 2), (4, 2), (6, 2), (2, 3), (3, 3), (2, 4)):
@@ -267,10 +272,7 @@ def test_criterion_7_exact_projection_matches_enumeration():
             v = rng.standard_normal(tree.p) * rng.uniform(0.5, 2.0)
             for k in range(1, tree.p + 1):
                 values, _ = tree_project_batch(v[None], tree, k)
-                best = max(
-                    sum(v[i - 1] ** 2 for i in s)
-                    for s in enumerate_rooted_subtrees(tree, k))
-                if abs(np.sum(values[0]**2) - best) > 1e-10:
+                if abs(np.sum(values[0]**2) - best_subtree_energy(tree, v, k)) > 1e-10:
                     mismatches += 1
     _check(7, "exact tree projection equals exhaustive enumeration (p <= 15)",
            mismatches == 0, f"{mismatches} mismatches")

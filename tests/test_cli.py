@@ -341,6 +341,21 @@ def test_list_option_errors_exit_2_naming_the_key(tmp_path, corpus_dir, random_d
     assert not out.exists()
 
 
+def test_compare_exits_2_when_the_default_measurements_hold_0(tmp_path, capsys):
+    # a 3-atom dictionary's default counts p // 4, p // 2, p start at 0
+    rng = np.random.default_rng(2)
+    Q, _ = np.linalg.qr(rng.standard_normal((16, 3)))
+    save_dictionary(tmp_path / "d.lasr", Dictionary(atoms=Q, tree=make_tree(2, 2)))
+    for i in range(4):
+        write_pgm(tmp_path / f"{i}.pgm", rng.random((4, 4)))
+    out = tmp_path / "c.csv"
+    assert main(["compare", "--dict-path", str(tmp_path / "d.lasr"), "--corpus", str(tmp_path),
+                 "--target-side", "4", "--budgets", "16", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("treesense: error: config key 'measurements': (0, 1, 3) ")
+    assert "p = 3" in err and not out.exists()
+
+
 @pytest.mark.parametrize("missing", ["--dict-path", "--corpus"])
 def test_compare_requires_dict_and_corpus(tmp_path, corpus_dir, random_dict, capsys, missing):
     root, _ = corpus_dir

@@ -476,3 +476,14 @@ def test_compare_rejects_dimension_mismatch(rng):
     cfg = ExperimentConfig(mode="compare", budgets=(16.0,))
     with pytest.raises(ValueError):
         compare_methods(cfg, training=tr, dictionary=d, dict_mean=tr.mean)
+
+
+def test_compare_default_measurements_hold_0_below_p_4(rng):
+    # the default (p // 4, p // 2, p) is (0, 1, 3) at p = 3: gaussian_ensemble
+    # failed with "need m >= 1 and budget > 0", naming neither the key nor p
+    X, planted, _ = synthetic_corpus(20, 4, make_tree(2, 2), 2, rng)
+    tr = TrainingSet.from_raw(X)
+    cfg = ExperimentConfig(mode="compare", budgets=(16.0,), trials=1)
+    with pytest.raises(ValueError, match=r"^config key 'measurements': \(0, 1, 3\) holds a "
+                                         r"count below 1 .* p = 3\)$"):
+        compare_methods(cfg, training=tr, dictionary=planted, dict_mean=tr.mean)

@@ -6,7 +6,7 @@ import pytest
 
 from treesense import (Dictionary, SensingConfig, SessionBatch, adaptive_sense_batch,
                        adaptive_sense_coeffs, allocate_beta, make_tree,
-                       random_tree_sparse, reconstruct_from_outcome,
+                       random_tree_sparse, random_tree_sparse_batch, reconstruct_from_outcome,
                        two_stage_estimate_coeffs, wavelet_reconstruct, wavelet_sense)
 
 from conftest import significant_set, support_of
@@ -151,8 +151,7 @@ def join_sessions(*batches):
 
 def test_reconstruction_takes_a_session_batch(rng):
     # a T-session batch reconstructs to the rows of its sessions' one-session
-    # reconstructions: the dictionary's within rounding (one product over
-    # every session), the wavelet's bit for bit
+    # reconstructions, bit for bit
     t = make_tree(2, 4)
     Q, _ = np.linalg.qr(rng.standard_normal((20, t.p)))
     d, mean = Dictionary(atoms=Q, tree=t), rng.standard_normal(20)
@@ -164,7 +163,7 @@ def test_reconstruction_takes_a_session_batch(rng):
     for trial in range(2):
         own = reconstruct_from_outcome(session(batch, trial), d, 1.5, mean)
         assert own.shape == (1, 20)
-        assert np.max(np.abs(x_hat[trial] - own[0])) <= 1e-12 * np.max(np.abs(own))
+        assert x_hat[trial].tobytes() == own[0].tobytes()
 
     images = rng.standard_normal((2, 8, 8))
     sessions = [wavelet_sense(img, cfg, rng) for img in images]
@@ -269,6 +268,29 @@ def test_two_stage_error_matches_variance_prediction(rng):
     assert np.mean(errs) == pytest.approx(predicted, rel=0.25)
 
 
+@pytest.mark.parametrize("field", ["beta", "tau", "noise_std"])
+def test_config_rejects_infinite_values_naming_the_field(field):
+    # beta = inf gave y = inf and energy_spent = inf, noise_std = inf gave
+    # +-inf measurements; an infinite budget means no budget and stays
+    kwargs = {"beta": 1.0, "tau": 0.5, "noise_std": 1.0, field: math.inf}
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SensingConfig(**kwargs)
+    assert SensingConfig(beta=1.0, tau=0.5, budget=math.inf).budget == math.inf
+
+
+@pytest.mark.parametrize("total_budget,alpha_min,field", [
+    (math.inf, 1.0, "total_budget"), (math.nan, 1.0, "total_budget"),
+    (0.0, 1.0, "total_budget"), (-8.0, 1.0, "total_budget"),
+    (30.0, math.inf, "alpha_min"), (30.0, math.nan, "alpha_min"), (30.0, -1.0, "alpha_min")])
+def test_two_stage_rejects_bad_budgets_and_amplitudes_naming_them(total_budget, alpha_min,
+                                                                   field, rng):
+    # a total_budget of inf ran with a RuntimeWarning and nan failed in
+    # allocate_beta; a bad alpha_min failed naming tau, which it sets
+    t = make_tree(2, 3)
+    with pytest.raises(ValueError, match=f"^{field} must be .* and finite"):
+        two_stage_estimate_coeffs(np.ones(t.p), t, total_budget, 2, rng, alpha_min=alpha_min)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SensingConfig(beta=0.0, tau=0.1)
@@ -284,3 +306,141 @@ def test_config_validation():
                    {"beta": 1.0, "tau": 0.1, "noise_std": nan}):
         with pytest.raises(ValueError):
             SensingConfig(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# A list of T generators: session t draws on rng[t] exactly what a one-session
+# call on it draws, so each row equals that call bit for bit, and each
+# generator ends where that call leaves it.
+# ---------------------------------------------------------------------------
+
+CONFIGS = [SensingConfig(beta=1.0, tau=0.8, noise_std=1.0),
+           SensingConfig(beta=1.5, tau=0.3, noise_std=0.5, budget=12.0),   # truncates
+           SensingConfig(beta=2.0, tau=0.5, budget=3.0),   # cannot afford the root
+           SensingConfig(beta=1.0, tau=0.5, noise_std=0.0)]
+T = 5
+
+
+def generators(seed=7):
+    return [np.random.default_rng([seed, t]) for t in range(T)]
+
+
+def assert_session_is(batch, t, one):
+    """Session t of batch equals the one-session batch one, bit for bit."""
+    mine = batch.trial == t
+    for name in ("node", "y", "significant"):
+        assert getattr(batch, name)[mine].tobytes() == getattr(one, name).tobytes()
+    for name in ("m", "energy_spent", "truncated"):
+        assert getattr(batch, name)[t:t + 1].tobytes() == getattr(one, name).tobytes()
+
+
+def assert_next_draws_match(gens, refs):
+    assert [g.random() for g in gens] == [r.random() for r in refs]
+
+
+def sparse_rows(tree, k=4, seed=3):
+    """(nodes, values, dense) of T tree-sparse rows."""
+    nodes, values = random_tree_sparse_batch(tree, k, 0.3, 2.5, np.random.default_rng(seed), T)
+    dense = np.zeros((T, tree.p))
+    dense[np.arange(T)[:, None], nodes - 1] = values
+    return nodes, values, dense
+
+
+@pytest.mark.parametrize("cfg", CONFIGS)
+def test_batch_with_generators_equals_one_session_calls(cfg):
+    t = make_tree(3, 4)
+    nodes, values, dense = sparse_rows(t)
+    gens, refs = generators(), generators()
+    batch = adaptive_sense_batch(nodes, values, t, cfg, gens)
+    for row in range(T):
+        assert_session_is(batch, row, adaptive_sense_batch(nodes[row:row + 1],
+                                                           values[row:row + 1], t, cfg,
+                                                           refs[row]))
+    assert_next_draws_match(gens, refs)
+
+    gens, refs = generators(), generators()
+    batch = adaptive_sense_coeffs(dense, t, cfg, tuple(gens))   # a tuple serves too
+    for row in range(T):
+        assert_session_is(batch, row, adaptive_sense_coeffs(dense[row], t, cfg, refs[row]))
+    assert_next_draws_match(gens, refs)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS)
+def test_wavelet_sense_with_generators_equals_one_session_calls(cfg):
+    img = np.random.default_rng(4).standard_normal((8, 8))
+    gens, refs = generators(), generators()
+    batch = wavelet_sense(img, cfg, gens)
+    assert len(batch.m) == T
+    for row in range(T):
+        assert_session_is(batch, row, wavelet_sense(img, cfg, refs[row]))
+    assert_next_draws_match(gens, refs)
+
+
+@pytest.mark.parametrize("noise_std", [1.0, 0.0])
+def test_two_stage_with_generators_equals_one_vector_calls(noise_std):
+    t = make_tree(2, 5)
+    _, _, dense = sparse_rows(t, k=5)
+    dense *= 4.0   # most, not all, supports are found
+    gens, refs = generators(), generators()
+    estimate, batch = two_stage_estimate_coeffs(dense, t, 120.0, 5, gens, alpha_min=1.2,
+                                                noise_std=noise_std)
+    assert estimate.shape == (T, t.p)
+    for row in range(T):
+        own, one = two_stage_estimate_coeffs(dense[row], t, 120.0, 5, refs[row],
+                                             alpha_min=1.2, noise_std=noise_std)
+        assert estimate[row].tobytes() == own.tobytes()
+        assert_session_is(batch, row, one)
+    assert_next_draws_match(gens, refs)
+
+
+def test_a_list_of_the_wrong_length_names_both_lengths():
+    t = make_tree(2, 3)
+    cfg = SensingConfig(beta=1.0, tau=0.5)
+    nodes, values, dense = sparse_rows(t, k=2)
+    three = generators()[:3]
+    for call, rows in ((lambda: adaptive_sense_batch(nodes, values, t, cfg, three), T),
+                       (lambda: adaptive_sense_coeffs(dense, t, cfg, three), T),
+                       (lambda: adaptive_sense_coeffs(dense[0], t, cfg, three), 1),
+                       (lambda: two_stage_estimate_coeffs(dense, t, 30.0, 2, three, 1.0), T),
+                       (lambda: random_tree_sparse_batch(t, 2, 1, 1, three, T), T)):
+        with pytest.raises(ValueError, match=f"^3 generators for {rows} rows"):
+            call()
+
+
+def test_an_empty_list_senses_no_sessions():
+    t = make_tree(2, 3)
+    cfg = SensingConfig(beta=1.0, tau=0.5)
+    for batch in (adaptive_sense_batch(np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2)),
+                                       t, cfg, []),
+                  adaptive_sense_coeffs(np.zeros((0, t.p)), t, cfg, []),
+                  wavelet_sense(np.ones((4, 4)), cfg, [])):
+        assert len(batch.m) == len(batch.node) == 0
+    estimate, batch = two_stage_estimate_coeffs(np.zeros((0, t.p)), t, 30.0, 2, [],
+                                                alpha_min=1.0)
+    assert estimate.shape == (0, t.p) and len(batch.m) == 0
+    nodes, values = random_tree_sparse_batch(t, 3, 1, 2, [], 0)
+    assert nodes.shape == values.shape == (0, 3)
+
+
+class _Delegate:
+    """A generator stand-in that is no numpy Generator: it hands every draw
+    to the generator it wraps."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_a_duck_typed_generator_is_one_shared_generator():
+    t = make_tree(3, 4)
+    cfg = CONFIGS[1]
+    nodes, values, dense = sparse_rows(t)
+    for call in (lambda rng: random_tree_sparse_batch(t, 4, 1, 2, rng, T)[1],
+                 lambda rng: adaptive_sense_batch(nodes, values, t, cfg, rng).y,
+                 lambda rng: adaptive_sense_coeffs(dense, t, cfg, rng).y,
+                 lambda rng: two_stage_estimate_coeffs(dense, t, 60.0, 4, rng, 1.0)[0],
+                 lambda rng: wavelet_sense(np.eye(8), cfg, rng).y):
+        shared = call(np.random.default_rng(9))
+        assert call(_Delegate(np.random.default_rng(9))).tobytes() == shared.tobytes()

@@ -112,6 +112,21 @@ def test_random_tree_sparse_batch_equals_list_reference(d, L, k, max_depth, tria
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("d,L,k,max_depth", [(2, 5, 7, None), (2, 10, 31, 9), (3, 4, 13, 3),
+                                             (3, 5, 1, 2)])
+def test_random_tree_sparse_batch_with_generators_equals_one_row_calls(d, L, k, max_depth):
+    # with a list of generators, row t draws on rng[t] what a one-row call
+    # on it draws, and leaves it in the same state
+    t = make_tree(d, L)
+    gens, refs = ([np.random.default_rng([5, row]) for row in range(6)] for _ in range(2))
+    nodes, values = random_tree_sparse_batch(t, k, 0.5, 2.0, gens, 6, max_depth=max_depth)
+    for row, ref in enumerate(refs):
+        own_nodes, own_values = random_tree_sparse_batch(t, k, 0.5, 2.0, ref, 1, max_depth)
+        assert nodes[row].tobytes() == own_nodes[0].tobytes()
+        assert values[row].tobytes() == own_values[0].tobytes()
+    assert [g.random() for g in gens] == [r.random() for r in refs]
+
+
 @pytest.mark.parametrize("d,L,k,max_depth", [(2, 4, 4, None), (2, 4, 4, 3), (3, 3, 4, None)])
 def test_random_tree_sparse_batch_follows_uniform_growth_law(d, L, k, max_depth):
     # support frequencies of 40,000 draws against the exact law of growth by
