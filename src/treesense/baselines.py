@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sensing import _synthesize
 from .tree import tree_project_batch
 
 __all__ = [
@@ -285,41 +286,37 @@ def model_cosamp(A, Y, k, tree, iters=20, tol=1e-6):
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Top-r principal directions (orthonormal) and the training mean."""
+    """Principal directions (orthonormal) up to the numerical rank, and the training mean."""
 
     components: np.ndarray
     mean: np.ndarray
 
 
-def pca_fit(training, r, svd=None):
-    """Top-r principal directions of the centered training matrix.  svd may
-    pass (U, s) of np.linalg.svd(training.data, full_matrices=False), so that
-    fits at several r slice one decomposition."""
-    X = training.data
-    if r < 0 or r > min(X.shape):
-        raise ValueError("r must be in 0..min(n, q)")
-    U, s = svd if svd is not None else np.linalg.svd(X, full_matrices=False)[:2]
-    if r > 0 and s[r - 1] <= 1e-12 * max(s[0], 1e-300):
-        raise ValueError("r exceeds the numerical rank of the training data")
-    return PcaModel(components=U[:, :r].copy(), mean=training.mean.copy())
+def pca_fit(training):
+    """Principal directions of the centered training matrix: those whose
+    singular value exceeds 1e-12 times the largest (or 1e-300)."""
+    U, s = np.linalg.svd(training.data, full_matrices=False)[:2]
+    rank = np.count_nonzero(s > 1e-12 * max(s[0], 1e-300))
+    return PcaModel(components=U[:, :rank].copy(), mean=training.mean.copy())
 
 
-def pca_reconstruct(model, x, budget, rng, noise_std=1.0):
-    """Reconstruct from r scaled principal-component projections.
+def pca_reconstruct(model, x, budget, noise):
+    """Reconstructions (T, n) of x from its projections onto the first
+    r = noise.shape[1] principal directions, one per row of the (T, r) noise.
 
-    Each projection is scaled by sqrt(budget/r) and corrupted by the same
-    additive Gaussian noise model as the adaptive arm; the reconstruction
-    divides the observations back by the scale and adds the mean.  budget
-    must be positive and finite.
+    Each projection is scaled by sqrt(budget/r) and row t adds noise[t] to
+    them; the reconstruction divides the observations back by the scale and
+    adds the mean.  budget must be positive and finite, and r at most the
+    model's component count.
     """
     if not 0 < budget < math.inf:
         raise ValueError(f"budget must be positive and finite, got {budget}")
-    r = model.components.shape[1]
-    if r == 0:
-        return model.mean.copy()
-    scale = np.sqrt(budget / r)
-    proj = model.components.T @ (np.asarray(x, dtype=float) - model.mean)
-    y = scale * proj
-    if noise_std > 0:
-        y = y + noise_std * rng.standard_normal(r)
-    return model.mean + model.components @ (y / scale)
+    noise = np.asarray(noise, dtype=float)
+    rank = model.components.shape[1]
+    if noise.ndim != 2 or not 1 <= noise.shape[1] <= rank:
+        raise ValueError(f"noise of shape {noise.shape} does not fit a model of "
+                         f"{rank} components: need (T, r) with r in 1..{rank}")
+    r = noise.shape[1]
+    U, scale = model.components[:, :r], np.sqrt(budget / r)
+    y = scale * (U.T @ (np.asarray(x, dtype=float) - model.mean)) + noise
+    return model.mean + _synthesize(U, y / scale)

@@ -5,7 +5,8 @@ of the last four is an ExperimentConfig field.  A run reads --config <path>
 (key=value lines) and then the flags given, each named after its field with
 - for _.  Results go to a CSV with a companion .manifest.txt listing every
 field.  The global --log-level (default warning) sets which library log
-messages reach stderr; the CSV does not depend on it.
+messages reach stderr; the CSV does not depend on it.  A bad option or a
+missing, unreadable or malformed file prints one error line and exits 2.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def main(argv=None):
     logging.getLogger("treesense").setLevel(args.log_level.upper())
     try:
         return args.func(args)
-    except ValueError as exc:   # bad config, malformed input file, ...
+    except (ValueError, OSError) as exc:   # bad config, missing or malformed file, ...
         print(f"treesense: error: {exc}", file=sys.stderr)
         return 2
 

@@ -291,6 +291,15 @@ def apply_config(cfg, kv):
     return cfg
 
 
+def _check_distinct(cfg, *keys):
+    """Raise ValueError naming the first of cfg's list keys that repeats an
+    entry: the entries key a run's rows, so a repeat writes one key twice."""
+    for key in keys:
+        entries = getattr(cfg, key)
+        if len(set(entries)) < len(entries):
+            raise ValueError(f"config key {key!r}: {entries} repeats an entry")
+
+
 def _cells(column, n):
     """A table entry's n cells: a float as 12 significant digits, anything
     else as the csv module writes it (None and "" empty, str() otherwise)."""
@@ -391,6 +400,7 @@ def verify_theorem(cfg):
     """
     if cfg.trials < 1:
         raise ValueError(f"trials must be at least 1, got {cfg.trials}")
+    _check_distinct(cfg, "k", "budgets")
     tree = make_tree(cfg.d, cfg.L)
     for k in cfg.k:
         if not 2 <= k <= tree.n_internal:
@@ -426,6 +436,15 @@ def _trial_rngs(cfg, *key):
     return [np.random.default_rng([cfg.seed, *key, trial]) for trial in range(cfg.trials)]
 
 
+def _trial_noise(cfg, m, *key):
+    """(cfg.trials, m): noise_std times trial t's m standard normals from its
+    own generator, keyed [cfg.seed, *key, t]; zeros, drawing nothing, unless noise_std > 0."""
+    if not cfg.noise_std > 0:
+        return np.zeros((cfg.trials, m))
+    noise = _session_noise(_trial_rngs(cfg, *key), np.full(cfg.trials, m))
+    return cfg.noise_std * noise.reshape(cfg.trials, m)
+
+
 def _extend(table, method, R, tau, m, trial, snr, energy, note):
     """Append rows to a table of list columns, one per entry of the SNR array
     snr, where +inf marks an exact reconstruction (exact=1, empty snr_db);
@@ -445,6 +464,7 @@ def sense_signal(cfg, dictionary, dict_mean, x, k, sig_idx=0, note=""):
     draws from its own generator, keyed [cfg.seed, 1, b, sig_idx, tau index,
     trial], and every session senses the coefficients c = Dᵀ(x - dict_mean),
     so the trials of a (budget, tau) cell are sensed in one call."""
+    _check_distinct(cfg, "budgets", "taus")
     x = np.asarray(x, dtype=float)
     if x.shape != (dictionary.atoms.shape[0],):
         raise ValueError(f"signal of {x.size} entries does not match the dictionary's "
@@ -499,11 +519,7 @@ def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, measurement
             # the column mean is known to every reconstructor
             phi_mean = phi @ dict_mean
             for sig_idx in range(n_test):
-                y = phi @ test_matrix[:, sig_idx]
-                if cfg.noise_std > 0:   # trial t's m draws from its own generator
-                    noise = _session_noise(_trial_rngs(cfg, 4, b, sig_idx, m),
-                                           np.full(cfg.trials, m))
-                    y = y + cfg.noise_std * noise.reshape(cfg.trials, m)
+                y = phi @ test_matrix[:, sig_idx] + _trial_noise(cfg, m, 4, b, sig_idx, m)
                 Y[i, b, sig_idx * cfg.trials:(sig_idx + 1) * cfg.trials, :m] = y - phi_mean
     # per (m, budget), the grid weight whose probe reconstruction has the best SNR
     A_flat, lam_grid = A.reshape(-1, M, p), lam_grid.reshape(-1, len(grid))
@@ -530,8 +546,7 @@ def compare_methods(cfg, training, dictionary, dict_mean):
     if cfg.test_signals > training.q:
         raise ValueError(f"config key 'test_signals': {cfg.test_signals} is more than "
                          f"the corpus's {training.q} signals")
-    if len(set(cfg.measurements)) < len(cfg.measurements):
-        raise ValueError(f"config key 'measurements': {cfg.measurements} repeats an entry")
+    _check_distinct(cfg, "budgets", "taus", "measurements")
     tree = dictionary.tree
     k = cfg.sparsity_for(tree.p)
     measurements = [int(m) for m in
@@ -551,16 +566,7 @@ def compare_methods(cfg, training, dictionary, dict_mean):
     side = int(round(math.sqrt(n)))
     is_image = side * side == n and side >= 2 and not (side & (side - 1))
 
-    # per m; neither the PCA fit nor the arms' seeds depend on the signal
-    pca_models = {}
-    pca_ranks = [m for m in measurements if m <= min(training.n, training.q)]
-    if pca_ranks:
-        svd = np.linalg.svd(training.data, full_matrices=False)[:2]
-        for m in pca_ranks:
-            try:
-                pca_models[m] = pca_fit(training, m, svd)
-            except ValueError:
-                pca_models[m] = None
+    pca = pca_fit(training)
     rand_arms = _random_projection_arms(cfg, dictionary, dict_mean, test_matrix,
                                         measurements, k)
     # adaptive dictionary sensing at each threshold, per signal budget-major
@@ -577,11 +583,9 @@ def compare_methods(cfg, training, dictionary, dict_mean):
                 table[name] += column[b * per_budget:(b + 1) * per_budget]
 
             for m in measurements:
-                # PCA at matched measurement count
-                model = pca_models.get(m)
-                if model is not None:
-                    x_hat = np.array([pca_reconstruct(model, x, R, rng, noise_std=cfg.noise_std)
-                                      for rng in _trial_rngs(cfg, 2, b, sig_idx, m)])
+                # PCA at matched measurement count, up to the training data's rank
+                if m <= pca.components.shape[1]:
+                    x_hat = pca_reconstruct(pca, x, R, _trial_noise(cfg, m, 2, b, sig_idx, m))
                     _extend(table, "pca", R, "", m, trials, snr_db(x, x_hat), R, tag)
 
                 # Lasso and model-CoSaMP rows, alternating per trial (one ensemble per (R, m))

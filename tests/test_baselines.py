@@ -239,52 +239,75 @@ def test_cosamp_rejects_mismatched_stacks():
 
 def test_pca_exact_in_span(rng):
     tr = TrainingSet.from_raw(rng.standard_normal((20, 30)))
-    model = pca_fit(tr, 4)
-    assert np.max(np.abs(model.components.T @ model.components - np.eye(4))) <= 1e-8
-    x = tr.mean + model.components @ np.array([1.0, -2.0, 0.5, 3.0])
-    rec = pca_reconstruct(model, x, budget=50.0, rng=rng, noise_std=0.0)
+    model = pca_fit(tr)
+    U = model.components[:, :4]
+    assert np.max(np.abs(U.T @ U - np.eye(4))) <= 1e-8
+    x = tr.mean + U @ np.array([1.0, -2.0, 0.5, 3.0])
+    rec = pca_reconstruct(model, x, budget=50.0, noise=np.zeros((1, 4)))
     assert np.allclose(rec, x)
-
-
-def test_pca_zero_components_returns_mean(rng):
-    tr = TrainingSet.from_raw(rng.standard_normal((10, 12)))
-    model = pca_fit(tr, 0)
-    x = rng.standard_normal(10)
-    assert np.array_equal(pca_reconstruct(model, x, 10.0, rng), tr.mean)
 
 
 @pytest.mark.parametrize("budget", [-4.0, 0.0, math.nan, math.inf])
 def test_pca_reconstruct_rejects_a_budget_that_is_not_positive_and_finite(rng, budget):
     tr = TrainingSet.from_raw(rng.standard_normal((10, 12)))
-    model = pca_fit(tr, 3)
+    model = pca_fit(tr)
     with pytest.raises(ValueError, match="budget must be positive and finite"):
-        pca_reconstruct(model, rng.standard_normal(10), budget, rng)
+        pca_reconstruct(model, rng.standard_normal(10), budget, np.zeros((1, 3)))
 
 
 def test_pca_rejects_r_above_rank(rng):
+    # rank-1 data: one principal direction, and no reconstruction from five
     X = np.outer(rng.standard_normal(10), rng.standard_normal(6))
     tr = TrainingSet(data=X - X.mean(axis=1, keepdims=True), mean=X.mean(axis=1))
+    model = pca_fit(tr)
+    assert model.components.shape == (10, 1)
     with pytest.raises(ValueError):
-        pca_fit(tr, 5)
+        pca_reconstruct(model, X[:, 0], 10.0, np.zeros((1, 5)))
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (3, 13), (2, 1, 4), (4,)],
+                         ids=["r-0", "r-above-rank", "3-d", "1-d"])
+def test_pca_reconstruct_rejects_noise_that_does_not_fit_the_model(rng, shape):
+    # 15 centered columns in 12 dimensions: rank 12
+    tr = TrainingSet.from_raw(rng.standard_normal((12, 15)))
+    model = pca_fit(tr)
+    assert model.components.shape == (12, 12)
+    with pytest.raises(ValueError, match=re.escape(
+            f"noise of shape {shape} does not fit a model of 12 components: need (T, r) "
+            "with r in 1..12")):
+        pca_reconstruct(model, tr.mean, 10.0, np.zeros(shape))
+
+
+def test_pca_reconstruct_rows_equal_one_row_calls(rng):
+    # a T-row call reconstructs row t exactly as a one-row call on noise[t]
+    tr = TrainingSet.from_raw(rng.standard_normal((16, 20)))
+    model = pca_fit(tr)
+    x = rng.standard_normal(16)
+    for r in (1, 5, 16):
+        noise = rng.standard_normal((7, r))
+        rows = pca_reconstruct(model, x, 24.0, noise)
+        assert rows.shape == (7, 16)
+        for t in range(7):
+            assert np.array_equal(rows[t], pca_reconstruct(model, x, 24.0, noise[t:t + 1])[0])
 
 
 def test_pca_noise_variance(rng):
     # E||x_hat - x_hat_noiseless||^2 = r^2 sigma^2 / R
     tr = TrainingSet.from_raw(rng.standard_normal((15, 40)))
     r, R = 6, 30.0
-    model = pca_fit(tr, r)
+    model = pca_fit(tr)
     x = rng.standard_normal(15)
-    clean = pca_reconstruct(model, x, R, rng, noise_std=0.0)
-    errs = [np.sum((pca_reconstruct(model, x, R, rng, noise_std=1.0) - clean) ** 2)
-            for _ in range(2000)]
+    clean = pca_reconstruct(model, x, R, np.zeros((1, r)))
+    errs = np.sum((pca_reconstruct(model, x, R, rng.standard_normal((2000, r))) - clean) ** 2,
+                  axis=1)
     assert np.mean(errs) == pytest.approx(r * r / R, rel=0.15)
 
 
 def test_pca_components_maximize_captured_variance(rng):
     tr = TrainingSet.from_raw(rng.standard_normal((12, 25)))
     r = 3
-    model = pca_fit(tr, r)
-    captured = np.sum((model.components.T @ tr.data) ** 2)
+    U = pca_fit(tr).components[:, :r]
+    captured = np.sum((U.T @ tr.data) ** 2)
     for _ in range(100):
         Q, _ = np.linalg.qr(rng.standard_normal((12, r)))
         assert captured >= np.sum((Q.T @ tr.data) ** 2) - 1e-9
@@ -401,15 +424,6 @@ def test_lasso_stack_matches_one_problem_solves(rng, monkeypatch):
 def test_lasso_rejects_mismatched_stack_shapes(rng, a_shape, y_shape, lam):
     with pytest.raises(ValueError):
         lasso_solve(rng.standard_normal(a_shape), rng.standard_normal(y_shape), lam)
-
-
-def test_pca_fit_slices_a_shared_svd(rng):
-    tr = TrainingSet.from_raw(rng.standard_normal((12, 25)))
-    svd = np.linalg.svd(tr.data, full_matrices=False)[:2]
-    for r in (0, 3, 12):
-        shared, own = pca_fit(tr, r, svd), pca_fit(tr, r)
-        assert np.array_equal(shared.components, own.components)
-        assert np.array_equal(shared.mean, own.mean)
 
 
 def test_lasso_zero_padded_rows_match_unpadded_solves(rng):

@@ -319,26 +319,58 @@ K_RANGE = "the failure bound needs k >= 2, and the tree has 7 nodes above its le
     ("verify-theorem", "--budgets", "-3", "must be positive, got -3"),
     ("compare", "--measurements", "0", "must be at least 1, got 0"),
     ("compare", "--measurements", "31,31", "(31, 31) repeats an entry"),
+    ("verify-theorem", "--k", "3,3", "(3, 3) repeats an entry"),
+    ("verify-theorem", "--budgets", "16,16", "(16, 16) repeats an entry"),
+    ("sense", "--budgets", "32,32", "(32, 32) repeats an entry"),
+    ("sense", "--taus", "0,0", "(0, 0) repeats an entry"),
+    ("compare", "--taus", "0.5,0,0.5", "(0.5, 0, 0.5) repeats an entry"),
     ("verify-theorem", "--noise-std", "nan", "must be finite, got nan"),
     ("verify-theorem", "--c1", "nan", "must be finite, got nan"),
     ("compare", "--taus", "1e400", "must be finite, got 1e400"),
 ], ids=["k-100", "k-10", "k-1", "budgets-0", "budgets--3", "measurements-0",
-        "measurements-repeated", "noise-std-nan", "c1-nan", "taus-1e400"])
+        "measurements-repeated", "k-repeated", "verify-budgets-repeated",
+        "sense-budgets-repeated", "sense-taus-repeated", "compare-taus-repeated",
+        "noise-std-nan", "c1-nan", "taus-1e400"])
 def test_list_option_errors_exit_2_naming_the_key(tmp_path, corpus_dir, random_dict, capsys,
                                                   command, flag, value, reason):
     # an entry of k, budgets or measurements out of range, a repeated entry
-    # of measurements, or a float that is not finite, names its key, as a
-    # bad scalar option does, instead of failing inside a library call,
-    # running on a nan or writing a row twice
-    root, _ = corpus_dir
+    # of k, budgets, taus or measurements, or a float that is not finite,
+    # names its key, as a bad scalar option does, instead of failing inside
+    # a library call, running on a nan or writing a row twice
+    root, test_img = corpus_dir
     out = tmp_path / "out.csv"
     inputs = {"verify-theorem": ["--L", "4", "--trials", "5"],
+              "sense": ["--dict-path", str(random_dict), "--image", str(test_img)],
               "compare": ["--dict-path", str(random_dict), "--corpus", str(root),
                           "--target-side", "8", "--budgets", "64"]}[command]
     assert main([command, *inputs, flag, value, "--out", str(out)]) == 2
     key = flag[2:].replace("-", "_")
     assert capsys.readouterr().err == f"treesense: error: config key '{key}': {reason}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["dictionary", "corpus", "config", "image", "out-dir"])
+def test_missing_files_exit_2_naming_the_path(tmp_path, corpus_dir, random_dict, capsys, case):
+    # a missing input file or output directory ends in one error line that
+    # names the path, not a traceback
+    root, test_img = corpus_dir
+    missing = tmp_path / "missing"
+    out = tmp_path / "out.csv"
+    argv = {"dictionary": ["compare", "--dict-path", str(missing / "d.lasr"), "--corpus",
+                           str(root), "--target-side", "8", "--out", str(out)],
+            "corpus": ["learn", "--corpus", str(missing), "--L", "3", "--target-side", "8",
+                       "--dict-path", str(out)],
+            "config": ["verify-theorem", "--config", str(missing / "run.cfg"), "--out",
+                       str(out)],
+            "image": ["sense", "--dict-path", str(random_dict), "--image",
+                      str(missing / "x.pgm"), "--out", str(out)],
+            "out-dir": ["verify-theorem", "--L", "4", "--k", "3", "--trials", "2", "--out",
+                        str(missing / "out.csv")]}[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("treesense: error: ") and err.count("\n") == 1
+    assert str(missing) in err and "Traceback" not in err
+    assert not out.exists() and not missing.exists()
 
 
 def test_compare_exits_2_when_the_default_measurements_hold_0(tmp_path, capsys):

@@ -408,6 +408,53 @@ def test_compare_rows_keep_their_order(rng):
     assert empty == {name: [] for name in CSV_FIELDS}
 
 
+def test_compare_runs_pca_up_to_the_numerical_rank(rng):
+    # 6 centered images have rank 5: PCA rows for m = 4 and 5, none for
+    # m = 6 (a count the corpus holds, above its rank) or m = 8
+    tree = make_tree(2, 4)
+    X, planted, _ = synthetic_corpus(6, 8, tree, 4, rng)
+    tr = TrainingSet.from_raw(X)
+    cfg = ExperimentConfig(mode="compare", budgets=(64.0, 16), taus=(0,),
+                           measurements=(4, 5, 6, 8), trials=3, seed=5, test_signals=2,
+                           target_sparsity=4)
+    table = compare_methods(cfg, training=tr, dictionary=planted, dict_mean=tr.mean)
+    pca_m = [m for method, m in zip(table["method"], table["m"]) if method == "pca"]
+    assert pca_m == [m for _ in range(2 * 2) for m in (4, 5) for _ in range(3)]
+    assert {m for method, m in zip(table["method"], table["m"]) if method == "lasso"} == \
+        {4, 5, 6, 8}
+
+
+@pytest.mark.parametrize("run,key,value", [
+    ("verify_theorem", "k", (3, 3)),
+    ("verify_theorem", "budgets", (12, 12.0)),
+    ("sense_signal", "budgets", (64, 64)),
+    ("sense_signal", "taus", (0, 0.5, 0.5)),
+    ("compare_methods", "taus", (0, 0)),
+    ("compare_methods", "measurements", (4, 8, 4)),
+], ids=["verify-k", "verify-budgets", "sense-budgets", "sense-taus", "compare-taus",
+        "compare-measurements"])
+def test_repeated_list_entries_fail_before_any_solver_runs(rng, monkeypatch, run, key, value):
+    # a repeated entry would write two rows under one (method, R, tau, m,
+    # trial) key
+    def solver(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    for name in ("adaptive_sense_batch", "adaptive_sense_coeffs", "gaussian_ensemble",
+                 "pca_fit", "wavelet_sense"):
+        monkeypatch.setattr(harness, name, solver)
+    tree = make_tree(2, 4)
+    X, planted, _ = synthetic_corpus(20, 8, tree, 4, rng)
+    tr = TrainingSet.from_raw(X)
+    cfg = replace(ExperimentConfig(L=4, budgets=(64.0,), trials=2, target_sparsity=4),
+                  **{key: value})
+    calls = {"verify_theorem": lambda: verify_theorem(cfg),
+             "sense_signal": lambda: harness.sense_signal(cfg, planted, tr.mean, X[:, 0], 4),
+             "compare_methods": lambda: compare_methods(cfg, tr, planted, tr.mean)}
+    with pytest.raises(ValueError, match=re.escape(
+            f"config key {key!r}: {value} repeats an entry")):
+        calls[run]()
+
+
 def test_compare_generators_never_share_a_draw(rng, monkeypatch):
     # budgets 32.25 and 32.75 have the same integer part; seeds built from
     # int(R) gave both budgets' cells the same noise and ensemble
