@@ -12,7 +12,9 @@ missing, unreadable or malformed file prints one error line and exits 2.
 from __future__ import annotations
 
 import argparse
+import errno
 import logging
+import os
 import sys
 
 import numpy as np
@@ -66,6 +68,14 @@ def _require(*given):
             raise ValueError(f"{flag} is required")
 
 
+def _writable(path):
+    """path, once its directory is known to exist: a run checks where it
+    writes before any work, not when it opens the file at the end."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    return path
+
+
 def cmd_tree_info(args):
     tree = make_tree(args.d, args.L)
     print(f"d={tree.d} L={tree.depth} p={tree.p}")
@@ -79,6 +89,7 @@ def cmd_tree_info(args):
 
 def cmd_verify_theorem(args):
     cfg = _build_cfg(args)
+    _writable(cfg.out)
     table, summaries = verify_theorem(cfg)
     n_rows = write_csv(cfg.out, table)
     write_manifest(cfg.out + ".manifest.txt", cfg, summaries)
@@ -91,6 +102,7 @@ def cmd_verify_theorem(args):
 def cmd_learn(args):
     cfg = _build_cfg(args)
     _require(("--corpus", cfg.corpus))
+    out = _writable(cfg.dict_path or "dictionary.lasr")
     training = load_corpus(cfg.corpus, cfg.target_side)
     tree = make_tree(cfg.d, cfg.L)
     target = cfg.sparsity_for(tree.p)   # checked even when --lam makes it unused
@@ -100,7 +112,6 @@ def cmd_learn(args):
         lam = lambda_for_sparsity(training, init, target)
         print(f"lambda search -> {lam:.6g} (target sparsity {target})")
     dictionary, A, history = learn(training, init, LearnConfig(lam=lam))
-    out = cfg.dict_path or "dictionary.lasr"
     save_dictionary(out, dictionary, training.mean)
     mean_k = float(np.mean(np.sum(np.abs(A) > 1e-12, axis=0)))
     print(f"learned {tree.p} atoms in {len(history)} alternations; "
@@ -113,6 +124,7 @@ def cmd_learn(args):
 def cmd_sense(args):
     cfg = _build_cfg(args)
     _require(("--dict-path", cfg.dict_path), ("--image", args.image))
+    _writable(cfg.out)
     dictionary, mean = load_dictionary(cfg.dict_path)
     x = read_pgm(args.image).flatten(order="F")
     if not cfg.budgets:
@@ -127,6 +139,7 @@ def cmd_sense(args):
 def cmd_compare(args):
     cfg = _build_cfg(args)
     _require(("--dict-path", cfg.dict_path), ("--corpus", cfg.corpus))
+    _writable(cfg.out)
     dictionary, mean = load_dictionary(cfg.dict_path)
     training = load_corpus(cfg.corpus, cfg.target_side)
     if not cfg.budgets:

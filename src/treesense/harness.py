@@ -16,8 +16,8 @@ from . import __version__
 from .baselines import gaussian_ensemble, lasso_solve, model_cosamp, pca_fit, pca_reconstruct
 from .bounds import failure_bound, min_amplitude
 from .dictlearn import Dictionary, TrainingSet, tree_prox
-from .sensing import (SensingConfig, _session_noise, _synthesize, adaptive_sense_batch,
-                      adaptive_sense_coeffs, allocate_beta, reconstruct_from_outcome)
+from .sensing import (SensingConfig, _synthesize, adaptive_sense_batch, adaptive_sense_coeffs,
+                      allocate_beta, reconstruct_from_outcome)
 from .tree import make_tree, random_tree_sparse, random_tree_sparse_batch
 from .wavelet import wavelet_reconstruct, wavelet_sense
 
@@ -228,9 +228,16 @@ class ExperimentConfig:
         return k
 
 
+def _number(text):
+    """An int literal as int, anything else as float (nan and inf included)."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _parse_list(val):
-    return tuple(float(x) if "." in x or "e" in x.lower() else int(x)
-                 for x in val.split(",") if x.strip())
+    return tuple(_number(x) for x in val.split(",") if x.strip())
 
 
 def _parse_int_list(val):
@@ -251,6 +258,8 @@ _PARSERS = {f.name: _PARSE_TYPE[f.type.split(" |")[0]] for f in fields(Experimen
             if f.name != "mode"}
 # the keys that count something, so must be at least 1 (each entry of a list)
 _COUNTS = ("trials", "test_signals", "target_side", "target_sparsity", "k", "measurements")
+# the keys that scale or threshold a measurement, so must not be negative
+_NONNEGATIVE = ("noise_std", "taus")
 
 
 def parse_config_file(path):
@@ -271,8 +280,8 @@ def parse_config_file(path):
 def apply_config(cfg, kv):
     """Apply string key=value overrides onto an ExperimentConfig.  An unknown
     key, a value that does not parse, a float that is not finite, a count
-    (_COUNTS) below 1 or a budget that is not positive raises ValueError
-    naming the key."""
+    (_COUNTS) below 1, a negative noise_std or tau or a budget that is not
+    positive raises ValueError naming the key."""
     for key, val in kv.items():
         if key not in _PARSERS:
             raise ValueError(f"unknown config key {key!r}")
@@ -283,6 +292,8 @@ def apply_config(cfg, kv):
                 raise ValueError(f"must be finite, got {val}")
             if key in _COUNTS and min(entries, default=1) < 1:
                 raise ValueError(f"must be at least 1, got {val}")
+            if key in _NONNEGATIVE and min(entries, default=0) < 0:
+                raise ValueError(f"must be nonnegative, got {val}")
             if key == "budgets" and not all(v > 0 for v in entries):
                 raise ValueError(f"must be positive, got {val}")
             setattr(cfg, key, value)
@@ -441,8 +452,7 @@ def _trial_noise(cfg, m, *key):
     own generator, keyed [cfg.seed, *key, t]; zeros, drawing nothing, unless noise_std > 0."""
     if not cfg.noise_std > 0:
         return np.zeros((cfg.trials, m))
-    noise = _session_noise(_trial_rngs(cfg, *key), np.full(cfg.trials, m))
-    return cfg.noise_std * noise.reshape(cfg.trials, m)
+    return cfg.noise_std * np.array([g.standard_normal(m) for g in _trial_rngs(cfg, *key)])
 
 
 def _extend(table, method, R, tau, m, trial, snr, energy, note):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import _shared_generator
+from .tree import _generators
 
 __all__ = [
     "SensingConfig",
@@ -96,13 +96,11 @@ def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
     noiseless coefficients at positions i of trials t.  The frontier is a
     flat list of (trial, position) pairs sorted by trial, then position,
     which within a trial is the order a FIFO queue would measure them in.
-    Noise is one block per level, drawn in frontier order from one shared
-    generator rng, or from a list of `trials` generators, one block per
-    session with measurements left on the level from rng[t]; either way one
+    Noise is drawn level by level, in frontier order, by _normals, so one
     session draws exactly the values of one scalar draw per measurement.
     Returns a SessionBatch whose nodes are positions.
     """
-    shared = _shared_generator(rng, trials)
+    gens = _generators(rng, trials)
     # meter[j] is the energy of j measurements, added up one cost at a time
     # from 0 (0.0 + cost is exact), its rounding far below the 1e-6 margin of
     # its length; a session stops before the meter would pass the budget.
@@ -116,7 +114,7 @@ def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
     truncated = np.zeros(trials, dtype=bool)
     levels = []
     while True:
-        counts = queued = np.bincount(t, minlength=trials)
+        counts = np.bincount(t, minlength=trials)
         if (m + counts).max(initial=0) > limit:
             # a session measures its frontier in order until it reaches limit
             rank = m[t] + np.arange(len(t)) - (np.cumsum(counts) - counts)[t]
@@ -126,8 +124,7 @@ def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
             counts = np.minimum(counts, limit - m)
         y = cfg.beta * coeff(t, i)
         if cfg.noise_std > 0:
-            y += cfg.noise_std * (shared.standard_normal(len(t)) if shared is not None
-                                  else _session_noise(rng, counts, queued))
+            y += cfg.noise_std * _normals(gens, counts)
         sig = np.abs(y) >= cfg.tau
         levels.append((t, i, y, sig))
         m += counts
@@ -142,11 +139,14 @@ def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
                         energy_spent=meter[m], truncated=truncated)
 
 
-def _session_noise(gens, counts, drawing=None):
-    """counts[t] standard normals from gens[t] for each row t where drawing
-    (by default counts) is nonzero, in row order, as one array."""
-    rows = np.flatnonzero(counts if drawing is None else drawing).tolist()
-    return np.concatenate([np.empty(0)] + [gens[r].standard_normal(n) for r, n
+def _normals(gens, counts):
+    """counts[t] standard normals for each row t, in row order, as one array,
+    from _generators' (generator, rows) pairs gens: one draw from a single
+    pair, else one draw per row with a nonzero count, on that row's generator."""
+    if len(gens) == 1:
+        return gens[0][0].standard_normal(int(counts.sum()))
+    rows = np.flatnonzero(counts).tolist()
+    return np.concatenate([np.empty(0)] + [gens[r][0].standard_normal(n) for r, n
                                            in zip(rows, counts[rows].tolist())])
 
 
@@ -272,18 +272,15 @@ def two_stage_estimate_coeffs(alpha, tree, total_budget, k, rng, alpha_min, nois
     batch = adaptive_sense_coeffs(c, tree, cfg, rng)
 
     # each row's S_hat, in node order
-    sig = batch.significant
-    trial, s_hat = batch.trial[sig], batch.node[sig] - 1
-    order = np.lexsort((s_hat, trial))
-    trial, s_hat = trial[order], s_hat[order]
+    found = np.zeros(c.shape, dtype=bool)
+    found[batch.trial[batch.significant], batch.node[batch.significant] - 1] = True
+    trial, s_hat = np.nonzero(found)
     sizes = np.bincount(trial, minlength=len(c))
     estimate = np.zeros(c.shape)
     if len(s_hat):
         beta2 = np.sqrt(half / sizes[trial])
         y2 = beta2 * c[trial, s_hat]
         if noise_std > 0:
-            shared = _shared_generator(rng, len(c))
-            y2 += noise_std * (shared.standard_normal(len(s_hat)) if shared is not None
-                               else _session_noise(rng, sizes))
+            y2 += noise_std * _normals(_generators(rng, len(c)), sizes)
         estimate[trial, s_hat] = y2 / beta2
     return estimate.reshape(np.shape(alpha)), batch

@@ -73,17 +73,17 @@ def make_tree(d, L):
     return TreeTopology(p=p, d=d, depth=L)
 
 
-def _shared_generator(rng, rows):
-    """The generator that all rows draw from in turn, or None when rng is a
-    list or tuple of one generator per row.  A list of one is its generator;
-    anything that is not a list or tuple, duck-typed generators included, is
-    one generator."""
+def _generators(rng, rows):
+    """(generator, rows it draws for) pairs, in row order: [(rng, rows)] for
+    one generator, which all rows draw from in turn, or [(rng[t], 1)] for a
+    list or tuple of one generator per row.  Anything that is not a list or
+    tuple, duck-typed generators included, is one generator."""
     if not isinstance(rng, (list, tuple)):
-        return rng
+        return [(rng, rows)]
     if len(rng) != rows:
         raise ValueError(f"{len(rng)} generators for {rows} rows: pass one generator, "
                          "or a list of one per row")
-    return rng[0] if rows == 1 else None
+    return [(g, 1) for g in rng]
 
 
 def random_tree_sparse_batch(tree, k, amp_min, amp_max, rng, trials, max_depth=None):
@@ -116,17 +116,12 @@ def random_tree_sparse_batch(tree, k, amp_min, amp_max, rng, trials, max_depth=N
                          f"{k} under the depth restriction")
     inner = (last - 1) // d
     kids = np.arange(d)
-    shared = _shared_generator(rng, trials)
-    if shared is not None:
-        u = shared.random((k - 1, trials))
-        mags = shared.uniform(amp_min, amp_max, size=(trials, k))
-        signs = shared.choice([-1.0, 1.0], size=(trials, k))
-    else:   # the empty entries keep an empty list's shapes
-        u = np.hstack([g.random((k - 1, 1)) for g in rng] + [np.empty((k - 1, 0))])
-        mags = np.vstack([g.uniform(amp_min, amp_max, size=(1, k)) for g in rng]
-                         + [np.empty((0, k))])
-        signs = np.vstack([g.choice([-1.0, 1.0], size=(1, k)) for g in rng]
-                          + [np.empty((0, k))])
+    gens = _generators(rng, trials)   # the empty entries keep an empty list's shapes
+    u = np.hstack([g.random((k - 1, n)) for g, n in gens] + [np.empty((k - 1, 0))])
+    mags = np.vstack([g.uniform(amp_min, amp_max, size=(n, k)) for g, n in gens]
+                     + [np.empty((0, k))])
+    signs = np.vstack([g.choice([-1.0, 1.0], size=(n, k)) for g, n in gens]
+                      + [np.empty((0, k))])
     nodes = np.ones((trials, k), dtype=np.int64)
     # boundary[t, :lens[t]] is row t's boundary list: each step swaps its
     # last entry into the picked slot and appends the new node's children.

@@ -9,6 +9,7 @@ import pytest
 from treesense import (Dictionary, ExperimentConfig, LearnConfig, initial_dictionary,
                        lambda_for_sparsity, learn, load_corpus, load_dictionary, make_tree,
                        save_dictionary, synthetic_corpus, write_pgm)
+from treesense import cli
 from treesense.cli import COMMON_FLAGS, FLAGS, _build_cfg, _parser, main
 
 
@@ -327,10 +328,12 @@ K_RANGE = "the failure bound needs k >= 2, and the tree has 7 nodes above its le
     ("verify-theorem", "--noise-std", "nan", "must be finite, got nan"),
     ("verify-theorem", "--c1", "nan", "must be finite, got nan"),
     ("compare", "--taus", "1e400", "must be finite, got 1e400"),
+    ("compare", "--noise-std", "-1", "must be nonnegative, got -1"),
+    ("compare", "--taus", "0,-0.5", "must be nonnegative, got 0,-0.5"),
 ], ids=["k-100", "k-10", "k-1", "budgets-0", "budgets--3", "measurements-0",
         "measurements-repeated", "k-repeated", "verify-budgets-repeated",
         "sense-budgets-repeated", "sense-taus-repeated", "compare-taus-repeated",
-        "noise-std-nan", "c1-nan", "taus-1e400"])
+        "noise-std-nan", "c1-nan", "taus-1e400", "noise-std-negative", "taus-negative"])
 def test_list_option_errors_exit_2_naming_the_key(tmp_path, corpus_dir, random_dict, capsys,
                                                   command, flag, value, reason):
     # an entry of k, budgets or measurements out of range, a repeated entry
@@ -371,6 +374,31 @@ def test_missing_files_exit_2_naming_the_path(tmp_path, corpus_dir, random_dict,
     assert err.startswith("treesense: error: ") and err.count("\n") == 1
     assert str(missing) in err and "Traceback" not in err
     assert not out.exists() and not missing.exists()
+
+
+@pytest.mark.parametrize("command", ["verify-theorem", "learn", "sense", "compare"])
+def test_a_missing_output_directory_fails_before_any_work(tmp_path, corpus_dir, random_dict,
+                                                          capsys, monkeypatch, command):
+    # where a run writes is checked before it reads a corpus, dictionary or
+    # image, or runs anything: each of those entry points fails if called
+    def called(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    for name in ("verify_theorem", "load_corpus", "load_dictionary", "read_pgm", "learn",
+                 "sense_signal", "compare_methods"):
+        monkeypatch.setattr(cli, name, called)
+    root, test_img = corpus_dir
+    out = tmp_path / "missing" / "out"
+    argv = {"verify-theorem": ["--L", "4", "--out", str(out)],
+            "learn": ["--corpus", str(root), "--L", "3", "--dict-path", str(out)],
+            "sense": ["--dict-path", str(random_dict), "--image", str(test_img),
+                      "--out", str(out)],
+            "compare": ["--dict-path", str(random_dict), "--corpus", str(root),
+                        "--out", str(out)]}[command]
+    assert main([command, *argv]) == 2
+    assert capsys.readouterr().err == ("treesense: error: [Errno 2] No such file or "
+                                       f"directory: '{out}'\n")
+    assert not out.parent.exists()
 
 
 def test_compare_exits_2_when_the_default_measurements_hold_0(tmp_path, capsys):

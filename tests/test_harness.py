@@ -179,6 +179,10 @@ def test_config_file_parsing(tmp_path):
     ("a = -inf", "config key 'a': must be finite, got -inf"),
     ("taus = 0,1e400", "config key 'taus': must be finite, got 0,1e400"),
     ("budgets = 1e400", "config key 'budgets': must be finite, got 1e400"),
+    ("budgets = nan", "config key 'budgets': must be finite, got nan"),
+    ("taus = inf", "config key 'taus': must be finite, got inf"),
+    ("noise_std = -1", "config key 'noise_std': must be nonnegative, got -1"),
+    ("taus = 0,-0.5", "config key 'taus': must be nonnegative, got 0,-0.5"),
 ])
 def test_config_errors_name_the_key(tmp_path, line, reason):
     cfg_file = tmp_path / "run.cfg"

@@ -444,3 +444,30 @@ def test_a_duck_typed_generator_is_one_shared_generator():
                  lambda rng: wavelet_sense(np.eye(8), cfg, rng).y):
         shared = call(np.random.default_rng(9))
         assert call(_Delegate(np.random.default_rng(9))).tobytes() == shared.tobytes()
+
+
+def _outputs(out):
+    """The arrays of a draw's result, as bytes: a SessionBatch's fields, or
+    each entry of a tuple."""
+    if isinstance(out, SessionBatch):
+        return [getattr(out, f.name).tobytes() for f in fields(SessionBatch)]
+    if isinstance(out, tuple):
+        return [b for entry in out for b in _outputs(entry)]
+    return [out.tobytes()]
+
+
+@pytest.mark.parametrize("cfg", CONFIGS)
+def test_a_list_of_one_generator_draws_what_the_generator_draws(cfg):
+    # [g] draws as a list of per-row generators, g alone as one shared
+    # generator: the values and g's next draw are the same either way
+    t = make_tree(3, 4)
+    nodes, values, dense = sparse_rows(t)
+    for call in (lambda rng: random_tree_sparse_batch(t, 4, 0.3, 2.5, rng, 1, max_depth=3),
+                 lambda rng: adaptive_sense_batch(nodes[:1], values[:1], t, cfg, rng),
+                 lambda rng: adaptive_sense_coeffs(dense[0], t, cfg, rng),
+                 lambda rng: two_stage_estimate_coeffs(dense[0], t, 60.0, 4, rng, 1.0,
+                                                       noise_std=cfg.noise_std),
+                 lambda rng: wavelet_sense(np.eye(8), cfg, rng)):
+        alone, listed = np.random.default_rng(9), np.random.default_rng(9)
+        assert _outputs(call([listed])) == _outputs(call(alone))
+        assert listed.random() == alone.random()
