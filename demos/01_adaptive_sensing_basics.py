@@ -7,9 +7,8 @@ noisy case.
 
 import numpy as np
 
-from treesense import (SensingConfig, adaptive_sense_batch, adaptive_sense_coeffs,
-                       allocate_beta, failure_bound, make_tree, min_amplitude,
-                       random_tree_sparse, random_tree_sparse_batch)
+from treesense import (SensingConfig, adaptive_sense_coeffs, allocate_beta, failure_bound,
+                       make_tree, min_amplitude, random_tree_sparse, random_tree_sparse_batch)
 
 
 def support_of(v):
@@ -49,13 +48,15 @@ print(f"\nbudget R = {R}: beta = {beta:.3f}, "
       f"recoverable amplitude >= {alpha:.3f}, tau = {tau:.3f}")
 print(f"analytic failure bound: {failure_bound(beta, tau, alpha, k, d):.4g}")
 
-# Many sessions run in one call: row t of nodes/values is one signal, in
-# sparse form, and session t of the batch senses it (batch.trial says which).
+# Many sessions run in one call: row t of the (trials, p) coefficients is
+# one signal, and session t of the batch senses it (batch.trial says which).
 trials = 2000
 nodes, values = random_tree_sparse_batch(tree, k, alpha, alpha, rng, trials,
                                          max_depth=L - 1)
-batch = adaptive_sense_batch(nodes, values, tree,
-                             SensingConfig(beta=beta, tau=tau, noise_std=1.0), rng)
+rows = np.zeros((trials, tree.p))
+rows[np.arange(trials)[:, None], nodes - 1] = values
+batch = adaptive_sense_coeffs(rows, tree,
+                              SensingConfig(beta=beta, tau=tau, noise_std=1.0), rng)
 found = [set() for _ in range(trials)]
 for t, node in zip(batch.trial[batch.significant], batch.node[batch.significant]):
     found[t].add(int(node))

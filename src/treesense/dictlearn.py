@@ -53,7 +53,8 @@ class Dictionary:
             raise ValueError(f"atom count {p} does not match tree with p={self.tree.p}")
         if p > n:
             raise ValueError("orthonormal columns require p <= n")
-        gram_err = np.max(np.abs(atoms.T @ atoms - np.eye(p)))
+        with np.errstate(over="ignore", invalid="ignore"):   # huge atoms: an inf deviation
+            gram_err = np.max(np.abs(atoms.T @ atoms - np.eye(p)))
         if not gram_err <= ORTHO_TOL:   # a nan entry makes gram_err nan
             raise ValueError(f"columns not orthonormal (max Gram deviation {gram_err:.2e})")
 

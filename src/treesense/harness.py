@@ -16,7 +16,7 @@ from . import __version__
 from .baselines import gaussian_ensemble, lasso_solve, model_cosamp, pca_fit, pca_reconstruct
 from .bounds import failure_bound, min_amplitude
 from .dictlearn import Dictionary, TrainingSet, tree_prox
-from .sensing import (SensingConfig, _synthesize, adaptive_sense_batch, adaptive_sense_coeffs,
+from .sensing import (SensingConfig, _sense_tree, _synthesize, adaptive_sense_coeffs,
                       allocate_beta, reconstruct_from_outcome)
 from .tree import make_tree, random_tree_sparse, random_tree_sparse_batch
 from .wavelet import wavelet_reconstruct, wavelet_sense
@@ -302,13 +302,17 @@ def apply_config(cfg, kv):
     return cfg
 
 
-def _check_distinct(cfg, *keys):
-    """Raise ValueError naming the first of cfg's list keys that repeats an
-    entry: the entries key a run's rows, so a repeat writes one key twice."""
+def _check_entries(cfg, *keys):
+    """Raise ValueError naming the first of cfg's keys that holds an entry
+    below 1, if it counts something (_COUNTS), or that repeats an entry of
+    its list: the entries key a run's rows, so a repeat writes one key twice."""
     for key in keys:
-        entries = getattr(cfg, key)
+        value = getattr(cfg, key)
+        entries = value if isinstance(value, (tuple, list)) else (value,)
+        if key in _COUNTS and min(entries, default=1) < 1:
+            raise ValueError(f"config key {key!r}: must be at least 1, got {value}")
         if len(set(entries)) < len(entries):
-            raise ValueError(f"config key {key!r}: {entries} repeats an entry")
+            raise ValueError(f"config key {key!r}: {value} repeats an entry")
 
 
 def _cells(column, n):
@@ -351,22 +355,28 @@ def write_manifest(path, cfg, summaries=()):
 # ---------------------------------------------------------------------------
 
 # Trials per sensing batch in verify-theorem: a batch's arrays grow with its
-# trial count, and its slot map and membership mask with trials * p entries
-# (one byte each while k <= 128), so blocks of at most this many trials, and
-# at most 2**18 // p, keep a cell's working memory bounded.
+# trial count, and its map of signs with trials * p entries of one byte each,
+# so blocks of at most this many trials, and at most 2**18 // p, keep a
+# cell's working memory bounded.
 _VERIFY_BLOCK = 256
 
 
-def _support_errors(batch, nodes, p):
-    """Per trial: false alarms |S_hat - S| and misses |S - S_hat|, where S_hat
-    is the batch's significant nodes and S = nodes[t].  A support node that
-    was never measured is a miss."""
+def _sense_block(nodes, values, alpha, tree, cfg, rng):
+    """Sense and score one block of verify-theorem's draws (nodes, values),
+    every value of which is +alpha or -alpha: (m, energy_spent, truncated,
+    false alarms |S_hat - S|, misses |S - S_hat|), one entry per trial, where
+    S_hat is a session's significant nodes and S = nodes[t].  One (trials,
+    p) byte map of the values' signs gives both the coefficients, alpha
+    times the sign, and the support.  A support node that was never
+    measured is a miss."""
     trials, k = nodes.shape
-    member = np.zeros((trials, p + 1), dtype=bool)
-    member[np.arange(trials)[:, None], nodes] = True
+    sign = np.zeros((trials, tree.p), dtype=np.int8)
+    sign[np.arange(trials)[:, None], nodes - 1] = np.sign(values)
+    batch = _sense_tree(lambda t, i: alpha * sign[t, i], tree, trials, cfg, rng)
     t_sig = batch.trial[batch.significant]
-    hit = member[t_sig, batch.node[batch.significant]]
-    return (np.bincount(t_sig[~hit], minlength=trials),
+    hit = sign[t_sig, batch.node[batch.significant] - 1] != 0
+    return (batch.m, batch.energy_spent, batch.truncated,
+            np.bincount(t_sig[~hit], minlength=trials),
             k - np.bincount(t_sig[hit], minlength=trials))
 
 
@@ -382,9 +392,7 @@ def _verify_cell(tree, k, R, beta, alpha, tau, cfg, cell):
         nodes, values = random_tree_sparse_batch(
             tree, k, alpha, alpha, rng, min(block, cfg.trials - start),
             max_depth=cfg.L - 1)
-        batch = adaptive_sense_batch(nodes, values, tree, sense_cfg, rng)
-        per_trial.append((batch.m, batch.energy_spent, batch.truncated,
-                          *_support_errors(batch, nodes, tree.p)))
+        per_trial.append(_sense_block(nodes, values, alpha, tree, sense_cfg, rng))
     m, energy, truncated, false_alarms, misses = map(np.concatenate, zip(*per_trial))
     exact = (false_alarms == 0) & (misses == 0)
     bound = failure_bound(beta, tau, alpha, k, cfg.d)
@@ -409,9 +417,7 @@ def verify_theorem(cfg):
     and misses |S - S_hat| per trial).  Supports are kept off the leaf
     level so every support node has d children to test.
     """
-    if cfg.trials < 1:
-        raise ValueError(f"trials must be at least 1, got {cfg.trials}")
-    _check_distinct(cfg, "k", "budgets")
+    _check_entries(cfg, "trials", "k", "budgets")
     tree = make_tree(cfg.d, cfg.L)
     for k in cfg.k:
         if not 2 <= k <= tree.n_internal:
@@ -474,7 +480,7 @@ def sense_signal(cfg, dictionary, dict_mean, x, k, sig_idx=0, note=""):
     draws from its own generator, keyed [cfg.seed, 1, b, sig_idx, tau index,
     trial], and every session senses the coefficients c = Dᵀ(x - dict_mean),
     so the trials of a (budget, tau) cell are sensed in one call."""
-    _check_distinct(cfg, "budgets", "taus")
+    _check_entries(cfg, "trials", "budgets", "taus")
     x = np.asarray(x, dtype=float)
     if x.shape != (dictionary.atoms.shape[0],):
         raise ValueError(f"signal of {x.size} entries does not match the dictionary's "
@@ -550,13 +556,13 @@ def compare_methods(cfg, training, dictionary, dict_mean):
     dictionary and its column mean dict_mean.  The test signals are the
     first cfg.test_signals training columns.  Returns write_csv's table.
     """
+    _check_entries(cfg, "trials", "test_signals", "budgets", "taus", "measurements")
     n = dictionary.atoms.shape[0]
     if training.n != n:
         raise ValueError("corpus dimension does not match dictionary atoms")
     if cfg.test_signals > training.q:
         raise ValueError(f"config key 'test_signals': {cfg.test_signals} is more than "
                          f"the corpus's {training.q} signals")
-    _check_distinct(cfg, "budgets", "taus", "measurements")
     tree = dictionary.tree
     k = cfg.sparsity_for(tree.p)
     measurements = [int(m) for m in

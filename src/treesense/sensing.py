@@ -26,7 +26,6 @@ __all__ = [
     "SessionBatch",
     "allocate_beta",
     "adaptive_sense_coeffs",
-    "adaptive_sense_batch",
     "reconstruct_from_outcome",
     "two_stage_estimate_coeffs",
 ]
@@ -159,57 +158,24 @@ def _coeffs(alpha, tree):
     return a.reshape(-1, tree.p)
 
 
+def _sense_tree(coeff, tree, trials, cfg, rng):
+    """The threshold traversal of `trials` sessions from the root of tree,
+    where coeff(t, i) returns the coefficients at 0-based nodes i of trials
+    t; returns a SessionBatch with node ids 1..p."""
+    batch = _traverse(coeff, tree.p, tree.d, 1, [0], trials, cfg, rng)
+    batch.node += 1
+    return batch
+
+
 def adaptive_sense_coeffs(alpha, tree, cfg, rng):
     """Run the threshold traversal of a length-p coefficient vector alpha (a
     signal x sensed against an orthonormal dictionary D has alpha = Dᵀx),
     with one generator, or of each row of (T, p) coefficients alpha, with a
     list of T generators (or one that all rows share).  Returns a T-session
-    SessionBatch (T = 1 for a vector); the support estimates are its
-    significant nodes."""
+    SessionBatch (T = 1 for a vector) with node ids; the support estimates
+    are its significant nodes."""
     alpha = _coeffs(alpha, tree)
-    nodes = np.broadcast_to(np.arange(1, tree.p + 1), alpha.shape)
-    return adaptive_sense_batch(nodes, alpha, tree, cfg, rng)
-
-
-def adaptive_sense_batch(nodes, values, tree, cfg, rng):
-    """Sense T coefficient vectors at once, each in its own session.
-
-    nodes and values are (T, k): vector t is values[t] at the distinct
-    integer node ids nodes[t], each in 1..p, and zero elsewhere; anything
-    else raises ValueError.  rng is one generator that all sessions share,
-    or a list of T generators, one per session.  Returns a SessionBatch with
-    node ids.  A session draws the same noise, value for value, as a
-    one-vector call on its dense vector.  The coefficients are looked up
-    through a slot map of T * p entries of the smallest signed integer type
-    that holds -k (one byte each up to k = 128), so a batch holds O(T * p)
-    bytes besides its measurements.
-    """
-    nodes = np.asarray(nodes)
-    values = np.asarray(values, dtype=float)
-    if nodes.ndim != 2 or nodes.shape != values.shape:
-        raise ValueError("nodes and values must be (T, k) arrays of one shape")
-    (trials, k), p = nodes.shape, tree.p
-    if nodes.size and nodes.dtype.kind not in "iu":
-        raise ValueError(f"node ids must be integers, got dtype {nodes.dtype}")
-    if nodes.size and not (nodes.min() >= 1 and nodes.max() <= p):
-        raise ValueError(f"node ids must be in 1..{p}")
-    # slot[t * p + i] is the column of node i + 1 in row t, or -1, which
-    # reads the zero column appended to the values
-    rows, cols, index = np.arange(trials)[:, None], np.arange(k), nodes.astype(np.intp) - 1
-    slot = np.full((trials, p), -1, dtype=np.min_scalar_type(-max(k, 1)))
-    slot[rows, index] = cols
-    if (slot[rows, index] != cols).any():
-        raise ValueError("node ids must be distinct within a row")
-    slot = slot.reshape(-1)
-    padded = np.zeros((trials, k + 1))
-    padded[:, :k] = values
-
-    def coeff(t, i):
-        return padded[t, slot[t * p + i]]
-
-    batch = _traverse(coeff, p, tree.d, 1, [0], trials, cfg, rng)
-    batch.node += 1
-    return batch
+    return _sense_tree(lambda t, i: alpha[t, i], tree, len(alpha), cfg, rng)
 
 
 def _scatter(batch, beta, size, first):

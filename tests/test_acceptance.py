@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from treesense import (ExperimentConfig, LearnConfig, SensingConfig,
-                       TrainingSet, adaptive_sense_batch, adaptive_sense_coeffs,
+                       TrainingSet, adaptive_sense_coeffs,
                        allocate_beta, failure_bound, gaussian_ensemble,
                        initial_dictionary, is_tree_sparse,
                        lasso_solve, learn, make_tree, min_amplitude,
@@ -109,7 +109,9 @@ def _adaptive_success_rate(alpha, tree, k, R, trials, tag):
     nodes, values = random_tree_sparse_batch(tree, k, alpha, alpha, rngs, trials,
                                              max_depth=tree.depth - 1)
     cfg = SensingConfig(beta=beta, tau=0.5 * beta * alpha, noise_std=1.0, budget=R)
-    out = adaptive_sense_batch(nodes, values, tree, cfg, rngs)
+    rows = np.zeros((trials, tree.p))
+    rows[np.arange(trials)[:, None], nodes - 1] = values
+    out = adaptive_sense_coeffs(rows, tree, cfg, rngs)
     hits = sum(found == set(row) for found, row in zip(significant_sets(out), nodes.tolist()))
     return hits / trials
 

@@ -190,3 +190,16 @@ def test_load_dictionary_rejects_malformed_size(cut, tmp_path, rng):
                       "trailing_bytes": raw + b"\0"}[cut])
     with pytest.raises(ValueError, match="dict.lasr"):
         load_dictionary(path)
+
+
+@pytest.mark.parametrize("entry", [1e200, np.inf], ids=["overflowing", "infinite"])
+def test_load_dictionary_rejects_huge_atoms(entry, tmp_path):
+    # the Gram check of atoms this large overflows; under the suite's
+    # error::RuntimeWarning filter a leaked warning would fail the test
+    import struct
+    path = tmp_path / "big.lasr"
+    path.write_bytes(struct.pack("<4sHIIII", b"LASR", 1, 4, 3, 2, 2)
+                     + np.zeros(4).astype("<f8").tobytes()
+                     + np.full(12, entry).astype("<f8").tobytes())
+    with pytest.raises(ValueError, match=r"big\.lasr: columns not orthonormal"):
+        load_dictionary(path)

@@ -7,14 +7,16 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from treesense import (CSV_FIELDS, Dictionary, ExperimentConfig, TrainingSet,
-                       box_downscale, compare_methods, harness, lambda_for_sparsity,
-                       lasso_solve, load_corpus, make_tree, model_cosamp, read_pgm, snr_db,
-                       synthetic_corpus, verify_theorem, write_csv, write_manifest, write_pgm)
+from treesense import (CSV_FIELDS, Dictionary, ExperimentConfig, SensingConfig, TrainingSet,
+                       adaptive_sense_coeffs, allocate_beta, box_downscale, compare_methods,
+                       harness, lambda_for_sparsity, lasso_solve, load_corpus, make_tree,
+                       min_amplitude, model_cosamp, random_tree_sparse_batch, read_pgm,
+                       snr_db, synthetic_corpus, verify_theorem, write_csv, write_manifest,
+                       write_pgm)
 from treesense.harness import (_extend, _random_projection_arms, apply_config,
                                parse_config_file)
 
-from conftest import reference_write_csv
+from conftest import reference_write_csv, significant_sets
 
 
 def test_snr_values():
@@ -217,9 +219,9 @@ def test_verify_theorem_noiseless_cells():
 
 
 def test_verify_theorem_block_memory_is_bounded():
-    # p = 65,535: a block's slot map and membership mask hold trials * p
-    # bytes each, so 24 trials in one block would peak at 1.6 MB; blocks of
-    # 2**18 // p = 4 trials keep one 256 KiB map alive at a time
+    # p = 65,535: a block's map of signs holds trials * p bytes, so 24
+    # trials in one block would peak at 1.6 MB; blocks of 2**18 // p = 4
+    # trials keep one 256 KiB map alive at a time
     cfg = ExperimentConfig(d=2, L=16, k=(7,), trials=24, seed=3)
     verify_theorem(replace(cfg, L=4, trials=1))   # imports stay out of the peak
     tracemalloc.start()
@@ -232,8 +234,48 @@ def test_verify_theorem_block_memory_is_bounded():
     assert peak <= 2**19, peak
 
 
+def test_verify_theorem_senses_its_draws_as_dense_rows():
+    # every value a verify-theorem cell draws is +alpha or -alpha, so
+    # _sense_block's map of signs senses and scores exactly what sensing
+    # the dense rows does; a draw off +-alpha fails here.  Noise above the
+    # amplitude's design makes sessions truncate, miss and false-alarm
+    cfg = ExperimentConfig(d=2, L=6, k=(5,), budgets=(15.0,), noise_std=2.0, trials=200,
+                           seed=11)
+    tree, k, R = make_tree(cfg.d, cfg.L), cfg.k[0], cfg.budgets[0]
+    beta = allocate_beta(R, cfg.d, k)
+    alpha = min_amplitude(cfg.c1, cfg.a, cfg.d, k, beta)
+    sense_cfg = SensingConfig(beta=beta, tau=cfg.a * beta * alpha, noise_std=cfg.noise_std,
+                              budget=R)
+
+    def replay():
+        """The cell's generator and its one block of draws."""
+        rng = np.random.default_rng([cfg.seed, 0])
+        return (*random_tree_sparse_batch(tree, k, alpha, alpha, rng, cfg.trials,
+                                          max_depth=cfg.L - 1), rng)
+
+    nodes, values, rng = replay()
+    assert np.array_equal(np.abs(values), np.full(values.shape, alpha))
+    dense = np.zeros((cfg.trials, tree.p))
+    dense[np.arange(cfg.trials)[:, None], nodes - 1] = values
+    batch = adaptive_sense_coeffs(dense, tree, sense_cfg, rng)
+    found, supports = significant_sets(batch), [set(row) for row in nodes.tolist()]
+    false_alarms = np.array([len(f - s) for f, s in zip(found, supports)])
+    misses = np.array([len(s - f) for f, s in zip(found, supports)])
+    assert batch.truncated.any() and false_alarms.any() and misses.any()
+
+    nodes, values, rng = replay()
+    got = harness._sense_block(nodes, values, alpha, tree, sense_cfg, rng)
+    want = (batch.m, batch.energy_spent, batch.truncated, false_alarms, misses)
+    for mine, theirs in zip(got, want, strict=True):
+        assert np.array_equal(mine, theirs)
+    table, _ = verify_theorem(cfg)
+    assert table["m"].tobytes() == batch.m.tobytes()
+    assert table["energy_spent"].tobytes() == batch.energy_spent.tobytes()
+    assert np.array_equal(table["support_exact"], (false_alarms == 0) & (misses == 0))
+
+
 def test_verify_theorem_rejects_no_trials():
-    with pytest.raises(ValueError, match="trials must be at least 1"):
+    with pytest.raises(ValueError, match="^config key 'trials': must be at least 1, got 0$"):
         verify_theorem(ExperimentConfig(d=2, L=4, k=(3,), trials=0))
 
 
@@ -428,6 +470,27 @@ def test_compare_runs_pca_up_to_the_numerical_rank(rng):
         {4, 5, 6, 8}
 
 
+def _fails_before_any_solver(rng, monkeypatch, run, changes, message):
+    """Run `run` on a small config with `changes`, every solver patched to
+    fail if called: it must raise a ValueError matching message exactly."""
+    def solver(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    for name in ("_sense_tree", "adaptive_sense_coeffs", "gaussian_ensemble",
+                 "pca_fit", "wavelet_sense"):
+        monkeypatch.setattr(harness, name, solver)
+    tree = make_tree(2, 4)
+    X, planted, _ = synthetic_corpus(20, 8, tree, 4, rng)
+    tr = TrainingSet.from_raw(X)
+    cfg = replace(ExperimentConfig(L=4, budgets=(64.0,), trials=2, target_sparsity=4),
+                  **changes)
+    calls = {"verify_theorem": lambda: verify_theorem(cfg),
+             "sense_signal": lambda: harness.sense_signal(cfg, planted, tr.mean, X[:, 0], 4),
+             "compare_methods": lambda: compare_methods(cfg, tr, planted, tr.mean)}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        calls[run]()
+
+
 @pytest.mark.parametrize("run,key,value", [
     ("verify_theorem", "k", (3, 3)),
     ("verify_theorem", "budgets", (12, 12.0)),
@@ -440,23 +503,21 @@ def test_compare_runs_pca_up_to_the_numerical_rank(rng):
 def test_repeated_list_entries_fail_before_any_solver_runs(rng, monkeypatch, run, key, value):
     # a repeated entry would write two rows under one (method, R, tau, m,
     # trial) key
-    def solver(*args, **kwargs):
-        raise AssertionError("a solver ran")
+    _fails_before_any_solver(rng, monkeypatch, run, {key: value},
+                             f"config key {key!r}: {value} repeats an entry")
 
-    for name in ("adaptive_sense_batch", "adaptive_sense_coeffs", "gaussian_ensemble",
-                 "pca_fit", "wavelet_sense"):
-        monkeypatch.setattr(harness, name, solver)
-    tree = make_tree(2, 4)
-    X, planted, _ = synthetic_corpus(20, 8, tree, 4, rng)
-    tr = TrainingSet.from_raw(X)
-    cfg = replace(ExperimentConfig(L=4, budgets=(64.0,), trials=2, target_sparsity=4),
-                  **{key: value})
-    calls = {"verify_theorem": lambda: verify_theorem(cfg),
-             "sense_signal": lambda: harness.sense_signal(cfg, planted, tr.mean, X[:, 0], 4),
-             "compare_methods": lambda: compare_methods(cfg, tr, planted, tr.mean)}
-    with pytest.raises(ValueError, match=re.escape(
-            f"config key {key!r}: {value} repeats an entry")):
-        calls[run]()
+
+@pytest.mark.parametrize("run,key,value", [
+    ("compare_methods", "trials", 0),
+    ("compare_methods", "test_signals", 0),
+    ("sense_signal", "trials", 0),
+], ids=["compare-trials", "compare-test-signals", "sense-trials"])
+def test_counts_below_one_fail_before_any_solver_runs(rng, monkeypatch, run, key, value):
+    # library calls reject what apply_config rejects, with its message; no
+    # trials once broadcast (3,) against (0,), no test signals reshaped an
+    # empty array, and a sense run of no trials returned an empty table
+    _fails_before_any_solver(rng, monkeypatch, run, {key: value},
+                             f"config key {key!r}: must be at least 1, got {value}")
 
 
 def test_compare_generators_never_share_a_draw(rng, monkeypatch):
@@ -480,6 +541,29 @@ def test_compare_generators_never_share_a_draw(rng, monkeypatch):
     # plus a lambda probe and an ensemble per (budget, m)
     assert len(first_draws) == sum(method != "model-cosamp" for method in table["method"]) + 2 * 4
     assert len(set(first_draws)) == len(first_draws)
+
+
+def test_generator_keys_never_collide_within_a_run(rng, monkeypatch):
+    # SeedSequence zero-pads a key to 4 words, so keys that differ only by
+    # trailing zeros (5, [5], [5, 0]) seed one stream: compare each key's
+    # generated state, not the key
+    tree = make_tree(2, 4)
+    X, planted, _ = synthetic_corpus(20, 8, tree, 4, rng)
+    tr = TrainingSet.from_raw(X)
+    keys, default_rng = [], np.random.default_rng
+
+    def recording_rng(seed=None):
+        keys.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    compare_methods(ExperimentConfig(mode="compare", budgets=(32.0, 8.0), taus=(0.0, 0.5),
+                                     trials=3, seed=5, test_signals=2, target_sparsity=4),
+                    training=tr, dictionary=planted, dict_mean=tr.mean)
+    verify_theorem(ExperimentConfig(d=2, L=4, k=(3, 4), budgets=(12.0, 24.0), trials=3,
+                                    seed=5))
+    states = {tuple(np.random.SeedSequence(key).generate_state(4)) for key in keys}
+    assert len(keys) > 100 and len(states) == len(keys)
 
 
 def test_random_projection_arms_match_per_m_lasso_solves(rng, monkeypatch):

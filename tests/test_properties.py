@@ -9,10 +9,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesense import (SensingConfig, adaptive_sense_batch, adaptive_sense_coeffs,
-                       haar2, ihaar2, is_tree_sparse, make_tree, random_tree_sparse,
-                       random_tree_sparse_batch, tree_project_batch,
-                       wavelet_sense)
+from treesense import (SensingConfig, adaptive_sense_coeffs, haar2, ihaar2, is_tree_sparse,
+                       make_tree, random_tree_sparse, random_tree_sparse_batch,
+                       tree_project_batch, wavelet_sense)
 
 from conftest import (reference_is_tree_sparse, reference_project, reference_quadtree,
                       reference_traversal, significant_set, support_of)
@@ -112,14 +111,14 @@ def test_batch_trials_equal_scalar_reference(shape, trials, seed, cfg, data):
     k = data.draw(st.integers(1, tree.p))
     nodes, values = random_tree_sparse_batch(tree, k, 0.5, 2.0,
                                              np.random.default_rng(seed), trials)
+    dense = np.zeros((trials, tree.p))
+    dense[np.arange(trials)[:, None], nodes - 1] = values
     rec = _Recorder(np.random.default_rng([seed, 1]))
-    batch = adaptive_sense_batch(nodes, values, tree, cfg, rec)
+    batch = adaptive_sense_coeffs(dense, tree, cfg, rec)
     noise = np.concatenate(rec.blocks) if rec.blocks else np.zeros(len(batch.trial))
     assert len(noise) == len(batch.trial)
     for t in range(trials):
-        dense = np.zeros(tree.p)
-        dense[nodes[t] - 1] = values[t]
-        ref = reference_traversal(lambda j: float(dense[j - 1]), tree.children, [1],
+        ref = reference_traversal(lambda j: float(dense[t, j - 1]), tree.children, [1],
                                   cfg, _Replay(noise[batch.trial == t]))
         assert_matches_reference(batch, t, ref)
 

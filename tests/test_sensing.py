@@ -4,10 +4,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from treesense import (Dictionary, SensingConfig, SessionBatch, adaptive_sense_batch,
-                       adaptive_sense_coeffs, allocate_beta, make_tree,
-                       random_tree_sparse, random_tree_sparse_batch, reconstruct_from_outcome,
-                       two_stage_estimate_coeffs, wavelet_reconstruct, wavelet_sense)
+from treesense import (Dictionary, SensingConfig, SessionBatch, adaptive_sense_coeffs,
+                       allocate_beta, make_tree, random_tree_sparse, random_tree_sparse_batch,
+                       reconstruct_from_outcome, two_stage_estimate_coeffs, wavelet_reconstruct,
+                       wavelet_sense)
 
 from conftest import significant_set, support_of
 
@@ -101,33 +101,16 @@ def test_significance_flag_matches_threshold(rng):
         assert (node in significant_set(out)) == significant
 
 
-@pytest.mark.parametrize("nodes,reason", [
-    ([[1, 0]], "in 1..15"),
-    ([[1, 16]], "in 1..15"),
-    ([[1, 1]], "distinct"),
-    ([[1.0, 2.0]], "integers"),
-], ids=["node-0", "node-p+1", "repeated", "float"])
-def test_batch_rejects_bad_node_ids(nodes, reason, rng):
-    # node 0 would wrap to node p, p + 1 would index past the slot map, and a
-    # repeated id would keep only its last value
-    t = make_tree(2, 4)
-    cfg = SensingConfig(beta=1.0, tau=0.5, noise_std=0.0)
-    with pytest.raises(ValueError, match=reason):
-        adaptive_sense_batch(nodes, [[2.0, 3.0]], t, cfg, rng)
-
-
 def test_batch_of_empty_supports():
-    # k = 0: every session measures pure noise at the root, and a tau above
-    # every draw ends it there
+    # zero rows: every session measures pure noise at the root, and a tau
+    # above every draw ends it there
     t = make_tree(2, 4)
     cfg = SensingConfig(beta=1.0, tau=10.0, noise_std=1.0)
-    batch = adaptive_sense_batch(np.zeros((3, 0), dtype=np.int64), np.zeros((3, 0)), t, cfg,
-                                 np.random.default_rng(5))
+    batch = adaptive_sense_coeffs(np.zeros((3, t.p)), t, cfg, np.random.default_rng(5))
     assert batch.m.tolist() == [1, 1, 1] and batch.node.tolist() == [1, 1, 1]
     assert np.array_equal(batch.y, np.random.default_rng(5).standard_normal(3))
     # and a batch of no sessions measures nothing
-    batch = adaptive_sense_batch(np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3)), t, cfg,
-                                 np.random.default_rng(5))
+    batch = adaptive_sense_coeffs(np.zeros((0, t.p)), t, cfg, np.random.default_rng(5))
     assert len(batch.m) == 0 and len(batch.node) == 0
 
 
@@ -156,8 +139,9 @@ def test_reconstruction_takes_a_session_batch(rng):
     Q, _ = np.linalg.qr(rng.standard_normal((20, t.p)))
     d, mean = Dictionary(atoms=Q, tree=t), rng.standard_normal(20)
     cfg = SensingConfig(beta=1.5, tau=0.8, noise_std=0.5)
-    batch = adaptive_sense_batch([[1, 2, 5], [1, 3, 6]], [[2.0, -1.5, 1.0], [1.0, 2.5, -2.0]],
-                                 t, cfg, rng)
+    rows = np.zeros((2, t.p))
+    rows[[[0], [1]], [[0, 1, 4], [0, 2, 5]]] = [[2.0, -1.5, 1.0], [1.0, 2.5, -2.0]]
+    batch = adaptive_sense_coeffs(rows, t, cfg, rng)
     x_hat = reconstruct_from_outcome(batch, d, 1.5, mean)
     assert x_hat.shape == (2, 20)
     for trial in range(2):
@@ -339,25 +323,17 @@ def assert_next_draws_match(gens, refs):
 
 
 def sparse_rows(tree, k=4, seed=3):
-    """(nodes, values, dense) of T tree-sparse rows."""
+    """(T, p): T tree-sparse rows."""
     nodes, values = random_tree_sparse_batch(tree, k, 0.3, 2.5, np.random.default_rng(seed), T)
     dense = np.zeros((T, tree.p))
     dense[np.arange(T)[:, None], nodes - 1] = values
-    return nodes, values, dense
+    return dense
 
 
 @pytest.mark.parametrize("cfg", CONFIGS)
 def test_batch_with_generators_equals_one_session_calls(cfg):
     t = make_tree(3, 4)
-    nodes, values, dense = sparse_rows(t)
-    gens, refs = generators(), generators()
-    batch = adaptive_sense_batch(nodes, values, t, cfg, gens)
-    for row in range(T):
-        assert_session_is(batch, row, adaptive_sense_batch(nodes[row:row + 1],
-                                                           values[row:row + 1], t, cfg,
-                                                           refs[row]))
-    assert_next_draws_match(gens, refs)
-
+    dense = sparse_rows(t)
     gens, refs = generators(), generators()
     batch = adaptive_sense_coeffs(dense, t, cfg, tuple(gens))   # a tuple serves too
     for row in range(T):
@@ -379,7 +355,7 @@ def test_wavelet_sense_with_generators_equals_one_session_calls(cfg):
 @pytest.mark.parametrize("noise_std", [1.0, 0.0])
 def test_two_stage_with_generators_equals_one_vector_calls(noise_std):
     t = make_tree(2, 5)
-    _, _, dense = sparse_rows(t, k=5)
+    dense = sparse_rows(t, k=5)
     dense *= 4.0   # most, not all, supports are found
     gens, refs = generators(), generators()
     estimate, batch = two_stage_estimate_coeffs(dense, t, 120.0, 5, gens, alpha_min=1.2,
@@ -396,10 +372,9 @@ def test_two_stage_with_generators_equals_one_vector_calls(noise_std):
 def test_a_list_of_the_wrong_length_names_both_lengths():
     t = make_tree(2, 3)
     cfg = SensingConfig(beta=1.0, tau=0.5)
-    nodes, values, dense = sparse_rows(t, k=2)
+    dense = sparse_rows(t, k=2)
     three = generators()[:3]
-    for call, rows in ((lambda: adaptive_sense_batch(nodes, values, t, cfg, three), T),
-                       (lambda: adaptive_sense_coeffs(dense, t, cfg, three), T),
+    for call, rows in ((lambda: adaptive_sense_coeffs(dense, t, cfg, three), T),
                        (lambda: adaptive_sense_coeffs(dense[0], t, cfg, three), 1),
                        (lambda: two_stage_estimate_coeffs(dense, t, 30.0, 2, three, 1.0), T),
                        (lambda: random_tree_sparse_batch(t, 2, 1, 1, three, T), T)):
@@ -410,9 +385,7 @@ def test_a_list_of_the_wrong_length_names_both_lengths():
 def test_an_empty_list_senses_no_sessions():
     t = make_tree(2, 3)
     cfg = SensingConfig(beta=1.0, tau=0.5)
-    for batch in (adaptive_sense_batch(np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2)),
-                                       t, cfg, []),
-                  adaptive_sense_coeffs(np.zeros((0, t.p)), t, cfg, []),
+    for batch in (adaptive_sense_coeffs(np.zeros((0, t.p)), t, cfg, []),
                   wavelet_sense(np.ones((4, 4)), cfg, [])):
         assert len(batch.m) == len(batch.node) == 0
     estimate, batch = two_stage_estimate_coeffs(np.zeros((0, t.p)), t, 30.0, 2, [],
@@ -436,9 +409,8 @@ class _Delegate:
 def test_a_duck_typed_generator_is_one_shared_generator():
     t = make_tree(3, 4)
     cfg = CONFIGS[1]
-    nodes, values, dense = sparse_rows(t)
+    dense = sparse_rows(t)
     for call in (lambda rng: random_tree_sparse_batch(t, 4, 1, 2, rng, T)[1],
-                 lambda rng: adaptive_sense_batch(nodes, values, t, cfg, rng).y,
                  lambda rng: adaptive_sense_coeffs(dense, t, cfg, rng).y,
                  lambda rng: two_stage_estimate_coeffs(dense, t, 60.0, 4, rng, 1.0)[0],
                  lambda rng: wavelet_sense(np.eye(8), cfg, rng).y):
@@ -461,9 +433,8 @@ def test_a_list_of_one_generator_draws_what_the_generator_draws(cfg):
     # [g] draws as a list of per-row generators, g alone as one shared
     # generator: the values and g's next draw are the same either way
     t = make_tree(3, 4)
-    nodes, values, dense = sparse_rows(t)
+    dense = sparse_rows(t)
     for call in (lambda rng: random_tree_sparse_batch(t, 4, 0.3, 2.5, rng, 1, max_depth=3),
-                 lambda rng: adaptive_sense_batch(nodes[:1], values[:1], t, cfg, rng),
                  lambda rng: adaptive_sense_coeffs(dense[0], t, cfg, rng),
                  lambda rng: two_stage_estimate_coeffs(dense[0], t, 60.0, 4, rng, 1.0,
                                                        noise_std=cfg.noise_std),
