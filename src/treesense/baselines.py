@@ -36,12 +36,16 @@ def gaussian_ensemble(m, n, budget, seed):
 
 
 def _stack(A, Y):
-    """A (B, m, p) and Y (B, m, q) as float arrays, or a ValueError."""
+    """A (B, m, p) and Y (B, m, q) as finite float arrays, or a ValueError
+    (naming y for Y where an entry is not finite)."""
     A = np.asarray(A, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if A.ndim != 3 or Y.ndim != 3 or Y.shape[:2] != A.shape[:2]:
         raise ValueError(f"A {A.shape} and Y {Y.shape} do not match: need A (B, m, p) "
                          f"with Y (B, m, q)")
+    for name, arr in (("A", A), ("y", Y)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
     return A, Y
 
 
@@ -83,9 +87,6 @@ def lasso_solve(A, Y, lam, max_iters=500, tol=1e-10):
         raise ValueError(f"lam must be a scalar or have shape {(B, q)}, got {lam.shape}")
     if not np.all((lam > 0) & (lam < np.inf)):
         raise ValueError("lam must be positive and finite")
-    for name, arr in (("A", A), ("y", Y)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{name} must be finite")
     lam = np.broadcast_to(lam, (B, q))
 
     # coefficients are held as rows, (B, q, p), so every per-column reduction
@@ -233,55 +234,48 @@ def model_cosamp(A, Y, k, tree, iters=20, tol=1e-6):
     Each (stack, column) problem stops on its own, once its residual norm
     falls below tol * ||y|| or stalls, or after iters rounds (at once if
     y = 0); a stopped problem is frozen and left out of later projections,
-    and one INFO log line counts the problems per stop reason.  The
-    projections of one round run as one batch over the running problems.
-    A problem's products and least-squares solves use only its rows up to
-    the last one where A or y is nonzero, so a zero-padded stack returns
-    what its unpadded problems would, bit for bit.
+    and one INFO log line counts the problems per stop reason.  A or Y that
+    is not finite raises a ValueError naming it (y for Y).  A round's
+    proxies and residuals are one product over the stack, and its
+    projections one batch over the running problems; only the
+    least-squares solves run per problem, each on its problem's own rows,
+    up to the last one where A or y is nonzero.  Padded rows add only zero
+    terms, so a zero-padded stack returns what its unpadded problems would,
+    bit for bit.
     """
     A, Y = _stack(A, Y)
     B, M, p = A.shape
-    q = Y.shape[2]
     if k > p:
         raise ValueError("k must be <= p")
 
     used = (A != 0).any(axis=2)[:, :, None] | (Y != 0)
     rows = np.where(used.any(axis=1), M - used[:, ::-1].argmax(axis=1), 0)
-    probs = [(b, c) for b in range(B) for c in range(q)]
-    As = [A[b, :rows[b, c]] for b, c in probs]
-    ys = [np.ascontiguousarray(Y[b, :rows[b, c], c]) for b, c in probs]
-    ynorm = np.array([np.linalg.norm(v) for v in ys])
-    x = np.zeros((len(probs), p))
-    r = [v.copy() for v in ys]
-    prev = np.full(len(probs), np.inf)
-    # stop reason per problem: 0 still running (at the end: hit iters),
-    # 1 residual below tol * ||y||, 2 stalled residual, 3 y = 0
+    Yt = Y.transpose(0, 2, 1)
+    ynorm = np.linalg.norm(Yt, axis=2)
+    x, r, prev = np.zeros((B, Y.shape[2], p)), Yt, np.inf
+    # stop reason per (stack, column) problem: 0 still running (at the end:
+    # hit iters), 1 residual below tol * ||y||, 2 stalled residual, 3 y = 0
     reason = np.where(ynorm == 0, 3, 0)
-    live = np.flatnonzero(ynorm > 0)
     for _ in range(iters):
-        if not len(live):
+        live = np.nonzero(reason == 0)
+        if not len(live[0]):
             break
-        proxy = np.array([As[i].T @ r[i] for i in live])
-        enlarged = tree_project_batch(proxy, tree, min(2 * k, p))[1]
-        b = np.zeros((len(live), p))
-        for row, i in enumerate(live):
-            cols = np.flatnonzero(enlarged[row] | (x[i] != 0))
-            b[row, cols] = np.linalg.lstsq(As[i][:, cols], ys[i], rcond=None)[0]
+        enlarged = tree_project_batch((r @ A)[live], tree, min(2 * k, p))[1]
+        b = np.zeros((len(live[0]), p))
+        for i, (s, c) in enumerate(zip(*live)):
+            cols = np.flatnonzero(enlarged[i] | (x[s, c] != 0))
+            n = rows[s, c]
+            b[i, cols] = np.linalg.lstsq(A[s, :n][:, cols], Y[s, :n, c], rcond=None)[0]
         x[live] = tree_project_batch(b, tree, k)[0]
-        for i in live:
-            r[i] = ys[i] - As[i] @ x[i]
-            rnorm = np.linalg.norm(r[i])
-            if rnorm < tol * ynorm[i]:
-                reason[i] = 1
-            elif rnorm >= prev[i] * (1 - 1e-9):
-                reason[i] = 2
-            prev[i] = rnorm
-        live = live[reason[live] == 0]
-    counts = np.bincount(reason, minlength=4)
+        r = Yt - x @ A.transpose(0, 2, 1)
+        rnorm = np.linalg.norm(r, axis=2)
+        stop = np.where(rnorm < tol * ynorm, 1, np.where(rnorm >= prev * (1 - 1e-9), 2, 0))
+        reason, prev = np.where(reason == 0, stop, reason), rnorm
+    counts = np.bincount(reason.ravel(), minlength=4)
     logger.info("model_cosamp: of %d problems, %d met tol, %d stalled, %d stopped "
-                "at iters=%d, %d had y = 0", len(probs), counts[1], counts[2],
+                "at iters=%d, %d had y = 0", reason.size, counts[1], counts[2],
                 counts[0], iters, counts[3])
-    return x.reshape(B, q, p).transpose(0, 2, 1)
+    return x.transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)

@@ -258,8 +258,12 @@ _PARSERS = {f.name: _PARSE_TYPE[f.type.split(" |")[0]] for f in fields(Experimen
             if f.name != "mode"}
 # the keys that count something, so must be at least 1 (each entry of a list)
 _COUNTS = ("trials", "test_signals", "target_side", "target_sparsity", "k", "measurements")
-# the keys that scale or threshold a measurement, so must not be negative
-_NONNEGATIVE = ("noise_std", "taus")
+# the keys that scale or threshold a measurement, or seed a generator, so
+# must not be negative
+_NONNEGATIVE = ("noise_std", "taus", "seed")
+# the lists that have no default, so must hold an entry (an empty budgets or
+# measurements asks for the defaults)
+_NONEMPTY = ("k", "taus")
 
 
 def parse_config_file(path):
@@ -277,40 +281,51 @@ def parse_config_file(path):
     return out
 
 
+def _check_value(key, value, text):
+    """Raise ValueError naming key if value is an empty list of _NONEMPTY,
+    holds a float that is not finite, a count (_COUNTS) below 1, a negative
+    entry of _NONNEGATIVE or a budget that is not positive; text shows the
+    value in the message."""
+    entries = value if isinstance(value, (tuple, list)) else (value,)
+    if key in _NONEMPTY and not entries:
+        reason = "must hold at least one entry"
+    elif not all(math.isfinite(v) for v in entries if isinstance(v, float)):
+        reason = f"must be finite, got {text}"
+    elif key in _COUNTS and min(entries, default=1) < 1:
+        reason = f"must be at least 1, got {text}"
+    elif key in _NONNEGATIVE and min(entries, default=0) < 0:
+        reason = f"must be nonnegative, got {text}"
+    elif key == "budgets" and not all(v > 0 for v in entries):
+        reason = f"must be positive, got {text}"
+    else:
+        return
+    raise ValueError(f"config key {key!r}: {reason}")
+
+
 def apply_config(cfg, kv):
     """Apply string key=value overrides onto an ExperimentConfig.  An unknown
-    key, a value that does not parse, a float that is not finite, a count
-    (_COUNTS) below 1, a negative noise_std or tau or a budget that is not
-    positive raises ValueError naming the key."""
+    key, a value that does not parse or one that _check_value rejects raises
+    ValueError naming the key."""
     for key, val in kv.items():
         if key not in _PARSERS:
             raise ValueError(f"unknown config key {key!r}")
         try:
             value = _PARSERS[key](val)
-            entries = value if isinstance(value, tuple) else (value,)
-            if not all(math.isfinite(v) for v in entries if isinstance(v, float)):
-                raise ValueError(f"must be finite, got {val}")
-            if key in _COUNTS and min(entries, default=1) < 1:
-                raise ValueError(f"must be at least 1, got {val}")
-            if key in _NONNEGATIVE and min(entries, default=0) < 0:
-                raise ValueError(f"must be nonnegative, got {val}")
-            if key == "budgets" and not all(v > 0 for v in entries):
-                raise ValueError(f"must be positive, got {val}")
-            setattr(cfg, key, value)
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
+        _check_value(key, value, val)
+        setattr(cfg, key, value)
     return cfg
 
 
 def _check_entries(cfg, *keys):
-    """Raise ValueError naming the first of cfg's keys that holds an entry
-    below 1, if it counts something (_COUNTS), or that repeats an entry of
+    """Raise ValueError naming the first of cfg's keys whose value
+    _check_value rejects, as apply_config would, or that repeats an entry of
     its list: the entries key a run's rows, so a repeat writes one key twice."""
     for key in keys:
         value = getattr(cfg, key)
+        _check_value(key, value, value)
         entries = value if isinstance(value, (tuple, list)) else (value,)
-        if key in _COUNTS and min(entries, default=1) < 1:
-            raise ValueError(f"config key {key!r}: must be at least 1, got {value}")
         if len(set(entries)) < len(entries):
             raise ValueError(f"config key {key!r}: {value} repeats an entry")
 
@@ -417,7 +432,7 @@ def verify_theorem(cfg):
     and misses |S - S_hat| per trial).  Supports are kept off the leaf
     level so every support node has d children to test.
     """
-    _check_entries(cfg, "trials", "k", "budgets")
+    _check_entries(cfg, "trials", "k", "budgets", "c1", "a", "noise_std", "seed")
     tree = make_tree(cfg.d, cfg.L)
     for k in cfg.k:
         if not 2 <= k <= tree.n_internal:
@@ -480,7 +495,7 @@ def sense_signal(cfg, dictionary, dict_mean, x, k, sig_idx=0, note=""):
     draws from its own generator, keyed [cfg.seed, 1, b, sig_idx, tau index,
     trial], and every session senses the coefficients c = Dᵀ(x - dict_mean),
     so the trials of a (budget, tau) cell are sensed in one call."""
-    _check_entries(cfg, "trials", "budgets", "taus")
+    _check_entries(cfg, "trials", "budgets", "taus", "noise_std", "seed")
     x = np.asarray(x, dtype=float)
     if x.shape != (dictionary.atoms.shape[0],):
         raise ValueError(f"signal of {x.size} entries does not match the dictionary's "
@@ -501,16 +516,15 @@ def sense_signal(cfg, dictionary, dict_mean, x, k, sig_idx=0, note=""):
 
 
 def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, measurements, k):
-    """Per measurement count m: the Phi D stack (B, m, p), centred
-    measurements (B, columns, m), Lasso coefficients (B, p, columns) and
+    """Per measurement count m: the Lasso coefficients (B, p, columns) and
     model-CoSaMP coefficients (B, p, columns) of every budget, one column
     per (signal, trial), signal-major.  Each (budget, m) ensemble, lambda
     probe and trial noise draw from their own generators, and only one
     ensemble is held at a time.  Every m's rows are zero-padded to the
     largest m, which changes neither a Lasso objective nor its gradient,
-    and model_cosamp drops the padding itself, so the whole sweep is solved
-    in three calls on the stack: the lambda grids, the Lasso columns and the
-    model-CoSaMP columns."""
+    and each model_cosamp least-squares solve uses its problem's own rows,
+    so the whole sweep is solved in three calls on the stack: the lambda
+    grids, the Lasso columns and the model-CoSaMP columns."""
     atoms, B, n_test = dictionary.atoms, len(cfg.budgets), test_matrix.shape[1]
     grid = np.array([0.001, 0.01, 0.05, 0.2])
     stacks, M, p = (len(measurements), B), max(measurements), atoms.shape[1]
@@ -547,8 +561,7 @@ def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, measurement
                          max_iters=200).reshape(stacks + (p, n_cols))
     cosamp = model_cosamp(A_flat, Y_flat, k, dictionary.tree,
                           iters=15).reshape(stacks + (p, n_cols))
-    return {m: (A[i, :, :m], Y[i, :, :, :m], alphas[i], cosamp[i])
-            for i, m in enumerate(measurements)}
+    return {m: (alphas[i], cosamp[i]) for i, m in enumerate(measurements)}
 
 
 def compare_methods(cfg, training, dictionary, dict_mean):
@@ -556,7 +569,8 @@ def compare_methods(cfg, training, dictionary, dict_mean):
     dictionary and its column mean dict_mean.  The test signals are the
     first cfg.test_signals training columns.  Returns write_csv's table.
     """
-    _check_entries(cfg, "trials", "test_signals", "budgets", "taus", "measurements")
+    _check_entries(cfg, "trials", "test_signals", "budgets", "taus", "measurements",
+                   "noise_std", "seed")
     n = dictionary.atoms.shape[0]
     if training.n != n:
         raise ValueError("corpus dimension does not match dictionary atoms")
@@ -605,7 +619,7 @@ def compare_methods(cfg, training, dictionary, dict_mean):
                     _extend(table, "pca", R, "", m, trials, snr_db(x, x_hat), R, tag)
 
                 # Lasso and model-CoSaMP rows, alternating per trial (one ensemble per (R, m))
-                alphas, cosamp = rand_arms[m][2:]
+                alphas, cosamp = rand_arms[m]
                 cols = slice(sig_idx * cfg.trials, (sig_idx + 1) * cfg.trials)
                 coef = np.stack([alphas[b, :, cols], cosamp[b, :, cols]], axis=2)
                 x_hat = dict_mean + _synthesize(dictionary.atoms, coef.reshape(tree.p, -1).T)

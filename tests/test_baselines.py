@@ -199,19 +199,28 @@ def test_cosamp_stack_matches_unpadded_calls(monkeypatch, caplog):
     v[np.array([1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 13, 14, 15, 21, 30]) - 1] = [
         2.0, 2.3, 0.3, 1.0, 2.9, 1.0, 1.0, 0.3, 2.9, 1.7, 3.0, 2.5, 0.6, 1.4, 2.4]
     Y[2, :, 2] = A[2] @ v
-    sizes = []
+    sizes, solves, lstsq = [], [], np.linalg.lstsq
 
     def recording_project(V, tree, k):
         sizes.append(len(V))
         return tree_project_batch(V, tree, k)
 
+    def recording_lstsq(a, b, rcond=None):
+        solves.append(len(b))
+        return lstsq(a, b, rcond=rcond)
+
     monkeypatch.setattr(baselines, "tree_project_batch", recording_project)
+    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
     with caplog.at_level(logging.INFO, logger="treesense.baselines"):
         out = model_cosamp(A, Y, k, t, iters=3)
     assert out.shape == (len(ms), t.p, q)
     # one batch per projection step, over the running problems only
     assert sizes[0] == 8 and sizes[::2] == sizes[1::2] and len(set(sizes)) == 3
     assert sorted(sizes, reverse=True) == sizes
+    # one least-squares solve per running problem and round (8 + 6 + 3), on
+    # its own m rows: a stopped problem takes no solve
+    assert len(solves) == sum(sizes[::2]) == 17
+    assert set(solves) <= set(ms)
     counts = re.fullmatch(r"model_cosamp: of 9 problems, (\d+) met tol, (\d+) stalled, "
                           r"(\d+) stopped at iters=3, 1 had y = 0", caplog.messages[-1])
     assert counts and all(int(n) >= 1 for n in counts.groups())
@@ -235,6 +244,20 @@ def test_cosamp_rejects_mismatched_stacks():
                 f"A {a_shape} and Y {y_shape} do not match: need A (B, m, p) with "
                 f"Y (B, m, q)")):
             model_cosamp(np.ones(a_shape), np.ones(y_shape), 2, t)
+
+
+@pytest.mark.parametrize("arg", ["y", "A"])
+def test_cosamp_rejects_non_finite_input(rng, arg):
+    # as in lasso_solve: a nan y must fail, not come back as zeros or nans
+    t = make_tree(2, 3)
+    A = rng.standard_normal((1, 6, t.p))
+    Y = rng.standard_normal((1, 6, 2))
+    if arg == "y":
+        Y[0, 2, 1] = np.nan
+    else:
+        A[0, 1, 3] = np.inf
+    with pytest.raises(ValueError, match=f"^{arg} must be finite$"):
+        model_cosamp(A, Y, 2, t)
 
 
 def test_pca_exact_in_span(rng):

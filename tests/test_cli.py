@@ -330,16 +330,22 @@ K_RANGE = "the failure bound needs k >= 2, and the tree has 7 nodes above its le
     ("compare", "--taus", "1e400", "must be finite, got 1e400"),
     ("compare", "--noise-std", "-1", "must be nonnegative, got -1"),
     ("compare", "--taus", "0,-0.5", "must be nonnegative, got 0,-0.5"),
+    ("verify-theorem", "--seed", "-1", "must be nonnegative, got -1"),
+    ("compare", "--seed", "-3", "must be nonnegative, got -3"),
+    ("verify-theorem", "--k", "", "must hold at least one entry"),
+    ("sense", "--taus", "", "must hold at least one entry"),
 ], ids=["k-100", "k-10", "k-1", "budgets-0", "budgets--3", "measurements-0",
         "measurements-repeated", "k-repeated", "verify-budgets-repeated",
         "sense-budgets-repeated", "sense-taus-repeated", "compare-taus-repeated",
-        "noise-std-nan", "c1-nan", "taus-1e400", "noise-std-negative", "taus-negative"])
+        "noise-std-nan", "c1-nan", "taus-1e400", "noise-std-negative", "taus-negative",
+        "verify-seed-negative", "compare-seed-negative", "k-empty", "taus-empty"])
 def test_list_option_errors_exit_2_naming_the_key(tmp_path, corpus_dir, random_dict, capsys,
                                                   command, flag, value, reason):
     # an entry of k, budgets or measurements out of range, a repeated entry
-    # of k, budgets, taus or measurements, or a float that is not finite,
-    # names its key, as a bad scalar option does, instead of failing inside
-    # a library call, running on a nan or writing a row twice
+    # of k, budgets, taus or measurements, an empty k or taus, a negative
+    # seed or a float that is not finite names its key, as a bad scalar
+    # option does, instead of failing inside a library call, running on a
+    # nan, writing a row twice or writing no rows
     root, test_img = corpus_dir
     out = tmp_path / "out.csv"
     inputs = {"verify-theorem": ["--L", "4", "--trials", "5"],

@@ -185,6 +185,9 @@ def test_config_file_parsing(tmp_path):
     ("taus = inf", "config key 'taus': must be finite, got inf"),
     ("noise_std = -1", "config key 'noise_std': must be nonnegative, got -1"),
     ("taus = 0,-0.5", "config key 'taus': must be nonnegative, got 0,-0.5"),
+    ("seed = -1", "config key 'seed': must be nonnegative, got -1"),
+    ("k =", "config key 'k': must hold at least one entry"),
+    ("taus = ,", "config key 'taus': must hold at least one entry"),
 ])
 def test_config_errors_name_the_key(tmp_path, line, reason):
     cfg_file = tmp_path / "run.cfg"
@@ -520,6 +523,31 @@ def test_counts_below_one_fail_before_any_solver_runs(rng, monkeypatch, run, key
                              f"config key {key!r}: must be at least 1, got {value}")
 
 
+@pytest.mark.parametrize("run,key,value,reason", [
+    ("compare_methods", "noise_std", -1.0, "must be nonnegative, got -1.0"),
+    ("compare_methods", "taus", (math.nan,), "must be finite, got (nan,)"),
+    ("compare_methods", "budgets", (math.inf,), "must be finite, got (inf,)"),
+    ("compare_methods", "seed", -3, "must be nonnegative, got -3"),
+    ("verify_theorem", "budgets", (0.0,), "must be positive, got (0.0,)"),
+    ("verify_theorem", "budgets", (math.nan,), "must be finite, got (nan,)"),
+    ("verify_theorem", "c1", math.nan, "must be finite, got nan"),
+    ("verify_theorem", "a", math.inf, "must be finite, got inf"),
+    ("verify_theorem", "seed", -1, "must be nonnegative, got -1"),
+    ("verify_theorem", "k", (), "must hold at least one entry"),
+    ("sense_signal", "taus", (), "must hold at least one entry"),
+    ("sense_signal", "noise_std", math.nan, "must be finite, got nan"),
+], ids=["compare-noise-std", "compare-taus-nan", "compare-budgets-inf", "compare-seed",
+        "verify-budgets-0", "verify-budgets-nan", "verify-c1", "verify-a", "verify-seed",
+        "verify-k-empty", "sense-taus-empty", "sense-noise-std"])
+def test_bad_values_fail_before_any_solver_runs(rng, monkeypatch, run, key, value, reason):
+    # library calls apply apply_config's rules to every key they read, with
+    # its message: a negative noise_std or a nan tau ran the ensembles and
+    # both Lasso calls before SensingConfig rejected it without naming the
+    # key, and an empty k or taus wrote no rows
+    _fails_before_any_solver(rng, monkeypatch, run, {key: value},
+                             f"config key {key!r}: {reason}")
+
+
 def test_compare_generators_never_share_a_draw(rng, monkeypatch):
     # budgets 32.25 and 32.75 have the same integer part; seeds built from
     # int(R) gave both budgets' cells the same noise and ensemble
@@ -581,24 +609,26 @@ def test_random_projection_arms_match_per_m_lasso_solves(rng, monkeypatch):
     calls = []
 
     def recording_solve(A, Y, lam, **kw):
-        calls.append(np.array(lam))
+        calls.append((A, Y, np.array(lam)))
         return lasso_solve(A, Y, lam, **kw)
 
     monkeypatch.setattr(harness, "lasso_solve", recording_solve)
     arms = _random_projection_arms(cfg, planted, tr.mean,
                                    tr.data[:, :2] + tr.mean[:, None], [8, 20], 8)
     assert len(calls) == 2
-    lams = calls[1].reshape(2, 2, -1)
+    A_flat, Y_flat, lams = calls[1]
     for i, m in enumerate((8, 20)):
-        A, Y, alphas, cosamp = arms[m]
-        assert A.shape == (2, m, tree.p) and Y.shape == (2, 4, m)
+        alphas, cosamp = arms[m]
         assert alphas.shape == cosamp.shape == (2, tree.p, 4)
         for b in range(2):
-            own = lasso_solve(A[b][None], Y[b].T[None], lams[i, b][None], max_iters=200)[0]
+            # (m, budget) stack 2i + b: its own m rows, then zeros
+            A, Y = A_flat[2 * i + b, :m], Y_flat[2 * i + b, :m]
+            assert not A_flat[2 * i + b, m:].any() and not Y_flat[2 * i + b, m:].any()
+            own = lasso_solve(A[None], Y[None], lams[2 * i + b][None], max_iters=200)[0]
             assert np.max(np.abs(alphas[b] - own)) <= 1e-6
-            # model-CoSaMP drops the padding itself: bit for bit
+            # model-CoSaMP on the padded stack: bit for bit
             for col in range(4):
-                own = model_cosamp(A[b][None], Y[b, col][None, :, None], 8, tree,
+                own = model_cosamp(A[None], Y[None, :, col:col + 1], 8, tree,
                                    iters=15)[0, :, 0]
                 assert cosamp[b, :, col].tobytes() == own.tobytes()
 
