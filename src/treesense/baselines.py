@@ -249,7 +249,7 @@ def model_cosamp(A, Y, k, tree, iters=20, tol=1e-6):
         raise ValueError("k must be <= p")
 
     used = (A != 0).any(axis=2)[:, :, None] | (Y != 0)
-    rows = np.where(used.any(axis=1), M - used[:, ::-1].argmax(axis=1), 0)
+    rows = (used * np.arange(1, M + 1)[:, None]).max(axis=1, initial=0)
     Yt = Y.transpose(0, 2, 1)
     ynorm = np.linalg.norm(Yt, axis=2)
     x, r, prev = np.zeros((B, Y.shape[2], p)), Yt, np.inf

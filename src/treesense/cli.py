@@ -16,6 +16,7 @@ import errno
 import logging
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -50,15 +51,14 @@ def _build_cfg(args):
     if args.config:
         try:
             settings = parse_config_file(args.config)
-            apply_config(cfg, settings)
+            cfg = apply_config(cfg, settings)
             for key in settings:
                 if key not in flags:
                     raise ValueError(f"config key {key!r} is not a {args.command} option")
         except ValueError as exc:
             raise ValueError(f"{args.config}: {exc}") from None
-    apply_config(cfg, {key: getattr(args, key) for key in flags
-                       if getattr(args, key) is not None})
-    return cfg
+    return apply_config(cfg, {key: getattr(args, key) for key in flags
+                              if getattr(args, key) is not None})
 
 
 def _require(*given):
@@ -103,9 +103,9 @@ def cmd_learn(args):
     cfg = _build_cfg(args)
     _require(("--corpus", cfg.corpus))
     out = _writable(cfg.dict_path or "dictionary.lasr")
-    training = load_corpus(cfg.corpus, cfg.target_side)
     tree = make_tree(cfg.d, cfg.L)
     target = cfg.sparsity_for(tree.p)   # checked even when --lam makes it unused
+    training = load_corpus(cfg.corpus, cfg.target_side)
     init = initial_dictionary(training, tree, np.random.default_rng(cfg.seed))
     lam = cfg.lam
     if lam is None:
@@ -128,9 +128,8 @@ def cmd_sense(args):
     dictionary, mean = load_dictionary(cfg.dict_path)
     x = read_pgm(args.image).flatten(order="F")
     if not cfg.budgets:
-        cfg.budgets = (float(x.shape[0]),)
-    k = cfg.sparsity_for(dictionary.tree.p)
-    n_rows = write_csv(cfg.out, sense_signal(cfg, dictionary, mean, x, k, note=args.image))
+        cfg = replace(cfg, budgets=(float(x.shape[0]),))
+    n_rows = write_csv(cfg.out, sense_signal(cfg, dictionary, mean, x, note=args.image))
     write_manifest(cfg.out + ".manifest.txt", cfg)
     print(f"wrote {n_rows} rows to {cfg.out}")
     return 0
@@ -144,7 +143,7 @@ def cmd_compare(args):
     training = load_corpus(cfg.corpus, cfg.target_side)
     if not cfg.budgets:
         n = cfg.target_side**2
-        cfg.budgets = (float(n), n / 8, n / 32)
+        cfg = replace(cfg, budgets=(float(n), n / 8, n / 32))
     n_rows = write_csv(cfg.out, compare_methods(cfg, training, dictionary, mean))
     write_manifest(cfg.out + ".manifest.txt", cfg)
     print(f"wrote {n_rows} rows to {cfg.out}")

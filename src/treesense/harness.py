@@ -8,7 +8,7 @@ import itertools
 import math
 import os
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -191,11 +191,12 @@ def lambda_for_sparsity(training, dictionary, target_k):
 # Experiment configuration and CSV emission
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Every option of every mode.  A config-file key or CLI flag is a field
     name other than mode, which the CLI sets to the subcommand; its value is
-    parsed by the field's annotated type."""
+    parsed by the field's annotated type.  A config is frozen, and making
+    one raises _check_value's ValueError, naming the key, for a bad field."""
 
     mode: str = "verify-theorem"
     d: int = 2
@@ -226,6 +227,12 @@ class ExperimentConfig:
             raise ValueError(f"config key 'target_sparsity': {k} is not in 1..{p}, "
                              "the tree's node count")
         return k
+
+    def __post_init__(self):
+        for key in _PARSERS:
+            value = getattr(self, key)
+            if value is not None:
+                _check_value(key, value, value)
 
 
 def _number(text):
@@ -261,6 +268,8 @@ _COUNTS = ("trials", "test_signals", "target_side", "target_sparsity", "k", "mea
 # the keys that scale or threshold a measurement, or seed a generator, so
 # must not be negative
 _NONNEGATIVE = ("noise_std", "taus", "seed")
+# the keys that scale a measurement, a penalty or a bound, so must be positive
+_POSITIVE = ("budgets", "lam", "c1")
 # the lists that have no default, so must hold an entry (an empty budgets or
 # measurements asks for the defaults)
 _NONEMPTY = ("k", "taus")
@@ -284,8 +293,10 @@ def parse_config_file(path):
 def _check_value(key, value, text):
     """Raise ValueError naming key if value is an empty list of _NONEMPTY,
     holds a float that is not finite, a count (_COUNTS) below 1, a negative
-    entry of _NONNEGATIVE or a budget that is not positive; text shows the
-    value in the message."""
+    entry of _NONNEGATIVE, an entry of _POSITIVE that is not positive, an a
+    outside (0, 1) or a repeated entry (the entries of a list key a run's
+    rows, so a repeat writes one key twice); text shows the value in the
+    message."""
     entries = value if isinstance(value, (tuple, list)) else (value,)
     if key in _NONEMPTY and not entries:
         reason = "must hold at least one entry"
@@ -295,39 +306,31 @@ def _check_value(key, value, text):
         reason = f"must be at least 1, got {text}"
     elif key in _NONNEGATIVE and min(entries, default=0) < 0:
         reason = f"must be nonnegative, got {text}"
-    elif key == "budgets" and not all(v > 0 for v in entries):
+    elif key in _POSITIVE and not all(v > 0 for v in entries):
         reason = f"must be positive, got {text}"
+    elif key == "a" and not 0 < value < 1:
+        reason = f"must lie in (0, 1), got {text}"
+    elif len(set(entries)) < len(entries):
+        reason = f"{value} repeats an entry"
     else:
         return
     raise ValueError(f"config key {key!r}: {reason}")
 
 
 def apply_config(cfg, kv):
-    """Apply string key=value overrides onto an ExperimentConfig.  An unknown
-    key, a value that does not parse or one that _check_value rejects raises
+    """A new config: cfg with string key=value overrides.  An unknown key, a
+    value that does not parse or one that _check_value rejects raises
     ValueError naming the key."""
+    values = {}
     for key, val in kv.items():
         if key not in _PARSERS:
             raise ValueError(f"unknown config key {key!r}")
         try:
-            value = _PARSERS[key](val)
+            values[key] = _PARSERS[key](val)
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
-        _check_value(key, value, val)
-        setattr(cfg, key, value)
-    return cfg
-
-
-def _check_entries(cfg, *keys):
-    """Raise ValueError naming the first of cfg's keys whose value
-    _check_value rejects, as apply_config would, or that repeats an entry of
-    its list: the entries key a run's rows, so a repeat writes one key twice."""
-    for key in keys:
-        value = getattr(cfg, key)
-        _check_value(key, value, value)
-        entries = value if isinstance(value, (tuple, list)) else (value,)
-        if len(set(entries)) < len(entries):
-            raise ValueError(f"config key {key!r}: {value} repeats an entry")
+        _check_value(key, values[key], val)
+    return replace(cfg, **values)
 
 
 def _cells(column, n):
@@ -432,7 +435,6 @@ def verify_theorem(cfg):
     and misses |S - S_hat| per trial).  Supports are kept off the leaf
     level so every support node has d children to test.
     """
-    _check_entries(cfg, "trials", "k", "budgets", "c1", "a", "noise_std", "seed")
     tree = make_tree(cfg.d, cfg.L)
     for k in cfg.k:
         if not 2 <= k <= tree.n_internal:
@@ -489,13 +491,14 @@ def _extend(table, method, R, tau, m, trial, snr, energy, note):
         table[name] += list(value) if rows else [value] * len(snr)
 
 
-def sense_signal(cfg, dictionary, dict_mean, x, k, sig_idx=0, note=""):
+def sense_signal(cfg, dictionary, dict_mean, x, sig_idx=0, note=""):
     """write_csv's table of the adaptive dictionary sessions of one signal
-    x: a row per budget, tau and trial of cfg, in that order.  Each session
-    draws from its own generator, keyed [cfg.seed, 1, b, sig_idx, tau index,
+    x: a row per budget, tau and trial of cfg, in that order, each budget
+    allocated for cfg.sparsity_for(p) support nodes.  Each session draws
+    from its own generator, keyed [cfg.seed, 1, b, sig_idx, tau index,
     trial], and every session senses the coefficients c = Dᵀ(x - dict_mean),
     so the trials of a (budget, tau) cell are sensed in one call."""
-    _check_entries(cfg, "trials", "budgets", "taus", "noise_std", "seed")
+    k = cfg.sparsity_for(dictionary.tree.p)
     x = np.asarray(x, dtype=float)
     if x.shape != (dictionary.atoms.shape[0],):
         raise ValueError(f"signal of {x.size} entries does not match the dictionary's "
@@ -569,8 +572,6 @@ def compare_methods(cfg, training, dictionary, dict_mean):
     dictionary and its column mean dict_mean.  The test signals are the
     first cfg.test_signals training columns.  Returns write_csv's table.
     """
-    _check_entries(cfg, "trials", "test_signals", "budgets", "taus", "measurements",
-                   "noise_std", "seed")
     n = dictionary.atoms.shape[0]
     if training.n != n:
         raise ValueError("corpus dimension does not match dictionary atoms")
@@ -600,8 +601,8 @@ def compare_methods(cfg, training, dictionary, dict_mean):
     rand_arms = _random_projection_arms(cfg, dictionary, dict_mean, test_matrix,
                                         measurements, k)
     # adaptive dictionary sensing at each threshold, per signal budget-major
-    adaptive = [sense_signal(cfg, dictionary, dict_mean, test_matrix[:, sig_idx], k,
-                             sig_idx, f"{note};signal={sig_idx}") for sig_idx in range(n_test)]
+    adaptive = [sense_signal(cfg, dictionary, dict_mean, test_matrix[:, sig_idx], sig_idx,
+                             f"{note};signal={sig_idx}") for sig_idx in range(n_test)]
     per_budget = len(cfg.taus) * cfg.trials
     trials = range(cfg.trials)
     for b, R in enumerate(cfg.budgets):

@@ -161,6 +161,8 @@ def test_cosamp_zero_measurements(rng):
     t = make_tree(2, 4)
     phi = gaussian_ensemble(10, t.p, budget=10.0, seed=0)
     assert np.all(model_cosamp(phi[None], np.zeros((1, 10, 1)), 3, t) == 0)
+    # a stack of zero rows, as lasso_solve takes it
+    assert np.all(model_cosamp(np.zeros((1, 0, t.p)), np.zeros((1, 0, 2)), 3, t) == 0)
 
 
 def test_cosamp_k_equals_p_is_least_squares(rng):

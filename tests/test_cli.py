@@ -334,11 +334,14 @@ K_RANGE = "the failure bound needs k >= 2, and the tree has 7 nodes above its le
     ("compare", "--seed", "-3", "must be nonnegative, got -3"),
     ("verify-theorem", "--k", "", "must hold at least one entry"),
     ("sense", "--taus", "", "must hold at least one entry"),
+    ("verify-theorem", "--a", "1.5", "must lie in (0, 1), got 1.5"),
+    ("verify-theorem", "--c1", "0", "must be positive, got 0"),
 ], ids=["k-100", "k-10", "k-1", "budgets-0", "budgets--3", "measurements-0",
         "measurements-repeated", "k-repeated", "verify-budgets-repeated",
         "sense-budgets-repeated", "sense-taus-repeated", "compare-taus-repeated",
         "noise-std-nan", "c1-nan", "taus-1e400", "noise-std-negative", "taus-negative",
-        "verify-seed-negative", "compare-seed-negative", "k-empty", "taus-empty"])
+        "verify-seed-negative", "compare-seed-negative", "k-empty", "taus-empty", "a-1.5",
+        "c1-0"])
 def test_list_option_errors_exit_2_naming_the_key(tmp_path, corpus_dir, random_dict, capsys,
                                                   command, flag, value, reason):
     # an entry of k, budgets or measurements out of range, a repeated entry
@@ -433,6 +436,21 @@ def test_compare_requires_dict_and_corpus(tmp_path, corpus_dir, random_dict, cap
     assert main(argv) == 2
     assert capsys.readouterr().err == f"treesense: error: {missing} is required\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,reason", [
+    ("--lam", "0", "config key 'lam': must be positive, got 0"),
+    ("--d", "1", "degree must be >= 2, got 1"),
+    ("--target-sparsity", "64",
+     "config key 'target_sparsity': 64 is not in 1..63, the tree's node count"),
+], ids=["lam-0", "d-1", "target-sparsity-64"])
+def test_learn_checks_its_options_before_reading_the_corpus(tmp_path, capsys, flag, value,
+                                                            reason):
+    # a missing corpus is reported only if the options are good
+    argv = ["learn", "--corpus", str(tmp_path / "missing"), "--dict-path",
+            str(tmp_path / "d.lasr"), flag, value]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"treesense: error: {reason}\n"
 
 
 def test_learn_requires_corpus(capsys):

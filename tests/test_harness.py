@@ -2,7 +2,7 @@ import csv
 import math
 import re
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -188,12 +188,33 @@ def test_config_file_parsing(tmp_path):
     ("seed = -1", "config key 'seed': must be nonnegative, got -1"),
     ("k =", "config key 'k': must hold at least one entry"),
     ("taus = ,", "config key 'taus': must hold at least one entry"),
+    ("lam = 0", "config key 'lam': must be positive, got 0"),
+    ("lam = -1", "config key 'lam': must be positive, got -1"),
+    ("c1 = 0", "config key 'c1': must be positive, got 0"),
+    ("a = 1", "config key 'a': must lie in (0, 1), got 1"),
 ])
 def test_config_errors_name_the_key(tmp_path, line, reason):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(f"d = 3\n{line}\n")
     with pytest.raises(ValueError, match=f"^{re.escape(reason)}"):
         apply_config(ExperimentConfig(), parse_config_file(cfg_file))
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: ExperimentConfig(trials=0), "config key 'trials': must be at least 1, got 0"),
+    (lambda: replace(ExperimentConfig(), k=(3, 3)), "config key 'k': (3, 3) repeats an entry"),
+], ids=["made", "replaced"])
+def test_a_config_checks_its_fields_when_it_is_made(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_a_config_is_frozen_and_apply_config_returns_a_new_one():
+    cfg = ExperimentConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.trials = 5
+    assert apply_config(cfg, {"trials": "5"}).trials == 5
+    assert cfg == ExperimentConfig()
 
 
 def test_config_values_take_the_field_types():
@@ -474,8 +495,9 @@ def test_compare_runs_pca_up_to_the_numerical_rank(rng):
 
 
 def _fails_before_any_solver(rng, monkeypatch, run, changes, message):
-    """Run `run` on a small config with `changes`, every solver patched to
-    fail if called: it must raise a ValueError matching message exactly."""
+    """Make a small config with `changes` and run `run` on it, every solver
+    patched to fail if called: a ValueError matching message exactly must
+    be raised."""
     def solver(*args, **kwargs):
         raise AssertionError("a solver ran")
 
@@ -485,12 +507,12 @@ def _fails_before_any_solver(rng, monkeypatch, run, changes, message):
     tree = make_tree(2, 4)
     X, planted, _ = synthetic_corpus(20, 8, tree, 4, rng)
     tr = TrainingSet.from_raw(X)
-    cfg = replace(ExperimentConfig(L=4, budgets=(64.0,), trials=2, target_sparsity=4),
-                  **changes)
     calls = {"verify_theorem": lambda: verify_theorem(cfg),
-             "sense_signal": lambda: harness.sense_signal(cfg, planted, tr.mean, X[:, 0], 4),
+             "sense_signal": lambda: harness.sense_signal(cfg, planted, tr.mean, X[:, 0]),
              "compare_methods": lambda: compare_methods(cfg, tr, planted, tr.mean)}
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cfg = replace(ExperimentConfig(L=4, budgets=(64.0,), trials=2, target_sparsity=4),
+                      **changes)
         calls[run]()
 
 
