@@ -373,26 +373,28 @@ def write_manifest(path, cfg, summaries=()):
 # ---------------------------------------------------------------------------
 
 # Trials per sensing batch in verify-theorem: a batch's arrays grow with its
-# trial count, and its map of signs with trials * p entries of one byte each,
-# so blocks of at most this many trials, and at most 2**18 // p, keep a
-# cell's working memory bounded.
-_VERIFY_BLOCK = 256
+# trial count, and its map of signs with trials * (S + 1) entries of one
+# byte each (S as in _verify_cell), so blocks of at most this many trials,
+# and at most 2**18 // (S + 1), keep a cell's working memory bounded.
+_VERIFY_BLOCK = 2048
 
 
-def _sense_block(nodes, values, alpha, tree, cfg, rng):
+def _sense_block(nodes, values, alpha, tree, cfg, rng, reach):
     """Sense and score one block of verify-theorem's draws (nodes, values),
-    every value of which is +alpha or -alpha: (m, energy_spent, truncated,
-    false alarms |S_hat - S|, misses |S - S_hat|), one entry per trial, where
-    S_hat is a session's significant nodes and S = nodes[t].  One (trials,
-    p) byte map of the values' signs gives both the coefficients, alpha
-    times the sign, and the support.  A support node that was never
-    measured is a miss."""
+    every value of which is +alpha or -alpha and every node at most reach:
+    (m, energy_spent, truncated, false alarms |S_hat - S|, misses
+    |S - S_hat|), one entry per trial, where S_hat is a session's
+    significant nodes and S = nodes[t].  One (trials, reach + 1) byte map
+    of the values' signs gives both the coefficients, alpha times the sign,
+    and the support; its last column stays zero, and every node past reach
+    reads it.  A support node that was never measured is a miss."""
     trials, k = nodes.shape
-    sign = np.zeros((trials, tree.p), dtype=np.int8)
+    sign = np.zeros((trials, reach + 1), dtype=np.int8)
     sign[np.arange(trials)[:, None], nodes - 1] = np.sign(values)
-    batch = _sense_tree(lambda t, i: alpha * sign[t, i], tree, trials, cfg, rng)
+    batch = _sense_tree(lambda t, i: alpha * sign[t, np.minimum(i, reach)], tree, trials,
+                        cfg, rng)
     t_sig = batch.trial[batch.significant]
-    hit = sign[t_sig, batch.node[batch.significant] - 1] != 0
+    hit = sign[t_sig, np.minimum(batch.node[batch.significant] - 1, reach)] != 0
     return (batch.m, batch.energy_spent, batch.truncated,
             np.bincount(t_sig[~hit], minlength=trials),
             k - np.bincount(t_sig[hit], minlength=trials))
@@ -401,16 +403,20 @@ def _sense_block(nodes, values, alpha, tree, cfg, rng):
 def _verify_cell(tree, k, R, beta, alpha, tau, cfg, cell):
     """Columns (one entry per trial) and summary line of one (k, R) cell.
     Its trials are drawn from one generator, in batches of up to
-    min(_VERIFY_BLOCK, 2**18 // p) trials."""
+    min(_VERIFY_BLOCK, 2**18 // (S + 1)) trials, where S = (d^min(k, L - 1)
+    - 1) / (d - 1) is the largest node id a support can hold: grown from
+    the root with max_depth = L - 1, its nodes lie at depth below k and
+    below L - 1, and the nodes at depth below D are 1..(d^D - 1) / (d - 1)."""
     rng = np.random.default_rng([cfg.seed, cell])
     sense_cfg = SensingConfig(beta=beta, tau=tau, noise_std=cfg.noise_std, budget=R)
-    block = max(1, min(_VERIFY_BLOCK, 2**18 // tree.p))
+    reach = (cfg.d ** min(k, cfg.L - 1) - 1) // (cfg.d - 1)
+    block = max(1, min(_VERIFY_BLOCK, 2**18 // (reach + 1)))
     per_trial = []
     for start in range(0, cfg.trials, block):
         nodes, values = random_tree_sparse_batch(
             tree, k, alpha, alpha, rng, min(block, cfg.trials - start),
             max_depth=cfg.L - 1)
-        per_trial.append(_sense_block(nodes, values, alpha, tree, sense_cfg, rng))
+        per_trial.append(_sense_block(nodes, values, alpha, tree, sense_cfg, rng, reach))
     m, energy, truncated, false_alarms, misses = map(np.concatenate, zip(*per_trial))
     exact = (false_alarms == 0) & (misses == 0)
     bound = failure_bound(beta, tau, alpha, k, cfg.d)

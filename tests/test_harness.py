@@ -6,6 +6,8 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesense import (CSV_FIELDS, Dictionary, ExperimentConfig, SensingConfig, TrainingSet,
                        adaptive_sense_coeffs, allocate_beta, box_downscale, compare_methods,
@@ -243,19 +245,46 @@ def test_verify_theorem_noiseless_cells():
 
 
 def test_verify_theorem_block_memory_is_bounded():
-    # p = 65,535: a block's map of signs holds trials * p bytes, so 24
-    # trials in one block would peak at 1.6 MB; blocks of 2**18 // p = 4
+    # p = 65,535, but a block's map of signs holds trials * (S + 1) bytes, S
+    # the largest node id a support can reach.  k = 7 has S = 127 and maps
+    # 128 bytes per trial, so its 24 trials fit one block.  k = 15 has the
+    # widest map, S = 32,767: 24 trials in one block would peak at 786 KB
+    # (and a map of p columns at 1.6 MB); blocks of 2**18 // (S + 1) = 8
     # trials keep one 256 KiB map alive at a time
-    cfg = ExperimentConfig(d=2, L=16, k=(7,), trials=24, seed=3)
-    verify_theorem(replace(cfg, L=4, trials=1))   # imports stay out of the peak
-    tracemalloc.start()
-    try:
-        table, _ = verify_theorem(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(table["m"]) == 24
-    assert peak <= 2**19, peak
+    verify_theorem(ExperimentConfig(d=2, L=4, k=(3,), trials=1))   # imports stay out of the peak
+    for k in (7, 15):
+        cfg = ExperimentConfig(d=2, L=16, k=(k,), trials=24, seed=3)
+        tracemalloc.start()
+        try:
+            table, _ = verify_theorem(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table["m"]) == 24
+        assert peak <= 2**19, (k, peak)
+
+
+@pytest.mark.parametrize("d,L,k", [(2, 3, 3), (2, 10, 7), (2, 10, 15), (2, 10, 31),
+                                   (2, 16, 15), (3, 6, 4), (3, 12, 8), (4, 5, 2), (4, 10, 6)])
+def test_verify_theorem_blocks_bound_their_trials_and_maps(monkeypatch, d, L, k):
+    # each block holds at most 2048 trials and a map of at most 2**18 bytes,
+    # and every node it draws lies in the map; verify-mc's cells (d = 2,
+    # L = 10) run blocks of 2048 trials at k = 7 and 512 at k = 15 and 31
+    blocks = []
+
+    def record(nodes, values, alpha, tree, cfg, rng, reach):
+        trials = len(nodes)
+        assert nodes.max() <= reach
+        blocks.append((trials, trials * (reach + 1)))
+        return (np.zeros(trials, np.int64), np.zeros(trials), np.zeros(trials, bool),
+                np.zeros(trials, np.int64), np.zeros(trials, np.int64))
+
+    monkeypatch.setattr(harness, "_sense_block", record)
+    table, _ = verify_theorem(ExperimentConfig(d=d, L=L, k=(k,), trials=4100, seed=2))
+    assert len(table["m"]) == 4100 == sum(trials for trials, _ in blocks)
+    assert all(trials <= 2048 and size <= 2**18 for trials, size in blocks)
+    if (d, L) == (2, 10):
+        assert blocks[0][0] == {7: 2048, 15: 512, 31: 512}[k]
 
 
 def test_verify_theorem_senses_its_draws_as_dense_rows():
@@ -288,7 +317,8 @@ def test_verify_theorem_senses_its_draws_as_dense_rows():
     assert batch.truncated.any() and false_alarms.any() and misses.any()
 
     nodes, values, rng = replay()
-    got = harness._sense_block(nodes, values, alpha, tree, sense_cfg, rng)
+    # supports reach node 2**5 - 1 at most: they hold no node at depth 5
+    got = harness._sense_block(nodes, values, alpha, tree, sense_cfg, rng, 2**5 - 1)
     want = (batch.m, batch.energy_spent, batch.truncated, false_alarms, misses)
     for mine, theirs in zip(got, want, strict=True):
         assert np.array_equal(mine, theirs)
@@ -296,6 +326,52 @@ def test_verify_theorem_senses_its_draws_as_dense_rows():
     assert table["m"].tobytes() == batch.m.tobytes()
     assert table["energy_spent"].tobytes() == batch.energy_spent.tobytes()
     assert np.array_equal(table["support_exact"], (false_alarms == 0) & (misses == 0))
+
+
+@st.composite
+def verify_blocks(draw):
+    """A tree, a support size k that verify-theorem accepts or 1, a block of
+    draws grown with max_depth = L - 1 at amplitude alpha, the generator
+    that drew them (a replay makes the same pair) and a sensing config."""
+    d = draw(st.integers(2, 4))
+    tree = make_tree(d, draw(st.integers(2, {2: 8, 3: 6, 4: 5}[d])))
+    L, k, alpha = tree.depth, draw(st.integers(1, tree.n_internal)), draw(st.floats(0.5, 3.0))
+    trials, seed = draw(st.integers(1, 40)), draw(st.integers(0, 2**32 - 1))
+    cfg = SensingConfig(beta=draw(st.floats(0.3, 2.0)), tau=draw(st.floats(0.0, 3.0)),
+                        noise_std=draw(st.sampled_from([0.0, 1.0, 2.0])),
+                        budget=draw(st.none() | st.floats(1.0, 100.0)))
+
+    def replay():
+        rng = np.random.default_rng(seed)
+        return (*random_tree_sparse_batch(tree, k, alpha, alpha, rng, trials,
+                                          max_depth=L - 1), rng)
+
+    return tree, k, alpha, cfg, replay
+
+
+@settings(max_examples=100, deadline=None)
+@given(verify_blocks())
+def test_sense_block_senses_any_draw_as_dense_rows(block):
+    # a support grown from the root below depth L - 1 reaches no node past
+    # S, the number of nodes at depth below min(k, L - 1); the sign map of
+    # S + 1 columns senses and scores what the dense rows do, nodes past S
+    # (children of the deepest support nodes, noisy false alarms) included
+    tree, k, alpha, cfg, replay = block
+    reach = sum(tree.d**depth for depth in range(min(k, tree.depth - 1)))
+    nodes, values, rng = replay()
+    assert nodes.max() <= reach
+    trials = len(nodes)
+    dense = np.zeros((trials, tree.p))
+    dense[np.arange(trials)[:, None], nodes - 1] = values
+    batch = adaptive_sense_coeffs(dense, tree, cfg, rng)
+    found, supports = significant_sets(batch), [set(row) for row in nodes.tolist()]
+    want = (batch.m, batch.energy_spent, batch.truncated,
+            [len(f - s) for f, s in zip(found, supports)],
+            [len(s - f) for f, s in zip(found, supports)])
+    nodes, values, rng = replay()
+    got = harness._sense_block(nodes, values, alpha, tree, cfg, rng, reach)
+    for mine, theirs in zip(got, want, strict=True):
+        assert np.array_equal(mine, theirs)
 
 
 def test_verify_theorem_rejects_no_trials():
@@ -497,7 +573,8 @@ def test_compare_runs_pca_up_to_the_numerical_rank(rng):
 def _fails_before_any_solver(rng, monkeypatch, run, changes, message):
     """Make a small config with `changes` and run `run` on it, every solver
     patched to fail if called: a ValueError matching message exactly must
-    be raised."""
+    be raised.  Building the frozen ExperimentConfig is what raises it, so
+    no run starts."""
     def solver(*args, **kwargs):
         raise AssertionError("a solver ran")
 
@@ -538,9 +615,10 @@ def test_repeated_list_entries_fail_before_any_solver_runs(rng, monkeypatch, run
     ("sense_signal", "trials", 0),
 ], ids=["compare-trials", "compare-test-signals", "sense-trials"])
 def test_counts_below_one_fail_before_any_solver_runs(rng, monkeypatch, run, key, value):
-    # library calls reject what apply_config rejects, with its message; no
-    # trials once broadcast (3,) against (0,), no test signals reshaped an
-    # empty array, and a sense run of no trials returned an empty table
+    # building the frozen ExperimentConfig raises, naming the key, so no run
+    # starts; no trials once broadcast (3,) against (0,), no test signals
+    # reshaped an empty array, and a sense run of no trials returned an
+    # empty table
     _fails_before_any_solver(rng, monkeypatch, run, {key: value},
                              f"config key {key!r}: must be at least 1, got {value}")
 
@@ -562,8 +640,8 @@ def test_counts_below_one_fail_before_any_solver_runs(rng, monkeypatch, run, key
         "verify-budgets-0", "verify-budgets-nan", "verify-c1", "verify-a", "verify-seed",
         "verify-k-empty", "sense-taus-empty", "sense-noise-std"])
 def test_bad_values_fail_before_any_solver_runs(rng, monkeypatch, run, key, value, reason):
-    # library calls apply apply_config's rules to every key they read, with
-    # its message: a negative noise_std or a nan tau ran the ensembles and
+    # building the frozen ExperimentConfig raises, naming the key, so no run
+    # starts: a negative noise_std or a nan tau once ran the ensembles and
     # both Lasso calls before SensingConfig rejected it without naming the
     # key, and an empty k or taus wrote no rows
     _fails_before_any_solver(rng, monkeypatch, run, {key: value},
