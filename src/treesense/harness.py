@@ -3,8 +3,6 @@ verification, energy-fair method comparison sweeps, and CSV emission."""
 
 from __future__ import annotations
 
-import csv
-import itertools
 import math
 import os
 import re
@@ -333,29 +331,50 @@ def apply_config(cfg, kv):
     return replace(cfg, **values)
 
 
-def _cells(column, n):
-    """A table entry's n cells: a float as 12 significant digits, anything
-    else as the csv module writes it (None and "" empty, str() otherwise)."""
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+# a field that holds one of these is quoted, its quotes doubled
+_QUOTE = re.compile(r'[,"\n\r]')
+
+
+def _fields(entries):
+    """The CSV fields of a list of entries: a float with 12 significant
+    digits, None and "" empty, anything else as str() writes it, quoted if
+    it holds , " \\n or \\r."""
+    texts = [f"{v:.12g}" if isinstance(v, float) else "" if v is None else str(v)
+             for v in entries]
+    if _QUOTE.search("".join(texts)):
+        texts = ['"' + t.replace('"', '""') + '"' if _QUOTE.search(t) else t for t in texts]
+    return texts
+
+
+def _column(column, n):
+    """A table entry's n fields, each column formatted once: a float64 or
+    string array one distinct value at a time, any other array entry by
+    entry with str() (so a float32 is not cut to 12 digits), a list entry
+    by entry, a scalar once for every row."""
+    if not isinstance(column, np.ndarray):
+        return _fields(column) if isinstance(column, list) else _fields([column]) * n
+    if column.dtype == np.float64:
         # one format per distinct bit pattern (so -0.0 stays apart from 0.0)
         bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        return np.array(_cells(bits.view(np.float64).tolist(), n), object)[inverse].tolist()
-    if isinstance(column, np.ndarray):   # integers, bools or strings
-        return column.tolist()
-    if not isinstance(column, list):
-        return itertools.repeat(_cells([column], 1)[0], n)
-    return [f"{v:.12g}" if isinstance(v, float) else v for v in column]
+        values = bits.view(np.float64)
+    elif column.dtype.kind == "U":
+        values, inverse = np.unique(column, return_inverse=True)
+    elif column.dtype.kind in "biufc":   # numbers: no field to quote
+        return list(map(str, column.tolist()))
+    else:   # objects, which np.unique cannot sort when they mix None and str
+        return _fields([v if v is None else str(v) for v in column.tolist()])
+    return np.array(_fields(values.tolist()), object)[inverse].tolist()
 
 
 def write_csv(path, table):
     """Write a table, which maps each of CSV_FIELDS to a column (a list or a
     1-D array, one entry per row) or to a scalar every row shares; returns
-    the row count."""
+    the row count.  Columns of unequal length raise ValueError."""
     n = max(len(col) for col in table.values() if isinstance(col, (list, np.ndarray)))
+    rows = zip(*(_column(table[name], n) for name in CSV_FIELDS), strict=True)
+    text = "\n".join([",".join(CSV_FIELDS), *map(",".join, rows), ""])
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(CSV_FIELDS)
-        writer.writerows(zip(*(_cells(table[name], n) for name in CSV_FIELDS), strict=True))
+        f.write(text)
     return n
 
 

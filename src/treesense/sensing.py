@@ -91,6 +91,9 @@ def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
 
     Positions 0..n-1 are in BFS order: the children of position i are
     d*i + shift .. d*i + shift + d - 1, when those lie after i and below n.
+    With shift >= 1 they always lie after i, as in heap order, so only
+    shift = 0 tests it: there position 0 (the quadtrees' scaling
+    coefficient) would be its own first child, and it has none.
     Every session starts from the positions `roots`; coeff(t, i) returns the
     noiseless coefficients at positions i of trials t.  The frontier is a
     flat list of (trial, position) pairs sorted by trial, then position,
@@ -128,7 +131,9 @@ def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
         levels.append((t, i, y, sig))
         m += counts
         first = d * i + shift
-        grow = sig & (first > i) & (first + d <= n)
+        grow = sig & (first + d <= n)
+        if shift < 1:
+            grow &= first > i
         t = np.repeat(t[grow], d)
         i = (first[grow, None] + np.arange(d)).ravel()
         if not len(t):

@@ -115,34 +115,34 @@ def random_tree_sparse_batch(tree, k, amp_min, amp_max, rng, trials, max_depth=N
         raise ValueError("cannot grow a connected support of size "
                          f"{k} under the depth restriction")
     inner = (last - 1) // d
-    kids = np.arange(d)
     gens = _generators(rng, trials)   # the empty entries keep an empty list's shapes
     u = np.hstack([g.random((k - 1, n)) for g, n in gens] + [np.empty((k - 1, 0))])
     mags = np.vstack([g.uniform(amp_min, amp_max, size=(n, k)) for g, n in gens]
                      + [np.empty((0, k))])
     signs = np.vstack([g.choice([-1.0, 1.0], size=(n, k)) for g, n in gens]
                       + [np.empty((0, k))])
-    nodes = np.ones((trials, k), dtype=np.int64)
-    # boundary[t, :lens[t]] is row t's boundary list: each step swaps its
-    # last entry into the picked slot and appends the new node's children.
-    # A row that does not grow gets them too, past its end, where the next
-    # steps overwrite them: no list grows past d + (k - 1)(d - 1) entries
+    nodes = np.ones((k, trials), dtype=np.int64)   # step s's nodes are row s
+    # boundary[t, :end[t] - starts[t]] is row t's boundary list: each step
+    # swaps its last entry into the picked slot and appends the new node's
+    # children.  A row that does not grow gets them too, past its end, where
+    # the next steps overwrite them: no list grows past d + (k - 1)(d - 1) entries
     width = d + (k - 1) * (d - 1)
     boundary = np.zeros((trials, width), dtype=np.int64)
     boundary[:, :d] = np.arange(2, d + 2)
     flat, starts = boundary.reshape(-1), np.arange(trials) * width
-    lens = np.full(trials, d * (inner >= 1))
+    end = starts + d * (inner >= 1)
     # the pick is floor(u * len) < len: u is a multiple of 2**-53 below 1,
     # and (1 - 2**-53) * n rounds to a double below n for every n < 2**53
     for step in range(1, k):
-        at = starts + (u[step - 1] * lens).astype(np.int64)
-        nodes[:, step] = j = flat[at]
-        lens -= 1
-        end = starts + lens
+        at = starts + (u[step - 1] * (end - starts)).astype(np.int64)
+        nodes[step] = j = flat[at]
+        end -= 1
         flat[at] = flat[end]
-        flat[end[:, None] + kids] = d * j[:, None] - d + 2 + kids
-        lens += d * (j <= inner)
-    return nodes, signs * mags
+        first = d * j - d + 2
+        for c in range(d):   # one child per offset: cheaper than a (trials, d) scatter
+            flat[end + c] = first + c
+        end += d * (j <= inner)
+    return nodes.T, signs * mags
 
 
 def random_tree_sparse(tree, k, amp_min, amp_max, rng, max_depth=None):

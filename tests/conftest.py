@@ -6,8 +6,9 @@ Lasso kernel reference is the solver's earlier MFISTA loop, kept verbatim,
 the group list is built by walking parents, the traversal and tree-sparsity
 references are the scalar loops the library's array engines replaced, the
 support growers are list loops and their law is pushed forward set by set,
-the projection reference is a per-node DP, the CSV reference writes one row
-dict at a time, and the prox oracle (in test_prox) is a convex solver.
+the projection reference is a per-node DP, the CSV references write one row
+dict at a time or a table through csv.writer, and the prox oracle (in
+test_prox) is a convex solver.
 
 Hypothesis runs with random examples by default; HYPOTHESIS_PROFILE=ci
 selects a derandomized profile without deadlines.
@@ -15,6 +16,7 @@ selects a derandomized profile without deadlines.
 
 import csv
 import functools
+import itertools
 import math
 import operator
 import os
@@ -419,6 +421,36 @@ def reference_write_csv(path, rows):
              f"{energy:.12g}" if isinstance(energy, float) else energy, wall_time, note)
             for (method, R, tau, m, trial, snr, exact, support_exact, energy,
                  wall_time, note) in map(operator.itemgetter(*CSV_FIELDS), rows))
+
+
+def _reference_cells(column, n):
+    """A table entry's n cells, as write_csv formatted them before it wrote
+    its own fields: a float as 12 significant digits, anything else as the
+    csv module writes it (None and "" empty, str() otherwise)."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        # one format per distinct bit pattern (so -0.0 stays apart from 0.0)
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        return np.array(_reference_cells(bits.view(np.float64).tolist(), n),
+                        object)[inverse].tolist()
+    if isinstance(column, np.ndarray):   # integers, bools or strings
+        return column.tolist()
+    if not isinstance(column, list):
+        return itertools.repeat(_reference_cells([column], 1)[0], n)
+    return [f"{v:.12g}" if isinstance(v, float) else v for v in column]
+
+
+def reference_table_csv(path, table):
+    """write_csv's table form written through csv.writer, one row at a time.
+    Before Python 3.13 the csv module leaves a field holding a carriage
+    return unquoted, so only tables without one are written as write_csv
+    writes them."""
+    n = max(len(col) for col in table.values() if isinstance(col, (list, np.ndarray)))
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(CSV_FIELDS)
+        writer.writerows(zip(*(_reference_cells(table[name], n) for name in CSV_FIELDS),
+                             strict=True))
+    return n
 
 
 def _flat(band, s, i, j, side):

@@ -18,7 +18,7 @@ from treesense import (CSV_FIELDS, Dictionary, ExperimentConfig, SensingConfig, 
 from treesense.harness import (_extend, _random_projection_arms, apply_config,
                                parse_config_file)
 
-from conftest import reference_write_csv, significant_sets
+from conftest import reference_table_csv, reference_write_csv, significant_sets
 
 
 def test_snr_values():
@@ -457,9 +457,10 @@ def test_extend_writes_exact_rows_with_the_sentinel(tmp_path):
 
 
 def test_write_csv_matches_reference_writer(tmp_path, rng):
-    # 300 trials per cell cross the 256-trial sensing block; the reference
+    # at k = 11 a support reaches S = 2047 nodes, so the 300 trials of its
+    # cells cross its 2**18 / 2048 = 128-trial sensing blocks; the reference
     # writes the same values one row dict at a time
-    table, _ = verify_theorem(ExperimentConfig(d=2, L=6, k=(3, 7), budgets=(21, 30.5),
+    table, _ = verify_theorem(ExperimentConfig(d=2, L=12, k=(3, 11), budgets=(21, 30.5),
                                                trials=300, seed=8))
     n = write_csv(tmp_path / "vt.csv", table)
     columns = {name: col.tolist() if isinstance(col, np.ndarray) else [col] * n
@@ -480,6 +481,88 @@ def test_write_csv_matches_reference_writer(tmp_path, rng):
     reference_write_csv(tmp_path / "cmp_ref.csv",
                         [dict(zip(table, row)) for row in zip(*table.values())])
     assert (tmp_path / "cmp.csv").read_bytes() == (tmp_path / "cmp_ref.csv").read_bytes()
+
+
+def test_write_csv_quotes_and_reads_back_special_notes(tmp_path):
+    # a field holding a comma, a quote, a newline or a carriage return is
+    # quoted on every Python version, so csv.reader returns every cell
+    notes = ["a,b", 'say "x"', "two\nlines", "a\rb.pgm", "\r\n", ""]
+    table = {**{name: "" for name in CSV_FIELDS}, "method": "adaptive",
+             "trial": np.arange(len(notes)), "note": notes}
+    assert write_csv(tmp_path / "n.csv", table) == len(notes)
+    with open(tmp_path / "n.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == CSV_FIELDS
+    assert rows[1:] == [["adaptive", "", "", "", str(t), "", "", "", "", "", note]
+                        for t, note in enumerate(notes)]
+
+
+def test_write_csv_formats_a_float64_array_by_bit_pattern(tmp_path):
+    # -0.0 equals 0.0, so a sort by value alone would write one of them for both
+    values = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-20, 1 / 3, -0.0, 0.0])
+    table = {**{name: "" for name in CSV_FIELDS}, "trial": np.arange(len(values)),
+             "energy_spent": values}
+    write_csv(tmp_path / "f.csv", table)
+    reference_table_csv(tmp_path / "ref.csv", table)
+    assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    with open(tmp_path / "f.csv", newline="") as f:
+        column = [row[CSV_FIELDS.index("energy_spent")] for row in list(csv.reader(f))[1:]]
+    assert column == ["0", "-0", "nan", "inf", "-inf", "1e-20", "0.333333333333", "-0", "0"]
+
+
+# write_csv's oracle draws: no carriage return, which csv.writer leaves
+# unquoted before Python 3.13
+_TEXTS = st.text(st.sampled_from('ab ,"\n-.'), max_size=4)
+_SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-20, 1 / 3])
+_FLOATS = _SPECIAL_FLOATS | st.floats(allow_nan=True, allow_infinity=True)
+_ENTRIES = _FLOATS | st.integers(-10**6, 10**6) | st.none() | st.just("") | _TEXTS
+
+
+def _object_array(entries):
+    column = np.empty(len(entries), dtype=object)   # np.array would infer a dtype
+    column[:] = entries
+    return column
+
+
+@st.composite
+def csv_columns(draw, n):
+    """One write_csv column of n rows: an array of one of six dtypes, a
+    list of mixed entries or a scalar."""
+    kind = draw(st.sampled_from(["float64", "int64", "bool", "float32", "str", "object",
+                                 "list", "scalar"]))
+    if kind == "scalar":
+        return draw(_ENTRIES)
+    entries = {"float64": _FLOATS, "int64": st.integers(-2**63, 2**63 - 1),
+               "bool": st.booleans(), "float32": st.floats(width=32), "str": _TEXTS,
+               "object": st.none() | _TEXTS | st.integers(-99, 99) | st.floats(),
+               "list": _ENTRIES}[kind]
+    values = draw(st.lists(entries, min_size=n, max_size=n))
+    if kind == "list":
+        return values
+    if kind == "object":
+        return _object_array(values)
+    return np.array(values, dtype=kind)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_write_csv_matches_csv_module_writer(tmp_path_factory, data):
+    # the csv.writer path write_csv had before it joined its own fields:
+    # the same bytes for every column form, float32 arrays written with
+    # str(), not 12 digits, and object arrays mixing None and str
+    n = data.draw(st.integers(0, 5))
+    table = {name: data.draw(csv_columns(n)) for name in CSV_FIELDS}
+    table["trial"] = np.arange(n)   # one column sets the row count
+    path = tmp_path_factory.getbasetemp()
+    if data.draw(st.booleans()):   # a column of another length than trial's
+        name = data.draw(st.sampled_from([f for f in CSV_FIELDS if f != "trial"]))
+        table[name] = np.arange(n + 1) if data.draw(st.booleans()) else [None] * (n + 1)
+        with pytest.raises(ValueError):
+            write_csv(path / "new.csv", table)
+        return
+    assert write_csv(path / "new.csv", table) == n
+    reference_table_csv(path / "ref.csv", table)
+    assert (path / "new.csv").read_bytes() == (path / "ref.csv").read_bytes()
 
 
 def test_synthetic_corpus_shapes(rng):
