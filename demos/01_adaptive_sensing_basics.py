@@ -8,7 +8,8 @@ noisy case.
 import numpy as np
 
 from treesense import (SensingConfig, adaptive_sense_coeffs, allocate_beta, failure_bound,
-                       make_tree, min_amplitude, random_tree_sparse, random_tree_sparse_batch)
+                       make_tree, min_amplitude, random_tree_sparse, random_tree_sparse_batch,
+                       tree_sparse_rows)
 
 
 def support_of(v):
@@ -53,9 +54,7 @@ print(f"analytic failure bound: {failure_bound(beta, tau, alpha, k, d):.4g}")
 trials = 2000
 nodes, values = random_tree_sparse_batch(tree, k, alpha, alpha, rng, trials,
                                          max_depth=L - 1)
-rows = np.zeros((trials, tree.p))
-rows[np.arange(trials)[:, None], nodes - 1] = values
-batch = adaptive_sense_coeffs(rows, tree,
+batch = adaptive_sense_coeffs(tree_sparse_rows(tree, nodes, values), tree,
                               SensingConfig(beta=beta, tau=tau, noise_std=1.0), rng)
 found = [set() for _ in range(trials)]
 for t, node in zip(batch.trial[batch.significant], batch.node[batch.significant]):

@@ -4,7 +4,7 @@ learned dictionaries."""
 __version__ = "0.1.0"
 
 from .tree import (TreeTopology, make_tree, random_tree_sparse, random_tree_sparse_batch,
-                   is_tree_sparse, tree_project_batch)
+                   tree_sparse_rows, is_tree_sparse, tree_project_batch)
 from .sensing import (SensingConfig, SessionBatch, allocate_beta, adaptive_sense_coeffs,
                       reconstruct_from_outcome, two_stage_estimate_coeffs)
 from .bounds import false_alarm_bound, miss_bound, failure_bound, min_amplitude

@@ -16,7 +16,7 @@ from .bounds import failure_bound, min_amplitude
 from .dictlearn import Dictionary, TrainingSet, tree_prox
 from .sensing import (SensingConfig, _sense_tree, _synthesize, adaptive_sense_coeffs,
                       allocate_beta, reconstruct_from_outcome)
-from .tree import make_tree, random_tree_sparse, random_tree_sparse_batch
+from .tree import make_tree, random_tree_sparse, random_tree_sparse_batch, tree_sparse_rows
 from .wavelet import wavelet_reconstruct, wavelet_sense
 
 __all__ = [
@@ -163,8 +163,7 @@ def synthetic_corpus(q, side, tree, k, rng, amp=1.0):
     depth = np.searchsorted(tree.level_starts, np.arange(tree.p), side="right") - 1
     decay = np.array([0.6**lvl for lvl in range(tree.depth)])[depth]
     nodes, values = random_tree_sparse_batch(tree, k, 0.5 * amp, amp, rng, q)
-    A = np.zeros((tree.p, q))
-    A[nodes.T - 1, np.arange(q)] = values.T * decay[nodes.T - 1]
+    A = np.ascontiguousarray(tree_sparse_rows(tree, nodes, values * decay[nodes - 1]).T)
     return 0.5 + Q @ A, planted, A
 
 

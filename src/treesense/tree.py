@@ -16,6 +16,7 @@ __all__ = [
     "make_tree",
     "random_tree_sparse",
     "random_tree_sparse_batch",
+    "tree_sparse_rows",
     "is_tree_sparse",
     "tree_project_batch",
 ]
@@ -145,13 +146,19 @@ def random_tree_sparse_batch(tree, k, amp_min, amp_max, rng, trials, max_depth=N
     return nodes.T, signs * mags
 
 
+def tree_sparse_rows(tree, nodes, values):
+    """Dense (T, p) rows of random_tree_sparse_batch's (nodes, values): row t
+    holds values[t] at the 0-based columns nodes[t] - 1 and zeros elsewhere."""
+    rows = np.zeros((len(nodes), tree.p))
+    np.put_along_axis(rows, nodes - 1, values, axis=1)
+    return rows
+
+
 def random_tree_sparse(tree, k, amp_min, amp_max, rng, max_depth=None):
     """Draw a random k-tree-sparse vector: random_tree_sparse_batch with
     one trial, as a dense length-p array, nonzero exactly on its support."""
-    nodes, vals = random_tree_sparse_batch(tree, k, amp_min, amp_max, rng, 1, max_depth)
-    values = np.zeros(tree.p)
-    values[nodes[0] - 1] = vals[0]
-    return values
+    return tree_sparse_rows(tree, *random_tree_sparse_batch(tree, k, amp_min, amp_max, rng, 1,
+                                                            max_depth))[0]
 
 
 def is_tree_sparse(v, tree, tol=0.0):

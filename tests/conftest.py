@@ -8,7 +8,7 @@ references are the scalar loops the library's array engines replaced, the
 support growers are list loops and their law is pushed forward set by set,
 the projection reference is a per-node DP, the CSV references write one row
 dict at a time or a table through csv.writer, and the prox oracle (in
-test_prox) is a convex solver.
+test_prox) is a KKT / duality-gap certificate built from per-group duals.
 
 Hypothesis runs with random examples by default; HYPOTHESIS_PROFILE=ci
 selects a derandomized profile without deadlines.

@@ -11,11 +11,11 @@ from treesense import (ExperimentConfig, LearnConfig, SensingConfig,
                        initial_dictionary, is_tree_sparse,
                        lasso_solve, learn, make_tree, min_amplitude,
                        random_tree_sparse, random_tree_sparse_batch, synthetic_corpus,
-                       tree_project_batch, tree_prox,
+                       tree_project_batch, tree_prox, tree_sparse_rows,
                        two_stage_estimate_coeffs, verify_theorem, write_csv)
 from treesense.harness import compare_methods
 
-from conftest import best_subtree_energy, group_list, significant_sets, support_of
+from conftest import best_subtree_energy, significant_sets, support_of
 
 
 def _check(num, desc, ok, detail=""):
@@ -86,8 +86,7 @@ def test_criterion_3_two_stage_error_scaling():
         rngs = [np.random.default_rng([3, int(R), trial]) for trial in range(1000)]
         nodes, values = random_tree_sparse_batch(tree, k, alpha, alpha, rngs, 1000,
                                                  max_depth=5)
-        vecs = np.zeros((1000, tree.p))
-        vecs[np.arange(1000)[:, None], nodes - 1] = values
+        vecs = tree_sparse_rows(tree, nodes, values)
         estimate, _ = two_stage_estimate_coeffs(vecs, tree, R, k, rngs,
                                                 alpha_min=alpha, noise_std=sigma)
         errs = np.sum((estimate - vecs) ** 2, axis=1)
@@ -109,9 +108,7 @@ def _adaptive_success_rate(alpha, tree, k, R, trials, tag):
     nodes, values = random_tree_sparse_batch(tree, k, alpha, alpha, rngs, trials,
                                              max_depth=tree.depth - 1)
     cfg = SensingConfig(beta=beta, tau=0.5 * beta * alpha, noise_std=1.0, budget=R)
-    rows = np.zeros((trials, tree.p))
-    rows[np.arange(trials)[:, None], nodes - 1] = values
-    out = adaptive_sense_coeffs(rows, tree, cfg, rngs)
+    out = adaptive_sense_coeffs(tree_sparse_rows(tree, nodes, values), tree, cfg, rngs)
     hits = sum(found == set(row) for found, row in zip(significant_sets(out), nodes.tolist()))
     return hits / trials
 
@@ -129,8 +126,7 @@ def _lasso_success_rate(alpha, tree, k, R, m, trials, tag):
     rng = np.random.default_rng([4, 99, tag])
     nodes, values = random_tree_sparse_batch(tree, k, alpha, alpha, rng, trials,
                                              max_depth=tree.depth - 1)
-    A_mat = np.zeros((p, trials))
-    A_mat[nodes.T - 1, np.arange(trials)] = values.T
+    A_mat = np.ascontiguousarray(tree_sparse_rows(tree, nodes, values).T)
     supports = [frozenset(row) for row in nodes.tolist()]
     Y = phi @ A_mat + rng.standard_normal((m, trials))
     base = math.sqrt(2 * math.log(p))  # columns have unit norm at R = p
@@ -184,14 +180,14 @@ def test_criterion_4_weak_signal_recovery_advantage():
            f"adaptive<= {ad_hi:.3g}, lasso>= {la_lo:.3g}, factor>= {factor:.3g}")
 
 
-def _criterion_5_by_certificate():
-    """Criterion 5 without cvxpy: the KKT / duality-gap certificate of
-    test_prox bounds ||tree_prox(v) - prox(v)||_2 on the same inputs."""
-    from test_prox import per_group_prox, prox_certificate
+def test_criterion_5_prox_oracle_equivalence():
+    """The KKT / duality-gap certificate of test_prox bounds
+    ||tree_prox(v) - prox(v)||_2 on every tree with p <= 7."""
+    from test_prox import SMALL_TREES, per_group_prox, prox_certificate
 
     worst_resid = worst = 0.0
     rng = np.random.default_rng(5)
-    for d, L in ((2, 1), (2, 2), (2, 3), (3, 2), (4, 2), (5, 2), (6, 2)):
+    for d, L in SMALL_TREES:
         tree = make_tree(d, L)
         for norm in ("l2", "linf"):
             for _ in range(100):
@@ -203,45 +199,7 @@ def _criterion_5_by_certificate():
                 worst_resid, worst = max(worst_resid, resid), max(worst, dist)
     _check(5, "tree_prox certified by the duality gap on all trees with p <= 7",
            worst_resid <= 1e-10 and worst <= 1e-6,
-           f"cvxpy missing; worst distance bound {worst:.3g}, "
-           f"KKT residual {worst_resid:.3g}")
-
-
-def test_criterion_5_prox_oracle_equivalence():
-    try:
-        import cvxpy as cp
-    except ImportError:
-        return _criterion_5_by_certificate()
-    from test_prox import cvx_prox
-
-    def slow_oracle(v, tree, threshold, norm):
-        # high-accuracy fallback when the default solver is imprecise
-        u = cp.Variable(len(v))
-        pen = 0
-        for grp in group_list(tree):
-            idx = [i - 1 for i in grp]
-            pen = pen + cp.norm(u[idx], 2 if norm == "l2" else "inf")
-        prob = cp.Problem(cp.Minimize(0.5 * cp.sum_squares(u - v)
-                                      + threshold * pen))
-        prob.solve(solver=cp.SCS, eps=1e-9)
-        return u.value
-
-    worst = 0.0
-    rng = np.random.default_rng(5)
-    for d, L in ((2, 1), (2, 2), (2, 3), (3, 2), (4, 2), (5, 2), (6, 2)):
-        tree = make_tree(d, L)
-        for norm in ("l2", "linf"):
-            for _ in range(100):
-                v = 2.0 * rng.standard_normal(tree.p)
-                thr = rng.uniform(0.05, 1.5)
-                mine = tree_prox(v, tree, thr, norm)
-                oracle = cvx_prox(v, tree, thr, norm)
-                dev = float(np.max(np.abs(mine - oracle)))
-                if dev >= 1e-4:
-                    dev = float(np.max(np.abs(mine - slow_oracle(v, tree, thr, norm))))
-                worst = max(worst, dev)
-    _check(5, "tree_prox matches convex solver on all trees with p <= 7",
-           worst < 1e-4, f"worst deviation {worst:.3g}")
+           f"worst distance bound {worst:.3g}, KKT residual {worst_resid:.3g}")
 
 
 def test_criterion_6_dictionary_learning_invariants():

@@ -13,8 +13,8 @@ from treesense import (CSV_FIELDS, Dictionary, ExperimentConfig, SensingConfig, 
                        adaptive_sense_coeffs, allocate_beta, box_downscale, compare_methods,
                        harness, lambda_for_sparsity, lasso_solve, load_corpus, make_tree,
                        min_amplitude, model_cosamp, random_tree_sparse_batch, read_pgm,
-                       snr_db, synthetic_corpus, verify_theorem, write_csv, write_manifest,
-                       write_pgm)
+                       snr_db, synthetic_corpus, tree_sparse_rows, verify_theorem, write_csv,
+                       write_manifest, write_pgm)
 from treesense.harness import (_extend, _random_projection_arms, apply_config,
                                parse_config_file)
 
@@ -308,9 +308,7 @@ def test_verify_theorem_senses_its_draws_as_dense_rows():
 
     nodes, values, rng = replay()
     assert np.array_equal(np.abs(values), np.full(values.shape, alpha))
-    dense = np.zeros((cfg.trials, tree.p))
-    dense[np.arange(cfg.trials)[:, None], nodes - 1] = values
-    batch = adaptive_sense_coeffs(dense, tree, sense_cfg, rng)
+    batch = adaptive_sense_coeffs(tree_sparse_rows(tree, nodes, values), tree, sense_cfg, rng)
     found, supports = significant_sets(batch), [set(row) for row in nodes.tolist()]
     false_alarms = np.array([len(f - s) for f, s in zip(found, supports)])
     misses = np.array([len(s - f) for f, s in zip(found, supports)])
@@ -360,10 +358,7 @@ def test_sense_block_senses_any_draw_as_dense_rows(block):
     reach = sum(tree.d**depth for depth in range(min(k, tree.depth - 1)))
     nodes, values, rng = replay()
     assert nodes.max() <= reach
-    trials = len(nodes)
-    dense = np.zeros((trials, tree.p))
-    dense[np.arange(trials)[:, None], nodes - 1] = values
-    batch = adaptive_sense_coeffs(dense, tree, cfg, rng)
+    batch = adaptive_sense_coeffs(tree_sparse_rows(tree, nodes, values), tree, cfg, rng)
     found, supports = significant_sets(batch), [set(row) for row in nodes.tolist()]
     want = (batch.m, batch.energy_spent, batch.truncated,
             [len(f - s) for f, s in zip(found, supports)],

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from treesense import (SensingConfig, adaptive_sense_coeffs, haar2, ihaar2, is_tree_sparse,
                        make_tree, random_tree_sparse, random_tree_sparse_batch,
-                       tree_project_batch, wavelet_sense)
+                       tree_project_batch, tree_sparse_rows, wavelet_sense)
 
 from conftest import (reference_is_tree_sparse, reference_project, reference_quadtree,
                       reference_traversal, significant_set, support_of)
@@ -111,8 +111,7 @@ def test_batch_trials_equal_scalar_reference(shape, trials, seed, cfg, data):
     k = data.draw(st.integers(1, tree.p))
     nodes, values = random_tree_sparse_batch(tree, k, 0.5, 2.0,
                                              np.random.default_rng(seed), trials)
-    dense = np.zeros((trials, tree.p))
-    dense[np.arange(trials)[:, None], nodes - 1] = values
+    dense = tree_sparse_rows(tree, nodes, values)
     rec = _Recorder(np.random.default_rng([seed, 1]))
     batch = adaptive_sense_coeffs(dense, tree, cfg, rec)
     noise = np.concatenate(rec.blocks) if rec.blocks else np.zeros(len(batch.trial))

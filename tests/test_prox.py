@@ -13,20 +13,6 @@ LEVEL_TREES = ([(2, L) for L in range(1, 11)] + [(3, L) for L in range(1, 8)]
                + [(4, L) for L in range(1, 7)] + [(6, L) for L in range(1, 6)])
 
 
-def cvx_prox(v, tree, threshold, norm):
-    """Independent convex-solver oracle for the prox objective (skips the
-    calling test when cvxpy is not installed)."""
-    cp = pytest.importorskip("cvxpy")
-    u = cp.Variable(len(v))
-    pen = 0
-    for grp in group_list(tree):
-        idx = [i - 1 for i in grp]
-        pen = pen + cp.norm(u[idx], 2 if norm == "l2" else "inf")
-    prob = cp.Problem(cp.Minimize(0.5 * cp.sum_squares(u - v) + threshold * pen))
-    prob.solve(solver=cp.CLARABEL)
-    return u.value
-
-
 def test_penalty_values():
     t = make_tree(2, 2)
     assert tree_group_penalty(np.zeros(3), t) == 0.0
@@ -72,25 +58,14 @@ def test_prox_rejects_nan_and_negative_threshold(norm):
             tree_prox(np.ones(t.p), t, thr, norm)
 
 
-@pytest.mark.parametrize("norm", ["l2", "linf"])
-@pytest.mark.parametrize("d,L", [(2, 2), (2, 3), (3, 2)])
-def test_prox_matches_convex_solver(norm, d, L, rng):
-    t = make_tree(d, L)
-    for _ in range(25):
-        v = 2.0 * rng.standard_normal(t.p)
-        thr = rng.uniform(0.05, 1.2)
-        mine = tree_prox(v, t, thr, norm)
-        oracle = cvx_prox(v, t, thr, norm)
-        assert np.max(np.abs(mine - oracle)) < 1e-4
-
-
 def test_prox_specific_small_instance():
-    # T_{3,2}, v=(3,1,0), unit weights, l2, threshold 0.5
+    # T_{3,2}, v=(3,1,0), unit weights, threshold 0.5: the leaf groups shrink
+    # v_2 to 0.5, then the root group shrinks (3, 0.5, 0) as a whole
     t = make_tree(2, 2)
     v = np.array([3.0, 1.0, 0.0])
-    mine = tree_prox(v, t, 0.5, "l2")
-    oracle = cvx_prox(v, t, 0.5, "l2")
-    assert np.max(np.abs(mine - oracle)) < 1e-4
+    for norm, want in (("l2", np.array([3.0, 0.5, 0.0]) * (1 - 0.5 / np.sqrt(9.25))),
+                       ("linf", np.array([2.5, 0.5, 0.0]))):
+        assert np.max(np.abs(tree_prox(v, t, 0.5, norm) - want)) <= 1e-12
 
 
 def test_prox_matrix_columns_match_vector_calls(rng):
@@ -178,7 +153,8 @@ def prox_certificate(v, u, threshold, tree, norm, duals):
 @pytest.mark.parametrize("norm", ["l2", "linf"])
 @pytest.mark.parametrize("d,L", SMALL_TREES)
 def test_prox_certified_by_duality_gap(norm, d, L):
-    """Oracle without a convex solver: per-group duals certify tree_prox."""
+    """Per-group duals certify tree_prox: a KKT residual and a duality-gap
+    bound on the distance to the exact prox."""
     rng = np.random.default_rng([5, d, L])
     tree = make_tree(d, L)
     for _ in range(40):

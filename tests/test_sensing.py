@@ -6,8 +6,8 @@ import pytest
 
 from treesense import (Dictionary, SensingConfig, SessionBatch, adaptive_sense_coeffs,
                        allocate_beta, make_tree, random_tree_sparse, random_tree_sparse_batch,
-                       reconstruct_from_outcome, two_stage_estimate_coeffs, wavelet_reconstruct,
-                       wavelet_sense)
+                       reconstruct_from_outcome, tree_sparse_rows, two_stage_estimate_coeffs,
+                       wavelet_reconstruct, wavelet_sense)
 
 from conftest import significant_set, support_of
 
@@ -324,10 +324,8 @@ def assert_next_draws_match(gens, refs):
 
 def sparse_rows(tree, k=4, seed=3):
     """(T, p): T tree-sparse rows."""
-    nodes, values = random_tree_sparse_batch(tree, k, 0.3, 2.5, np.random.default_rng(seed), T)
-    dense = np.zeros((T, tree.p))
-    dense[np.arange(T)[:, None], nodes - 1] = values
-    return dense
+    return tree_sparse_rows(tree, *random_tree_sparse_batch(tree, k, 0.3, 2.5,
+                                                            np.random.default_rng(seed), T))
 
 
 @pytest.mark.parametrize("cfg", CONFIGS)

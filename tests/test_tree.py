@@ -6,7 +6,7 @@ import pytest
 
 from treesense import (Dictionary, make_tree,
                        random_tree_sparse, random_tree_sparse_batch,
-                       is_tree_sparse, tree_project_batch)
+                       is_tree_sparse, tree_project_batch, tree_sparse_rows)
 from conftest import (enumerate_rooted_subtrees, best_subtree_energy,
                       reference_project, reference_random_tree_sparse,
                       reference_random_tree_sparse_batch, support_of, uniform_growth_law)
@@ -95,11 +95,13 @@ def test_random_tree_sparse_equals_scalar_reference(d, L, k, max_depth):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("trials", [2, 7, 300])
+@pytest.mark.parametrize("trials", [0, 2, 7, 300])
 @pytest.mark.parametrize("d,L,k,max_depth", [(2, 5, 7, None), (2, 10, 31, 9), (3, 4, 13, 3),
                                              (4, 3, 21, None), (3, 5, 1, 2)])
 def test_random_tree_sparse_batch_equals_list_reference(d, L, k, max_depth, trials):
-    # every row of a batch draws exactly what the per-row list grower drew
+    # every row of a batch draws exactly what the per-row list grower drew,
+    # and tree_sparse_rows densifies it to the (trials, p) rows a per-row
+    # scatter of the list grower's draws gives
     t = make_tree(d, L)
     for seed in range(5):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -110,6 +112,11 @@ def test_random_tree_sparse_batch_equals_list_reference(d, L, k, max_depth, tria
         assert np.array_equal(nodes, ref_nodes)
         assert np.array_equal(values.view(np.int64), ref_values.view(np.int64))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+        want = np.zeros((trials, t.p))
+        for row in range(trials):
+            want[row, ref_nodes[row] - 1] = ref_values[row]
+        assert np.array_equal(tree_sparse_rows(t, nodes, values).view(np.int64),
+                              want.view(np.int64))
 
 
 @pytest.mark.parametrize("d,L,k,max_depth", [(2, 5, 7, None), (2, 10, 31, 9), (3, 4, 13, 3),
