@@ -222,6 +222,45 @@ def _relative_gap(X, GX, b, yy, lam):
     return np.divide(primal - dual, primal, out=np.zeros_like(primal), where=primal > 0)
 
 
+# A least-squares problem is solved on its normal equations only when the
+# Gram matrix there has 1-norm condition number at most this, so that
+# squaring the condition number costs at most half of float64's 16 digits;
+# any other problem goes to lstsq.
+_GRAM_COND_MAX = 1e8
+
+
+def _least_squares(As, ys):
+    """Least-squares coefficients (G, s) of G problems of one shape, As
+    (G, n, s) and ys (G, n): minimum-norm where s > n, as lstsq gives them.
+
+    One batched np.linalg.solve serves the group: (A^T A) b = A^T y when
+    s <= n, and b = A^T (A A^T)^-1 y when s > n.  It solves for the
+    Gram matrix's inverse beside the right-hand side, and a problem whose
+    Gram matrix has 1-norm condition number above _GRAM_COND_MAX, or whose
+    coefficients are not finite, is solved by lstsq instead.  A singular
+    Gram matrix makes the batched solve raise, and then each problem is
+    solved on its own.  Every step works on each problem's own (n, s)
+    arrays, so a problem's coefficients do not depend on its group."""
+    G, n, s = As.shape
+    At = As.transpose(0, 2, 1)
+    wide = s > n
+    gram = As @ At if wide else At @ As
+    rhs = ys[:, :, None] if wide else At @ ys[:, :, None]
+    eye = np.broadcast_to(np.eye(gram.shape[1]), gram.shape)
+    try:
+        sol = np.linalg.solve(gram, np.concatenate([rhs, eye], axis=2))
+    except np.linalg.LinAlgError:
+        if G == 1:
+            return np.linalg.lstsq(As[0], ys[0], rcond=None)[0][None]
+        return np.concatenate([_least_squares(As[i:i + 1], ys[i:i + 1]) for i in range(G)])
+    b = (At @ sol[:, :, :1])[:, :, 0] if wide else sol[:, :, 0]
+    # the Gram matrix is symmetric: its 1-norm is its largest row sum
+    cond = np.abs(gram).sum(axis=2).max(axis=1) * np.abs(sol[:, :, 1:]).sum(axis=2).max(axis=1)
+    for i in np.flatnonzero(~(cond <= _GRAM_COND_MAX) | ~np.isfinite(b).all(axis=1)):
+        b[i] = np.linalg.lstsq(As[i], ys[i], rcond=None)[0]
+    return b
+
+
 def model_cosamp(A, Y, k, tree, iters=20, tol=1e-6):
     """CoSaMP with the best-k-term steps replaced by tree projection, for a
     stack of independent problems.
@@ -237,11 +276,13 @@ def model_cosamp(A, Y, k, tree, iters=20, tol=1e-6):
     and one INFO log line counts the problems per stop reason.  A or Y that
     is not finite raises a ValueError naming it (y for Y).  A round's
     proxies and residuals are one product over the stack, and its
-    projections one batch over the running problems; only the
-    least-squares solves run per problem, each on its problem's own rows,
-    up to the last one where A or y is nonzero.  Padded rows add only zero
-    terms, so a zero-padded stack returns what its unpadded problems would,
-    bit for bit.
+    projections one batch over the running problems.  Its least squares
+    run on each problem's own rows, up to the last one where A or y is
+    nonzero: the running problems are grouped by that row count and by the
+    size of their merged support, and each group is one _least_squares
+    call (normal equations, with lstsq for an ill-conditioned problem).
+    Padded rows add only zero terms, so a zero-padded stack returns what
+    its unpadded problems would, bit for bit.
     """
     A, Y = _stack(A, Y)
     B, M, p = A.shape
@@ -260,12 +301,19 @@ def model_cosamp(A, Y, k, tree, iters=20, tol=1e-6):
         live = np.nonzero(reason == 0)
         if not len(live[0]):
             break
-        enlarged = tree_project_batch((r @ A)[live], tree, min(2 * k, p))[1]
-        b = np.zeros((len(live[0]), p))
-        for i, (s, c) in enumerate(zip(*live)):
-            cols = np.flatnonzero(enlarged[i] | (x[s, c] != 0))
-            n = rows[s, c]
-            b[i, cols] = np.linalg.lstsq(A[s, :n][:, cols], Y[s, :n, c], rcond=None)[0]
+        merged = tree_project_batch((r @ A)[live], tree, min(2 * k, p))[1] | (x[live] != 0)
+        size = merged.sum(axis=1)
+        keys, group = np.unique(rows[live] * (p + 1) + size, return_inverse=True)
+        b = np.zeros((len(size), p))
+        for g, key in enumerate(keys.tolist()):
+            n, s = divmod(key, p + 1)
+            if not s:   # an empty merged support keeps b = 0
+                continue
+            members = np.flatnonzero(group == g)
+            cols = np.nonzero(merged[members])[1].reshape(len(members), s)
+            stack, col = live[0][members], live[1][members]
+            As = np.take_along_axis(A[stack, :n], cols[:, None, :], axis=2)
+            b[members[:, None], cols] = _least_squares(As, Yt[stack, col, :n])
         x[live] = tree_project_batch(b, tree, k)[0]
         r = Yt - x @ A.transpose(0, 2, 1)
         rnorm = np.linalg.norm(r, axis=2)

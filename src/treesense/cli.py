@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import logging
 import os
 import sys
@@ -150,13 +151,37 @@ def cmd_compare(args):
     return 0
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser that adds its flags only when it parses: a run
+    parses one subcommand, and adding every subcommand's flags up front
+    cost more than the parse (each add_argument builds a help formatter)."""
+
+    def __init__(self, *args, add_flags=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_flags = add_flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_flags:
+            add_flags, self._add_flags = self._add_flags, None
+            add_flags(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _add_flags(command, p):
+    p.add_argument("--config", help="key=value config file")
+    for name in (*COMMON_FLAGS, *FLAGS[command]):
+        p.add_argument("--" + name.replace("_", "-"), dest=name)
+    if command == "sense":
+        p.add_argument("--image")
+
+
 def _parser():
     parser = argparse.ArgumentParser(prog="treesense")
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--log-level", dest="log_level", default="warning",
                         choices=("debug", "info", "warning", "error"),
                         help="level of the library's log messages on stderr")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     p = sub.add_parser("tree-info", help="print tree index arithmetic facts")
     p.add_argument("--d", type=int, default=2)
@@ -168,12 +193,7 @@ def _parser():
             ("learn", cmd_learn, "learn a tree-structured orthonormal dictionary"),
             ("sense", cmd_sense, "acquire one image with a learned dictionary"),
             ("compare", cmd_compare, "energy-fair SNR-vs-measurements sweep")):
-        p = sub.add_parser(command, help=text)
-        p.add_argument("--config", help="key=value config file")
-        for name in (*COMMON_FLAGS, *FLAGS[command]):
-            p.add_argument("--" + name.replace("_", "-"), dest=name)
-        if command == "sense":
-            p.add_argument("--image")
+        p = sub.add_parser(command, help=text, add_flags=functools.partial(_add_flags, command))
         p.set_defaults(func=func)
     return parser
 

@@ -16,7 +16,7 @@ from .bounds import failure_bound, min_amplitude
 from .dictlearn import Dictionary, TrainingSet, tree_prox
 from .sensing import (SensingConfig, _sense_tree, _synthesize, adaptive_sense_coeffs,
                       allocate_beta, reconstruct_from_outcome)
-from .tree import make_tree, random_tree_sparse, random_tree_sparse_batch, tree_sparse_rows
+from .tree import make_tree, random_tree_sparse_batch, tree_sparse_rows
 from .wavelet import wavelet_reconstruct, wavelet_sense
 
 __all__ = [
@@ -547,7 +547,10 @@ def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, measurement
     model-CoSaMP coefficients (B, p, columns) of every budget, one column
     per (signal, trial), signal-major.  Each (budget, m) ensemble, lambda
     probe and trial noise draw from their own generators, and only one
-    ensemble is held at a time.  Every m's rows are zero-padded to the
+    ensemble is held at a time.  The probes' supports are grown in one
+    random_tree_sparse_batch call on the list of their generators, which
+    draws on each what a one-probe call draws, so each probe's noise comes
+    next from the same stream.  Every m's rows are zero-padded to the
     largest m, which changes neither a Lasso objective nor its gradient,
     and each model_cosamp least-squares solve uses its problem's own rows,
     so the whole sweep is solved in three calls on the stack: the lambda
@@ -560,13 +563,17 @@ def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, measurement
     Y = np.zeros(stacks + (n_cols, M))
     probes, Y_grid = [], np.zeros(stacks + (M, len(grid)))
     lam_grid = np.empty(stacks + (len(grid),))
+    # lambda probes: one held-out synthetic tree-sparse signal per (m,
+    # budget), all grown in one call, each on its own generator
+    rngs = [np.random.default_rng([cfg.seed, 3, b, m]) for m in measurements for b in range(B)]
+    codes = tree_sparse_rows(dictionary.tree, *random_tree_sparse_batch(
+        dictionary.tree, k, 0.5, 1.0, rngs, len(rngs)))
     for i, m in enumerate(measurements):
         for b, R in enumerate(cfg.budgets):
             phi = gaussian_ensemble(m, atoms.shape[0], R, seed=[cfg.seed, 6, b, m])
             A[i, b, :m] = phi @ atoms
-            # lambda probe: one held-out synthetic tree-sparse signal
-            rng = np.random.default_rng([cfg.seed, 3, b, m])
-            x = atoms @ random_tree_sparse(dictionary.tree, k, 0.5, 1.0, rng)
+            rng = rngs[i * B + b]
+            x = atoms @ codes[i * B + b]
             y = phi @ x
             if cfg.noise_std > 0:
                 y = y + cfg.noise_std * rng.standard_normal(m)

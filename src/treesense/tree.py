@@ -176,23 +176,24 @@ def _knapsack_tables(V, tree, k):
     """Bottom-up DP, one level at a time: best captured energy per (node,
     subtree-size) budget, for every row of V at once.
 
-    Returns (E, split), lists indexed by level.  A level's nodes of all rows
-    share one leading axis, row-major: index i * n + r is row i's r-th node
-    of a level of n nodes, so the children of index R are the next level's
-    d*R .. d*R + d - 1.  E[lvl][R, b] is the max energy of a connected
-    subtree rooted at R using exactly b nodes (b = 1..cap; column 0 is
-    -inf).  split[lvl][j - 1][R, t], for j = 1..d-1, is the number of nodes
-    child j gets when R's first j + 1 children share t nodes: the smallest s
-    whose energy is within 1e-9 * (1 + best) of the best.  All nodes of a
-    level have tables of the same length, so merging child j into its
-    parents is one max-plus product over the whole level and every row.
-    Child 0 merges into the empty table g = [0], so its product is its own
-    table and its split is s = t: neither is computed, and the backtrack
-    gives child 0 whatever its later siblings leave.
+    Returns (E, merges), lists indexed by level.  A level's nodes of all
+    rows share one leading axis, row-major: index i * n + r is row i's r-th
+    node of a level of n nodes, so the children of index R are the next
+    level's d*R .. d*R + d - 1.  E[lvl][R, b] is the max energy of a
+    connected subtree rooted at R using exactly b nodes (b = 1..cap; column
+    0 is -inf).  All nodes of a level have tables of the same length, so
+    merging child j into its parents is one max-plus product over the whole
+    level and every row.  merges[lvl] (None at the leaf level) holds what
+    the backtrack reads back: F[R, j, s], the best energy of s nodes in
+    child j (0 for s = 0), and for j = 1..d-1 the pair (gpad, g) of merge j:
+    g[R, t] is the best energy of t nodes among R's first j + 1 children,
+    and gpad[R, lf - 1 + u] the same among its first j children (-inf for u
+    out of range), where lf is F's length.  Child 0 merges into the empty
+    table [0], so its prefix table is F[:, 0] itself.
     """
     w = V * V
     starts, d = tree.level_starts, tree.d
-    E, split = [None] * tree.depth, [[] for _ in range(tree.depth)]
+    E, merges = [None] * tree.depth, [None] * tree.depth
     for lvl in reversed(range(tree.depth)):
         lo, hi = starts[lvl], starts[lvl + 1]
         n = len(V) * (hi - lo)
@@ -203,6 +204,8 @@ def _knapsack_tables(V, tree, k):
             F = E[lvl + 1].reshape(n, d, lf).copy()
             F[:, :, 0] = 0.0
             g = F[:, 0, :min(k, lf)]   # child 0 merged into g = [0]
+            steps = []
+            merges[lvl] = F, steps
             for j in range(1, d):
                 lg = g.shape[1]   # <= cap + 1, since cap + 1 = min(k, lg + lf - 1)
                 cap = min(k - 1, lg + lf - 2)
@@ -215,16 +218,13 @@ def _knapsack_tables(V, tree, k):
                 s_row, s_col = gpad.strides
                 shifted = np.ndarray((n, lf, cap + 1), float, gpad, (lf - 1) * s_col,
                                      (s_row, -s_col, s_col))
-                both = shifted + F[:, j, :, None]
-                g = both.max(axis=1)
-                # g is finite and >= 0; the -inf sums give +inf gaps, never chosen
-                gap = np.subtract(g[:, None], both, out=both)
-                split[lvl].append(np.argmax(gap <= 1e-9 * (1 + g[:, None]), axis=1))
+                g = (shifted + F[:, j, :, None]).max(axis=1)
+                steps.append((gpad, g))
         cap = min(k, g.shape[1])
         Ei = np.full((n, cap + 1), -np.inf)
         Ei[:, 1:] = w[:, lo:hi].reshape(n, 1) + g[:, :cap]
         E[lvl] = Ei
-    return E, split
+    return E, merges
 
 
 def tree_project_batch(V, tree, k):
@@ -245,7 +245,7 @@ def tree_project_batch(V, tree, k):
     if not 1 <= k <= tree.p:
         raise ValueError(f"k must be in 1..{tree.p}, got {k}")
 
-    E, split = _knapsack_tables(V, tree, k)
+    E, merges = _knapsack_tables(V, tree, k)
     root = E[0][:, 1:]
     best = root.max(axis=1, keepdims=True)   # >= root, and >= 0
     # prefer the smallest budget attaining the max (avoids zero padding)
@@ -254,7 +254,11 @@ def tree_project_batch(V, tree, k):
     starts, d = tree.level_starts, tree.d
     # top down over every row: R holds a level's chosen nodes (row-major, as
     # in the tables) and rem what each one's subtree spends; each splits its
-    # rem - 1 over its children from the last, as recorded
+    # rem - 1 over its children from the last.  Child j's share of t nodes
+    # is the smallest s whose merge sum gpad[R, lf-1-s+t] + F[R, j, s] is
+    # within 1e-9 * (1 + best) of the best, g[R, t]: the forward merge's own
+    # additions, redone at the chosen (R, t) only, so the tie rule compares
+    # the very values the merge's max compared
     R, rem = np.arange(len(V)), b_star
     for lvl in range(tree.depth):
         rows, cols = np.divmod(R, starts[lvl + 1] - starts[lvl])
@@ -262,8 +266,14 @@ def tree_project_batch(V, tree, k):
         rem = rem - 1
         alloc = np.zeros((len(R), d), dtype=np.int64)   # a leaf's splits are 0
         if lvl + 1 < tree.depth:
+            F, steps = merges[lvl]
+            at = F.shape[2] - 1 - np.arange(F.shape[2])   # gpad's column of each s at t = 0
             for j in reversed(range(1, d)):
-                alloc[:, j] = split[lvl][j - 1][R, rem]
+                gpad, g = steps[j - 1]
+                both = gpad[R[:, None], rem[:, None] + at] + F[R, j]
+                best = g[R, rem][:, None]
+                # best is finite and >= 0; the -inf sums give +inf gaps, never chosen
+                alloc[:, j] = np.argmax(best - both <= 1e-9 * (1 + best), axis=1)
                 rem -= alloc[:, j]
             alloc[:, 0] = rem   # child 0 takes what its later siblings left
         chosen = alloc > 0

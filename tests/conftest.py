@@ -6,7 +6,8 @@ Lasso kernel reference is the solver's earlier MFISTA loop, kept verbatim,
 the group list is built by walking parents, the traversal and tree-sparsity
 references are the scalar loops the library's array engines replaced, the
 support growers are list loops and their law is pushed forward set by set,
-the projection reference is a per-node DP, the CSV references write one row
+the projection reference is a per-node DP, the model-CoSaMP reference solves
+one problem at a time with lstsq and that DP, the CSV references write one row
 dict at a time or a table through csv.writer, and the prox oracle (in
 test_prox) is a KKT / duality-gap certificate built from per-group duals.
 
@@ -158,6 +159,36 @@ def reference_project(v, tree, k):
     for i in keep:
         values[i - 1] = v[i - 1]
     return frozenset(keep), values
+
+
+def reference_model_cosamp(A, y, k, tree, iters=20, tol=1e-6):
+    """(x, reason, rounds) of one model-based CoSaMP problem, A (m, p) and y
+    (m,): Needell & Tropp's Algorithm 1 (ACHA 2009) with both best-term
+    steps replaced by reference_project, as in Baraniuk et al.'s
+    model-based CS.  Each round merges the 2k-node projection of the proxy
+    A^T r with the nonzeros of x, solves least squares on the merged
+    columns with lstsq and keeps the k-node projection of that solution.
+    reason is 1 once |r| < tol |y|, 2 once |r| stops falling by a relative
+    1e-9, 0 after iters rounds and 3 (after 0 rounds) for y = 0."""
+    p = A.shape[1]
+    x, r, prev = np.zeros(p), y, math.inf
+    if not np.linalg.norm(y) > 0:
+        return x, 3, 0
+    for rounds in range(1, iters + 1):
+        omega = reference_project(r @ A, tree, min(2 * k, p))[0]
+        merged = sorted(omega | set((np.flatnonzero(x) + 1).tolist()))
+        cols = np.array(merged) - 1
+        b = np.zeros(p)
+        b[cols] = np.linalg.lstsq(A[:, cols], y, rcond=None)[0]
+        x = reference_project(b, tree, k)[1]
+        r = y - A @ x
+        rnorm = np.linalg.norm(r)
+        if rnorm < tol * np.linalg.norm(y):
+            return x, 1, rounds
+        if rnorm >= prev * (1 - 1e-9):
+            return x, 2, rounds
+        prev = rnorm
+    return x, 0, iters
 
 
 def cd_lasso(A, y, lam, sweeps=20000, tol=1e-12):

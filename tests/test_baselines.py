@@ -8,7 +8,7 @@ import pytest
 from treesense import (TrainingSet, baselines, gaussian_ensemble, is_tree_sparse,
                        lasso_solve, make_tree, model_cosamp, pca_fit,
                        pca_reconstruct, random_tree_sparse, tree_project_batch)
-from conftest import cd_lasso, reference_mfista
+from conftest import cd_lasso, reference_mfista, reference_model_cosamp
 
 
 def test_ensemble_row_norms():
@@ -201,26 +201,27 @@ def test_cosamp_stack_matches_unpadded_calls(monkeypatch, caplog):
     v[np.array([1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 13, 14, 15, 21, 30]) - 1] = [
         2.0, 2.3, 0.3, 1.0, 2.9, 1.0, 1.0, 0.3, 2.9, 1.7, 3.0, 2.5, 0.6, 1.4, 2.4]
     Y[2, :, 2] = A[2] @ v
-    sizes, solves, lstsq = [], [], np.linalg.lstsq
+    sizes, solves, least_squares = [], [], baselines._least_squares
 
     def recording_project(V, tree, k):
         sizes.append(len(V))
         return tree_project_batch(V, tree, k)
 
-    def recording_lstsq(a, b, rcond=None):
-        solves.append(len(b))
-        return lstsq(a, b, rcond=rcond)
+    def recording_least_squares(As, ys):
+        solves.extend([As.shape[1]] * len(As))
+        return least_squares(As, ys)
 
     monkeypatch.setattr(baselines, "tree_project_batch", recording_project)
-    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+    monkeypatch.setattr(baselines, "_least_squares", recording_least_squares)
     with caplog.at_level(logging.INFO, logger="treesense.baselines"):
         out = model_cosamp(A, Y, k, t, iters=3)
     assert out.shape == (len(ms), t.p, q)
     # one batch per projection step, over the running problems only
     assert sizes[0] == 8 and sizes[::2] == sizes[1::2] and len(set(sizes)) == 3
     assert sorted(sizes, reverse=True) == sizes
-    # one least-squares solve per running problem and round (8 + 6 + 3), on
-    # its own m rows: a stopped problem takes no solve
+    # one least-squares solve per running problem and round (8 + 6 + 3), in
+    # batched groups, each on its problem's own m rows: a stopped problem
+    # takes no solve
     assert len(solves) == sum(sizes[::2]) == 17
     assert set(solves) <= set(ms)
     counts = re.fullmatch(r"model_cosamp: of 9 problems, (\d+) met tol, (\d+) stalled, "
@@ -234,6 +235,117 @@ def test_cosamp_stack_matches_unpadded_calls(monkeypatch, caplog):
         for c in range(q):
             own = model_cosamp(A[b:b + 1, :m], Y[b:b + 1, :m, c:c + 1], k, t, iters=3)[0, :, 0]
             assert out[b, :, c].tobytes() == own.tobytes(), (b, c)
+
+
+def _cosamp_reference_case(rng):
+    # compare's layout at a smaller scale: three measurement counts, two of
+    # them below 3k, zero-padded to the largest; noiseless, noisy and y = 0
+    # columns
+    t, k, ms, q = make_tree(2, 6), 8, (12, 20, 31), 3
+    A = np.zeros((len(ms), max(ms), t.p))
+    Y = np.zeros((len(ms), max(ms), q))
+    for b, m in enumerate(ms):
+        A[b, :m] = gaussian_ensemble(m, t.p, budget=float(t.p), seed=[5, b])
+        for c in range(q):
+            Y[b, :m, c] = A[b, :m] @ random_tree_sparse(t, k, 0.5, 1.5, rng)
+        Y[b, :m, 1] += 0.05 * rng.standard_normal(m)
+    Y[0, :, 2] = 0
+    return t, k, ms, A, Y
+
+
+def _cosamp_ties_case(rng):
+    # ties the projections must break alike: A = I makes the proxy the
+    # residual itself, on a y of equal magnitudes, and node 3's column set
+    # to node 2's makes siblings 2 and 3 tie in every proxy and their merged
+    # least squares rank deficient
+    t, k = make_tree(2, 5), 5
+    eye = np.eye(t.p)
+    dup = gaussian_ensemble(t.p, t.p, budget=float(t.p), seed=6)
+    dup[:, 2] = dup[:, 1]
+    A = np.stack([eye, dup])
+    Y = np.stack([np.sign(rng.standard_normal((t.p, 2))),
+                  dup @ np.where(rng.random((t.p, 2)) < 0.3, 1.0, 0.0)])
+    return t, k, (t.p, t.p), A, Y
+
+
+@pytest.mark.parametrize("case", [_cosamp_reference_case, _cosamp_ties_case],
+                         ids=["padded_stack", "ties"])
+def test_cosamp_matches_reference(rng, monkeypatch, caplog, case):
+    # each problem against the one-problem reference of conftest, on its
+    # own rows: the same support, stop reason and stop round, and the
+    # coefficients within 1e-9 of the largest reference coefficient
+    t, k, ms, A, Y = case(rng)
+    sizes = []
+
+    def recording_project(V, tree, k):
+        sizes.append(len(V))
+        return tree_project_batch(V, tree, k)
+
+    monkeypatch.setattr(baselines, "tree_project_batch", recording_project)
+    with caplog.at_level(logging.INFO, logger="treesense.baselines"):
+        out = model_cosamp(A, Y, k, t, iters=3)
+    reasons, rounds = [], []
+    for b, m in enumerate(ms):
+        for c in range(Y.shape[2]):
+            x, reason, n = reference_model_cosamp(A[b, :m], Y[b, :m, c], k, t, iters=3)
+            assert np.array_equal(out[b, :, c] != 0, x != 0), (b, c)
+            assert np.max(np.abs(out[b, :, c] - x)) <= 1e-9 * np.max(np.abs(x)), (b, c)
+            reasons.append(reason)
+            rounds.append(n)
+    # the running problems of round r are those the reference ran past r
+    assert sizes[::2] == [sum(n > r for n in rounds) for r in range(len(sizes) // 2)]
+    counts = np.bincount(reasons, minlength=4)
+    assert caplog.messages[-1] == (
+        f"model_cosamp: of {len(reasons)} problems, {counts[1]} met tol, {counts[2]} stalled, "
+        f"{counts[0]} stopped at iters=3, {counts[3]} had y = 0")
+
+
+def _conditioned(rng, n, s, cond):
+    """An (n, s) matrix with singular values spread evenly on a log scale
+    from 1 to 1/cond: its condition number is cond."""
+    r = min(n, s)
+    U = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    V = np.linalg.qr(rng.standard_normal((s, r)))[0]
+    return (U * np.logspace(0, -np.log10(cond), r)) @ V.T
+
+
+@pytest.mark.parametrize("n,s", [(20, 8), (8, 20)], ids=["tall", "wide"])
+def test_least_squares_guard_routes_ill_conditioned_problems_to_lstsq(rng, monkeypatch, n, s):
+    # one group of problems with cond(A_S) from 10 to 1e10, one with a
+    # column (or row) repeated and one with a zero column (or row), whose
+    # Gram matrix is singular and makes the batched solve raise.  The Gram
+    # matrix squares cond(A_S), so the guard (1-norm condition of the Gram
+    # matrix at most 1e8) must accept cond(A_S) <= 1e3 and send 1e6 and
+    # above, the repeat and the zero to lstsq.
+    # An accepted problem agrees with lstsq within 1e-8 relative (a Gram
+    # condition number of at most 1e8 times float64's epsilon); a routed one
+    # is lstsq's result bit for bit; and each equals its own one-problem call
+    conds = [1e1, 1e2, 1e3, 1e6, 1e8, 1e10]
+    repeat, zero = rng.standard_normal((2, n, s))
+    if s <= n:
+        repeat[:, 1], zero[:, 2] = repeat[:, 0], 0.0
+    else:
+        repeat[1], zero[2] = repeat[0], 0.0
+    As = np.stack([_conditioned(rng, n, s, c) for c in conds] + [repeat, zero])
+    ys = rng.standard_normal((len(As), n))
+    expected = [np.linalg.lstsq(a, y, rcond=None)[0] for a, y in zip(As, ys)]
+    routed, lstsq = [], np.linalg.lstsq
+
+    def recording_lstsq(a, b, rcond=None):
+        routed.extend(i for i, other in enumerate(As) if np.array_equal(a, other))
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(zero.T @ zero if s <= n else zero @ zero.T, np.ones(min(n, s)))
+    b = baselines._least_squares(As, ys)
+    assert sorted(set(routed)) == [3, 4, 5, 6, 7]
+    for i, want in enumerate(expected):
+        if i in routed:
+            assert b[i].tobytes() == want.tobytes(), i
+        else:
+            assert np.linalg.norm(b[i] - want) <= 1e-8 * np.linalg.norm(want), i
+        assert b[i].tobytes() == baselines._least_squares(As[i:i + 1], ys[i:i + 1])[0].tobytes()
 
 
 def test_cosamp_rejects_mismatched_stacks():

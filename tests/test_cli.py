@@ -1,3 +1,4 @@
+import argparse
 import csv
 import logging
 import re
@@ -123,6 +124,48 @@ FLAG_VALUES = {"seed": "7", "trials": "5", "out": "x.csv", "d": "3", "L": "5",
                "lam": "0.05", "target_sparsity": "6", "dict_path": "d.lasr",
                "taus": "0,0.5", "measurements": "6,12", "test_signals": "3",
                "in_sample": "no"}
+
+
+def _eager_parser():
+    """The CLI's parser with every subcommand's flags added when it is
+    built: the reference for what _parser prints."""
+    parser = argparse.ArgumentParser(prog="treesense")
+    parser.add_argument("--version", action="version", version=cli.__version__)
+    parser.add_argument("--log-level", dest="log_level", default="warning",
+                        choices=("debug", "info", "warning", "error"),
+                        help="level of the library's log messages on stderr")
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("tree-info", help="print tree index arithmetic facts")
+    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--L", type=int, default=7)
+    for command, text in (("verify-theorem", "Monte Carlo support-recovery verification"),
+                          ("learn", "learn a tree-structured orthonormal dictionary"),
+                          ("sense", "acquire one image with a learned dictionary"),
+                          ("compare", "energy-fair SNR-vs-measurements sweep")):
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="key=value config file")
+        for name in (*COMMON_FLAGS, *FLAGS[command]):
+            p.add_argument("--" + name.replace("_", "-"), dest=name)
+        if command == "sense":
+            p.add_argument("--image")
+    return parser
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([c, "--help"] for c in ("tree-info", *FLAGS)),
+                                  ["compare", "--no-such-flag", "1"], ["sense", "--trials"],
+                                  ["learn", "--lam"], ["no-such-command"], []],
+                         ids=lambda argv: " ".join(argv) or "none")
+def test_help_and_usage_errors_match_a_parser_built_with_every_flag(monkeypatch, capsys, argv):
+    # _parser adds a subcommand's flags only when that subcommand parses;
+    # what `treesense ...` prints and its exit status must not show it
+    monkeypatch.setenv("COLUMNS", "100")
+    printed = []
+    for parse in (main, _eager_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        printed.append((exc.value.code, *capsys.readouterr()))
+    assert printed[0] == printed[1]
+    assert printed[0][0] == (0 if "--help" in argv else 2)
 
 
 def test_flags_are_config_fields():

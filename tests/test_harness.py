@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from treesense import (CSV_FIELDS, Dictionary, ExperimentConfig, SensingConfig, TrainingSet,
                        adaptive_sense_coeffs, allocate_beta, box_downscale, compare_methods,
-                       harness, lambda_for_sparsity, lasso_solve, load_corpus, make_tree,
-                       min_amplitude, model_cosamp, random_tree_sparse_batch, read_pgm,
-                       snr_db, synthetic_corpus, tree_sparse_rows, verify_theorem, write_csv,
-                       write_manifest, write_pgm)
+                       gaussian_ensemble, harness, lambda_for_sparsity, lasso_solve, load_corpus,
+                       make_tree, min_amplitude, model_cosamp, random_tree_sparse,
+                       random_tree_sparse_batch, read_pgm, snr_db, synthetic_corpus,
+                       tree_sparse_rows, verify_theorem, write_csv, write_manifest, write_pgm)
 from treesense.harness import (_extend, _random_projection_arms, apply_config,
                                parse_config_file)
 
@@ -809,6 +809,39 @@ def test_random_projection_arms_match_per_m_lasso_solves(rng, monkeypatch):
                 own = model_cosamp(A[None], Y[None, :, col:col + 1], 8, tree,
                                    iters=15)[0, :, 0]
                 assert cosamp[b, :, col].tobytes() == own.tobytes()
+
+
+def test_random_projection_arms_probe_draws_match_their_own_generators(rng, monkeypatch):
+    # with noise, each (m, budget) probe's signal and noise come from its own
+    # default_rng([seed, 3, b, m]): the signal as random_tree_sparse grows it
+    # there, then noise_std times the next m normals.  The probes are grown
+    # in one batched call; this pins each cell's lambda-grid right-hand side
+    # bit for bit, and its lambda pick, to those one-probe draws
+    tree = make_tree(2, 5)
+    X, planted, _ = synthetic_corpus(30, 16, tree, 8, rng, amp=1.0)
+    tr = TrainingSet.from_raw(X)
+    cfg = ExperimentConfig(mode="compare", budgets=(256.0, 32.0), measurements=(8, 20),
+                           trials=2, seed=3, test_signals=1, noise_std=0.3, target_sparsity=8)
+    calls = []
+
+    def recording_solve(A, Y, lam, **kw):
+        calls.append((Y, np.array(lam), lasso_solve(A, Y, lam, **kw)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(harness, "lasso_solve", recording_solve)
+    _random_projection_arms(cfg, planted, tr.mean, tr.data[:, :1] + tr.mean[:, None], [8, 20], 8)
+    (Y_grid, lam_grid, alphas), (_, lams, _) = calls
+    for i, m in enumerate((8, 20)):
+        for b, R in enumerate(cfg.budgets):
+            own = np.random.default_rng([cfg.seed, 3, b, m])
+            x = planted.atoms @ random_tree_sparse(tree, 8, 0.5, 1.0, own)
+            phi = gaussian_ensemble(m, planted.atoms.shape[0], R, seed=[cfg.seed, 6, b, m])
+            y = phi @ x + cfg.noise_std * own.standard_normal(m)
+            cell = 2 * i + b
+            for col in range(4):
+                assert Y_grid[cell, :m, col].tobytes() == y.tobytes(), (m, b, col)
+            snr = snr_db(x, harness._synthesize(planted.atoms, alphas[cell].T))
+            assert lams[cell, 0] == lam_grid[cell, np.argmax(snr)]
 
 
 def test_compare_rejects_dimension_mismatch(rng):

@@ -317,6 +317,45 @@ def test_batched_projection_rows_match_per_node_dp(d, L):
         assert not support[3].any()
 
 
+def _tie_rows(t):
+    # equal energies everywhere; equal energies with zeros among them; equal
+    # leaves under zero ancestors; and an all-zero row
+    signs = np.where(np.arange(t.p) % 3 == 0, -1.0, 1.0)
+    deep = np.zeros(t.p)
+    deep[-3:] = 2.0
+    deep[t.level_starts[-2]] = -2.0
+    return np.stack([np.ones(t.p), np.where(np.arange(t.p) % 4 == 1, 0.0, signs), deep,
+                     np.zeros(t.p)])
+
+
+# the supports tree_project_batch gave on _tie_rows when its DP still stored
+# a split table for every node, per k and row
+TIE_SUPPORTS = {
+    (2, 4): {1: [[1], [1], [], []],
+             2: [[1, 2], [1, 3], [], []],
+             3: [[1, 2, 4], [1, 3, 7], [], []],
+             5: [[1, 2, 4, 8, 9], [1, 3, 7, 15], [1, 3, 7, 14, 15], []],
+             8: [[1, 2, 4, 5, 8, 9, 10, 11], [1, 2, 3, 4, 5, 8, 9, 11], [1, 3, 6, 7, 13, 14, 15],
+                 []]},
+    (3, 3): {1: [[1], [1], [], []],
+             2: [[1, 2], [1, 3], [], []],
+             3: [[1, 2, 5], [1, 3, 8], [1, 2, 5], []],
+             5: [[1, 2, 5, 6, 7], [1, 3, 4, 8, 9], [1, 4, 11, 12, 13], []],
+             8: [[1, 2, 3, 5, 6, 7, 8, 9], [1, 3, 4, 8, 9, 11, 12, 13], [1, 2, 4, 5, 11, 12, 13],
+                 []]},
+}
+
+
+@pytest.mark.parametrize("d,L", sorted(TIE_SUPPORTS))
+def test_tree_project_batch_ties_and_zeros_keep_their_supports(d, L):
+    t = make_tree(d, L)
+    V = _tie_rows(t)
+    for k, want in TIE_SUPPORTS[d, L].items():
+        support = tree_project_batch(V, t, k)[1]
+        assert [(np.flatnonzero(row) + 1).tolist() for row in support] == want, k
+        assert [sorted(reference_project(v, t, k)[0]) for v in V] == want, k
+
+
 def test_tree_project_batch_rejects_bad_shapes():
     t = make_tree(2, 3)
     for bad in (np.zeros(t.p), np.zeros((2, t.p + 1)), np.zeros((1, 2, t.p))):
