@@ -152,27 +152,37 @@ def cmd_compare(args):
 
 
 class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser that adds its flags only when it parses: a run
-    parses one subcommand, and adding every subcommand's flags up front
-    cost more than the parse (each add_argument builds a help formatter)."""
+    """A subcommand's parser that is built when it parses: a run parses one
+    subcommand, and building every subcommand's parser cost more than the
+    parse (each ArgumentParser and add_argument builds help machinery).
+    add_parser lists the name and help text, which are all top-level help
+    and choices read, and hands this class the arguments it would build the
+    parser with; they wait, with add_flags, for the first parse."""
 
-    def __init__(self, *args, add_flags=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._add_flags = add_flags
+    def __init__(self, add_flags=None, **kwargs):
+        self._deferred = add_flags, kwargs
 
     def parse_known_args(self, args=None, namespace=None):
-        if self._add_flags:
-            add_flags, self._add_flags = self._add_flags, None
+        if self._deferred:
+            (add_flags, kwargs), self._deferred = self._deferred, None
+            super().__init__(**kwargs)
             add_flags(self)
         return super().parse_known_args(args, namespace)
 
 
-def _add_flags(command, p):
+def _tree_info_flags(p):
+    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--L", type=int, default=7)
+    p.set_defaults(func=cmd_tree_info)
+
+
+def _run_flags(command, func, p):
     p.add_argument("--config", help="key=value config file")
     for name in (*COMMON_FLAGS, *FLAGS[command]):
         p.add_argument("--" + name.replace("_", "-"), dest=name)
     if command == "sense":
         p.add_argument("--image")
+    p.set_defaults(func=func)
 
 
 def _parser():
@@ -182,19 +192,14 @@ def _parser():
                         choices=("debug", "info", "warning", "error"),
                         help="level of the library's log messages on stderr")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
-
-    p = sub.add_parser("tree-info", help="print tree index arithmetic facts")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--L", type=int, default=7)
-    p.set_defaults(func=cmd_tree_info)
-
+    sub.add_parser("tree-info", help="print tree index arithmetic facts",
+                   add_flags=_tree_info_flags)
     for command, func, text in (
             ("verify-theorem", cmd_verify_theorem, "Monte Carlo support-recovery verification"),
             ("learn", cmd_learn, "learn a tree-structured orthonormal dictionary"),
             ("sense", cmd_sense, "acquire one image with a learned dictionary"),
             ("compare", cmd_compare, "energy-fair SNR-vs-measurements sweep")):
-        p = sub.add_parser(command, help=text, add_flags=functools.partial(_add_flags, command))
-        p.set_defaults(func=func)
+        sub.add_parser(command, help=text, add_flags=functools.partial(_run_flags, command, func))
     return parser
 
 

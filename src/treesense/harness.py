@@ -132,20 +132,28 @@ def load_corpus(path, target_side):
     """Load every .pgm in a directory, rescale, flatten column-major, center.
 
     Returns a TrainingSet whose data matrix is target_side^2 x (image count).
+    Each file is read, checked and downscaled in name order, so an error
+    names its path and the corpus is never held at full size; an image
+    already target_side square is used as read.
     """
     names = sorted(f for f in os.listdir(path) if f.lower().endswith(".pgm"))
-    cols = []
-    for name in names:
+    if not names:
+        raise ValueError(f"no PGM images found in {path}")
+    # C-contiguous, as np.column_stack made it: the mean's rounding follows
+    # the layout.  Pixel (i, j) of image c is X[j * target_side + i, c], so
+    # each image is flattened column-major
+    X = np.empty((target_side**2, len(names)))
+    images = X.reshape(target_side, target_side, -1)
+    for c, name in enumerate(names):
         full = os.path.join(path, name)
         img = read_pgm(full)   # its errors name the path
-        try:
-            img = box_downscale(img, target_side)
-        except ValueError as exc:
-            raise ValueError(f"{full}: {exc}") from exc
-        cols.append(img.flatten(order="F"))
-    if not cols:
-        raise ValueError(f"no PGM images found in {path}")
-    return TrainingSet.from_raw(np.column_stack(cols))
+        if img.shape != (target_side, target_side):
+            try:
+                img = box_downscale(img, target_side)
+            except ValueError as exc:
+                raise ValueError(f"{full}: {exc}") from exc
+        images[:, :, c] = img.T
+    return TrainingSet.from_raw(X)
 
 
 def synthetic_corpus(q, side, tree, k, rng, amp=1.0):
@@ -515,30 +523,83 @@ def _extend(table, method, R, tau, m, trial, snr, energy, note):
         table[name] += list(value) if rows else [value] * len(snr)
 
 
+def _append(table, arm, b, rows):
+    """Append to table budget b's block of a budget-major arm table whose
+    blocks hold `rows` rows each."""
+    for name, column in arm.items():
+        table[name] += column[b * rows:(b + 1) * rows]
+
+
+# The sessions of one signal's arm are sensed and reconstructed together, in
+# chunks: a chunk's arrays grow with its sessions times the signal's length
+# n, so a chunk holds at most max(cfg.trials, _SESSION_ENTRIES // n)
+# sessions, never fewer than one (budget, tau) cell.
+_SESSION_ENTRIES = 2**16
+
+
+def _arm_sessions(cfg, arm, sig_idx, betas, taus, n):
+    """One signal's arm in chunks of sessions, in the table's row order
+    (budget, then tau, then trial): per chunk, each session's SensingConfig,
+    its generator keyed [cfg.seed, arm, b, sig_idx, tau index, trial], its
+    beta (an array), and its R, tau and trial column entries.  betas holds
+    one beta per budget of cfg."""
+    cells = [(SensingConfig(beta=beta, tau=tau, noise_std=cfg.noise_std, budget=R),
+              [cfg.seed, arm, b, sig_idx, tau_idx])
+             for b, (R, beta) in enumerate(zip(cfg.budgets, betas))
+             for tau_idx, tau in enumerate(taus)]
+    sessions = [(config, key, trial) for config, key in cells for trial in range(cfg.trials)]
+    size = max(cfg.trials, _SESSION_ENTRIES // n)
+    for start in range(0, len(sessions), size):
+        configs, keys, trials = zip(*sessions[start:start + size])
+        yield (list(configs), [np.random.default_rng([*key, t]) for key, t in zip(keys, trials)],
+               np.array([c.beta for c in configs]), [c.budget for c in configs],
+               [c.tau for c in configs], list(trials))
+
+
 def sense_signal(cfg, dictionary, dict_mean, x, sig_idx=0, note=""):
     """write_csv's table of the adaptive dictionary sessions of one signal
     x: a row per budget, tau and trial of cfg, in that order, each budget
     allocated for cfg.sparsity_for(p) support nodes.  Each session draws
     from its own generator, keyed [cfg.seed, 1, b, sig_idx, tau index,
     trial], and every session senses the coefficients c = Dᵀ(x - dict_mean),
-    so the trials of a (budget, tau) cell are sensed in one call."""
+    so the sessions, each under its own budget and tau, are sensed in one
+    call per chunk (_arm_sessions) and reconstructed in another."""
     k = cfg.sparsity_for(dictionary.tree.p)
     x = np.asarray(x, dtype=float)
     if x.shape != (dictionary.atoms.shape[0],):
         raise ValueError(f"signal of {x.size} entries does not match the dictionary's "
                          f"atoms of dimension {dictionary.atoms.shape[0]}")
     c = dictionary.atoms.T @ (x - dict_mean)
-    rows = np.broadcast_to(c, (cfg.trials, len(c)))
+    betas = [allocate_beta(R, dictionary.tree.d, k) for R in cfg.budgets]
     table = {name: [] for name in CSV_FIELDS}
-    for b, R in enumerate(cfg.budgets):
-        beta = allocate_beta(R, dictionary.tree.d, k)
-        for tau_idx, tau in enumerate(cfg.taus):
-            sense_cfg = SensingConfig(beta=beta, tau=tau, noise_std=cfg.noise_std, budget=R)
-            batch = adaptive_sense_coeffs(rows, dictionary.tree, sense_cfg,
-                                          _trial_rngs(cfg, 1, b, sig_idx, tau_idx))
-            x_hat = reconstruct_from_outcome(batch, dictionary, beta, dict_mean)
-            _extend(table, "adaptive", R, tau, batch.m, range(cfg.trials),
-                    snr_db(x, x_hat), batch.energy_spent, note)
+    for configs, rngs, beta, R, tau, trial in _arm_sessions(cfg, 1, sig_idx, betas, cfg.taus,
+                                                            len(x)):
+        batch = adaptive_sense_coeffs(np.broadcast_to(c, (len(configs), len(c))),
+                                      dictionary.tree, configs, rngs)
+        x_hat = reconstruct_from_outcome(batch, dictionary, beta, dict_mean)
+        _extend(table, "adaptive", R, tau, batch.m, trial, snr_db(x, x_hat),
+                batch.energy_spent, note)
+    return table
+
+
+def _wavelet_arm(cfg, x, side, k, sig_idx, note):
+    """write_csv's table of the direct wavelet sessions of one image signal
+    x (flattened column-major): a row per budget, tau in (0, 0.5) and trial,
+    in that order, each budget spread over a nominal m = 3k + 1
+    measurements.  Each session draws from its own generator, keyed
+    [cfg.seed, 5, b, sig_idx, tau index, trial]; the sessions are sensed in
+    one wavelet_sense call per chunk (_arm_sessions) and reconstructed in one
+    stacked inverse."""
+    betas = [math.sqrt(R / (3 * k + 1)) for R in cfg.budgets]
+    img = x.reshape((side, side), order="F")
+    table = {name: [] for name in CSV_FIELDS}
+    for configs, rngs, beta, R, tau, trial in _arm_sessions(cfg, 5, sig_idx, betas, (0.0, 0.5),
+                                                            len(x)):
+        batch = wavelet_sense(img, configs, rngs)
+        rec = wavelet_reconstruct(batch, side, beta)
+        x_hat = rec.transpose(0, 2, 1).reshape(len(configs), side * side)   # column-major
+        _extend(table, "wavelet", R, tau, batch.m, trial, snr_db(x, x_hat),
+                batch.energy_spent, note)
     return table
 
 
@@ -631,18 +692,18 @@ def compare_methods(cfg, training, dictionary, dict_mean):
     pca = pca_fit(training)
     rand_arms = _random_projection_arms(cfg, dictionary, dict_mean, test_matrix,
                                         measurements, k)
-    # adaptive dictionary sensing at each threshold, per signal budget-major
-    adaptive = [sense_signal(cfg, dictionary, dict_mean, test_matrix[:, sig_idx], sig_idx,
-                             f"{note};signal={sig_idx}") for sig_idx in range(n_test)]
-    per_budget = len(cfg.taus) * cfg.trials
+    # adaptive dictionary and direct wavelet sensing, each a table per
+    # signal, budget-major, sliced per budget below
+    tags = [f"{note};signal={sig_idx}" for sig_idx in range(n_test)]
+    adaptive = [sense_signal(cfg, dictionary, dict_mean, test_matrix[:, sig_idx], sig_idx, tag)
+                for sig_idx, tag in enumerate(tags)]
+    wavelet = [_wavelet_arm(cfg, test_matrix[:, sig_idx], side, k, sig_idx, tag)
+               for sig_idx, tag in enumerate(tags)] if is_image else []
     trials = range(cfg.trials)
     for b, R in enumerate(cfg.budgets):
-        beta_w = math.sqrt(R / (3 * k + 1))   # wavelet arm: nominal m = 3k+1
-        for sig_idx in range(n_test):
+        for sig_idx, tag in enumerate(tags):
             x = test_matrix[:, sig_idx]
-            tag = f"{note};signal={sig_idx}"
-            for name, column in adaptive[sig_idx].items():
-                table[name] += column[b * per_budget:(b + 1) * per_budget]
+            _append(table, adaptive[sig_idx], b, len(cfg.taus) * cfg.trials)
 
             for m in measurements:
                 # PCA at matched measurement count, up to the training data's rank
@@ -660,14 +721,5 @@ def compare_methods(cfg, training, dictionary, dict_mean):
 
             # direct wavelet sensing (image signals only)
             if is_image:
-                img = x.reshape((side, side), order="F")
-                for tau_idx, tau_w in enumerate((0.0, 0.5)):
-                    sense_cfg = SensingConfig(beta=beta_w, tau=tau_w,
-                                              noise_std=cfg.noise_std, budget=R)
-                    batch = wavelet_sense(img, sense_cfg,
-                                          _trial_rngs(cfg, 5, b, sig_idx, tau_idx))
-                    rec = wavelet_reconstruct(batch, side, beta_w)
-                    x_hat = rec.transpose(0, 2, 1).reshape(cfg.trials, n)   # column-major
-                    _extend(table, "wavelet", R, tau_w, batch.m, trials, snr_db(x, x_hat),
-                            batch.energy_spent, tag)
+                _append(table, wavelet[sig_idx], b, 2 * cfg.trials)
     return table

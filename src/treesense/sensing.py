@@ -9,7 +9,10 @@ for any number of independent sessions at once: each tree level is one step
 of a fixed number of array operations, whatever the number of sessions.
 Every call that draws noise takes rng as one generator, which all sessions
 draw from in turn, or as a list of one generator per session, on which
-session t makes exactly the draws a one-session call on rng[t] makes.
+session t makes exactly the draws a one-session call on rng[t] makes.  The
+sensing calls take cfg likewise, as one SensingConfig or as a list of one
+per session, and the reconstructions take beta as one value or one per
+session, so sessions of different budgets and thresholds run in one call.
 """
 
 from __future__ import annotations
@@ -59,8 +62,8 @@ class SensingConfig:
 @dataclass
 class SessionBatch:
     """Measurements of T independent sessions, the result of every sensing
-    call: T is the number of coefficient rows sensed, or of the generators
-    wavelet_sense is given (1 for one generator).
+    call: T is the number of coefficient rows sensed, or, for wavelet_sense,
+    the length of whichever of cfg and rng is a list (1 when neither is).
 
     trial, node, y and significant hold one entry per measurement, tree
     level by tree level and, within a level, by trial and then by node, so
@@ -86,6 +89,44 @@ def allocate_beta(budget_R, d, k):
     return math.sqrt(budget_R / ((d + 1) * k))
 
 
+def _meter(beta, budget, n):
+    """(meter, limit) of sessions at this beta and budget over at most n
+    measurements: meter[j] is the energy of j measurements, added up one
+    cost at a time from 0 (0.0 + cost is exact), its rounding far below the
+    1e-6 margin of its length; a session stops after limit measurements,
+    before the meter would pass the budget."""
+    cost, budget = beta**2, math.inf if budget is None else budget
+    meter = np.full(int(min(n, budget / cost * (1 + 1e-6) + 2)) + 1, cost)
+    meter[0] = 0.0
+    meter = meter.cumsum()
+    return meter, int(np.count_nonzero(meter[1:] <= budget * (1 + 1e-12)))
+
+
+def _session_params(cfg, trials, n):
+    """beta, tau, noise_std and limit of every session, as arrays of one
+    entry per session, and each session's meter: meters[start[t] + j] is
+    session t's energy after j measurements.  cfg is one config for all
+    sessions or a list or tuple of one per session; each distinct config
+    has its own meter, so a session spends what a one-session call on its
+    config does."""
+    if isinstance(cfg, (list, tuple)):
+        if len(cfg) != trials:
+            raise ValueError(f"{len(cfg)} configs for {trials} sessions: pass one config, "
+                             "or a list of one per session")
+        index = {}
+        which = np.array([index.setdefault(c, len(index)) for c in cfg], dtype=np.int64)
+        configs = list(index)
+    else:
+        configs, which = [cfg], np.zeros(trials, dtype=np.int64)
+    meters = [_meter(c.beta, c.budget, n) for c in configs]
+    start = np.cumsum([0] + [len(meter) for meter, _ in meters])[:-1]
+    beta, tau, noise_std = np.array([(c.beta, c.tau, c.noise_std)
+                                     for c in configs]).reshape(-1, 3).T
+    limit = np.array([limit for _, limit in meters], dtype=np.int64)
+    return (beta[which], tau[which], noise_std[which], limit[which],
+            np.concatenate([np.empty(0)] + [meter for meter, _ in meters]), start[which])
+
+
 def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
     """The threshold traversal of `trials` sessions, one tree level per step.
 
@@ -95,20 +136,21 @@ def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
     shift = 0 tests it: there position 0 (the quadtrees' scaling
     coefficient) would be its own first child, and it has none.
     Every session starts from the positions `roots`; coeff(t, i) returns the
-    noiseless coefficients at positions i of trials t.  The frontier is a
-    flat list of (trial, position) pairs sorted by trial, then position,
-    which within a trial is the order a FIFO queue would measure them in.
-    Noise is drawn level by level, in frontier order, by _normals, so one
-    session draws exactly the values of one scalar draw per measurement.
-    Returns a SessionBatch whose nodes are positions.
+    noiseless coefficients at positions i of trials t.  cfg is one
+    SensingConfig, which every session uses, or a list of one per session,
+    each with its own beta, tau, noise_std and budget; rng is one generator
+    or a list of one per session (_generators).  The frontier is a flat
+    list of (trial, position) pairs sorted by trial, then position, which
+    within a trial is the order a FIFO queue would measure them in.  Noise
+    is drawn level by level, in frontier order, by _normals, so one session
+    draws exactly the values of one scalar draw per measurement, and a
+    session whose noise_std is 0 draws nothing and adds -0.0, which leaves
+    its values as they are.  Returns a SessionBatch whose nodes are
+    positions.
     """
     gens = _generators(rng, trials)
-    # meter[j] is the energy of j measurements, added up one cost at a time
-    # from 0 (0.0 + cost is exact), its rounding far below the 1e-6 margin of
-    # its length; a session stops before the meter would pass the budget.
-    cost, budget = cfg.beta**2, math.inf if cfg.budget is None else cfg.budget
-    meter = np.cumsum(np.r_[0.0, np.full(int(min(n, budget / cost * (1 + 1e-6) + 2)), cost)])
-    limit = int(np.count_nonzero(meter[1:] <= budget * (1 + 1e-12)))
+    beta, tau, noise_std, limit, meters, start = _session_params(cfg, trials, n)
+    loud = noise_std > 0
     roots = np.asarray(roots)
     t = np.repeat(np.arange(trials), len(roots))
     i = np.tile(roots, trials)
@@ -117,17 +159,17 @@ def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
     levels = []
     while True:
         counts = np.bincount(t, minlength=trials)
-        if (m + counts).max(initial=0) > limit:
+        if (m + counts > limit).any():
             # a session measures its frontier in order until it reaches limit
             rank = m[t] + np.arange(len(t)) - (np.cumsum(counts) - counts)[t]
-            keep = rank < limit
+            keep = rank < limit[t]
             truncated[t[~keep]] = True
             t, i = t[keep], i[keep]
             counts = np.minimum(counts, limit - m)
-        y = cfg.beta * coeff(t, i)
-        if cfg.noise_std > 0:
-            y += cfg.noise_std * _normals(gens, counts)
-        sig = np.abs(y) >= cfg.tau
+        y = beta[t] * coeff(t, i)
+        if loud.any():
+            y += noise_std[t] * _normals(gens, counts, loud)
+        sig = np.abs(y) >= tau[t]
         levels.append((t, i, y, sig))
         m += counts
         first = d * i + shift
@@ -140,18 +182,28 @@ def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
             break
     trial, node, y, sig = map(np.concatenate, zip(*levels))
     return SessionBatch(trial=trial, node=node, y=y, significant=sig, m=m,
-                        energy_spent=meter[m], truncated=truncated)
+                        energy_spent=meters[start + m], truncated=truncated)
 
 
-def _normals(gens, counts):
-    """counts[t] standard normals for each row t, in row order, as one array,
-    from _generators' (generator, rows) pairs gens: one draw from a single
-    pair, else one draw per row with a nonzero count, on that row's generator."""
+def _normals(gens, counts, loud=True):
+    """counts[t] values for each row t, in row order, as one array, from
+    _generators' (generator, rows) pairs gens: standard normals for each row
+    where loud (one bool, or one per row) holds, and -0.0 for each other
+    row, which draws nothing and leaves any value it is added to as it is,
+    bit for bit.  A single pair makes one draw for all its loud rows; else
+    each loud row with a nonzero count draws on its own generator."""
+    loud = np.broadcast_to(loud, counts.shape)
     if len(gens) == 1:
-        return gens[0][0].standard_normal(int(counts.sum()))
+        z = gens[0][0].standard_normal(int(counts[loud].sum()))
+        if loud.all():
+            return z
+        out = np.full(int(counts.sum()), -0.0)
+        out[np.repeat(loud, counts)] = z
+        return out
     rows = np.flatnonzero(counts).tolist()
-    return np.concatenate([np.empty(0)] + [gens[r][0].standard_normal(n) for r, n
-                                           in zip(rows, counts[rows].tolist())])
+    return np.concatenate([np.empty(0)] + [gens[r][0].standard_normal(n) if loud[r]
+                                           else np.full(n, -0.0)
+                                           for r, n in zip(rows, counts[rows].tolist())])
 
 
 def _coeffs(alpha, tree):
@@ -176,17 +228,24 @@ def adaptive_sense_coeffs(alpha, tree, cfg, rng):
     """Run the threshold traversal of a length-p coefficient vector alpha (a
     signal x sensed against an orthonormal dictionary D has alpha = Dᵀx),
     with one generator, or of each row of (T, p) coefficients alpha, with a
-    list of T generators (or one that all rows share).  Returns a T-session
-    SessionBatch (T = 1 for a vector) with node ids; the support estimates
-    are its significant nodes."""
+    list of T generators (or one that all rows share).  cfg is one
+    SensingConfig, or a list of T, row t sensed under cfg[t].  Returns a
+    T-session SessionBatch (T = 1 for a vector) with node ids; the support
+    estimates are its significant nodes."""
     alpha = _coeffs(alpha, tree)
     return _sense_tree(lambda t, i: alpha[t, i], tree, len(alpha), cfg, rng)
 
 
 def _scatter(batch, beta, size, first):
     """(T, size): each session's significant observations / beta at its node
-    ids, which must all lie in first..first + size - 1, and zero elsewhere."""
-    if not beta > 0:
+    ids, which must all lie in first..first + size - 1, and zero elsewhere;
+    beta is one value, or one per session."""
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape not in ((), (len(batch.m),)):
+        raise ValueError(f"{beta.size} betas for {len(batch.m)} sessions: pass one beta, "
+                         "or one per session")
+    beta = np.broadcast_to(beta, batch.m.shape)
+    if not np.all(beta > 0):
         raise ValueError("beta must be positive")
     node = batch.node
     if len(node) and not first <= node.min() <= node.max() < first + size:
@@ -194,7 +253,8 @@ def _scatter(batch, beta, size, first):
                          f"the {size} ids {first}..{first + size - 1} it fills")
     sig = batch.significant
     out = np.zeros((len(batch.m), size))
-    out[batch.trial[sig], node[sig] - first] = batch.y[sig] / beta
+    t = batch.trial[sig]
+    out[t, node[sig] - first] = batch.y[sig] / beta[t]
     return out
 
 
@@ -208,9 +268,9 @@ def _synthesize(atoms, rows):
 def reconstruct_from_outcome(batch, dictionary, beta, mean_offset=None):
     """Weighted-atom reconstructions (T, n) of a T-session SessionBatch with
     node ids in 1..p.  Only atoms whose measurement passed the threshold
-    contribute; each weight is the observation divided by beta, which
-    unbiases the scaled measurement.  Session t's row is the one a
-    one-session batch of it gives, bit for bit."""
+    contribute; each weight is the observation divided by beta (one value,
+    or one per session), which unbiases the scaled measurement.  Session
+    t's row is the one a one-session batch of it gives, bit for bit."""
     x_hat = _synthesize(dictionary.atoms, _scatter(batch, beta, dictionary.atoms.shape[1], 1))
     return x_hat if mean_offset is None else np.asarray(mean_offset, dtype=float) + x_hat
 

@@ -95,16 +95,19 @@ def wavelet_sense(image, cfg, rng):
 
     The scaling coefficient and the three coarsest details are always
     measured; descent into finer details is gated by the significance test.
-    rng is one generator, for one session, or a list of T generators, for T
-    sessions of the one image, session t drawing from rng[t] what a
-    one-session call on it draws.  Returns a SessionBatch of those sessions
-    whose node ids are flat row-major indices into the coefficient array.
+    cfg is one SensingConfig, or a list of T, one per session; rng is one
+    generator or a list of T.  With either list the image is sensed in T
+    sessions, one transform and one traversal for all of them, session t
+    under cfg[t] drawing from rng[t] what a one-session call on them draws
+    (a list of each must hold as many).  Returns a SessionBatch of those
+    sessions whose node ids are flat row-major indices into the coefficient
+    array.
     """
     c = haar2(image)
     side = c.shape[0]
     order = _sensing_order(side)
     c = c.ravel()[order]
-    trials = len(rng) if isinstance(rng, (list, tuple)) else 1
+    trials = next((len(v) for v in (cfg, rng) if isinstance(v, (list, tuple))), 1)
     batch = _traverse(lambda t, i: c[i], side * side, 4, 0, np.arange(min(4, side * side)),
                       trials, cfg, rng)
     batch.node = order[batch.node]
@@ -113,5 +116,6 @@ def wavelet_sense(image, cfg, rng):
 
 def wavelet_reconstruct(batch, side, beta):
     """Inverse transforms (T, side, side) of each session's significant
-    measured coefficients / beta; node ids must lie in 0..side² - 1."""
+    measured coefficients / beta (one value, or one per session), as one
+    stacked ihaar2; node ids must lie in 0..side² - 1."""
     return ihaar2(_scatter(batch, beta, side * side, 0).reshape(len(batch.m), side, side))

@@ -27,7 +27,12 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from treesense import CSV_FIELDS
+from treesense import (CSV_FIELDS, SensingConfig, SessionBatch, TrainingSet,
+                       adaptive_sense_coeffs, allocate_beta, box_downscale, pca_fit,
+                       pca_reconstruct, read_pgm, reconstruct_from_outcome, snr_db,
+                       wavelet_reconstruct, wavelet_sense)
+from treesense.harness import _extend, _random_projection_arms, _trial_noise, _trial_rngs
+from treesense.sensing import _synthesize
 
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
@@ -310,6 +315,25 @@ def significant_sets(batch):
     return sets
 
 
+def session(batch, t):
+    """Session t of a SessionBatch, as a one-session batch."""
+    keep = batch.trial == t
+    return SessionBatch(trial=np.zeros(keep.sum(), dtype=batch.trial.dtype),
+                        node=batch.node[keep], y=batch.y[keep],
+                        significant=batch.significant[keep], m=batch.m[t:t + 1],
+                        energy_spent=batch.energy_spent[t:t + 1],
+                        truncated=batch.truncated[t:t + 1])
+
+
+def assert_session_is(batch, t, one):
+    """Session t of batch equals the one-session batch one, bit for bit."""
+    mine = batch.trial == t
+    for name in ("node", "y", "significant"):
+        assert getattr(batch, name)[mine].tobytes() == getattr(one, name).tobytes()
+    for name in ("m", "energy_spent", "truncated"):
+        assert getattr(batch, name)[t:t + 1].tobytes() == getattr(one, name).tobytes()
+
+
 def support_of(vec):
     """The support of a dense length-p vector: its nonzero node ids."""
     return set((np.flatnonzero(vec) + 1).tolist())
@@ -518,6 +542,113 @@ def reference_quadtree(side):
             s *= 2
     roots = [0] if side == 1 else [0] + [_flat(b, 1, 0, 0, side) for b in (1, 2, 3)]
     return roots, children
+
+
+def reference_load_corpus(path, target_side):
+    """load_corpus one file at a time: read, rescale and flatten each image
+    column-major, stack the columns and center."""
+    names = sorted(f for f in os.listdir(path) if f.lower().endswith(".pgm"))
+    cols = []
+    for name in names:
+        full = os.path.join(path, name)
+        img = read_pgm(full)   # its errors name the path
+        try:
+            img = box_downscale(img, target_side)
+        except ValueError as exc:
+            raise ValueError(f"{full}: {exc}") from exc
+        cols.append(img.flatten(order="F"))
+    if not cols:
+        raise ValueError(f"no PGM images found in {path}")
+    return TrainingSet.from_raw(np.column_stack(cols))
+
+
+def reference_sense_signal(cfg, dictionary, dict_mean, x, sig_idx=0, note=""):
+    """sense_signal with one sensing call and one reconstruction per (budget,
+    tau) cell, each of the cell's trials on its own generator."""
+    k = cfg.sparsity_for(dictionary.tree.p)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dictionary.atoms.shape[0],):
+        raise ValueError(f"signal of {x.size} entries does not match the dictionary's "
+                         f"atoms of dimension {dictionary.atoms.shape[0]}")
+    c = dictionary.atoms.T @ (x - dict_mean)
+    rows = np.broadcast_to(c, (cfg.trials, len(c)))
+    table = {name: [] for name in CSV_FIELDS}
+    for b, R in enumerate(cfg.budgets):
+        beta = allocate_beta(R, dictionary.tree.d, k)
+        for tau_idx, tau in enumerate(cfg.taus):
+            sense_cfg = SensingConfig(beta=beta, tau=tau, noise_std=cfg.noise_std, budget=R)
+            batch = adaptive_sense_coeffs(rows, dictionary.tree, sense_cfg,
+                                          _trial_rngs(cfg, 1, b, sig_idx, tau_idx))
+            x_hat = reconstruct_from_outcome(batch, dictionary, beta, dict_mean)
+            _extend(table, "adaptive", R, tau, batch.m, range(cfg.trials),
+                    snr_db(x, x_hat), batch.energy_spent, note)
+    return table
+
+
+def reference_compare_methods(cfg, training, dictionary, dict_mean):
+    """compare_methods with its adaptive arm from reference_sense_signal and
+    one wavelet_sense call and one reconstruction per (budget, signal, tau)
+    cell."""
+    n = dictionary.atoms.shape[0]
+    tree = dictionary.tree
+    k = cfg.sparsity_for(tree.p)
+    measurements = [int(m) for m in
+                    cfg.measurements or (tree.p // 4, tree.p // 2, tree.p)]
+    note = "in-sample" if cfg.in_sample else "held-out"
+
+    table = {name: [] for name in CSV_FIELDS}
+    if not cfg.budgets:
+        return table
+    test_matrix = training.data[:, :cfg.test_signals] + training.mean[:, None]
+    n_test = test_matrix.shape[1]
+
+    side = int(round(math.sqrt(n)))
+    is_image = side * side == n and side >= 2 and not (side & (side - 1))
+
+    pca = pca_fit(training)
+    rand_arms = _random_projection_arms(cfg, dictionary, dict_mean, test_matrix,
+                                        measurements, k)
+    # adaptive dictionary sensing at each threshold, per signal budget-major
+    adaptive = [reference_sense_signal(cfg, dictionary, dict_mean, test_matrix[:, sig_idx],
+                                       sig_idx, f"{note};signal={sig_idx}")
+                for sig_idx in range(n_test)]
+    per_budget = len(cfg.taus) * cfg.trials
+    trials = range(cfg.trials)
+    for b, R in enumerate(cfg.budgets):
+        beta_w = math.sqrt(R / (3 * k + 1))   # wavelet arm: nominal m = 3k+1
+        for sig_idx in range(n_test):
+            x = test_matrix[:, sig_idx]
+            tag = f"{note};signal={sig_idx}"
+            for name, column in adaptive[sig_idx].items():
+                table[name] += column[b * per_budget:(b + 1) * per_budget]
+
+            for m in measurements:
+                # PCA at matched measurement count, up to the training data's rank
+                if m <= pca.components.shape[1]:
+                    x_hat = pca_reconstruct(pca, x, R, _trial_noise(cfg, m, 2, b, sig_idx, m))
+                    _extend(table, "pca", R, "", m, trials, snr_db(x, x_hat), R, tag)
+
+                # Lasso and model-CoSaMP rows, alternating per trial (one ensemble per (R, m))
+                alphas, cosamp = rand_arms[m]
+                cols = slice(sig_idx * cfg.trials, (sig_idx + 1) * cfg.trials)
+                coef = np.stack([alphas[b, :, cols], cosamp[b, :, cols]], axis=2)
+                x_hat = dict_mean + _synthesize(dictionary.atoms, coef.reshape(tree.p, -1).T)
+                _extend(table, ["lasso", "model-cosamp"] * cfg.trials, R, "", m,
+                        np.repeat(trials, 2), snr_db(x, x_hat), R, tag)
+
+            # direct wavelet sensing (image signals only)
+            if is_image:
+                img = x.reshape((side, side), order="F")
+                for tau_idx, tau_w in enumerate((0.0, 0.5)):
+                    sense_cfg = SensingConfig(beta=beta_w, tau=tau_w,
+                                              noise_std=cfg.noise_std, budget=R)
+                    batch = wavelet_sense(img, sense_cfg,
+                                          _trial_rngs(cfg, 5, b, sig_idx, tau_idx))
+                    rec = wavelet_reconstruct(batch, side, beta_w)
+                    x_hat = rec.transpose(0, 2, 1).reshape(cfg.trials, n)   # column-major
+                    _extend(table, "wavelet", R, tau_w, batch.m, trials, snr_db(x, x_hat),
+                            batch.energy_spent, tag)
+    return table
 
 
 @pytest.fixture

@@ -13,12 +13,15 @@ from treesense import (CSV_FIELDS, Dictionary, ExperimentConfig, SensingConfig, 
                        adaptive_sense_coeffs, allocate_beta, box_downscale, compare_methods,
                        gaussian_ensemble, harness, lambda_for_sparsity, lasso_solve, load_corpus,
                        make_tree, min_amplitude, model_cosamp, random_tree_sparse,
-                       random_tree_sparse_batch, read_pgm, snr_db, synthetic_corpus,
-                       tree_sparse_rows, verify_theorem, write_csv, write_manifest, write_pgm)
+                       random_tree_sparse_batch, read_pgm, sense_signal, snr_db,
+                       synthetic_corpus, tree_sparse_rows, verify_theorem, write_csv,
+                       write_manifest, write_pgm)
 from treesense.harness import (_extend, _random_projection_arms, apply_config,
                                parse_config_file)
 
-from conftest import reference_table_csv, reference_write_csv, significant_sets
+from conftest import (reference_compare_methods, reference_load_corpus,
+                      reference_sense_signal, reference_table_csv, reference_write_csv,
+                      significant_sets)
 
 
 def test_snr_values():
@@ -144,6 +147,64 @@ def test_load_corpus_constant_image(tmp_path):
     write_pgm(tmp_path / "c.pgm", np.full((8, 8), 0.5))
     tr = load_corpus(tmp_path, 8)
     assert np.allclose(tr.data, 0.0)
+
+
+def write_pgm16(path, img, maxval):
+    """Write a [0, 1] float image as a 16-bit binary PGM of this maxval."""
+    pixels = np.rint(img * maxval).astype(">u2")
+    path.write_bytes(f"P5\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode()
+                     + pixels.tobytes())
+
+
+def mixed_corpus(directory, rng):
+    """8-bit and 16-bit files of two maxvals and two sides, each kind
+    spread over the name order."""
+    for i in range(12):
+        img = rng.uniform(0, 1, (16, 16) if i % 4 == 3 else (8, 8))
+        if i % 3 == 0:
+            write_pgm(directory / f"im{i:02d}.pgm", img)
+        else:
+            write_pgm16(directory / f"im{i:02d}.pgm", img, (1000, 65535)[i % 3 - 1])
+
+
+@pytest.mark.parametrize("target_side", [8, 4, 2])
+def test_load_corpus_matches_per_file_reference(tmp_path, rng, target_side):
+    # at 8 the 8x8 files skip the downscale and the 16x16 ones average
+    # blocks of 2; at 4 and 2 every file is downscaled
+    mixed_corpus(tmp_path, rng)
+    tr, ref = load_corpus(tmp_path, target_side), reference_load_corpus(tmp_path, target_side)
+    assert tr.data.shape == (target_side**2, 12) and tr.data.flags.c_contiguous
+    assert tr.data.tobytes() == ref.data.tobytes()
+    assert tr.mean.tobytes() == ref.mean.tobytes()
+
+
+def test_load_corpus_downscales_each_image_as_it_reads_it(tmp_path, rng):
+    # 24 64x64 files to 4x4: a float copy of all of them at full size takes
+    # 24 * 64 * 64 * 8 bytes = 768 KiB, one image's 32 KiB
+    for i in range(24):
+        write_pgm(tmp_path / f"im{i:02d}.pgm", rng.uniform(0, 1, (64, 64)))
+    load_corpus(tmp_path, 4)   # imports stay out of the peak
+    tracemalloc.start()
+    try:
+        tr = load_corpus(tmp_path, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.data.shape == (16, 24)
+    assert peak <= 2**17, peak
+
+
+@pytest.mark.parametrize("bad", [["im05.pgm"], ["im02.pgm", "im07.pgm"]],
+                         ids=["one", "first_of_two"])
+def test_load_corpus_names_the_first_truncated_file(tmp_path, rng, bad):
+    mixed_corpus(tmp_path, rng)
+    for name in bad:
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes()[:-3])
+    for load in (load_corpus, reference_load_corpus):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / bad[0]))}: "
+                                             r"\d+ bytes of pixel data, expected \d+$"):
+            load(tmp_path, 4)
 
 
 def test_config_file_parsing(tmp_path):
@@ -630,6 +691,55 @@ def test_compare_rows_keep_their_order(rng):
     empty = compare_methods(replace(cfg, budgets=()), training=tr, dictionary=planted,
                             dict_mean=tr.mean)
     assert empty == {name: [] for name in CSV_FIELDS}
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("noise_std", [1.0, 0.0])
+@pytest.mark.parametrize("chunk", [None, 5], ids=["one_chunk", "chunks_of_5"])
+def test_sense_signal_matches_per_cell_reference(monkeypatch, rng, trials, noise_std, chunk):
+    # sensing the (budget, tau, trial) sessions together, in one call or in
+    # chunks of 5 that split cells, gives the per-cell calls' table, value
+    # for value and type for type; the small budgets truncate
+    tree = make_tree(2, 5)
+    X, planted, _ = synthetic_corpus(12, 8, tree, 6, rng, amp=2.0)
+    cfg = ExperimentConfig(mode="sense", budgets=(256.0, 24, 3.5), taus=(0, 0.5, 2.0),
+                           trials=trials, seed=11, noise_std=noise_std, target_sparsity=6)
+    mean = X.mean(axis=1)
+    ref = reference_sense_signal(cfg, planted, mean, X[:, 3], 2, "n")
+    if chunk:
+        monkeypatch.setattr(harness, "_SESSION_ENTRIES", chunk * 64)
+    sizes = []
+
+    def recording_sense(alpha, *args):
+        sizes.append(len(alpha))
+        return adaptive_sense_coeffs(alpha, *args)
+
+    monkeypatch.setattr(harness, "adaptive_sense_coeffs", recording_sense)
+    table = sense_signal(cfg, planted, mean, X[:, 3], 2, "n")
+    assert repr(table) == repr(ref)
+    assert len(table["m"]) == 9 * trials and max(table["m"]) == 3 * 6
+    size = max(trials, chunk or 9 * trials)
+    assert sizes == [size] * (9 * trials // size) + [9 * trials % size] * (9 * trials % size > 0)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("chunk", [None, 5], ids=["one_chunk", "chunks_of_5"])
+def test_compare_methods_matches_per_cell_reference(monkeypatch, rng, trials, chunk):
+    # the adaptive and wavelet arms, each sensing a signal's sessions
+    # together, in one call or in chunks of 5, give the per-cell calls' rows
+    # in the per-cell order
+    tree = make_tree(2, 5)
+    X, planted, _ = synthetic_corpus(20, 8, tree, 6, rng)
+    tr = TrainingSet.from_raw(X)
+    cfg = ExperimentConfig(mode="compare", budgets=(64.0, 16, 2.5), taus=(0, 0.5),
+                           measurements=(6, 12), trials=trials, seed=9, test_signals=2,
+                           target_sparsity=6)
+    ref = reference_compare_methods(cfg, training=tr, dictionary=planted, dict_mean=tr.mean)
+    if chunk:
+        monkeypatch.setattr(harness, "_SESSION_ENTRIES", chunk * 64)
+    table = compare_methods(cfg, training=tr, dictionary=planted, dict_mean=tr.mean)
+    assert repr(table) == repr(ref)
+    assert table["method"].count("wavelet") == 3 * 2 * 2 * trials
 
 
 def test_compare_runs_pca_up_to_the_numerical_rank(rng):

@@ -1,7 +1,8 @@
 """Property tests (hypothesis): traversal invariants of adaptive_sense_coeffs
 over random trees, supports, beta, tau and budgets; the array traversal
 engine against the scalar reference, session by session, on d-ary trees and
-the Haar quadtrees; is_tree_sparse against its set-loop reference; the
+the Haar quadtrees; a call with one config per session against one-session
+calls; is_tree_sparse against its set-loop reference; the
 batched tree projection against the per-node reference DP; plus round trips
 through tree_project_batch and the Haar transform."""
 
@@ -13,8 +14,9 @@ from treesense import (SensingConfig, adaptive_sense_coeffs, haar2, ihaar2, is_t
                        make_tree, random_tree_sparse, random_tree_sparse_batch,
                        tree_project_batch, tree_sparse_rows, wavelet_sense)
 
-from conftest import (reference_is_tree_sparse, reference_project, reference_quadtree,
-                      reference_traversal, significant_set, support_of)
+from conftest import (assert_session_is, reference_is_tree_sparse, reference_project,
+                      reference_quadtree, reference_traversal, session, significant_set,
+                      support_of)
 
 # (d, L) with p <= 121, so one example stays in the millisecond range
 TREES = ([(2, L) for L in range(1, 7)] + [(3, L) for L in range(1, 5)]
@@ -120,6 +122,52 @@ def test_batch_trials_equal_scalar_reference(shape, trials, seed, cfg, data):
         ref = reference_traversal(lambda j: float(dense[t, j - 1]), tree.children, [1],
                                   cfg, _Replay(noise[batch.trial == t]))
         assert_matches_reference(batch, t, ref)
+
+
+@st.composite
+def config_lists(draw, trials):
+    """`trials` configs drawn from a pool of up to three, so that sessions
+    share some and differ in others; tau = 0, noise_std = 0 and budgets that
+    cannot afford a full traversal (those below 3 often truncate) all come
+    up often."""
+    pool = draw(st.lists(st.builds(
+        SensingConfig, beta=st.floats(0.1, 3.0),
+        tau=st.just(0.0) | st.floats(0.0, 3.0),
+        noise_std=st.sampled_from([0.0, 0.5, 1.0]),
+        budget=st.none() | st.floats(0.01, 3.0) | st.floats(0.01, 100.0)),
+        min_size=1, max_size=3))
+    return draw(st.lists(st.sampled_from(pool), min_size=trials, max_size=trials))
+
+
+@SETTINGS
+@given(st.sampled_from(TREES), st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+def test_a_list_of_configs_equals_one_session_calls(shape, trials, seed, data):
+    tree = make_tree(*shape)
+    cfgs = data.draw(config_lists(trials))
+    k = data.draw(st.integers(1, tree.p))
+    dense = tree_sparse_rows(tree, *random_tree_sparse_batch(
+        tree, k, 0.5, 2.0, np.random.default_rng([seed, 2]), trials))
+    img = np.random.default_rng([seed, 1]).standard_normal((8, 8))
+    for call in (lambda cfg, rng, t=slice(None): adaptive_sense_coeffs(dense[t], tree, cfg, rng),
+                 lambda cfg, rng, t=None: wavelet_sense(img, cfg, rng)):
+        gens = [np.random.default_rng([seed, t]) for t in range(trials)]
+        refs = [np.random.default_rng([seed, t]) for t in range(trials)]
+        batch = call(cfgs, gens)
+        for t in range(trials):
+            assert_session_is(batch, t, call(cfgs[t], refs[t], t))
+            assert gens[t].bit_generator.state == refs[t].bit_generator.state
+        # with one generator that all sessions share, a quiet session draws
+        # nothing, so the loud ones draw what a call on them alone draws
+        loud = [t for t in range(trials) if cfgs[t].noise_std > 0]
+        shared, alone = np.random.default_rng([seed, 3]), np.random.default_rng([seed, 3])
+        batch = call(cfgs, shared)
+        if loud:
+            ref = call([cfgs[t] for t in loud], alone, loud)
+            for j, t in enumerate(loud):
+                assert_session_is(batch, t, session(ref, j))
+        assert shared.bit_generator.state == alone.bit_generator.state
+        for t in set(range(trials)) - set(loud):
+            assert_session_is(batch, t, call(cfgs[t], None, t))
 
 
 @SETTINGS

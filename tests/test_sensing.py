@@ -9,7 +9,7 @@ from treesense import (Dictionary, SensingConfig, SessionBatch, adaptive_sense_c
                        reconstruct_from_outcome, tree_sparse_rows, two_stage_estimate_coeffs,
                        wavelet_reconstruct, wavelet_sense)
 
-from conftest import significant_set, support_of
+from conftest import assert_session_is, session, significant_set, support_of
 
 
 def identity_dict(tree):
@@ -112,16 +112,6 @@ def test_batch_of_empty_supports():
     # and a batch of no sessions measures nothing
     batch = adaptive_sense_coeffs(np.zeros((0, t.p)), t, cfg, np.random.default_rng(5))
     assert len(batch.m) == 0 and len(batch.node) == 0
-
-
-def session(batch, t):
-    """Session t of a SessionBatch, as a one-session batch."""
-    keep = batch.trial == t
-    return SessionBatch(trial=np.zeros(keep.sum(), dtype=batch.trial.dtype),
-                        node=batch.node[keep], y=batch.y[keep],
-                        significant=batch.significant[keep], m=batch.m[t:t + 1],
-                        energy_spent=batch.energy_spent[t:t + 1],
-                        truncated=batch.truncated[t:t + 1])
 
 
 def join_sessions(*batches):
@@ -309,15 +299,6 @@ def generators(seed=7):
     return [np.random.default_rng([seed, t]) for t in range(T)]
 
 
-def assert_session_is(batch, t, one):
-    """Session t of batch equals the one-session batch one, bit for bit."""
-    mine = batch.trial == t
-    for name in ("node", "y", "significant"):
-        assert getattr(batch, name)[mine].tobytes() == getattr(one, name).tobytes()
-    for name in ("m", "energy_spent", "truncated"):
-        assert getattr(batch, name)[t:t + 1].tobytes() == getattr(one, name).tobytes()
-
-
 def assert_next_draws_match(gens, refs):
     assert [g.random() for g in gens] == [r.random() for r in refs]
 
@@ -328,25 +309,36 @@ def sparse_rows(tree, k=4, seed=3):
                                                             np.random.default_rng(seed), T))
 
 
-@pytest.mark.parametrize("cfg", CONFIGS)
+# a list of one config per session: every config of CONFIGS at least once,
+# some twice, in no order
+MIXED = [CONFIGS[j] for j in (1, 0, 3, 1, 2)]
+
+
+def own(cfg, row):
+    """Session row's config: cfg[row] of a list, else cfg."""
+    return cfg[row] if isinstance(cfg, list) else cfg
+
+
+@pytest.mark.parametrize("cfg", CONFIGS + [MIXED])
 def test_batch_with_generators_equals_one_session_calls(cfg):
     t = make_tree(3, 4)
     dense = sparse_rows(t)
     gens, refs = generators(), generators()
     batch = adaptive_sense_coeffs(dense, t, cfg, tuple(gens))   # a tuple serves too
     for row in range(T):
-        assert_session_is(batch, row, adaptive_sense_coeffs(dense[row], t, cfg, refs[row]))
+        assert_session_is(batch, row,
+                          adaptive_sense_coeffs(dense[row], t, own(cfg, row), refs[row]))
     assert_next_draws_match(gens, refs)
 
 
-@pytest.mark.parametrize("cfg", CONFIGS)
+@pytest.mark.parametrize("cfg", CONFIGS + [MIXED])
 def test_wavelet_sense_with_generators_equals_one_session_calls(cfg):
     img = np.random.default_rng(4).standard_normal((8, 8))
     gens, refs = generators(), generators()
     batch = wavelet_sense(img, cfg, gens)
     assert len(batch.m) == T
     for row in range(T):
-        assert_session_is(batch, row, wavelet_sense(img, cfg, refs[row]))
+        assert_session_is(batch, row, wavelet_sense(img, own(cfg, row), refs[row]))
     assert_next_draws_match(gens, refs)
 
 
@@ -367,6 +359,57 @@ def test_two_stage_with_generators_equals_one_vector_calls(noise_std):
     assert_next_draws_match(gens, refs)
 
 
+def test_a_list_of_betas_reconstructs_each_session_with_its_own(rng):
+    t = make_tree(3, 4)
+    Q, _ = np.linalg.qr(rng.standard_normal((50, t.p)))
+    d, mean = Dictionary(atoms=Q, tree=t), rng.standard_normal(50)
+    betas = np.array([cfg.beta for cfg in MIXED])
+    batch = adaptive_sense_coeffs(sparse_rows(t), t, MIXED, generators())
+    x_hat = reconstruct_from_outcome(batch, d, betas, mean)
+    waves = wavelet_sense(np.random.default_rng(4).standard_normal((8, 8)), MIXED, generators())
+    rec = wavelet_reconstruct(waves, 8, betas)
+    for row in range(T):
+        own = reconstruct_from_outcome(session(batch, row), d, betas[row], mean)
+        assert x_hat[row].tobytes() == own[0].tobytes()
+        assert rec[row].tobytes() == wavelet_reconstruct(session(waves, row), 8,
+                                                         betas[row])[0].tobytes()
+    for bad in (betas[:2], np.append(betas, 1.0), betas[:, None]):
+        with pytest.raises(ValueError, match=f"^{bad.size} betas for {T} sessions"):
+            reconstruct_from_outcome(batch, d, bad)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        wavelet_reconstruct(waves, 8, np.where(np.arange(T) == 3, 0.0, betas))
+
+
+def test_a_list_of_configs_of_the_wrong_length_names_both_lengths():
+    t = make_tree(2, 3)
+    dense = sparse_rows(t, k=2)
+    for call in (lambda: adaptive_sense_coeffs(dense, t, MIXED[:3], generators()),
+                 lambda: adaptive_sense_coeffs(dense, t, MIXED[:3], np.random.default_rng(1))):
+        with pytest.raises(ValueError, match=f"^3 configs for {T} sessions"):
+            call()
+    # wavelet_sense takes its session count from the first list: the
+    # generators' list must match it
+    with pytest.raises(ValueError, match=f"^{T} generators for 3 rows"):
+        wavelet_sense(np.eye(4), MIXED[:3], generators())
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own_generators", "one_generator"])
+def test_a_quiet_session_among_loud_ones_keeps_its_signed_zeros(shared):
+    # a noiseless session of a mixed call adds -0.0 where a loud one adds
+    # noise; x + -0.0 is x, so a -0.0 measurement stays -0.0, as in its
+    # one-session call, which adds nothing
+    t = make_tree(2, 3)
+    dense = np.full((2, t.p), -0.0)
+    dense[0] = 1.0
+    cfgs = [SensingConfig(beta=1.0, tau=0.0, noise_std=1.0),
+            SensingConfig(beta=1.0, tau=0.0, noise_std=0.0)]
+    rng = np.random.default_rng(5) if shared else [np.random.default_rng([5, s]) for s in (0, 1)]
+    batch = adaptive_sense_coeffs(dense, t, cfgs, rng)
+    one = adaptive_sense_coeffs(dense[1], t, cfgs[1], None)
+    assert one.y.tobytes() == np.full(t.p, -0.0).tobytes()
+    assert_session_is(batch, 1, one)
+
+
 def test_a_list_of_the_wrong_length_names_both_lengths():
     t = make_tree(2, 3)
     cfg = SensingConfig(beta=1.0, tau=0.5)
@@ -384,7 +427,9 @@ def test_an_empty_list_senses_no_sessions():
     t = make_tree(2, 3)
     cfg = SensingConfig(beta=1.0, tau=0.5)
     for batch in (adaptive_sense_coeffs(np.zeros((0, t.p)), t, cfg, []),
-                  wavelet_sense(np.ones((4, 4)), cfg, [])):
+                  adaptive_sense_coeffs(np.zeros((0, t.p)), t, [], []),
+                  wavelet_sense(np.ones((4, 4)), cfg, []),
+                  wavelet_sense(np.ones((4, 4)), [], [])):
         assert len(batch.m) == len(batch.node) == 0
     estimate, batch = two_stage_estimate_coeffs(np.zeros((0, t.p)), t, 30.0, 2, [],
                                                 alpha_min=1.0)
