@@ -12,6 +12,8 @@ the dictionary step is an orthogonal Procrustes problem.
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -88,10 +90,13 @@ class LearnConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if not self.lam > 0:   # rejects nan too
-            raise ValueError("lam must be positive")
-        if self.outer_iters < 1:
-            raise ValueError("outer_iters must be >= 1")
+        # nan fails every comparison, so each check rejects it
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if not (isinstance(self.outer_iters, numbers.Integral) and self.outer_iters >= 1):
+            raise ValueError(f"outer_iters must be an integer >= 1, got {self.outer_iters!r}")
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be nonnegative, got {self.tol}")
 
 
 def _columns(a, tree):
@@ -142,9 +147,23 @@ def tree_prox(v, tree, threshold, norm="l2"):
 
     Composes the one-group prox operators deepest group first (Jenatton
     et al., JMLR 2011); accepts a vector or a (p, q) matrix of columns.  Both
-    norms run a level at a time, since the groups of one level are disjoint.
-    l2: a group's energy is its node's plus scale^2 * each child group's, and
-    an entry's final scale is the product of its node's and its ancestors'.
+    norms run a level at a time, since the groups of one level are disjoint,
+    and in heap order a level is a contiguous slice whose nodes' children are
+    a reshape(hi - lo, d, q) of the next level.
+
+    l2 works in place on one energy buffer, the squared entries.  Deepest
+    level first, a level adds its children's already-shrunk energies, writes
+    the group norms into its slice of the scale array, turns them into
+    s = 1 - t / max(norm, t), which is 0 where norm <= t, and shrinks its
+    energies by s * s.  Then each level's scales are multiplied by their
+    parents' through the same reshape, and the columns by their scales.
+    Threshold 0 and inf need no division: at 0, s is 1 where norm > 0 and 0
+    elsewhere; at inf every entry is multiplied by 0.  Entries of v that are
+    nan or inf, and squares that overflow, are not rejected: they give the
+    bits of s = 1 - t / norm where norm > t and s = 0 elsewhere, so a nan
+    norm gives s = 0 and an infinite one s = 1 (nan entries stay nan, and
+    inf times a zero scale is nan).
+
     linf: each group loses its projection onto the l1 ball of radius
     threshold, with a level's groups gathered as one array.
     """
@@ -154,7 +173,7 @@ def tree_prox(v, tree, threshold, norm="l2"):
         raise ValueError("norm must be 'l2' or 'linf'")
     U = np.array(v, dtype=float)
     cols = _columns(U, tree)
-    q, starts = cols.shape[1], tree.level_starts
+    q, d, starts = cols.shape[1], tree.d, tree.level_starts
     if norm == "linf":
         if threshold == 0:   # every group's l1 ball is {0}
             return U
@@ -163,26 +182,37 @@ def tree_prox(v, tree, threshold, norm="l2"):
             spans = list(zip(starts[lvl:-1], starts[lvl + 1:]))   # this level and every deeper one
             # G[r, c] is group r's column c, contiguous, so its sum and sort see
             # the same values in the same order as they would for one group
-            G = np.concatenate([cols[s:e].reshape(hi - lo, -1, q) for s, e in spans],
-                               axis=1).transpose(0, 2, 1).copy()
+            G = np.concatenate([cols[s:e].reshape(hi - lo, (e - s) // (hi - lo), q)
+                                for s, e in spans], axis=1).transpose(0, 2, 1).copy()
             out = (G - _l1_projection(G, threshold)).transpose(0, 2, 1)
             ends = np.cumsum([e - s for s, e in spans]) // (hi - lo)
             for (s, e), block in zip(spans, np.split(out, ends[:-1], axis=1)):
-                cols[s:e] = block.reshape(-1, q)
+                cols[s:e] = block.reshape(e - s, q)
         return U
 
+    if threshold == np.inf:   # no group's norm is above it
+        cols *= 0.0
+        return U
+    energy = cols * cols
     scale = np.empty_like(cols)
-    shrunk = np.empty_like(cols)   # group energy after the group's own step
+    work = np.empty_like(cols)   # a level's child energies, then its s * s
     for lvl in reversed(range(tree.depth)):
         lo, hi = starts[lvl], starts[lvl + 1]
-        energy = cols[lo:hi] ** 2
+        e, s, w = energy[lo:hi], scale[lo:hi], work[lo:hi]
         if lvl + 1 < tree.depth:
-            energy += shrunk[hi:starts[lvl + 2]].reshape(hi - lo, tree.d, -1).sum(axis=1)
-        norms = np.sqrt(energy)
-        s = np.where(norms > threshold, 1.0 - threshold / np.where(norms > 0, norms, 1.0), 0.0)
-        scale[lo:hi], shrunk[lo:hi] = s, s * s * energy
+            e += energy[hi:starts[lvl + 2]].reshape(hi - lo, d, q).sum(axis=1, out=w)
+        np.sqrt(e, out=s)
+        if threshold == 0:
+            np.greater(s, 0.0, out=s)
+        else:   # fmax: a nan norm becomes t, so its s is 1 - t/t = 0
+            np.fmax(s, threshold, out=s)
+            np.divide(threshold, s, out=s)
+            np.subtract(1.0, s, out=s)
+        e *= np.multiply(s, s, out=w)
     for lvl in range(1, tree.depth):   # multiply each parent's scale down
-        scale[starts[lvl]:starts[lvl + 1]] *= np.repeat(scale[starts[lvl - 1]:starts[lvl]], tree.d, axis=0)
+        lo, hi = starts[lvl - 1], starts[lvl]
+        kids = scale[hi:starts[lvl + 1]].reshape(hi - lo, d, q)
+        kids *= scale[lo:hi, None]
     cols *= scale
     return U
 

@@ -8,8 +8,10 @@ references are the scalar loops the library's array engines replaced, the
 support growers are list loops and their law is pushed forward set by set,
 the projection reference is a per-node DP, the model-CoSaMP reference solves
 one problem at a time with lstsq and that DP, the CSV references write one row
-dict at a time or a table through csv.writer, and the prox oracle (in
-test_prox) is a KKT / duality-gap certificate built from per-group duals.
+dict at a time or a table through csv.writer, the l2 prox reference is the
+level kernel with fresh arrays that the in-place one replaced, and the prox
+oracle (in test_prox) is a KKT / duality-gap certificate built from
+per-group duals.
 
 Hypothesis runs with random examples by default; HYPOTHESIS_PROFILE=ci
 selects a derandomized profile without deadlines.
@@ -459,6 +461,31 @@ def uniform_growth_law(tree, k, max_depth=None):
                 nxt[grown] = nxt.get(grown, 0.0) + prob / len(boundary)
         law = nxt
     return law
+
+
+def reference_tree_prox(v, tree, threshold):
+    """The l2 tree_prox as a level kernel with a fresh array per step, which
+    the in-place kernel replaced, kept verbatim: deepest level first, a
+    group's energy is its node's plus its child groups' shrunk energies, its
+    scale 1 - threshold / norm where norm > threshold and 0 elsewhere; the
+    scales are then multiplied down through np.repeat."""
+    U = np.array(v, dtype=float)
+    cols = U.reshape(tree.p, -1)
+    starts = tree.level_starts
+    scale = np.empty_like(cols)
+    shrunk = np.empty_like(cols)   # group energy after the group's own step
+    for lvl in reversed(range(tree.depth)):
+        lo, hi = starts[lvl], starts[lvl + 1]
+        energy = cols[lo:hi] ** 2
+        if lvl + 1 < tree.depth:
+            energy += shrunk[hi:starts[lvl + 2]].reshape(hi - lo, tree.d, -1).sum(axis=1)
+        norms = np.sqrt(energy)
+        s = np.where(norms > threshold, 1.0 - threshold / np.where(norms > 0, norms, 1.0), 0.0)
+        scale[lo:hi], shrunk[lo:hi] = s, s * s * energy
+    for lvl in range(1, tree.depth):   # multiply each parent's scale down
+        scale[starts[lvl]:starts[lvl + 1]] *= np.repeat(scale[starts[lvl - 1]:starts[lvl]], tree.d, axis=0)
+    cols *= scale
+    return U
 
 
 def reference_write_csv(path, rows):

@@ -134,6 +134,17 @@ def test_learn_config_rejects_nonpositive_lam():
             LearnConfig(lam=lam)
 
 
+@pytest.mark.parametrize("field,value", [("lam", np.inf), ("tol", -1.0), ("tol", np.nan),
+                                         ("outer_iters", 2.5)],
+                         ids=["lam-inf", "tol-negative", "tol-nan", "outer_iters-fractional"])
+def test_learn_config_rejects_values_that_fail_later(field, value):
+    # an infinite lam, a negative or nan tol (learn would never stop on it)
+    # and a fractional outer_iters (a TypeError in range()) fail when the
+    # config is made, naming the field
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        LearnConfig(**{"lam": 0.1, field: value})
+
+
 def test_learn_rejects_p_larger_than_n(rng):
     tree = make_tree(2, 4)  # p = 15
     tr = TrainingSet.from_raw(rng.standard_normal((8, 20)))

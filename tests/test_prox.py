@@ -2,9 +2,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from treesense import make_tree, tree_group_penalty, tree_prox
-from conftest import group_list
+from conftest import group_list, reference_tree_prox
 
 # every tree with p <= 7 (acceptance criterion 5)
 SMALL_TREES = [(2, 1), (2, 2), (2, 3), (3, 2), (4, 2), (5, 2), (6, 2)]
@@ -83,6 +86,111 @@ def test_prox_zero_pattern_is_rooted_connected(rng):
         v = rng.standard_normal(t.p) * rng.uniform(0.5, 3)
         out = tree_prox(v, t, rng.uniform(0.1, 1.0), "l2")
         assert is_tree_sparse(out, t, tol=1e-12)
+
+
+@pytest.mark.parametrize("norm", ["l2", "linf"])
+@pytest.mark.parametrize("threshold", [0.0, 0.5, np.inf])
+def test_prox_and_penalty_of_zero_columns(norm, threshold):
+    t = make_tree(2, 3)
+    out = tree_prox(np.zeros((t.p, 0)), t, threshold, norm)
+    assert out.shape == (t.p, 0)
+    assert tree_group_penalty(np.zeros((t.p, 0)), t, norm).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# The in-place l2 kernel against the level kernel it replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+# d in {2, 3, 4} and L = 1..7, up to p = 5461
+PARITY_TREES = [(d, L) for d in (2, 3, 4) for L in range(1, 8)]
+
+
+def reference_bits(v, tree, threshold):
+    # the reference divides threshold by every norm before discarding the
+    # quotients of the small ones, so a huge threshold overflows there
+    with np.errstate(all="ignore"):
+        return reference_tree_prox(v, tree, threshold).tobytes()
+
+
+@pytest.mark.parametrize("d,L", PARITY_TREES)
+def test_l2_prox_bytes_equal_reference(d, L):
+    """Seeded: q in {0, 1, 5, 64}, entries scaled by 1e-150 .. 1e150 with
+    +0.0 and -0.0 among them and an all-zero column, thresholds 0, the
+    smallest subnormal, 1e-300, two typical values, 1e300 and inf.  The
+    kernel itself raises no floating-point warning on these (the suite
+    turns one into an error)."""
+    rng = np.random.default_rng([11, d, L])
+    tree = make_tree(d, L)
+    for q in (0, 1, 5, 64):
+        for exponent in (-150, -40, 0, 40, 150):
+            V = rng.standard_normal((tree.p, q)) * 10.0 ** exponent
+            V[rng.random(V.shape) < 0.2] = 0.0
+            V[rng.random(V.shape) < 0.2] = -0.0
+            if q > 1:
+                V[:, 1] = 0.0
+            norm = float(np.sqrt(np.sum(V[:, :1] ** 2)))
+            for thr in (0.0, 5e-324, 1e-300, 0.1 * norm, 0.7 * norm, 1e300, np.inf):
+                want = reference_bits(V, tree, thr)
+                assert tree_prox(V, tree, thr).tobytes() == want, (q, exponent, thr)
+                if q == 1:
+                    assert tree_prox(V[:, 0], tree, thr).tobytes() == want
+
+
+def test_l2_prox_pins_signed_zeros_at_infinite_threshold():
+    # every group's norm is below inf: each entry is multiplied by 0, and
+    # keeps its sign
+    v = np.array([1.0, -2.0, 0.0, 3.0, -0.0, 1.0, 2.0])
+    out = tree_prox(v, make_tree(2, 3), np.inf)
+    assert out.tobytes() == np.array([0.0, -0.0, 0.0, 0.0, -0.0, 0.0, 0.0]).tobytes()
+
+
+def test_l2_prox_zero_threshold_zeroes_underflowing_groups():
+    # 1e-170 squares to 0: a group whose energy underflows has norm 0, which
+    # is not above threshold 0, so its scale is 0, as in the reference
+    tree = make_tree(2, 2)
+    v = np.array([1.0, 1e-170, -1e-170])
+    out = tree_prox(v, tree, 0.0)
+    assert out.tobytes() == np.array([1.0, 0.0, -0.0]).tobytes() == reference_bits(v, tree, 0.0)
+
+
+@pytest.mark.parametrize("thr", [0.0, 0.5, 1e300, np.inf])
+def test_l2_prox_nonfinite_entries_give_the_reference_bits(thr):
+    """nan and inf entries are not rejected: a nan norm is not above the
+    threshold (scale 0), an infinite one gives scale 1, and the result is
+    the reference's, bit for bit, with nan left where the products make it."""
+    tree = make_tree(2, 3)
+    rng = np.random.default_rng(11)
+    V = rng.standard_normal((tree.p, 6))
+    V[3, 0], V[1, 1], V[6, 2], V[0, 3] = np.nan, np.inf, -np.inf, np.nan
+    V[4, 4], V[2, 5] = 1e200, -np.nan
+    with np.errstate(all="ignore"):
+        out = tree_prox(V, tree, thr)
+    assert out.tobytes() == reference_bits(V, tree, thr)
+    if 0 < thr < np.inf:
+        # column 0: the nan zeroes its ancestors' groups, nodes 1 and 2
+        assert np.isnan(out[3, 0]) and out[0, 0] == out[1, 0] == 0.0
+
+
+@st.composite
+def prox_problems(draw):
+    """A tree, a (p, q) matrix of any float64 entries (nan, inf, subnormals
+    and signed zeros included) and a threshold, edge values weighted in."""
+    d, L = draw(st.sampled_from([t for t in PARITY_TREES if t[0] ** t[1] <= 256]))
+    tree = make_tree(d, L)
+    q = draw(st.sampled_from([0, 1, 5, 64]))
+    V = draw(arrays(np.float64, (tree.p, q), elements=st.floats(width=64)))
+    thr = draw(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, np.inf])
+               | st.floats(min_value=0.0))
+    return tree, V, thr
+
+
+@settings(max_examples=200, deadline=None)
+@given(prox_problems())
+def test_l2_prox_bytes_equal_reference_on_any_input(problem):
+    tree, V, thr = problem
+    with np.errstate(all="ignore"):
+        out = tree_prox(V, tree, thr)
+    assert out.tobytes() == reference_bits(V, tree, thr)
 
 
 # ---------------------------------------------------------------------------
