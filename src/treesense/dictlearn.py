@@ -118,7 +118,8 @@ def tree_group_penalty(a, tree, norm="l2"):
         raise ValueError("norm must be 'l2' or 'linf'")
     a = np.asarray(a, dtype=float)
     cols = _columns(a, tree)
-    agg = cols * cols if norm == "l2" else np.abs(cols)
+    # a C-ordered working copy: its level slices are contiguous rows
+    agg = np.multiply(cols, cols, order="C") if norm == "l2" else np.abs(cols, order="C")
     combine = np.add if norm == "l2" else np.maximum
     starts = tree.level_starts
     for lvl in reversed(range(tree.depth - 1)):
@@ -146,7 +147,8 @@ def tree_prox(v, tree, threshold, norm="l2"):
     """Exact prox of threshold * Omega at v for the tree's groups.
 
     Composes the one-group prox operators deepest group first (Jenatton
-    et al., JMLR 2011); accepts a vector or a (p, q) matrix of columns.  Both
+    et al., JMLR 2011); accepts a vector or a (p, q) matrix of columns, in
+    any layout, and returns a new C-ordered array of its shape.  Both
     norms run a level at a time, since the groups of one level are disjoint,
     and in heap order a level is a contiguous slice whose nodes' children are
     a reshape(hi - lo, d, q) of the next level.
@@ -171,7 +173,7 @@ def tree_prox(v, tree, threshold, norm="l2"):
         raise ValueError("threshold must be nonnegative")
     if norm not in ("l2", "linf"):
         raise ValueError("norm must be 'l2' or 'linf'")
-    U = np.array(v, dtype=float)
+    U = np.array(v, dtype=float, order="C")   # level slices are contiguous rows
     cols = _columns(U, tree)
     q, d, starts = cols.shape[1], tree.d, tree.level_starts
     if norm == "linf":

@@ -354,19 +354,19 @@ def _fields(entries):
 
 
 def _column(column, n):
-    """A table entry's n fields, each column formatted once: a float64 or
-    string array one distinct value at a time, any other array entry by
-    entry with str() (so a float32 is not cut to 12 digits), a list entry
-    by entry, a scalar once for every row."""
+    """A table entry's n fields, each column formatted once: a float64,
+    integer, bool or string array one distinct value at a time, any other
+    array entry by entry with str() (so a float32 is not cut to 12
+    digits), a list entry by entry, a scalar once for every row."""
     if not isinstance(column, np.ndarray):
         return _fields(column) if isinstance(column, list) else _fields([column]) * n
     if column.dtype == np.float64:
         # one format per distinct bit pattern (so -0.0 stays apart from 0.0)
         bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
         values = bits.view(np.float64)
-    elif column.dtype.kind == "U":
+    elif column.dtype.kind in "Ubiu":
         values, inverse = np.unique(column, return_inverse=True)
-    elif column.dtype.kind in "biufc":   # numbers: no field to quote
+    elif column.dtype.kind in "fc":   # numbers: no field to quote
         return list(map(str, column.tolist()))
     else:   # objects, which np.unique cannot sort when they mix None and str
         return _fields([v if v is None else str(v) for v in column.tolist()])
@@ -413,14 +413,18 @@ def _sense_block(nodes, values, alpha, tree, cfg, rng, reach):
     significant nodes and S = nodes[t].  One (trials, reach + 1) byte map
     of the values' signs gives both the coefficients, alpha times the sign,
     and the support; its last column stays zero, and every node past reach
-    reads it.  A support node that was never measured is a miss."""
+    reads it.  Both read the map through its flat index
+    t * (reach + 1) + min(i, reach), one 1-D gather each.  A support node
+    that was never measured is a miss."""
     trials, k = nodes.shape
     sign = np.zeros((trials, reach + 1), dtype=np.int8)
     sign[np.arange(trials)[:, None], nodes - 1] = np.sign(values)
-    batch = _sense_tree(lambda t, i: alpha * sign[t, np.minimum(i, reach)], tree, trials,
-                        cfg, rng)
+    flat = sign.ravel()
+    batch = _sense_tree(lambda t, i: alpha * flat[t * (reach + 1) + np.minimum(i, reach)],
+                        tree, trials, cfg, rng)
     t_sig = batch.trial[batch.significant]
-    hit = sign[t_sig, np.minimum(batch.node[batch.significant] - 1, reach)] != 0
+    at = np.minimum(batch.node[batch.significant] - 1, reach)
+    hit = flat[t_sig * (reach + 1) + at] != 0
     return (batch.m, batch.energy_spent, batch.truncated,
             np.bincount(t_sig[~hit], minlength=trials),
             k - np.bincount(t_sig[hit], minlength=trials))

@@ -103,25 +103,26 @@ def _meter(beta, budget, n):
 
 
 def _session_params(cfg, trials, n):
-    """beta, tau, noise_std and limit of every session, as arrays of one
-    entry per session, and each session's meter: meters[start[t] + j] is
-    session t's energy after j measurements.  cfg is one config for all
-    sessions or a list or tuple of one per session; each distinct config
-    has its own meter, so a session spends what a one-session call on its
-    config does."""
-    if isinstance(cfg, (list, tuple)):
-        if len(cfg) != trials:
-            raise ValueError(f"{len(cfg)} configs for {trials} sessions: pass one config, "
-                             "or a list of one per session")
-        index = {}
-        which = np.array([index.setdefault(c, len(index)) for c in cfg], dtype=np.int64)
-        configs = list(index)
-    else:
-        configs, which = [cfg], np.zeros(trials, dtype=np.int64)
-    meters = [_meter(c.beta, c.budget, n) for c in configs]
+    """beta, tau, noise_std and limit of the sessions, and their meters:
+    meters[start + j] is a session's energy after j measurements.  cfg is
+    one config for all sessions, whose parameters come back as single
+    values (start is 0) that broadcast over any frontier, or a list or
+    tuple of one per session, whose parameters and starts come back as
+    arrays of one entry per session; each distinct config has its own
+    meter, so a session spends what a one-session call on its config
+    does."""
+    if not isinstance(cfg, (list, tuple)):
+        meter, limit = _meter(cfg.beta, cfg.budget, n)
+        return cfg.beta, cfg.tau, cfg.noise_std, limit, meter, 0
+    if len(cfg) != trials:
+        raise ValueError(f"{len(cfg)} configs for {trials} sessions: pass one config, "
+                         "or a list of one per session")
+    index = {}
+    which = np.array([index.setdefault(c, len(index)) for c in cfg], dtype=np.int64)
+    meters = [_meter(c.beta, c.budget, n) for c in index]
     start = np.cumsum([0] + [len(meter) for meter, _ in meters])[:-1]
     beta, tau, noise_std = np.array([(c.beta, c.tau, c.noise_std)
-                                     for c in configs]).reshape(-1, 3).T
+                                     for c in index]).reshape(-1, 3).T
     limit = np.array([limit for _, limit in meters], dtype=np.int64)
     return (beta[which], tau[which], noise_std[which], limit[which],
             np.concatenate([np.empty(0)] + [meter for meter, _ in meters]), start[which])
@@ -138,19 +139,21 @@ def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
     Every session starts from the positions `roots`; coeff(t, i) returns the
     noiseless coefficients at positions i of trials t.  cfg is one
     SensingConfig, which every session uses, or a list of one per session,
-    each with its own beta, tau, noise_std and budget; rng is one generator
-    or a list of one per session (_generators).  The frontier is a flat
-    list of (trial, position) pairs sorted by trial, then position, which
-    within a trial is the order a FIFO queue would measure them in.  Noise
-    is drawn level by level, in frontier order, by _normals, so one session
-    draws exactly the values of one scalar draw per measurement, and a
-    session whose noise_std is 0 draws nothing and adds -0.0, which leaves
-    its values as they are.  Returns a SessionBatch whose nodes are
-    positions.
+    each with its own beta, tau, noise_std and budget; a parameter is
+    gathered by the frontier's trials only in the list form, and one
+    config's single values broadcast.  rng is one generator or a list of
+    one per session (_generators).  The frontier is a flat list of (trial,
+    position) pairs sorted by trial, then position, which within a trial
+    is the order a FIFO queue would measure them in.  Noise is drawn level
+    by level, in frontier order, by _normals, so one session draws exactly
+    the values of one scalar draw per measurement, and a session whose
+    noise_std is 0 draws nothing and adds -0.0, which leaves its values as
+    they are.  Returns a SessionBatch whose nodes are positions.
     """
     gens = _generators(rng, trials)
     beta, tau, noise_std, limit, meters, start = _session_params(cfg, trials, n)
-    loud = noise_std > 0
+    per_session = isinstance(cfg, (list, tuple))
+    loud = np.greater(noise_std, 0)
     roots = np.asarray(roots)
     t = np.repeat(np.arange(trials), len(roots))
     i = np.tile(roots, trials)
@@ -162,14 +165,15 @@ def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
         if (m + counts > limit).any():
             # a session measures its frontier in order until it reaches limit
             rank = m[t] + np.arange(len(t)) - (np.cumsum(counts) - counts)[t]
-            keep = rank < limit[t]
+            keep = rank < (limit[t] if per_session else limit)
             truncated[t[~keep]] = True
             t, i = t[keep], i[keep]
             counts = np.minimum(counts, limit - m)
-        y = beta[t] * coeff(t, i)
+        b, thr, sd = (beta[t], tau[t], noise_std[t]) if per_session else (beta, tau, noise_std)
+        y = b * coeff(t, i)
         if loud.any():
-            y += noise_std[t] * _normals(gens, counts, loud)
-        sig = np.abs(y) >= tau[t]
+            y += sd * _normals(gens, counts, loud)
+        sig = np.abs(y) >= thr
         levels.append((t, i, y, sig))
         m += counts
         first = d * i + shift
@@ -177,7 +181,7 @@ def _traverse(coeff, n, d, shift, roots, trials, cfg, rng):
         if shift < 1:
             grow &= first > i
         t = np.repeat(t[grow], d)
-        i = (first[grow, None] + np.arange(d)).ravel()
+        i = (first[grow][:, None] + np.arange(d)).ravel()
         if not len(t):
             break
     trial, node, y, sig = map(np.concatenate, zip(*levels))

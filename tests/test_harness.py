@@ -582,16 +582,20 @@ def _object_array(entries):
 
 @st.composite
 def csv_columns(draw, n):
-    """One write_csv column of n rows: an array of one of six dtypes, a
-    list of mixed entries or a scalar."""
-    kind = draw(st.sampled_from(["float64", "int64", "bool", "float32", "str", "object",
-                                 "list", "scalar"]))
+    """One write_csv column of n rows: an array of one of eight dtypes, a
+    list of mixed entries or a scalar.  Integer and bool arrays take their
+    entries from a pool of at most n values, so they often repeat."""
+    kind = draw(st.sampled_from(["float64", "int64", "int8", "uint64", "bool", "float32",
+                                 "str", "object", "list", "scalar"]))
     if kind == "scalar":
         return draw(_ENTRIES)
     entries = {"float64": _FLOATS, "int64": st.integers(-2**63, 2**63 - 1),
+               "int8": st.integers(-2**7, 2**7 - 1), "uint64": st.integers(0, 2**64 - 1),
                "bool": st.booleans(), "float32": st.floats(width=32), "str": _TEXTS,
                "object": st.none() | _TEXTS | st.integers(-99, 99) | st.floats(),
                "list": _ENTRIES}[kind]
+    if kind in ("int64", "int8", "uint64", "bool"):
+        entries = st.sampled_from(draw(st.lists(entries, min_size=1, max_size=max(n, 1))))
     values = draw(st.lists(entries, min_size=n, max_size=n))
     if kind == "list":
         return values

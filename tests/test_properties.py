@@ -168,6 +168,14 @@ def test_a_list_of_configs_equals_one_session_calls(shape, trials, seed, data):
         assert shared.bit_generator.state == alone.bit_generator.state
         for t in set(range(trials)) - set(loud):
             assert_session_is(batch, t, call(cfgs[t], None, t))
+        # one config that every session shares senses them as [cfg] * T does
+        gens, refs = ([np.random.default_rng([seed, 4, t]) for t in range(trials)]
+                      for _ in range(2))
+        batch, ref = call(cfgs[0], gens), call([cfgs[0]] * trials, refs)
+        for name, want in vars(ref).items():
+            got = getattr(batch, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in refs]
 
 
 @SETTINGS

@@ -97,6 +97,22 @@ def test_prox_and_penalty_of_zero_columns(norm, threshold):
     assert tree_group_penalty(np.zeros((t.p, 0)), t, norm).shape == (0,)
 
 
+@pytest.mark.parametrize("norm", ["l2", "linf"])
+@pytest.mark.parametrize("layout", ["fortran", "column_strided"])
+def test_prox_and_penalty_of_a_strided_input_equal_those_of_its_c_copy(norm, layout):
+    # both kernels work on C-ordered copies, whose level slices are
+    # contiguous rows, whatever the input's layout
+    t = make_tree(2, 6)
+    base = np.random.default_rng(7).standard_normal((t.p, 128))
+    v = np.asfortranarray(base[:, :64]) if layout == "fortran" else base[:, ::2]
+    c = np.ascontiguousarray(v)
+    for threshold in (0.0, 0.3):
+        out = tree_prox(v, t, threshold, norm)
+        assert out.flags.c_contiguous
+        assert out.tobytes() == tree_prox(c, t, threshold, norm).tobytes()
+    assert tree_group_penalty(v, t, norm).tobytes() == tree_group_penalty(c, t, norm).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # The in-place l2 kernel against the level kernel it replaced, bit for bit
 # ---------------------------------------------------------------------------
