@@ -32,8 +32,9 @@ table = compare_methods(cfg, training=training, dictionary=planted,
 
 snrs = defaultdict(list)
 meas = defaultdict(list)
-for method, R, m, snr in zip(table["method"], table["R"], table["m"], table["snr_db"]):
-    if snr is not None:
+for method, R, m, snr, exact in zip(table["method"], table["R"], table["m"],
+                                    table["snr_db"], table["exact"]):
+    if not exact:
         snrs[method, R].append(snr)
         meas[method, R].append(m)
 

@@ -344,41 +344,35 @@ _QUOTE = re.compile(r'[,"\n\r]')
 
 def _fields(entries):
     """The CSV fields of a list of entries: a float with 12 significant
-    digits, None and "" empty, anything else as str() writes it, quoted if
-    it holds , " \\n or \\r."""
-    texts = [f"{v:.12g}" if isinstance(v, float) else "" if v is None else str(v)
-             for v in entries]
+    digits, NaN empty, anything else as str() writes it, quoted if it holds
+    , " \\n or \\r."""
+    texts = [(f"{v:.12g}" if v == v else "") if isinstance(v, float) else str(v) for v in entries]
     if _QUOTE.search("".join(texts)):
         texts = ['"' + t.replace('"', '""') + '"' if _QUOTE.search(t) else t for t in texts]
     return texts
 
 
-def _column(column, n):
-    """A table entry's n fields, each column formatted once: a float64,
-    integer, bool or string array one distinct value at a time, any other
-    array entry by entry with str() (so a float32 is not cut to 12
-    digits), a list entry by entry, a scalar once for every row."""
+def _column(name, column, n):
+    """A table entry's n fields, each formatted once: an array one distinct
+    value at a time (a float64 array by bit pattern, so -0.0 stays apart
+    from 0.0), a scalar once for every row.  A list or tuple raises
+    ValueError naming the field."""
+    if isinstance(column, (list, tuple)):
+        raise ValueError(f"CSV field {name!r} is a {type(column).__name__}, not an array")
     if not isinstance(column, np.ndarray):
-        return _fields(column) if isinstance(column, list) else _fields([column]) * n
-    if column.dtype == np.float64:
-        # one format per distinct bit pattern (so -0.0 stays apart from 0.0)
-        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        values = bits.view(np.float64)
-    elif column.dtype.kind in "Ubiu":
-        values, inverse = np.unique(column, return_inverse=True)
-    elif column.dtype.kind in "fc":   # numbers: no field to quote
-        return list(map(str, column.tolist()))
-    else:   # objects, which np.unique cannot sort when they mix None and str
-        return _fields([v if v is None else str(v) for v in column.tolist()])
+        return _fields([column]) * n
+    by_bits = column.dtype == np.float64
+    keys, inverse = np.unique(column.view(np.int64) if by_bits else column, return_inverse=True)
+    values = keys.view(np.float64) if by_bits else keys
     return np.array(_fields(values.tolist()), object)[inverse].tolist()
 
 
 def write_csv(path, table):
-    """Write a table, which maps each of CSV_FIELDS to a column (a list or a
-    1-D array, one entry per row) or to a scalar every row shares; returns
-    the row count.  Columns of unequal length raise ValueError."""
-    n = max(len(col) for col in table.values() if isinstance(col, (list, np.ndarray)))
-    rows = zip(*(_column(table[name], n) for name in CSV_FIELDS), strict=True)
+    """Write a table, which maps each of CSV_FIELDS to a 1-D array, one entry
+    per row, or to a scalar every row shares; returns the row count.  NaN is
+    written as an empty field.  Columns of unequal length raise ValueError."""
+    n = max(len(col) for col in table.values() if isinstance(col, (list, tuple, np.ndarray)))
+    rows = zip(*(_column(name, table[name], n) for name in CSV_FIELDS), strict=True)
     text = "\n".join([",".join(CSV_FIELDS), *map(",".join, rows), ""])
     with open(path, "w", newline="") as f:
         f.write(text)
@@ -455,7 +449,7 @@ def _verify_cell(tree, k, R, beta, alpha, tau, cfg, cell):
                f"bound={bound:.6g} mean_m={np.mean(m):.6g} predicted_m={cfg.d * k + 1} "
                f"truncated_rate={np.mean(truncated):.6g} "
                f"false_alarms={np.mean(false_alarms):.6g} misses={np.mean(misses):.6g}")
-    return {"R": np.full(cfg.trials, R), "tau": np.full(cfg.trials, tau), "m": m,
+    return {"R": np.full(cfg.trials, float(R)), "tau": np.full(cfg.trials, tau), "m": m,
             "trial": np.arange(cfg.trials), "support_exact": exact.astype(np.int64),
             "energy_spent": energy, "note": np.full(cfg.trials, f"k={k}")}, summary
 
@@ -488,9 +482,9 @@ def verify_theorem(cfg):
         blocks.append(columns)
         summaries.append(summary)
     # every cell has cfg.trials rows, so ravel joins the cells' columns
-    table = {name: np.ravel([block[name] for block in blocks])
-             for name in ("R", "tau", "m", "trial", "support_exact", "energy_spent", "note")}
-    return {**table, "method": "adaptive", "snr_db": None, "exact": "", "wall_time": ""}, summaries
+    table = {name: np.ravel([block[name] for block in blocks]) if name in blocks[0] else math.nan
+             for name in CSV_FIELDS}
+    return {**table, "method": "adaptive"}, summaries
 
 
 # ---------------------------------------------------------------------------
@@ -514,24 +508,26 @@ def _trial_noise(cfg, m, *key):
     return cfg.noise_std * np.array([g.standard_normal(m) for g in _trial_rngs(cfg, *key)])
 
 
-def _extend(table, method, R, tau, m, trial, snr, energy, note):
-    """Append rows to a table of list columns, one per entry of the SNR array
-    snr, where +inf marks an exact reconstruction (exact=1, empty snr_db);
-    each other argument holds one entry per row or a value all rows share."""
-    snr = snr.tolist()
-    exact = [int(math.isinf(v)) for v in snr]
-    cells = (method, R, tau, m, trial, [None if e else v for v, e in zip(snr, exact)], exact,
-             None, energy, "", note)   # CSV_FIELDS' order
-    for name, value in zip(CSV_FIELDS, cells, strict=True):
-        rows = isinstance(value, (list, range, np.ndarray))
-        table[name] += list(value) if rows else [value] * len(snr)
+# The dtype of each array column of a sense or compare table, in _rows' argument order
+_DTYPES = {"method": np.str_, "R": np.float64, "tau": np.float64, "m": np.int64,
+           "trial": np.int64, "snr_db": np.float64, "exact": np.int64,
+           "energy_spent": np.float64, "note": np.str_}
 
 
-def _append(table, arm, b, rows):
-    """Append to table budget b's block of a budget-major arm table whose
-    blocks hold `rows` rows each."""
-    for name, column in arm.items():
-        table[name] += column[b * rows:(b + 1) * rows]
+def _rows(method, R, tau, m, trial, snr, energy, note):
+    """A block of rows, one per entry of the SNR array snr, where +inf marks
+    an exact reconstruction (exact=1, NaN snr_db); each other argument holds
+    one entry per row or a value all rows share (NaN for none)."""
+    exact = np.isinf(snr)
+    cells = (method, R, tau, m, trial, np.where(exact, math.nan, snr), exact, energy, note)
+    columns = [np.asarray(v, dtype) for dtype, v in zip(_DTYPES.values(), cells, strict=True)]
+    return {name: c if c.ndim else c.repeat(len(snr)) for name, c in zip(_DTYPES, columns)}
+
+
+def _join(blocks):
+    """write_csv's table of blocks of _rows in row order, NaN support_exact and wall_time."""
+    return {name: np.concatenate([np.empty(0, _DTYPES[name]), *(b[name] for b in blocks)])
+            if name in _DTYPES else math.nan for name in CSV_FIELDS}
 
 
 # The sessions of one signal's arm are sensed and reconstructed together, in
@@ -575,15 +571,15 @@ def sense_signal(cfg, dictionary, dict_mean, x, sig_idx=0, note=""):
                          f"atoms of dimension {dictionary.atoms.shape[0]}")
     c = dictionary.atoms.T @ (x - dict_mean)
     betas = [allocate_beta(R, dictionary.tree.d, k) for R in cfg.budgets]
-    table = {name: [] for name in CSV_FIELDS}
+    blocks = []
     for configs, rngs, beta, R, tau, trial in _arm_sessions(cfg, 1, sig_idx, betas, cfg.taus,
                                                             len(x)):
         batch = adaptive_sense_coeffs(np.broadcast_to(c, (len(configs), len(c))),
                                       dictionary.tree, configs, rngs)
         x_hat = reconstruct_from_outcome(batch, dictionary, beta, dict_mean)
-        _extend(table, "adaptive", R, tau, batch.m, trial, snr_db(x, x_hat),
-                batch.energy_spent, note)
-    return table
+        blocks.append(_rows("adaptive", R, tau, batch.m, trial, snr_db(x, x_hat),
+                            batch.energy_spent, note))
+    return _join(blocks)
 
 
 def _wavelet_arm(cfg, x, side, k, sig_idx, note):
@@ -596,15 +592,15 @@ def _wavelet_arm(cfg, x, side, k, sig_idx, note):
     stacked inverse."""
     betas = [math.sqrt(R / (3 * k + 1)) for R in cfg.budgets]
     img = x.reshape((side, side), order="F")
-    table = {name: [] for name in CSV_FIELDS}
+    blocks = []
     for configs, rngs, beta, R, tau, trial in _arm_sessions(cfg, 5, sig_idx, betas, (0.0, 0.5),
                                                             len(x)):
         batch = wavelet_sense(img, configs, rngs)
         rec = wavelet_reconstruct(batch, side, beta)
         x_hat = rec.transpose(0, 2, 1).reshape(len(configs), side * side)   # column-major
-        _extend(table, "wavelet", R, tau, batch.m, trial, snr_db(x, x_hat),
-                batch.energy_spent, note)
-    return table
+        blocks.append(_rows("wavelet", R, tau, batch.m, trial, snr_db(x, x_hat),
+                            batch.energy_spent, note))
+    return _join(blocks)
 
 
 def _random_projection_arms(cfg, dictionary, dict_mean, test_matrix, measurements, k):
@@ -684,9 +680,8 @@ def compare_methods(cfg, training, dictionary, dict_mean):
                          f"p // 2 and p, for the dictionary's p = {tree.p})")
     note = "in-sample" if cfg.in_sample else "held-out"
 
-    table = {name: [] for name in CSV_FIELDS}
     if not cfg.budgets:
-        return table
+        return _join([])
     test_matrix = training.data[:, :cfg.test_signals] + training.mean[:, None]
     n_test = test_matrix.shape[1]
 
@@ -703,27 +698,31 @@ def compare_methods(cfg, training, dictionary, dict_mean):
                 for sig_idx, tag in enumerate(tags)]
     wavelet = [_wavelet_arm(cfg, test_matrix[:, sig_idx], side, k, sig_idx, tag)
                for sig_idx, tag in enumerate(tags)] if is_image else []
-    trials = range(cfg.trials)
+    trials, blocks = np.arange(cfg.trials), []
+
+    def budget_block(arm, b, rows):   # budget b's rows of a budget-major arm table
+        return {name: arm[name][b * rows:(b + 1) * rows] for name in _DTYPES}
+
     for b, R in enumerate(cfg.budgets):
         for sig_idx, tag in enumerate(tags):
             x = test_matrix[:, sig_idx]
-            _append(table, adaptive[sig_idx], b, len(cfg.taus) * cfg.trials)
+            blocks.append(budget_block(adaptive[sig_idx], b, len(cfg.taus) * cfg.trials))
 
             for m in measurements:
                 # PCA at matched measurement count, up to the training data's rank
                 if m <= pca.components.shape[1]:
                     x_hat = pca_reconstruct(pca, x, R, _trial_noise(cfg, m, 2, b, sig_idx, m))
-                    _extend(table, "pca", R, "", m, trials, snr_db(x, x_hat), R, tag)
+                    blocks.append(_rows("pca", R, math.nan, m, trials, snr_db(x, x_hat), R, tag))
 
                 # Lasso and model-CoSaMP rows, alternating per trial (one ensemble per (R, m))
                 alphas, cosamp = rand_arms[m]
                 cols = slice(sig_idx * cfg.trials, (sig_idx + 1) * cfg.trials)
                 coef = np.stack([alphas[b, :, cols], cosamp[b, :, cols]], axis=2)
                 x_hat = dict_mean + _synthesize(dictionary.atoms, coef.reshape(tree.p, -1).T)
-                _extend(table, ["lasso", "model-cosamp"] * cfg.trials, R, "", m,
-                        np.repeat(trials, 2), snr_db(x, x_hat), R, tag)
+                blocks.append(_rows(["lasso", "model-cosamp"] * cfg.trials, R, math.nan, m,
+                                    np.repeat(trials, 2), snr_db(x, x_hat), R, tag))
 
             # direct wavelet sensing (image signals only)
             if is_image:
-                _append(table, wavelet[sig_idx], b, 2 * cfg.trials)
-    return table
+                blocks.append(budget_block(wavelet[sig_idx], b, 2 * cfg.trials))
+    return _join(blocks)

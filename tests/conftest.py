@@ -7,8 +7,8 @@ the group list is built by walking parents, the traversal and tree-sparsity
 references are the scalar loops the library's array engines replaced, the
 support growers are list loops and their law is pushed forward set by set,
 the projection reference is a per-node DP, the model-CoSaMP reference solves
-one problem at a time with lstsq and that DP, the CSV references write one row
-dict at a time or a table through csv.writer, the l2 prox reference is the
+one problem at a time with lstsq and that DP, the CSV reference writes a
+table through csv.writer one row at a time, the l2 prox reference is the
 level kernel with fresh arrays that the in-place one replaced, and the prox
 oracle (in test_prox) is a KKT / duality-gap certificate built from
 per-group duals.
@@ -19,9 +19,7 @@ selects a derandomized profile without deadlines.
 
 import csv
 import functools
-import itertools
 import math
-import operator
 import os
 from collections import deque
 
@@ -33,7 +31,7 @@ from treesense import (CSV_FIELDS, SensingConfig, SessionBatch, TrainingSet,
                        adaptive_sense_coeffs, allocate_beta, box_downscale, pca_fit,
                        pca_reconstruct, read_pgm, reconstruct_from_outcome, snr_db,
                        wavelet_reconstruct, wavelet_sense)
-from treesense.harness import _extend, _random_projection_arms, _trial_noise, _trial_rngs
+from treesense.harness import _join, _random_projection_arms, _rows, _trial_noise, _trial_rngs
 from treesense.sensing import _synthesize
 
 settings.register_profile("ci", derandomize=True, deadline=None)
@@ -488,50 +486,26 @@ def reference_tree_prox(v, tree, threshold):
     return U
 
 
-def reference_write_csv(path, rows):
-    """One line per row dict keyed by CSV_FIELDS.  The columns that hold
-    floats, R, tau, snr_db and energy_spent, are written with 12 significant
-    digits; the csv module writes None and "" as an empty field and every
-    other value with str()."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(CSV_FIELDS)
-        writer.writerows(
-            (method, f"{R:.12g}" if isinstance(R, float) else R,
-             f"{tau:.12g}" if isinstance(tau, float) else tau, m, trial,
-             f"{snr:.12g}" if isinstance(snr, float) else snr, exact, support_exact,
-             f"{energy:.12g}" if isinstance(energy, float) else energy, wall_time, note)
-            for (method, R, tau, m, trial, snr, exact, support_exact, energy,
-                 wall_time, note) in map(operator.itemgetter(*CSV_FIELDS), rows))
-
-
-def _reference_cells(column, n):
-    """A table entry's n cells, as write_csv formatted them before it wrote
-    its own fields: a float as 12 significant digits, anything else as the
-    csv module writes it (None and "" empty, str() otherwise)."""
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        # one format per distinct bit pattern (so -0.0 stays apart from 0.0)
-        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        return np.array(_reference_cells(bits.view(np.float64).tolist(), n),
-                        object)[inverse].tolist()
-    if isinstance(column, np.ndarray):   # integers, bools or strings
-        return column.tolist()
-    if not isinstance(column, list):
-        return itertools.repeat(_reference_cells([column], 1)[0], n)
-    return [f"{v:.12g}" if isinstance(v, float) else v for v in column]
+def _reference_cell(value):
+    """A float as 12 significant digits, NaN as an empty field, anything
+    else as the csv module writes it (str())."""
+    if isinstance(value, float):
+        return "" if math.isnan(value) else f"{value:.12g}"
+    return value
 
 
 def reference_table_csv(path, table):
-    """write_csv's table form written through csv.writer, one row at a time.
-    Before Python 3.13 the csv module leaves a field holding a carriage
-    return unquoted, so only tables without one are written as write_csv
-    writes them."""
-    n = max(len(col) for col in table.values() if isinstance(col, (list, np.ndarray)))
+    """write_csv's table form written through csv.writer, one row at a time,
+    each entry formatted on its own.  Before Python 3.13 the csv module
+    leaves a field holding a carriage return unquoted, so only tables
+    without one are written as write_csv writes them."""
+    n = max(len(col) for col in table.values() if isinstance(col, np.ndarray))
+    columns = [col.tolist() if isinstance(col, np.ndarray) else [col] * n
+               for col in (table[name] for name in CSV_FIELDS)]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(CSV_FIELDS)
-        writer.writerows(zip(*(_reference_cells(table[name], n) for name in CSV_FIELDS),
-                             strict=True))
+        writer.writerows(map(_reference_cell, row) for row in zip(*columns, strict=True))
     return n
 
 
@@ -599,7 +573,7 @@ def reference_sense_signal(cfg, dictionary, dict_mean, x, sig_idx=0, note=""):
                          f"atoms of dimension {dictionary.atoms.shape[0]}")
     c = dictionary.atoms.T @ (x - dict_mean)
     rows = np.broadcast_to(c, (cfg.trials, len(c)))
-    table = {name: [] for name in CSV_FIELDS}
+    blocks = []
     for b, R in enumerate(cfg.budgets):
         beta = allocate_beta(R, dictionary.tree.d, k)
         for tau_idx, tau in enumerate(cfg.taus):
@@ -607,9 +581,9 @@ def reference_sense_signal(cfg, dictionary, dict_mean, x, sig_idx=0, note=""):
             batch = adaptive_sense_coeffs(rows, dictionary.tree, sense_cfg,
                                           _trial_rngs(cfg, 1, b, sig_idx, tau_idx))
             x_hat = reconstruct_from_outcome(batch, dictionary, beta, dict_mean)
-            _extend(table, "adaptive", R, tau, batch.m, range(cfg.trials),
-                    snr_db(x, x_hat), batch.energy_spent, note)
-    return table
+            blocks.append(_rows("adaptive", R, tau, batch.m, np.arange(cfg.trials),
+                                snr_db(x, x_hat), batch.energy_spent, note))
+    return _join(blocks)
 
 
 def reference_compare_methods(cfg, training, dictionary, dict_mean):
@@ -623,9 +597,8 @@ def reference_compare_methods(cfg, training, dictionary, dict_mean):
                     cfg.measurements or (tree.p // 4, tree.p // 2, tree.p)]
     note = "in-sample" if cfg.in_sample else "held-out"
 
-    table = {name: [] for name in CSV_FIELDS}
     if not cfg.budgets:
-        return table
+        return _join([])
     test_matrix = training.data[:, :cfg.test_signals] + training.mean[:, None]
     n_test = test_matrix.shape[1]
 
@@ -640,28 +613,30 @@ def reference_compare_methods(cfg, training, dictionary, dict_mean):
                                        sig_idx, f"{note};signal={sig_idx}")
                 for sig_idx in range(n_test)]
     per_budget = len(cfg.taus) * cfg.trials
-    trials = range(cfg.trials)
+    trials, blocks = np.arange(cfg.trials), []
     for b, R in enumerate(cfg.budgets):
         beta_w = math.sqrt(R / (3 * k + 1))   # wavelet arm: nominal m = 3k+1
         for sig_idx in range(n_test):
             x = test_matrix[:, sig_idx]
             tag = f"{note};signal={sig_idx}"
-            for name, column in adaptive[sig_idx].items():
-                table[name] += column[b * per_budget:(b + 1) * per_budget]
+            blocks.append({name: column[b * per_budget:(b + 1) * per_budget]
+                           for name, column in adaptive[sig_idx].items()
+                           if isinstance(column, np.ndarray)})
 
             for m in measurements:
                 # PCA at matched measurement count, up to the training data's rank
                 if m <= pca.components.shape[1]:
                     x_hat = pca_reconstruct(pca, x, R, _trial_noise(cfg, m, 2, b, sig_idx, m))
-                    _extend(table, "pca", R, "", m, trials, snr_db(x, x_hat), R, tag)
+                    blocks.append(_rows("pca", R, math.nan, m, trials, snr_db(x, x_hat), R,
+                                        tag))
 
                 # Lasso and model-CoSaMP rows, alternating per trial (one ensemble per (R, m))
                 alphas, cosamp = rand_arms[m]
                 cols = slice(sig_idx * cfg.trials, (sig_idx + 1) * cfg.trials)
                 coef = np.stack([alphas[b, :, cols], cosamp[b, :, cols]], axis=2)
                 x_hat = dict_mean + _synthesize(dictionary.atoms, coef.reshape(tree.p, -1).T)
-                _extend(table, ["lasso", "model-cosamp"] * cfg.trials, R, "", m,
-                        np.repeat(trials, 2), snr_db(x, x_hat), R, tag)
+                blocks.append(_rows(["lasso", "model-cosamp"] * cfg.trials, R, math.nan, m,
+                                    np.repeat(trials, 2), snr_db(x, x_hat), R, tag))
 
             # direct wavelet sensing (image signals only)
             if is_image:
@@ -673,9 +648,9 @@ def reference_compare_methods(cfg, training, dictionary, dict_mean):
                                           _trial_rngs(cfg, 5, b, sig_idx, tau_idx))
                     rec = wavelet_reconstruct(batch, side, beta_w)
                     x_hat = rec.transpose(0, 2, 1).reshape(cfg.trials, n)   # column-major
-                    _extend(table, "wavelet", R, tau_w, batch.m, trials, snr_db(x, x_hat),
-                            batch.energy_spent, tag)
-    return table
+                    blocks.append(_rows("wavelet", R, tau_w, batch.m, trials,
+                                        snr_db(x, x_hat), batch.energy_spent, tag))
+    return _join(blocks)
 
 
 @pytest.fixture
